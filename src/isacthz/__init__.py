@@ -8,9 +8,8 @@ from .config import (C_LIGHT, AbsorptionTable, ConfigError, Deployment,
                      default_system, load_config)
 from .coverage import (CoverageQuery, CoverageResult, coverage_probability,
                        coverage_sweep, shot_noise_parts)
-from .mcsim import (McEstimate, Scene, estimate_blockage, estimate_coverage,
-                    estimate_misalignment, estimate_timeout, is_blocked,
-                    sample_scene)
+from .mcsim import (McEstimate, estimate_blockage, estimate_coverage,
+                    estimate_misalignment, estimate_timeout)
 from .misalignment import (MisalignmentBreakdown, beam_misalignment,
                            blockage_probability, expected_closest_blockage,
                            speed_underestimate_probability,
@@ -21,7 +20,7 @@ from .schemes import scheme_abilities, scheme_ability
 from .sensing import (SCHEMES, SensingAbility, SensingPattern, a_theta,
                       baseline_5g_ability, perfect_ability, sensing_ability,
                       ssb_ability)
-from .specfun import (QuadratureError, QuadratureSpec, erfc, exp_integral_e1,
-                      integrate_oscillatory, integrate_semi_infinite)
+from .specfun import (QuadratureError, QuadratureSpec, integrate_oscillatory,
+                      integrate_semi_infinite)
 
 __version__ = "0.1.0"

@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import exp1
 
 from .config import C_LIGHT, Deployment, SystemParams
-from .specfun import exp_integral_e1
 
 __all__ = [
     "LinkBudget",
@@ -132,7 +132,7 @@ def expected_interference(budget: LinkBudget, deploy: Deployment,
     arg = 2.0 * lam * deploy.r_b * r1 + budget.k_abs * r1
     return (2.0 * math.pi * deploy.lambda_b * w_s
             * math.exp(4.0 * lam * deploy.r_b ** 2) * budget.a
-            * exp_integral_e1(arg))
+            * exp1(arg))
 
 
 def expected_noise(budget: LinkBudget, deploy: Deployment,
@@ -148,7 +148,7 @@ def expected_noise(budget: LinkBudget, deploy: Deployment,
         return thermal
     pref = (2.0 * math.pi * deploy.lambda_b * budget.a * budget.k_abs
             / (deploy.n_b * deploy.n_m))
-    return thermal + pref * exp_integral_e1(budget.k_abs * r1)
+    return thermal + pref * exp1(budget.k_abs * r1)
 
 
 def effective_noise(budget: LinkBudget, deploy: Deployment,

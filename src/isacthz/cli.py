@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 4 Monte-Carlo/analytic disagreement beyond threshold under --strict.
-ISAC_THZ_THREADS caps sweep parallelism (default: serial).
+Only simulate and compare take --seed, --trials and --strict; only compare
+takes --with-mc.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import argparse
 import csv
 import hashlib
 import math
-import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .channel import LinkBudget
@@ -68,14 +67,6 @@ def _write_csv(path, header, rows):
     finally:
         if path is not None:
             out.close()
-
-
-def _pool_map(fn, items):
-    workers = int(os.environ.get("ISAC_THZ_THREADS", "1"))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _params_hash(*parts) -> str:
@@ -158,17 +149,13 @@ def _sweep_deployments(system, deploy, sweep):
 
 def misalign_sweep_rows(system: SystemParams, deploy: Deployment,
                         sweep: str = "n_b", schemes=SCHEMES):
-    points = [(label, value, sys_v, dep_v, scheme)
-              for label, value, sys_v, dep_v in _sweep_deployments(system, deploy, sweep)
-              for scheme in schemes]
-
-    def one(point):
-        label, value, sys_v, dep_v, scheme = point
-        ability = scheme_ability(scheme, sys_v, dep_v)
-        m = beam_misalignment(dep_v, ability, sys_v.tau)
-        return [label, value, scheme, m.p_err, m.p_to, m.p_ms]
-
-    return _pool_map(one, points)
+    rows = []
+    for label, value, sys_v, dep_v in _sweep_deployments(system, deploy, sweep):
+        for scheme in schemes:
+            m = beam_misalignment(dep_v, scheme_ability(scheme, sys_v, dep_v),
+                                  sys_v.tau)
+            rows.append([label, value, scheme, m.p_err, m.p_to, m.p_ms])
+    return rows
 
 
 def _cmd_misalign(args, system, deploy):
@@ -363,12 +350,13 @@ def _cmd_compare(args, system, deploy):
 def _add_common(p):
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--out", default=None, help="output CSV/markdown path (default stdout)")
+
+
+def _add_monte_carlo(p):
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--strict", action="store_true",
                    help="exit 4 on Monte-Carlo/analytic disagreement")
-    p.add_argument("--with-mc", action="store_true", dest="with_mc",
-                   help="annotate analytic rows with Monte-Carlo sigmas")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimates")
     _add_common(p)
+    _add_monte_carlo(p)
     p.add_argument("--what", choices=("blockage", "timeout", "misalign",
                                       "coverage"), required=True)
     p.add_argument("--scheme", choices=SCHEMES, default="jsrs")
@@ -420,6 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="scheme comparison report")
     _add_common(p)
+    _add_monte_carlo(p)
+    p.add_argument("--with-mc", action="store_true", dest="with_mc",
+                   help="annotate analytic rows with Monte-Carlo sigmas")
 
     return ap
 

@@ -153,27 +153,15 @@ class ShotNoiseField:
 
     # -- exact evaluation ---------------------------------------------------
 
-    def _fast_zone_endpoint(self, s, c_x, a, b, kind):
+    def _fast_zone_endpoint(self, s, c_x, a, b, kind, weight):
         """First-order endpoint value of int_a^b r h(r) trig(phase) dr over
-        the rapidly-oscillating zone; kind is 'cos' or 'sin';
-        h = 1 here (the p_I weighting is applied by the caller)."""
+        the rapidly-oscillating zone; kind is 'cos' or 'sin' and h is the
+        weight callable (p_I(r) for interference, 1 for absorption)."""
 
         def term(r):
             phase = 2.0 * math.pi * s * c_x * self._g(r)
             dphase = -phase * (2.0 / r + self.k)
-            if kind == "cos":
-                return r * math.sin(phase) / dphase
-            return -r * math.cos(phase) / dphase
-
-        return term(b) - term(a)
-
-    def _fast_zone_endpoint_weighted(self, s, c_x, a, b, kind):
-        """Endpoint value with the interference weight p_I(r) included."""
-
-        def term(r):
-            phase = 2.0 * math.pi * s * c_x * self._g(r)
-            dphase = -phase * (2.0 / r + self.k)
-            w = float(self._p_int(np.asarray(r, dtype=float)))
+            w = float(weight(np.asarray(r, dtype=float)))
             if kind == "cos":
                 return r * w * math.sin(phase) / dphase
             return -r * w * math.cos(phase) / dphase
@@ -217,13 +205,13 @@ class ShotNoiseField:
         if r_split > lower:
             f_r += 0.5 * (r_split ** 2 - lower ** 2)
             # interference trig terms: fast on the whole zone
-            f_r -= self._fast_zone_endpoint_weighted(s, self.c_int, lower, r_split, "cos")
-            f_i += self._fast_zone_endpoint_weighted(s, self.c_int, lower, r_split, "sin")
+            f_r -= self._fast_zone_endpoint(s, self.c_int, lower, r_split, "cos", self._p_int)
+            f_i += self._fast_zone_endpoint(s, self.c_int, lower, r_split, "sin", self._p_int)
             if r_abs > lower:
                 # absorption fast zone; the (1 - p_I) weight is within
                 # ~1e-4 of one and is dropped from the endpoint term
-                f_r -= self._fast_zone_endpoint(s, self.c_abs, lower, r_abs, "cos")
-                f_i += self._fast_zone_endpoint(s, self.c_abs, lower, r_abs, "sin")
+                f_r -= self._fast_zone_endpoint(s, self.c_abs, lower, r_abs, "cos", np.ones_like)
+                f_i += self._fast_zone_endpoint(s, self.c_abs, lower, r_abs, "sin", np.ones_like)
             if r_abs < r_split:
                 seg_lo = max(r_abs, lower)
 

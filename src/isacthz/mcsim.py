@@ -4,13 +4,15 @@ Every analytical quantity in the package has a counterpart here that is
 estimated from Poisson point process draws and explicit corridor geometry
 rather than from the closed forms.  Estimators are deterministic in
 (seed, parameters, trials): work is cut into fixed-size batches and each
-batch consumes its own substream spawned from the master seed, so serial
-and parallel execution agree bit for bit.
+batch consumes its own substream spawned from the master seed, so an
+estimate depends only on those three inputs.
 
-Blockage geometry: a link of length r is blocked when some non-endpoint
-node centre falls inside the rectangle of width 2 r_b around the segment
-whose longitudinal extent is [r_b, r - r_b] (area 2 r_b (r - 2 r_b), the
-exact void-probability exponent of the analytic model).
+Blockage geometry: a link of length r is blocked when some obstacle
+centre falls inside the rectangle of width 2 r_b around the segment
+whose longitudinal extent is (r_b, r - r_b) (area 2 r_b (r - 2 r_b), the
+exact void-probability exponent of the analytic model).  One corridor
+test, `_blocked_bulk`, serves every estimator; an endpoint lies at
+longitudinal offset 0 or r and so never blocks its own link.
 
 The timeout estimator defaults to drawing an independent obstacle field
 per link.  The analytic timeout multiplies the two void probabilities,
@@ -33,10 +35,7 @@ from .misalignment import beam_misalignment, beam_switch_density
 from .sensing import SensingAbility
 
 __all__ = [
-    "Scene",
     "McEstimate",
-    "sample_scene",
-    "is_blocked",
     "estimate_blockage",
     "estimate_timeout",
     "estimate_misalignment",
@@ -69,89 +68,30 @@ class McEstimate:
         return (self.mean - reference) / self.std_error
 
 
-@dataclass
-class Scene:
-    """One realisation of the node fields inside a simulation disc."""
-
-    window_radius: float
-    guard: float
-    rng_seed: int
-    bs_points: np.ndarray
-    mt_points: np.ndarray
-    blocker_points: np.ndarray
+def _batches(trials: int, seed: int):
+    """Yield (rng, size) per fixed-size batch, each on its own substream."""
+    n_batches = (trials + _BATCH - 1) // _BATCH
+    seqs = np.random.SeedSequence(seed).spawn(n_batches)
+    for k, seq in enumerate(seqs):
+        yield np.random.default_rng(seq), min(_BATCH, trials - k * _BATCH)
 
 
-def _streams(seed: int, n: int):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
-def _ppp_disc(rng, density: float, radius: float, r_inner: float = 0.0) -> np.ndarray:
-    """Homogeneous PPP on the annulus r_inner <= r <= radius."""
-    area = math.pi * (radius ** 2 - r_inner ** 2)
+def _ppp_disc(rng, density: float, radius: float) -> np.ndarray:
+    """Homogeneous PPP on the disc r <= radius."""
+    area = math.pi * radius ** 2
     n = rng.poisson(density * area) if density > 0.0 and area > 0.0 else 0
     if n == 0:
         return np.empty((0, 2))
-    rr = np.sqrt(rng.random(n) * (radius ** 2 - r_inner ** 2) + r_inner ** 2)
+    rr = np.sqrt(rng.random(n) * radius ** 2)
     th = 2.0 * math.pi * rng.random(n)
     return np.column_stack([rr * np.cos(th), rr * np.sin(th)])
 
 
-def sample_scene(deploy: Deployment, window_radius: float, seed: int,
-                 guard: float = 0.0) -> Scene:
-    """Draw independent node fields with the typical user at the origin."""
-    if not window_radius > 0.0:
-        raise ValueError("window_radius must be > 0")
-    rngs = _streams(seed, 3)
-    return Scene(
-        window_radius=window_radius, guard=guard, rng_seed=seed,
-        bs_points=_ppp_disc(rngs[0], deploy.lambda_b, window_radius),
-        mt_points=_ppp_disc(rngs[1], deploy.lambda_m, window_radius),
-        blocker_points=_ppp_disc(rngs[2], deploy.lambda_s, window_radius),
-    )
-
-
-def _corridor_hit(obstacles: np.ndarray, p_from: np.ndarray, p_to: np.ndarray,
-                  r_b: float) -> bool:
-    if obstacles.shape[0] == 0:
-        return False
-    d = p_to - p_from
-    r = float(np.hypot(d[0], d[1]))
-    if r < 2.0 * r_b:
-        return False
-    ux, uy = d[0] / r, d[1] / r
-    rel = obstacles - p_from
-    lon = rel[:, 0] * ux + rel[:, 1] * uy
-    lat = -rel[:, 0] * uy + rel[:, 1] * ux
-    return bool(np.any((np.abs(lat) < r_b) & (lon > r_b) & (lon < r - r_b)))
-
-
-def is_blocked(scene: Scene, p_from, p_to, deploy: Deployment,
-               include_bs: bool = True) -> bool:
-    """Corridor test of the (p_from, p_to) link against a scene.
-
-    Obstacles are the blocker and user fields, plus the node field itself
-    when include_bs is set (interference links); points coinciding with
-    either endpoint are excluded.
-    """
-    p_from = np.asarray(p_from, dtype=float)
-    p_to = np.asarray(p_to, dtype=float)
-    parts = [scene.blocker_points, scene.mt_points]
-    if include_bs:
-        parts.append(scene.bs_points)
-    obstacles = np.vstack([p for p in parts if p.shape[0]]) if any(
-        p.shape[0] for p in parts) else np.empty((0, 2))
-    if obstacles.shape[0]:
-        keep = (np.hypot(*(obstacles - p_from).T) > 1e-9) & \
-               (np.hypot(*(obstacles - p_to).T) > 1e-9)
-        obstacles = obstacles[keep]
-    return _corridor_hit(obstacles, p_from, p_to, deploy.r_b)
-
-
 def _blocked_bulk(obs_x, obs_y, counts, bs_x, bs_y, r_b):
-    """Vectorised corridor test; one segment origin->(bs_x, bs_y) per trial.
+    """Vectorised corridor test; one segment origin->(bs_x, bs_y) per link.
 
-    obs_* are flattened obstacle coordinates grouped by trial with sizes
-    `counts`; returns a boolean 'blocked' per trial.
+    obs_* are flattened obstacle coordinates grouped by link with sizes
+    `counts`; returns a boolean 'blocked' per link.
     """
     n_trials = bs_x.size
     r = np.hypot(bs_x, bs_y)
@@ -187,18 +127,13 @@ def estimate_blockage(deploy: Deployment, r: float, trials: int,
     if r < 2.0 * deploy.r_b:
         raise ValueError("estimate_blockage requires r >= 2 r_b")
     density = deploy.lambda_m + deploy.lambda_s
-    n_batches = (trials + _BATCH - 1) // _BATCH
-    rngs = _streams(seed, n_batches)
     hits = 0
-    done = 0
-    for k in range(n_batches):
-        b = min(_BATCH, trials - done)
+    for rng, b in _batches(trials, seed):
         radii = np.full(b, r + deploy.r_b)
-        ox, oy, counts = _obstacle_field(rngs[k], density, radii)
+        ox, oy, counts = _obstacle_field(rng, density, radii)
         blocked = _blocked_bulk(ox, oy, counts,
                                 np.full(b, r), np.zeros(b), deploy.r_b)
         hits += int(blocked.sum())
-        done += b
     p = hits / trials
     return McEstimate(mean=p, std_error=math.sqrt(p * (1 - p) / trials), trials=trials)
 
@@ -228,15 +163,8 @@ def _nearest_two_batch(rng, deploy: Deployment, b: int):
 
 def nearest_two_distances(deploy: Deployment, samples: int, seed: int):
     """Sampled (r1, r2) distances of the two nearest nodes to the origin."""
-    n_batches = (samples + _BATCH - 1) // _BATCH
-    rngs = _streams(seed, n_batches)
-    out = np.empty((samples, 2))
-    done = 0
-    for k in range(n_batches):
-        b = min(_BATCH, samples - done)
-        r12, _ = _nearest_two_batch(rngs[k], deploy, b)
-        out[done:done + b] = r12
-        done += b
+    out = np.concatenate([_nearest_two_batch(rng, deploy, b)[0]
+                          for rng, b in _batches(samples, seed)])
     return out[:, 0], out[:, 1]
 
 
@@ -252,13 +180,8 @@ def estimate_timeout(deploy: Deployment, trials: int, seed: int,
     if trials < 1000:
         raise ValueError("estimate_timeout needs at least 1e3 trials")
     density = deploy.lambda_m + deploy.lambda_s
-    n_batches = (trials + _BATCH - 1) // _BATCH
-    rngs = _streams(seed, n_batches)
     hits = 0
-    done = 0
-    for k in range(n_batches):
-        rng = rngs[k]
-        b = min(_BATCH, trials - done)
+    for rng, b in _batches(trials, seed):
         r12, a12 = _nearest_two_batch(rng, deploy, b)
         b1x, b1y = r12[:, 0] * np.cos(a12[:, 0]), r12[:, 0] * np.sin(a12[:, 0])
         b2x, b2y = r12[:, 1] * np.cos(a12[:, 1]), r12[:, 1] * np.sin(a12[:, 1])
@@ -271,7 +194,6 @@ def estimate_timeout(deploy: Deployment, trials: int, seed: int,
             ox2, oy2, counts2 = _obstacle_field(rng, density, radii)
             blocked2 = _blocked_bulk(ox2, oy2, counts2, b2x, b2y, deploy.r_b)
         hits += int((blocked1 & blocked2).sum())
-        done += b
     p = hits / trials
     return McEstimate(mean=p, std_error=math.sqrt(p * (1 - p) / trials), trials=trials)
 
@@ -290,13 +212,8 @@ def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
     lo = max((deploy.v - ability.delta_v) * tau - ability.delta_db, 0.0)
     hi = deploy.v * tau
 
-    n_batches = (trials + _BATCH - 1) // _BATCH
-    rngs = _streams(seed, n_batches)
     hits = 0
-    done = 0
-    for k in range(n_batches):
-        rng = rngs[k]
-        b = min(_BATCH, trials - done)
+    for rng, b in _batches(trials, seed):
         d_b = rng.exponential(1.0 / mu_g, size=b)
         miss = (d_b > lo) & (d_b < hi)
         r12, a12 = _nearest_two_batch(rng, deploy, b)
@@ -304,7 +221,6 @@ def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
         ox, oy, counts = _obstacle_field(rng, density, r12[:, 0] + deploy.r_b)
         blocked1 = _blocked_bulk(ox, oy, counts, b1x, b1y, deploy.r_b)
         hits += int((miss & ~blocked1).sum())
-        done += b
     p_err = hits / trials
     err_se = math.sqrt(p_err * (1 - p_err) / trials)
     to = estimate_timeout(deploy, trials, seed + 1)
@@ -358,15 +274,9 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
     margin = received_power(budget, r1) / threshold - \
         effective_noise(budget, deploy, system, r1)
     obstacle_density = deploy.lambda_m + deploy.lambda_s
-    serving = np.array([r1, 0.0])
 
-    n_batches = (trials + _BATCH - 1) // _BATCH
-    rngs = _streams(seed, n_batches)
     hits = 0
-    done = 0
-    for k in range(n_batches):
-        rng = rngs[k]
-        b = min(_BATCH, trials - done)
+    for rng, b in _batches(trials, seed):
         counts = rng.poisson(deploy.lambda_b * math.pi * (r_win ** 2 - r_lo ** 2),
                              size=b)
         total = int(counts.sum())
@@ -380,23 +290,24 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
         aligned = rng.random(b) >= p_ms
 
         if np.any(marks):
-            # corridor test only for the rare marked candidates
-            mark_trials = np.unique(idx[marks])
-            for t in mark_trials:
-                sel = (idx == t)
-                bs_xy = np.column_stack([rad[sel] * np.cos(ang[sel]),
-                                         rad[sel] * np.sin(ang[sel])])
+            # corridor test only for the rare marked candidates; trial t
+            # owns the nodes [starts[t], starts[t + 1]) and draws its own
+            # user/blocker field, in ascending trial order
+            starts = np.concatenate(([0], np.cumsum(counts)))
+            for t in np.unique(idx[marks]):
+                lo, hi = starts[t], starts[t + 1]
+                x = rad[lo:hi] * np.cos(ang[lo:hi])
+                y = rad[lo:hi] * np.sin(ang[lo:hi])
                 others = _ppp_disc(rng, obstacle_density, r_win)
-                obstacles = np.vstack([bs_xy, serving[None, :], others]) \
-                    if others.shape[0] else np.vstack([bs_xy, serving[None, :]])
-                cand = np.where(marks & sel)[0]
-                for j in cand:
-                    pos = np.array([rad[j] * np.cos(ang[j]), rad[j] * np.sin(ang[j])])
-                    keep = np.hypot(*(obstacles - pos).T) > 1e-9
-                    if not _corridor_hit(obstacles[keep], np.zeros(2), pos, deploy.r_b):
-                        i_eff[t] += budget.a * rad[j] ** -2 * math.exp(-budget.k_abs * rad[j])
+                obs_x = np.concatenate([x, [r1], others[:, 0]])
+                obs_y = np.concatenate([y, [0.0], others[:, 1]])
+                cand = np.flatnonzero(marks[lo:hi])
+                blocked = _blocked_bulk(
+                    np.tile(obs_x, cand.size), np.tile(obs_y, cand.size),
+                    np.full(cand.size, obs_x.size), x[cand], y[cand], deploy.r_b)
+                for r_j in rad[lo:hi][cand[~blocked]]:
+                    i_eff[t] += budget.a * r_j ** -2 * math.exp(-budget.k_abs * r_j)
 
         hits += int((aligned & (i_eff < margin)).sum())
-        done += b
     p = hits / trials
     return McEstimate(mean=p, std_error=math.sqrt(p * (1 - p) / trials), trials=trials)

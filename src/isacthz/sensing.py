@@ -130,14 +130,8 @@ class SensingAbility:
 def sensing_ability(pattern: SensingPattern, system: SystemParams,
                     theta_b: float) -> SensingAbility:
     """Abilities achieved by a pilot pattern at beamwidth theta_b."""
-    at = a_theta(theta_b)
-    delta_r = C_LIGHT / (2.0 * pattern.u * pattern.b_s)
-    delta_v = C_LIGHT / (2.0 * system.f_c * pattern.v * pattern.t_s)
-    d_max = C_LIGHT / (2.0 * pattern.u * system.f_scs)
-    v_max = min(pattern.u * C_LIGHT * system.f_scs / (20.0 * system.f_c),
-                C_LIGHT / (2.0 * system.f_c * pattern.v * system.t_sym))
-    return SensingAbility(delta_r=delta_r, delta_db=at * delta_r,
-                          delta_v=delta_v, d_max=d_max, v_max=v_max)
+    return ability_from_spans(pattern.u, pattern.v, pattern.b_s, pattern.t_s,
+                              system, theta_b)
 
 
 def ability_from_spans(u: int, v: int, b_s: float, t_s: float,

@@ -1,9 +1,8 @@
-"""Special functions and quadrature primitives shared by the analytical modules.
+"""Quadrature primitives shared by the analytical modules.
 
-Everything here is pure and stateless: the exponential integral E1, the
-complementary error function, an adaptive Gauss-Kronrod integrator for
-semi-infinite integrands with decaying tails, and a panel-marching
-integrator for oscillatory kernels of the form
+Everything here is pure and stateless: adaptive Gauss-Kronrod integrators
+for finite intervals and for semi-infinite integrands with decaying tails,
+and a panel-marching integrator for oscillatory kernels of the form
 
     envelope(s) * [sin(phi2(s)) - sin(phi1(s))] / (pi * s).
 
@@ -18,19 +17,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.special as sp
 
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
-    "exp_integral_e1",
-    "erfc",
     "integrate_interval",
     "integrate_semi_infinite",
     "integrate_oscillatory",
 ]
-
-_EULER_GAMMA = 0.5772156649015328606
 
 
 class QuadratureError(RuntimeError):
@@ -73,73 +67,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-# -----------------------------------------------------------------------------
-# Special functions
-# -----------------------------------------------------------------------------
-
-def exp_integral_e1(x):
-    """Exponential integral E1(x) = int_x^inf r^-1 e^-r dr for x > 0.
-
-    Power series below 1, modified-Lentz continued fraction above; both
-    branches deliver relative error well under 1e-12.
-
-    Accepts scalars or arrays; raises ValueError for any x <= 0.
-    """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0) or np.any(~np.isfinite(arr)):
-        raise ValueError("exp_integral_e1 requires x > 0")
-    out = np.empty_like(arr)
-
-    small = arr < 1.0
-    if np.any(small):
-        xs = arr[small]
-        # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k * k!)
-        total = np.zeros_like(xs)
-        term = np.ones_like(xs)
-        for k in range(1, 40):
-            term = term * (-xs) / k
-            contrib = -term / k
-            total += contrib
-            if np.all(np.abs(contrib) < 1e-17 * (np.abs(total) + 1e-300)):
-                break
-        out[small] = -_EULER_GAMMA - np.log(xs) + total
-
-    large = ~small
-    if np.any(large):
-        xl = arr[large]
-        # even continued fraction (modified Lentz):
-        # E1(x) = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(x + 7 - ...))))
-        tiny = 1e-300
-        b = xl + 1.0
-        c = np.full_like(xl, 1.0 / tiny)
-        d = 1.0 / b
-        h = d.copy()
-        for i in range(1, 200):
-            a = -float(i * i)
-            b = b + 2.0
-            d = 1.0 / (a * d + b)
-            c = b + a / c
-            c[c == 0.0] = tiny
-            delta = c * d
-            h = h * delta
-            if np.all(np.abs(delta - 1.0) < 1e-16):
-                break
-        out[large] = np.exp(-xl) * h
-
-    return float(out[0]) if scalar else out
-
-
-def erfc(x):
-    """Complementary error function 2/sqrt(pi) int_x^inf e^(-t^2) dt.
-
-    Delegates to scipy.special.erfc (relative error at machine precision
-    over the whole real line).
-    """
-    return sp.erfc(x)
 
 
 # -----------------------------------------------------------------------------
@@ -213,9 +140,15 @@ def _adaptive_panel(f: Callable, a: float, b: float, tol: float, budget: list):
 
 def integrate_interval(f: Callable, a: float, b: float, tol: float = 1e-12,
                        max_splits: int = 2000) -> float:
-    """Adaptive Gauss-Kronrod integral of f over the finite interval [a, b]."""
+    """Adaptive Gauss-Kronrod integral of f over the finite interval [a, b].
+
+    Raises QuadratureError (carrying the partial value and an error bound)
+    once the max_splits budget is spent.
+    """
     budget = [max_splits]
-    val, _err = _adaptive_panel(f, a, b, tol, budget)
+    val, err = _adaptive_panel(f, a, b, tol, budget)
+    if budget[0] <= 0:
+        raise QuadratureError("interval quadrature did not converge", val, err)
     return val
 
 

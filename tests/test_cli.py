@@ -109,6 +109,13 @@ class TestCompare:
         assert "jsrs-vs-perfect" in text
 
 
+class TestArguments:
+    def test_monte_carlo_flags_only_where_used(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["coverage", "--trials", "5"])
+        assert exc.value.code == 2
+
+
 class TestConfigErrors:
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -58,7 +58,9 @@ class TestTimeoutProbability:
     def test_matches_closed_form_inner(self):
         # the nested inner integral has an erfc closed form; the outer
         # integral over either representation must agree
-        from isacthz.specfun import erfc, integrate_semi_infinite
+        from scipy.special import erfc
+
+        from isacthz.specfun import integrate_semi_infinite
         w1 = (DEP.lambda_s + DEP.lambda_m) * 2 * DEP.r_b
         beta = DEP.lambda_b * math.pi
         two_rb = 2 * DEP.r_b

@@ -4,66 +4,20 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from isacthz.specfun import (QuadratureError, QuadratureSpec, erfc,
-                             exp_integral_e1, integrate_oscillatory,
+from isacthz.specfun import (QuadratureError, QuadratureSpec,
+                             integrate_interval, integrate_oscillatory,
                              integrate_semi_infinite)
 
 
-class TestExpIntegral:
-    def test_reference_values(self):
-        # frozen against an independent high-precision evaluation (mpmath e1)
-        assert exp_integral_e1(1.0) == pytest.approx(0.2193839343955203, rel=1e-12)
-        assert exp_integral_e1(10.0) == pytest.approx(4.156968929685324e-06, rel=1e-12)
-
-    def test_against_scipy_grid(self):
-        xs = np.concatenate([np.linspace(0.003, 0.999, 37),
-                             np.geomspace(1.0, 600.0, 41)])
-        ref = sp.exp1(xs)
-        mine = exp_integral_e1(xs)
-        assert np.max(np.abs(mine - ref) / ref) < 1e-10
-
-    def test_tail_vanishes(self):
-        assert exp_integral_e1(500.0) < 1e-210
-        assert exp_integral_e1(500.0) > 0.0
-
-    def test_monotone_decreasing_positive(self):
-        xs = np.geomspace(1e-3, 50.0, 200)
-        vals = exp_integral_e1(xs)
-        assert np.all(vals > 0.0)
-        assert np.all(np.diff(vals) < 0.0)
-
-    def test_envelope_bounds(self):
-        # e^-x/(x+1) < E1(x) < e^-x/x
-        for x in (0.1, 0.7, 1.0, 3.0, 12.0, 80.0):
-            val = exp_integral_e1(x)
-            assert math.exp(-x) / (x + 1.0) < val < math.exp(-x) / x
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            exp_integral_e1(0.0)
-        with pytest.raises(ValueError):
-            exp_integral_e1(-2.0)
-        with pytest.raises(ValueError):
-            exp_integral_e1(np.array([1.0, -1.0]))
-
-
-class TestErfc:
-    def test_reference_values(self):
-        assert erfc(0.0) == pytest.approx(1.0, abs=0.0)
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-12)
-
-    def test_symmetry(self):
-        for x in np.linspace(-9.5, 9.5, 77):
-            assert erfc(x) + erfc(-x) == pytest.approx(2.0, rel=1e-13)
-
-    def test_monotone_and_range(self):
-        # strict interior checks stay below |x| ~ 5.5 where float64 still
-        # resolves the distance of erfc from its limits 0 and 2
-        xs = np.linspace(-5.5, 5.5, 501)
-        vals = erfc(xs)
-        assert np.all(np.diff(vals) < 0.0)
-        assert np.all((vals > 0.0) & (vals < 2.0))
-        assert 0.0 < erfc(10.0) < erfc(5.0)
+class TestInterval:
+    def test_exhausted_budget_raises(self):
+        f = lambda r: np.sin(50.0 * r) ** 2
+        with pytest.raises(QuadratureError) as err:
+            integrate_interval(f, 0.0, 40.0, max_splits=2)
+        assert err.value.partial != 0.0
+        assert err.value.error_bound > 0.0
+        assert integrate_interval(f, 0.0, 40.0) == \
+            pytest.approx(20.0 - math.sin(4000.0) / 200.0, rel=1e-10)
 
 
 class TestSemiInfinite:
@@ -73,7 +27,7 @@ class TestSemiInfinite:
 
     def test_matches_e1(self):
         val = integrate_semi_infinite(lambda r: np.exp(-r) / r, 1.0)
-        assert val == pytest.approx(exp_integral_e1(1.0), rel=1e-11)
+        assert val == pytest.approx(sp.exp1(1.0), rel=1e-11)
 
     def test_gaussian_moment(self):
         val = integrate_semi_infinite(lambda r: r * np.exp(-np.pi * r ** 2), 0.0)
