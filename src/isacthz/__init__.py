@@ -7,7 +7,7 @@ from .config import (C_LIGHT, AbsorptionTable, ConfigError, Deployment,
                      SystemParams, absorption_at, default_deployment,
                      default_system, load_config)
 from .coverage import (CoverageQuery, CoverageResult, coverage_probability,
-                       coverage_sweep, shot_noise_parts)
+                       coverage_sweep)
 from .mcsim import (McEstimate, estimate_blockage, estimate_coverage,
                     estimate_misalignment, estimate_timeout)
 from .misalignment import (MisalignmentBreakdown, beam_misalignment,

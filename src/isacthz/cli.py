@@ -187,30 +187,33 @@ def _cmd_coverage(args, system, deploy):
 # simulate
 # -----------------------------------------------------------------------------
 
+def _mc_agrees(est, ref: float, coverage: bool = False) -> bool:
+    """Monte-Carlo/analytic gate of --strict: |dev| <= max(0.02, 3 sigma)
+    for coverage and 4 sigma for every other quantity."""
+    if coverage:
+        return abs(est.mean - ref) <= max(0.02, 3.0 * est.std_error)
+    return abs(est.sigmas_off(ref)) <= 4.0
+
+
 def _cmd_simulate(args, system, deploy):
     budget = LinkBudget.from_params(system, deploy)
-    rows = []
-    strict_fail = False
+    checks = []  # (quantity, params hash, estimate, analytic value)
     if args.what == "blockage":
         est = estimate_blockage(deploy, args.r_m, args.trials, args.seed)
-        ref = blockage_probability(deploy, args.r_m)
-        rows.append(["blockage", _params_hash(deploy, args.r_m), est.mean,
-                     est.std_error, est.trials, ref, est.sigmas_off(ref)])
+        checks.append(("blockage", _params_hash(deploy, args.r_m), est,
+                       blockage_probability(deploy, args.r_m)))
     elif args.what == "timeout":
         est = estimate_timeout(deploy, args.trials, args.seed)
-        ref = timeout_probability(deploy)
-        rows.append(["timeout", _params_hash(deploy), est.mean, est.std_error,
-                     est.trials, ref, est.sigmas_off(ref)])
+        checks.append(("timeout", _params_hash(deploy), est,
+                       timeout_probability(deploy)))
     elif args.what == "misalign":
         ability = scheme_ability(args.scheme, system, deploy)
         ests = estimate_misalignment(deploy, ability, system.tau, args.trials,
                                      args.seed)
         m = beam_misalignment(deploy, ability, system.tau)
         for name, ref in (("p_err", m.p_err), ("p_to", m.p_to), ("p_ms", m.p_ms)):
-            est = ests[name]
-            rows.append([f"misalign_{name}", _params_hash(deploy, args.scheme),
-                         est.mean, est.std_error, est.trials, ref,
-                         est.sigmas_off(ref)])
+            checks.append((f"misalign_{name}",
+                           _params_hash(deploy, args.scheme), ests[name], ref))
     elif args.what == "coverage":
         ability = scheme_ability(args.scheme, system, deploy)
         thr = 10.0 ** (args.threshold_db / 10.0)
@@ -218,24 +221,18 @@ def _cmd_simulate(args, system, deploy):
                                 thr, args.trials, args.seed,
                                 lower_bound_mode=args.lower_bound,
                                 window_radius=args.window_m)
-        q = CoverageQuery(r1=args.r1_m, threshold=thr, scheme=args.scheme,
+        q = CoverageQuery(r1=args.r1_m, threshold=thr,
                           lower_bound_mode=args.lower_bound)
         ref = coverage_probability(q, budget, deploy, system, ability).p_cvp
-        rows.append(["coverage", _params_hash(deploy, args.scheme, args.r1_m,
-                                              args.threshold_db),
-                     est.mean, est.std_error, est.trials, ref,
-                     est.sigmas_off(ref)])
+        checks.append(("coverage", _params_hash(deploy, args.scheme, args.r1_m,
+                                                args.threshold_db), est, ref))
     else:
         raise ConfigError(f"unknown simulate target '{args.what}'")
 
-    for row in rows:
-        sig = row[-1]
-        mean, ref = row[2], row[5]
-        if row[0] == "coverage":
-            bad = abs(mean - ref) > max(0.02, 3.0 * row[3])
-        else:
-            bad = abs(sig) > 4.0
-        strict_fail = strict_fail or bad
+    rows = [[quantity, digest, est.mean, est.std_error, est.trials, ref,
+             est.sigmas_off(ref)] for quantity, digest, est, ref in checks]
+    strict_fail = not all(_mc_agrees(est, ref, quantity == "coverage")
+                          for quantity, _, est, ref in checks)
     _write_csv(args.out, ["quantity", "params_hash", "mean", "std_error",
                           "trials", "analytic_value", "sigmas_off"], rows)
     return 4 if (args.strict and strict_fail) else 0
@@ -282,7 +279,7 @@ def compare_report(system: SystemParams, deploy: Deployment,
         ests = estimate_misalignment(deploy, ability, system.tau, trials, seed)
         m = beam_misalignment(deploy, ability, system.tau)
         sig = ests["p_ms"].sigmas_off(m.p_ms)
-        strict_ok = strict_ok and abs(sig) <= 4.0
+        strict_ok = strict_ok and _mc_agrees(ests["p_ms"], m.p_ms)
         lines.append(f"Monte-Carlo check (jsrs, defaults): p_ms "
                      f"{ests['p_ms'].mean:.6g} vs analytic {m.p_ms:.6g} "
                      f"({sig:+.2f} sigma at {trials} trials).")
@@ -316,9 +313,8 @@ def compare_report(system: SystemParams, deploy: Deployment,
             ability = abilities["jsrs"]
             est = estimate_coverage(deploy, budget, system, ability, r1,
                                     10.0 ** (db / 10.0), trials, seed)
-            diff = est.mean - r["jsrs"]["p_cvp"]
-            ok = abs(diff) <= max(0.02, 3.0 * est.std_error)
-            strict_ok = strict_ok and ok
+            strict_ok = strict_ok and _mc_agrees(est, r["jsrs"]["p_cvp"],
+                                                 coverage=True)
             line += f" mc {est.mean:.6g} ({est.sigmas_off(r['jsrs']['p_cvp']):+.2f} sigma)"
         lines.append(line)
     lines.append("")

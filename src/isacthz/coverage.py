@@ -22,20 +22,23 @@ probability is p_cvp = (1 - p_ms) p_cm.
 
 Numerics: for large s the distance integrands oscillate rapidly near the
 lower bound; the evaluation splits each integral at the radius where the
-phase drops below a fixed budget, integrates the slow side with adaptive
-panels, and replaces the fast side by its exact leading term plus the
-first integration-by-parts endpoint correction.  Both parts are tabulated
-once per (field, p_ms, lower bound) on a log grid and interpolated, which
-is what lets one field serve a whole (r1, threshold) sweep.
+phase drops below a fixed budget (a Lambert-W closed form), integrates
+the slow side with adaptive panels, and replaces the fast side by its
+exact leading term plus the first integration-by-parts endpoint
+correction.  Both parts are tabulated once per (budget, deployment,
+sweep weight w_s, lower bound) on a log grid and interpolated, which is
+what lets one field serve a whole (r1, threshold) sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.special import lambertw
 
 from .channel import LinkBudget, effective_noise, received_power, sweep_weight
 from .config import Deployment, SystemParams
@@ -48,7 +51,6 @@ __all__ = [
     "CoverageQuery",
     "CoverageResult",
     "ShotNoiseField",
-    "shot_noise_parts",
     "coverage_probability",
     "coverage_sweep",
     "clear_field_cache",
@@ -75,8 +77,6 @@ class CoverageQuery:
 
     r1: float
     threshold: float
-    scheme: str = "jsrs"
-    integration: QuadratureSpec = DEFAULT_COVERAGE_QUADRATURE
     lower_bound_mode: str = "theorem"
 
     def __post_init__(self):
@@ -103,21 +103,20 @@ class CoverageResult:
 
 
 class ShotNoiseField:
-    """Tabulated f_r / f_i pair for one (budget, deployment, p_ms, bound)."""
+    """Tabulated f_r / f_i pair for one (budget, deployment, sweep weight
+    w_s, lower bound); w_s = sweep_weight(deploy, system, p_ms) is all the
+    field reads of the system and the misalignment probability."""
 
-    def __init__(self, budget: LinkBudget, deploy: Deployment,
-                 system: SystemParams, p_ms: float, lower_bound: float):
+    def __init__(self, budget: LinkBudget, deploy: Deployment, w_s: float,
+                 lower_bound: float):
         if lower_bound < 2.0 * deploy.r_b:
             raise ValueError("field lower bound below 2 r_b")
-        self.budget = budget
         self.deploy = deploy
-        self.system = system
-        self.p_ms = p_ms
+        self.w_s = w_s
         self.lower = lower_bound
         self.k = budget.k_abs
         self.c_abs = budget.a * budget.k_abs / (deploy.n_b * deploy.n_m)
         self.c_int = budget.a * (1.0 + budget.k_abs / (deploy.n_b * deploy.n_m))
-        self.w_s = sweep_weight(deploy, system, p_ms)
         self.lam_block = deploy.lambda_b + deploy.lambda_m + deploy.lambda_s
         self._tables = None
 
@@ -131,25 +130,14 @@ class ShotNoiseField:
         return self.w_s * np.exp(-self.lam_block * (r - two_rb) * two_rb)
 
     def _phase_radius(self, s: float, c_x: float, target: float) -> float:
-        """Largest radius where 2 pi s c_x g(r) still exceeds `target`."""
-        lo = self.lower
-        if 2.0 * math.pi * s * c_x * self._g(lo) <= target:
-            return lo
-        hi = lo
-        while 2.0 * math.pi * s * c_x * self._g(hi * 2.0) > target:
-            hi *= 2.0
-            if hi > 1e12:
-                break
-        hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if 2.0 * math.pi * s * c_x * self._g(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-12 * hi:
-                break
-        return hi
+        """Radius where the phase 2 pi s c_x r^-2 e^{-k r} falls to `target`,
+        clamped to the lower bound: with x = 2 pi s c_x / target the phase
+        equation r^2 e^{k r} = x gives r = (2/k) W0(k sqrt(x) / 2)."""
+        root = math.sqrt(2.0 * math.pi * s * c_x / target)
+        if self.k == 0.0:
+            return max(self.lower, root)
+        return max(self.lower,
+                   2.0 / self.k * lambertw(0.5 * self.k * root).real)
 
     # -- exact evaluation ---------------------------------------------------
 
@@ -223,8 +211,8 @@ class ShotNoiseField:
                     ph_a = 2.0 * math.pi * s * self.c_abs * self._g(r)
                     return r * np.sin(ph_a) * (1.0 - self._p_int(r))
 
-                f_r += _panel_integral(slow_abs_r, seg_lo, r_split)
-                f_i += _panel_integral(slow_abs_i, seg_lo, r_split)
+                f_r += integrate_interval(slow_abs_r, seg_lo, r_split, tol=1e-12)
+                f_i += integrate_interval(slow_abs_i, seg_lo, r_split, tol=1e-12)
         return f_r, f_i
 
     # -- tabulation ---------------------------------------------------------
@@ -286,47 +274,17 @@ class ShotNoiseField:
         return fr, fi
 
 
-def _panel_integral(f, a, b):
-    """Adaptive integral on a finite interval (thin wrapper)."""
-    return integrate_interval(f, a, b, tol=1e-12)
-
-
-# module-level field cache keyed by the exact parameter tuple
-_FIELD_CACHE: dict = {}
+# Fields are small (a few hundred tabulated points) and a sweep touches at
+# most one per (scheme, lower bound); the bound keeps long-lived processes
+# from accumulating them.
+@functools.lru_cache(maxsize=64)
+def _field_for(budget: LinkBudget, deploy: Deployment, w_s: float,
+               lower_bound: float) -> ShotNoiseField:
+    return ShotNoiseField(budget, deploy, w_s, lower_bound)
 
 
 def clear_field_cache():
-    _FIELD_CACHE.clear()
-
-
-def _field_for(budget: LinkBudget, deploy: Deployment, system: SystemParams,
-               p_ms: float, lower_bound: float) -> ShotNoiseField:
-    key = (budget, deploy, system.t_ssb, system.tau, p_ms, lower_bound)
-    fld = _FIELD_CACHE.get(key)
-    if fld is None:
-        fld = ShotNoiseField(budget, deploy, system, p_ms, lower_bound)
-        _FIELD_CACHE[key] = fld
-    return fld
-
-
-def shot_noise_parts(s: float, budget: LinkBudget, deploy: Deployment,
-                     system: SystemParams, p_ms: float,
-                     lower_bound_mode: str = "theorem",
-                     r1: float | None = None):
-    """Directly-evaluated (f_r(s), f_i(s)) for one s; the slow exact path.
-
-    In derivation mode the lower bound is r1 (required); in theorem mode
-    it is 2 r_b.
-    """
-    if lower_bound_mode == "theorem":
-        lower = 2.0 * deploy.r_b
-    elif lower_bound_mode == "derivation":
-        if r1 is None:
-            raise ValueError("derivation mode needs r1")
-        lower = r1
-    else:
-        raise ValueError(f"lower_bound_mode must be one of {LOWER_BOUND_MODES}")
-    return ShotNoiseField(budget, deploy, system, p_ms, lower).exact(s)
+    _field_for.cache_clear()
 
 
 def coverage_probability(query: CoverageQuery, budget: LinkBudget,
@@ -347,7 +305,7 @@ def coverage_probability(query: CoverageQuery, budget: LinkBudget,
                               p_ms=p_ms, integral_abs_error=0.0)
 
     lower = 2.0 * deploy.r_b if query.lower_bound_mode == "theorem" else query.r1
-    fld = _field_for(budget, deploy, system, p_ms, lower)
+    fld = _field_for(budget, deploy, sweep_weight(deploy, system, p_ms), lower)
     two_pi_lb = 2.0 * math.pi * deploy.lambda_b
 
     def envelope(s):
@@ -364,9 +322,10 @@ def coverage_probability(query: CoverageQuery, budget: LinkBudget,
         _, fi = fld.parts(s)
         return -two_pi_lb * fi - 2.0 * math.pi * s * p_eff + 2.0 * math.pi * s * y
 
-    p_cm, err = integrate_oscillatory(envelope, phi1, phi2, query.integration)
+    p_cm, err = integrate_oscillatory(envelope, phi1, phi2,
+                                      DEFAULT_COVERAGE_QUADRATURE)
 
-    tol = max(query.integration.abs_tol, 10.0 * err, 1e-6)
+    tol = max(DEFAULT_COVERAGE_QUADRATURE.abs_tol, 10.0 * err, 1e-6)
     if p_cm < -10.0 * max(tol, 1e-4) or p_cm > 1.0 + 10.0 * max(tol, 1e-4):
         raise QuadratureError(
             "conditional coverage escaped [0, 1]; inversion integrand suspect",
@@ -378,8 +337,7 @@ def coverage_probability(query: CoverageQuery, budget: LinkBudget,
 
 def coverage_sweep(r1_grid, threshold_grid, schemes, budget: LinkBudget,
                    deploy: Deployment, system: SystemParams,
-                   abilities: dict, lower_bound_mode: str = "theorem",
-                   integration: QuadratureSpec = DEFAULT_COVERAGE_QUADRATURE):
+                   abilities: dict, lower_bound_mode: str = "theorem"):
     """Cross-product coverage table.
 
     abilities maps scheme name -> SensingAbility.  Returns a list of dict
@@ -392,7 +350,6 @@ def coverage_sweep(r1_grid, threshold_grid, schemes, budget: LinkBudget,
         for r1 in r1_grid:
             for thr in threshold_grid:
                 q = CoverageQuery(r1=float(r1), threshold=float(thr),
-                                  scheme=scheme, integration=integration,
                                   lower_bound_mode=lower_bound_mode)
                 res = coverage_probability(q, budget, deploy, system, ability)
                 rows.append({

@@ -61,6 +61,13 @@ class McEstimate:
         if self.std_error < 0.0:
             raise ValueError("std_error must be >= 0")
 
+    @classmethod
+    def from_hits(cls, hits: int, trials: int) -> "McEstimate":
+        """Binomial frequency hits / trials with its standard error."""
+        p = hits / trials
+        return cls(mean=p, std_error=math.sqrt(p * (1 - p) / trials),
+                   trials=trials)
+
     def sigmas_off(self, reference: float) -> float:
         """Distance from a reference value in standard errors."""
         if self.std_error == 0.0:
@@ -134,8 +141,7 @@ def estimate_blockage(deploy: Deployment, r: float, trials: int,
         blocked = _blocked_bulk(ox, oy, counts,
                                 np.full(b, r), np.zeros(b), deploy.r_b)
         hits += int(blocked.sum())
-    p = hits / trials
-    return McEstimate(mean=p, std_error=math.sqrt(p * (1 - p) / trials), trials=trials)
+    return McEstimate.from_hits(hits, trials)
 
 
 def _nearest_two_batch(rng, deploy: Deployment, b: int):
@@ -194,8 +200,7 @@ def estimate_timeout(deploy: Deployment, trials: int, seed: int,
             ox2, oy2, counts2 = _obstacle_field(rng, density, radii)
             blocked2 = _blocked_bulk(ox2, oy2, counts2, b2x, b2y, deploy.r_b)
         hits += int((blocked1 & blocked2).sum())
-    p = hits / trials
-    return McEstimate(mean=p, std_error=math.sqrt(p * (1 - p) / trials), trials=trials)
+    return McEstimate.from_hits(hits, trials)
 
 
 def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
@@ -221,13 +226,12 @@ def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
         ox, oy, counts = _obstacle_field(rng, density, r12[:, 0] + deploy.r_b)
         blocked1 = _blocked_bulk(ox, oy, counts, b1x, b1y, deploy.r_b)
         hits += int((miss & ~blocked1).sum())
-    p_err = hits / trials
-    err_se = math.sqrt(p_err * (1 - p_err) / trials)
+    err = McEstimate.from_hits(hits, trials)
     to = estimate_timeout(deploy, trials, seed + 1)
-    p_ms = min(p_err + to.mean, 1.0)
-    se = math.sqrt(err_se ** 2 + to.std_error ** 2)
+    p_ms = min(err.mean + to.mean, 1.0)
+    se = math.sqrt(err.std_error ** 2 + to.std_error ** 2)
     return {
-        "p_err": McEstimate(p_err, err_se, trials),
+        "p_err": err,
         "p_to": to,
         "p_ms": McEstimate(p_ms, se, trials),
     }
@@ -264,13 +268,16 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
         raise ValueError("threshold must be > 0")
     if lower_bound_mode not in ("theorem", "derivation"):
         raise ValueError("lower_bound_mode must be 'theorem' or 'derivation'")
+    if window_radius is not None and not window_radius > 0.0:
+        raise ValueError("window_radius must be > 0")
 
     p_ms = beam_misalignment(deploy, ability, system.tau).p_ms
     r_lo = 2.0 * deploy.r_b if lower_bound_mode == "theorem" else r1
-    r_win = window_radius or default_window_radius(system, deploy, r1)
+    r_win = (default_window_radius(system, deploy, r1) if window_radius is None
+             else window_radius)
     duty = deploy.n_b * system.t_ssb / system.tau
     q_mark = (duty + (1.0 - duty) * p_ms) / (deploy.n_b * deploy.n_m)
-    k_over = budget.k_abs / (deploy.n_b * deploy.n_m)
+    k_over_a = budget.k_abs / (deploy.n_b * deploy.n_m) * budget.a
     margin = received_power(budget, r1) / threshold - \
         effective_noise(budget, deploy, system, r1)
     obstacle_density = deploy.lambda_m + deploy.lambda_s
@@ -283,8 +290,13 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
         rad = np.sqrt(rng.random(total) * (r_win ** 2 - r_lo ** 2) + r_lo ** 2)
         ang = 2.0 * math.pi * rng.random(total)
         idx = np.repeat(np.arange(b), counts)
-        g = rad ** -2 * np.exp(-budget.k_abs * rad)
-        i_eff = np.bincount(idx, weights=k_over * budget.a * g, minlength=b)
+        # absorption re-radiation weights, built in place to keep the
+        # batch's node-sized temporaries down to one
+        g = np.exp(-budget.k_abs * rad)
+        g *= rad ** -2
+        g *= k_over_a
+        i_eff = np.bincount(idx, weights=g, minlength=b)
+        del g
 
         marks = rng.random(total) < q_mark
         aligned = rng.random(b) >= p_ms
@@ -309,5 +321,4 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
                     i_eff[t] += budget.a * r_j ** -2 * math.exp(-budget.k_abs * r_j)
 
         hits += int((aligned & (i_eff < margin)).sum())
-    p = hits / trials
-    return McEstimate(mean=p, std_error=math.sqrt(p * (1 - p) / trials), trials=trials)
+    return McEstimate.from_hits(hits, trials)

@@ -5,8 +5,9 @@ Component pieces:
 
 * blockage_probability -- void probability of the 2 r_b wide corridor,
   1 - exp(-(lambda_s + lambda_m)(r - 2 r_b) 2 r_b).
-* timeout_probability -- both nearest nodes blocked, a nested semi-infinite
-  integral over the joint nearest-two distance density.
+* timeout_probability -- both nearest nodes blocked, an integral over the
+  joint nearest-two distance density whose inner part has an erfcx
+  closed form.
 * speed_underestimate_probability -- the tracked speed falls short of the
   beam-crossing rate; exponential beam-length law with density
   mu_g = n_b sqrt(lambda_b) / pi.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.special as sp
@@ -87,38 +87,36 @@ def _lemma_constants(deploy: Deployment):
     return w1, beta, w2
 
 
-@lru_cache(maxsize=256)
-def timeout_probability(deploy: Deployment,
-                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def timeout_probability(deploy: Deployment) -> float:
     """Probability that the two nearest nodes are both corridor-blocked.
 
     (2 lambda_b pi)^2 int_{2 r_b}^inf r1 p_B(r1) g(r1) dr1 with the inner
-    integral g(r1) = int_{r1}^inf p_B(r2) e^{-lambda_b pi r2^2} r2 dr2,
-    evaluated by nested semi-infinite quadrature (inner budget tightened
-    tenfold against the outer).
+    integral g(r1) = int_{r1}^inf p_B(r2) e^{-beta r2^2} r2 dr2 in closed
+    form (beta = lambda_b pi, b = e^{-w1 (r1 - 2 r_b)} = 1 - p_B(r1)):
+
+      g = e^{-beta r1^2} [(1 - b)/(2 beta)
+          + b w1 sqrt(pi)/(4 beta^{3/2}) erfcx(sqrt(beta) r1 + w1/(2 sqrt(beta)))],
+
+    the scaled complementary error function keeping every factor finite.
     """
     if deploy.lambda_b <= 0.0 or deploy.lambda_s + deploy.lambda_m == 0.0:
         return 0.0
     w1, beta, _ = _lemma_constants(deploy)
     two_rb = 2.0 * deploy.r_b
-    inner_spec = QuadratureSpec(abs_tol=spec.abs_tol * 0.1,
-                                rel_tol=spec.rel_tol * 0.1,
-                                max_subdivisions=spec.max_subdivisions,
-                                tail_cutoff_envelope=spec.tail_cutoff_envelope)
-
-    def g_inner(r1: float) -> float:
-        def f(r2):
-            return (1.0 - np.exp(-w1 * (r2 - two_rb))) * np.exp(-beta * r2 ** 2) * r2
-        return integrate_semi_infinite(f, r1, inner_spec)
+    root = math.sqrt(beta)
 
     def outer(r1):
-        r1 = np.atleast_1d(np.asarray(r1, dtype=float))
-        vals = np.empty_like(r1)
-        for i, x in enumerate(r1):
-            vals[i] = x * (1.0 - math.exp(-w1 * (x - two_rb))) * g_inner(float(x))
-        return vals
+        r1 = np.asarray(r1, dtype=float)
+        exponent = -w1 * (r1 - two_rb)
+        b = np.exp(exponent)
+        p_block = -np.expm1(exponent)
+        g = np.exp(-beta * r1 ** 2) * (
+            p_block / (2.0 * beta)
+            + b * w1 * math.sqrt(math.pi) / (4.0 * beta * root)
+            * sp.erfcx(root * r1 + w1 / (2.0 * root)))
+        return r1 * p_block * g
 
-    integral = integrate_semi_infinite(outer, two_rb, spec)
+    integral = integrate_semi_infinite(outer, two_rb)
     return (2.0 * deploy.lambda_b * math.pi) ** 2 * integral
 
 

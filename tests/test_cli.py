@@ -91,6 +91,11 @@ class TestSimulate:
         assert body["quantity"] == "blockage"
         assert abs(float(body["sigmas_off"])) < 4.0
 
+    def test_window_must_be_positive(self, tmp_path):
+        code = main(["simulate", "--what", "coverage", "--trials", "100",
+                     "--window-m", "0", "--out", str(tmp_path / "w.csv")])
+        assert code == 2
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "r1.csv", tmp_path / "r2.csv"
         for out in (a, b):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from isacthz.channel import (LinkBudget, effective_noise,
-                             interference_probability, received_power)
+                             interference_probability, received_power,
+                             sweep_weight)
 from isacthz.config import default_deployment, default_system
-from isacthz.coverage import (CoverageQuery, CoverageResult, ShotNoiseField,
-                              coverage_probability, coverage_sweep,
-                              shot_noise_parts)
+from isacthz.coverage import (_PHASE_BUDGET, CoverageQuery, CoverageResult,
+                              ShotNoiseField, coverage_probability,
+                              coverage_sweep)
 from isacthz.misalignment import beam_misalignment
 from isacthz.schemes import scheme_abilities, scheme_ability
 from isacthz.sensing import perfect_ability
@@ -24,20 +25,20 @@ TIGHT = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-11, max_subdivisions=100000,
 
 
 def _field(p_ms=0.1, lower=None, budget=BUD, deploy=DEP, system=SYS):
-    return ShotNoiseField(budget, deploy, system, p_ms,
+    return ShotNoiseField(budget, deploy, sweep_weight(deploy, system, p_ms),
                           lower if lower is not None else 2 * deploy.r_b)
 
 
 class TestShotNoiseParts:
     def test_vanish_at_small_s(self):
-        fr, fi = shot_noise_parts(1e-6, BUD, DEP, SYS, 0.1)
+        fr, fi = _field().exact(1e-6)
         assert abs(fr) < 1e-9
         assert abs(fi) < 1e-6
 
     def test_vanish_without_power(self):
         tiny = LinkBudget(a=1e-280, k_abs=BUD.k_abs, g_b=BUD.g_b, g_m=BUD.g_m,
                           theta_b=BUD.theta_b, theta_m=BUD.theta_m)
-        fr, fi = shot_noise_parts(1e6, tiny, DEP, SYS, 0.1)
+        fr, fi = _field(budget=tiny).exact(1e6)
         assert abs(fr) < 1e-12
         assert abs(fi) < 1e-12
 
@@ -83,10 +84,43 @@ class TestShotNoiseParts:
             assert fr_i == pytest.approx(fr_e, rel=2e-3, abs=1e-6)
             assert fi_i == pytest.approx(fi_e, rel=2e-3, abs=5e-2)
 
-    def test_derivation_mode_needs_r1(self):
+
+class TestPhaseRadius:
+    @staticmethod
+    def _phase(fld, s, c_x, r):
+        return 2 * np.pi * s * c_x * r ** -2.0 * np.exp(-fld.k * r)
+
+    def test_phase_hits_target(self):
+        # on a log-s grid the returned radius puts the phase on the budget
+        fld = _field()
+        hit = 0
+        for s in np.geomspace(1e-2, 1e40, 200):
+            for c_x in (fld.c_abs, fld.c_int):
+                r = fld._phase_radius(float(s), c_x, _PHASE_BUDGET)
+                if r > fld.lower:
+                    hit += 1
+                    assert self._phase(fld, s, c_x, r) == pytest.approx(
+                        _PHASE_BUDGET, rel=1e-12)
+        assert hit > 200
+
+    def test_clamps_to_lower_bound(self):
+        fld = _field(lower=30.0)
+        s = 1e-3 / fld.c_int
+        assert self._phase(fld, s, fld.c_int, fld.lower) < _PHASE_BUDGET
+        assert fld._phase_radius(s, fld.c_int, _PHASE_BUDGET) == fld.lower
+
+    def test_lossless_branch(self):
+        # k = 0: the phase equation r^2 = x has the root sqrt(x)
+        lossless = LinkBudget(a=BUD.a, k_abs=0.0, g_b=BUD.g_b, g_m=BUD.g_m,
+                              theta_b=BUD.theta_b, theta_m=BUD.theta_m)
+        fld = ShotNoiseField(lossless, DEP, 1e-3, 2 * DEP.r_b)
+        s = 1e8 / fld.c_int
+        x = 2 * np.pi * s * fld.c_int / _PHASE_BUDGET
+        assert fld._phase_radius(s, fld.c_int, _PHASE_BUDGET) == math.sqrt(x)
+
+    def test_lower_bound_below_contact_rejected(self):
         with pytest.raises(ValueError):
-            shot_noise_parts(1e5, BUD, DEP, SYS, 0.1,
-                             lower_bound_mode="derivation")
+            _field(lower=DEP.r_b)
 
 
 class TestCoverageProbability:
@@ -140,7 +174,8 @@ class TestCoverageProbability:
         q = CoverageQuery(r1=r1, threshold=thr)
         res = coverage_probability(q, bud, dense, SYS, ability)
 
-        fld = ShotNoiseField(bud, dense, SYS, p_ms, 2 * dense.r_b)
+        fld = ShotNoiseField(bud, dense, sweep_weight(dense, SYS, p_ms),
+                             2 * dense.r_b)
         y = received_power(bud, r1) / thr
         p_eff = effective_noise(bud, dense, SYS, r1)
         lam = 2 * np.pi * dense.lambda_b
@@ -182,7 +217,7 @@ class TestCoverageSweep:
         rows = coverage_sweep([20.0], [10.0], ("jsrs",), BUD, DEP, SYS,
                               abilities)
         assert len(rows) == 1
-        q = CoverageQuery(r1=20.0, threshold=10.0, scheme="jsrs")
+        q = CoverageQuery(r1=20.0, threshold=10.0)
         res = coverage_probability(q, BUD, DEP, SYS, abilities["jsrs"])
         assert rows[0]["p_cvp"] == pytest.approx(res.p_cvp, abs=1e-9)
 

@@ -195,6 +195,14 @@ class TestCoverageEstimator:
             estimate_coverage(DEP, BUD, SYS, ability, 20.0, 1.0, 100, 1,
                               lower_bound_mode="nonsense")
 
+    def test_window_must_be_positive(self):
+        # 0 used to run at the default radius and -100 like 100
+        ability = scheme_ability("perfect", SYS, DEP)
+        for window in (0.0, -100.0, math.nan):
+            with pytest.raises(ValueError):
+                estimate_coverage(DEP, BUD, SYS, ability, 20.0, 1.0, 100, 1,
+                                  window_radius=window)
+
 
 class TestPinnedStream:
     """Estimates recorded at a fixed seed; the sampler's draw order is part

@@ -13,9 +13,37 @@ from isacthz.misalignment import (beam_misalignment, beam_switch_density,
                                   timeout_probability)
 from isacthz.sensing import (SensingAbility, baseline_5g_ability,
                              perfect_ability)
+from isacthz.specfun import (DEFAULT_QUADRATURE, QuadratureSpec,
+                             integrate_semi_infinite)
 
 SYS = default_system()
 DEP = default_deployment()
+
+
+def nested_timeout_probability(deploy):
+    """Oracle of timeout_probability: (2 lambda_b pi)^2 times the nested
+    semi-infinite quadrature of int_{2 r_b}^inf r1 p_B(r1) g(r1) dr1 with
+    g(r1) = int_{r1}^inf p_B(r2) e^{-lambda_b pi r2^2} r2 dr2, the inner
+    budget ten times tighter than the outer."""
+    w1 = (deploy.lambda_s + deploy.lambda_m) * 2.0 * deploy.r_b
+    beta = deploy.lambda_b * math.pi
+    two_rb = 2.0 * deploy.r_b
+    spec = DEFAULT_QUADRATURE
+    inner_spec = QuadratureSpec(abs_tol=spec.abs_tol * 0.1,
+                                rel_tol=spec.rel_tol * 0.1,
+                                max_subdivisions=spec.max_subdivisions,
+                                tail_cutoff_envelope=spec.tail_cutoff_envelope)
+
+    def g_inner(r1):
+        def f(r2):
+            return (1.0 - np.exp(-w1 * (r2 - two_rb))) * np.exp(-beta * r2 ** 2) * r2
+        return integrate_semi_infinite(f, r1, inner_spec)
+
+    def outer(r1):
+        return np.array([x * (1.0 - math.exp(-w1 * (x - two_rb))) * g_inner(x)
+                         for x in np.atleast_1d(r1)])
+
+    return (2.0 * beta) ** 2 * integrate_semi_infinite(outer, two_rb, spec)
 
 
 class TestBlockageProbability:
@@ -56,29 +84,13 @@ class TestTimeoutProbability:
         assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
     def test_matches_closed_form_inner(self):
-        # the nested inner integral has an erfc closed form; the outer
-        # integral over either representation must agree
-        from scipy.special import erfc
-
-        from isacthz.specfun import integrate_semi_infinite
-        w1 = (DEP.lambda_s + DEP.lambda_m) * 2 * DEP.r_b
-        beta = DEP.lambda_b * math.pi
-        two_rb = 2 * DEP.r_b
-
-        def g_closed(r1):
-            t = np.sqrt(beta) * (r1 + w1 / (2 * beta))
-            return np.exp(-beta * r1 ** 2) / (2 * beta) \
-                - np.exp(w1 * two_rb + w1 ** 2 / (4 * beta)) * (
-                    np.exp(-t ** 2) / (2 * beta)
-                    - w1 * np.sqrt(np.pi) / (4 * beta ** 1.5) * erfc(t))
-
-        def outer(r1):
-            r1 = np.asarray(r1, dtype=float)
-            return r1 * (1.0 - np.exp(-w1 * (r1 - two_rb))) * g_closed(r1)
-
-        ref = (2 * DEP.lambda_b * math.pi) ** 2 * \
-            integrate_semi_infinite(outer, two_rb)
-        assert timeout_probability(DEP) == pytest.approx(ref, rel=1e-8)
+        # the erfcx closed form of the inner integral, against the nested
+        # semi-infinite quadrature of both integrals
+        for lb in (1e-3, 1e-2, 0.2):
+            for ls in (0.0, 1.5e-2):
+                dep = replace(DEP, lambda_b=lb, lambda_s=ls)
+                assert timeout_probability(dep) == pytest.approx(
+                    nested_timeout_probability(dep), rel=1e-12)
 
 
 class TestSpeedUnderestimate:
