@@ -19,6 +19,7 @@ __all__ = [
     "LinkBudget",
     "antenna_gain",
     "received_power",
+    "orientation_odds",
     "sweep_weight",
     "interference_probability",
     "expected_interference",
@@ -83,6 +84,12 @@ def received_power(budget: LinkBudget, r):
     return float(out) if out.ndim == 0 else out
 
 
+def orientation_odds(deploy: Deployment) -> float:
+    """Accidental mutual-orientation odds (theta_b / 2 pi)(theta_m / 2 pi),
+    the largest sweep weight (reached at p_ms = 1)."""
+    return (deploy.theta_b / (2.0 * math.pi)) * (deploy.theta_m / (2.0 * math.pi))
+
+
 def sweep_weight(deploy: Deployment, system: SystemParams, p_ms: float) -> float:
     """Phase/orientation factor w_s(p_ms) of the interferer probability.
 
@@ -95,8 +102,7 @@ def sweep_weight(deploy: Deployment, system: SystemParams, p_ms: float) -> float
     duty = deploy.n_b * system.t_ssb / system.tau
     if duty > 1.0:
         raise ValueError("n_b * t_ssb exceeds the burst period tau")
-    orient = (deploy.theta_b / (2.0 * math.pi)) * (deploy.theta_m / (2.0 * math.pi))
-    return (duty + (1.0 - duty) * p_ms) * orient
+    return (duty + (1.0 - duty) * p_ms) * orientation_odds(deploy)
 
 
 def interference_probability(deploy: Deployment, system: SystemParams, r, p_ms: float):

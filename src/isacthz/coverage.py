@@ -25,9 +25,14 @@ lower bound; the evaluation splits each integral at the radius where the
 phase drops below a fixed budget (a Lambert-W closed form), integrates
 the slow side with adaptive panels, and replaces the fast side by its
 exact leading term plus the first integration-by-parts endpoint
-correction.  Both parts are tabulated once per (budget, deployment,
-sweep weight w_s, lower bound) on a log grid and interpolated, which is
-what lets one field serve a whole (r1, threshold) sweep.
+correction.  Both parts are affine in the sweep weight w_s of the
+interferer probability, f = F0 + w_s F1, so the four weight-free
+components (F0_r, F1_r, F0_i, F1_i) are tabulated once per (budget,
+deployment, lower bound) on a log s-grid: the whole grid is evaluated in
+lockstep batches of s-points, each quadrature step integrating every
+pending panel of every s-point in one call.  Each sweep weight then reads
+its own interpolants off that shared table, which is what lets one table
+serve every scheme and a whole (r1, threshold) sweep.
 """
 
 from __future__ import annotations
@@ -40,12 +45,14 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import lambertw
 
-from .channel import LinkBudget, effective_noise, received_power, sweep_weight
+from .channel import (LinkBudget, effective_noise, orientation_odds,
+                      received_power, sweep_weight)
 from .config import Deployment, SystemParams
 from .misalignment import beam_misalignment
 from .sensing import SensingAbility
-from .specfun import (QuadratureError, QuadratureSpec, integrate_interval,
-                      integrate_oscillatory, integrate_semi_infinite)
+from .specfun import (QuadratureError, QuadratureSpec,
+                      integrate_interval_batch, integrate_oscillatory,
+                      integrate_semi_infinite_batch)
 
 __all__ = [
     "CoverageQuery",
@@ -65,6 +72,9 @@ _PHASE_BUDGET = 60.0
 DEFAULT_COVERAGE_QUADRATURE = QuadratureSpec(
     abs_tol=1e-7, rel_tol=1e-6, max_subdivisions=60000,
     tail_cutoff_envelope=1e-10)
+
+# s-points per lockstep quadrature batch of the table; caps its memory
+_S_CHUNK = 32
 
 _INNER_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9,
                              max_subdivisions=4000,
@@ -103,14 +113,20 @@ class CoverageResult:
 
 
 class ShotNoiseField:
-    """Tabulated f_r / f_i pair for one (budget, deployment, sweep weight
+    """Interpolated f_r / f_i pair for one (budget, deployment, sweep weight
     w_s, lower bound); w_s = sweep_weight(deploy, system, p_ms) is all the
-    field reads of the system and the misalignment probability."""
+    field reads of the system and the misalignment probability.
+
+    Both parts are affine in the weight, f = F0 + w_s F1, so the weight-free
+    table (F0_r, F1_r, F0_i, F1_i) is tabulated once per (budget,
+    deployment, lower bound) and shared by every weight; this view builds
+    its interpolants from that table on first use."""
 
     def __init__(self, budget: LinkBudget, deploy: Deployment, w_s: float,
                  lower_bound: float):
         if lower_bound < 2.0 * deploy.r_b:
             raise ValueError("field lower bound below 2 r_b")
+        self.budget = budget
         self.deploy = deploy
         self.w_s = w_s
         self.lower = lower_bound
@@ -125,130 +141,148 @@ class ShotNoiseField:
     def _g(self, r):
         return r ** -2.0 * np.exp(-self.k * r)
 
-    def _p_int(self, r):
+    def _p_los(self, r):
+        """Line-of-sight odds of a node at r; p_I(r) = w_s times this."""
         two_rb = 2.0 * self.deploy.r_b
-        return self.w_s * np.exp(-self.lam_block * (r - two_rb) * two_rb)
+        return np.exp(-self.lam_block * (r - two_rb) * two_rb)
 
-    def _phase_radius(self, s: float, c_x: float, target: float) -> float:
+    def _phase_radius(self, s, c_x: float, target: float):
         """Radius where the phase 2 pi s c_x r^-2 e^{-k r} falls to `target`,
         clamped to the lower bound: with x = 2 pi s c_x / target the phase
         equation r^2 e^{k r} = x gives r = (2/k) W0(k sqrt(x) / 2)."""
-        root = math.sqrt(2.0 * math.pi * s * c_x / target)
+        root = np.sqrt(2.0 * math.pi * np.asarray(s, dtype=float) * c_x / target)
         if self.k == 0.0:
-            return max(self.lower, root)
-        return max(self.lower,
-                   2.0 / self.k * lambertw(0.5 * self.k * root).real)
+            return np.maximum(self.lower, root)
+        return np.maximum(self.lower,
+                          2.0 / self.k * lambertw(0.5 * self.k * root).real)
 
-    # -- exact evaluation ---------------------------------------------------
+    # -- split evaluation ---------------------------------------------------
 
-    def _fast_zone_endpoint(self, s, c_x, a, b, kind, weight):
-        """First-order endpoint value of int_a^b r h(r) trig(phase) dr over
-        the rapidly-oscillating zone; kind is 'cos' or 'sin' and h is the
-        weight callable (p_I(r) for interference, 1 for absorption)."""
+    def _fast_zone_endpoint(self, s, c_x, a, b, weighted: bool):
+        """First-order endpoint values of int_a^b r h(r) trig(phase) dr over
+        the rapidly-oscillating zone, as (cos part, sin part); h is the
+        line-of-sight odds when weighted, else 1."""
 
         def term(r):
             phase = 2.0 * math.pi * s * c_x * self._g(r)
-            dphase = -phase * (2.0 / r + self.k)
-            w = float(weight(np.asarray(r, dtype=float)))
-            if kind == "cos":
-                return r * w * math.sin(phase) / dphase
-            return -r * w * math.cos(phase) / dphase
+            scale = r / (-phase * (2.0 / r + self.k))
+            if weighted:
+                scale = scale * self._p_los(r)
+            return scale * np.sin(phase), -scale * np.cos(phase)
 
-        return term(b) - term(a)
+        cos_b, sin_b = term(b)
+        cos_a, sin_a = term(a)
+        return cos_b - cos_a, sin_b - sin_a
 
-    def exact(self, s: float):
-        """Directly evaluated (f_r(s), f_i(s)); the normative slow path.
+    def _split_chunk(self, s: np.ndarray) -> np.ndarray:
+        """(F0_r, F1_r, F0_i, F1_i) at the s-points, shape (4, len(s)).
 
-        On [lower, r_split] (interference phase above the budget) the unit
-        term integrates to an area, the interference cosine/sine collapse
-        to weighted endpoint corrections, and the absorption trig terms are
-        endpoint-corrected on their own fast zone then integrated
-        numerically where slow.  Beyond r_split everything is slow and the
-        cosine bracket is evaluated in the cancellation-free form
-        (1-p) 2 sin^2(ph_a/2) + p 2 sin^2(ph_i/2).
+        On [lower, r_split] (interference phase above the budget) the
+        interference cosine/sine collapse to weighted endpoint corrections
+        and the absorption trig terms are endpoint-corrected on their own
+        fast zone [lower, r_abs], where the unit term integrates to an area.
+        On the slow absorption segment [r_abs, r_split] the unit term joins
+        the absorption cosine as 1 - (1-p) cos ph_a = (1-p) 2 sin^2(ph_a/2)
+        + p, so no large area cancels there (at k = 0 it would cancel
+        entirely).  Beyond r_split everything is slow and the cosine bracket
+        is evaluated in the cancellation-free form (1-p) 2 sin^2(ph_a/2)
+        + p 2 sin^2(ph_i/2).  Every bracket is split over p = w_s p_los.
         """
-        if s <= 0.0:
-            raise ValueError("shot-noise parts need s > 0")
         lower = self.lower
         r_abs = self._phase_radius(s, self.c_abs, _PHASE_BUDGET)
-        r_int = self._phase_radius(s, self.c_int, _PHASE_BUDGET)
-        r_split = max(r_abs, r_int)  # c_int >= c_abs, so this is r_int
+        r_split = self._phase_radius(s, self.c_int, _PHASE_BUDGET)  # c_int >= c_abs
 
-        def bracket_r(r):
-            ph_a = 2.0 * math.pi * s * self.c_abs * self._g(r)
-            ph_i = 2.0 * math.pi * s * self.c_int * self._g(r)
-            p = self._p_int(r)
-            return r * 2.0 * ((1.0 - p) * np.sin(0.5 * ph_a) ** 2
-                              + p * np.sin(0.5 * ph_i) ** 2)
+        def phases(r, owner):
+            sg = 2.0 * math.pi * s[owner][:, None] * self._g(r)
+            return sg * self.c_abs, sg * self.c_int, self._p_los(r)
 
-        def bracket_i(r):
-            ph_a = 2.0 * math.pi * s * self.c_abs * self._g(r)
-            ph_i = 2.0 * math.pi * s * self.c_int * self._g(r)
-            p = self._p_int(r)
-            return r * (np.sin(ph_i) * p + np.sin(ph_a) * (1.0 - p))
+        def slow(r, owner):
+            ph_a, ph_i, p = phases(r, owner)
+            half_a = 2.0 * r * np.sin(0.5 * ph_a) ** 2
+            sin_a = r * np.sin(ph_a)
+            return np.stack([half_a, p * (2.0 * r * np.sin(0.5 * ph_i) ** 2 - half_a),
+                             sin_a, p * (r * np.sin(ph_i) - sin_a)])
 
-        f_r = integrate_semi_infinite(bracket_r, r_split, _INNER_QUAD)
-        f_i = integrate_semi_infinite(bracket_i, r_split, _INNER_QUAD)
+        def slow_abs(r, owner):
+            ph_a, _, p = phases(r, owner)
+            sin_a = r * np.sin(ph_a)
+            return np.stack([2.0 * r * np.sin(0.5 * ph_a) ** 2,
+                             p * r * np.cos(ph_a), sin_a, -p * sin_a])
 
-        if r_split > lower:
-            f_r += 0.5 * (r_split ** 2 - lower ** 2)
+        out = integrate_semi_infinite_batch(slow, r_split, _INNER_QUAD)
+        fast = np.flatnonzero(r_split > lower)
+        if fast.size:
+            # c_int > c_abs, so r_abs < r_split here
+            sf, rs, ra = s[fast], r_split[fast], r_abs[fast]
+            out[0, fast] += 0.5 * (ra ** 2 - lower ** 2)
             # interference trig terms: fast on the whole zone
-            f_r -= self._fast_zone_endpoint(s, self.c_int, lower, r_split, "cos", self._p_int)
-            f_i += self._fast_zone_endpoint(s, self.c_int, lower, r_split, "sin", self._p_int)
-            if r_abs > lower:
+            cos_i, sin_i = self._fast_zone_endpoint(sf, self.c_int, lower, rs, True)
+            out[1, fast] -= cos_i
+            out[3, fast] += sin_i
+            absorb = ra > lower
+            if absorb.any():
                 # absorption fast zone; the (1 - p_I) weight is within
                 # ~1e-4 of one and is dropped from the endpoint term
-                f_r -= self._fast_zone_endpoint(s, self.c_abs, lower, r_abs, "cos", np.ones_like)
-                f_i += self._fast_zone_endpoint(s, self.c_abs, lower, r_abs, "sin", np.ones_like)
-            if r_abs < r_split:
-                seg_lo = max(r_abs, lower)
+                cos_a, sin_a = self._fast_zone_endpoint(
+                    sf[absorb], self.c_abs, lower, ra[absorb], False)
+                out[0, fast[absorb]] -= cos_a
+                out[2, fast[absorb]] += sin_a
 
-                def slow_abs_r(r):
-                    ph_a = 2.0 * math.pi * s * self.c_abs * self._g(r)
-                    return -r * np.cos(ph_a) * (1.0 - self._p_int(r))
+            def slow_abs_seg(r, owner):
+                return slow_abs(r, fast[owner])
 
-                def slow_abs_i(r):
-                    ph_a = 2.0 * math.pi * s * self.c_abs * self._g(r)
-                    return r * np.sin(ph_a) * (1.0 - self._p_int(r))
+            out[:, fast] += integrate_interval_batch(slow_abs_seg, ra, rs, tol=1e-12)
+        return out
 
-                f_r += integrate_interval(slow_abs_r, seg_lo, r_split, tol=1e-12)
-                f_i += integrate_interval(slow_abs_i, seg_lo, r_split, tol=1e-12)
-        return f_r, f_i
+    def _split_parts(self, s) -> np.ndarray:
+        """(F0_r, F1_r, F0_i, F1_i) at the s-points, shape (4, len(s)), with
+        f_r = F0_r + w_s F1_r and f_i = F0_i + w_s F1_i; batched over at most
+        _S_CHUNK s-points at a time.  Reads no weight."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        if np.any(s <= 0.0):
+            raise ValueError("shot-noise parts need s > 0")
+        return np.concatenate([self._split_chunk(s[i:i + _S_CHUNK])
+                               for i in range(0, s.size, _S_CHUNK)], axis=1)
 
     # -- tabulation ---------------------------------------------------------
 
-    def _build_tables(self):
+    def _tabulate(self):
+        """(s grid, (4, n) split values) of the weight-free table.
+
+        The grid runs from where the interference phase at the lower bound
+        is 1e-3 to the first decade where e^{-2 pi lam_b f_r} falls below
+        1e-12 for every sweep weight, i.e. at both ends of the weight range
+        [0, orientation odds]."""
         if self.deploy.lambda_b <= 0.0:
             raise ValueError("shot-noise field needs lambda_b > 0")
-        g0 = self._g(self.lower)
-        s_lo = 1e-3 / (2.0 * math.pi * self.c_int * g0)
-        # envelope target: e^{-2 pi lam_b f_r} below 1e-12
+        s_lo = 1e-3 / (2.0 * math.pi * self.c_int * self._g(self.lower))
         f_target = 27.7 / (2.0 * math.pi * self.deploy.lambda_b)
-        s_hi = s_lo * 1e6
-        for _ in range(60):
-            fr, _fi = self.exact(s_hi)
-            if fr >= f_target:
+        w_max = orientation_odds(self.deploy)
+        decades = s_lo * 10.0 ** np.arange(6, 66)
+        s_hi = s_lo * 1e66
+        for i in range(0, decades.size, _S_CHUNK):
+            f0, f1 = self._split_parts(decades[i:i + _S_CHUNK])[:2]
+            reached = np.minimum(f0, f0 + w_max * f1) >= f_target
+            if reached.any():
+                s_hi = decades[i + int(np.argmax(reached))]
                 break
-            s_hi *= 10.0
         grid = np.geomspace(s_lo, s_hi, max(36, int(28 * math.log10(s_hi / s_lo))))
-        fr = np.empty_like(grid)
-        fi = np.empty_like(grid)
-        for i, s in enumerate(grid):
-            fr[i], fi[i] = self.exact(float(s))
-        ln_s = np.log(grid)
-        fr = np.maximum(fr, 1e-300)
-        self._tables = (
-            grid[0], grid[-1],
-            PchipInterpolator(ln_s, np.log(fr), extrapolate=False),
-            PchipInterpolator(ln_s, fi, extrapolate=False),
-            fr[0], fi[0], fr[-1], fi[-1],
-        )
+        return grid, self._split_parts(grid)
 
     def parts(self, s):
         """Interpolated (f_r, f_i); quadratic/linear extensions below the
         tabulated range, clamped above it (the envelope is dead there)."""
         if self._tables is None:
-            self._build_tables()
+            grid, split = _split_table(self.budget, self.deploy, self.lower)
+            fr = np.maximum(split[0] + self.w_s * split[1], 1e-300)
+            fi = split[2] + self.w_s * split[3]
+            ln_s = np.log(grid)
+            self._tables = (
+                grid[0], grid[-1],
+                PchipInterpolator(ln_s, np.log(fr), extrapolate=False),
+                PchipInterpolator(ln_s, fi, extrapolate=False),
+                fr[0], fi[0], fr[-1], fi[-1],
+            )
         s_lo, s_hi, fr_ip, fi_ip, fr0, fi0, fr1, fi1 = self._tables
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
@@ -274,9 +308,16 @@ class ShotNoiseField:
         return fr, fi
 
 
-# Fields are small (a few hundred tabulated points) and a sweep touches at
-# most one per (scheme, lower bound); the bound keeps long-lived processes
-# from accumulating them.
+# A table is a few hundred s-points of four components, shared by every
+# sweep weight; a sweep touches one per lower bound.
+@functools.lru_cache(maxsize=16)
+def _split_table(budget: LinkBudget, deploy: Deployment, lower_bound: float):
+    # a weight-free field: the table reads only the geometry
+    return ShotNoiseField(budget, deploy, 0.0, lower_bound)._tabulate()
+
+
+# Per-weight views hold only their interpolants; the bound keeps
+# long-lived processes from accumulating them.
 @functools.lru_cache(maxsize=64)
 def _field_for(budget: LinkBudget, deploy: Deployment, w_s: float,
                lower_bound: float) -> ShotNoiseField:
@@ -284,6 +325,8 @@ def _field_for(budget: LinkBudget, deploy: Deployment, w_s: float,
 
 
 def clear_field_cache():
+    """Empty the split tables and the per-weight views built from them."""
+    _split_table.cache_clear()
     _field_for.cache_clear()
 
 

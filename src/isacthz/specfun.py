@@ -8,6 +8,16 @@ and a panel-marching integrator for oscillatory kernels of the form
 
 All integrand callables must accept numpy arrays (they are evaluated on
 batches of quadrature nodes).
+
+The finite and semi-infinite integrators march a whole batch of integrals
+in lockstep (`integrate_interval_batch`, `integrate_semi_infinite_batch`);
+the scalar `integrate_interval` and `integrate_semi_infinite` are batches
+of one.  A batched integrand is called as f(x, owner): x holds the 15
+Gauss-Kronrod nodes of each of P pending panels, shape (P, 15), and owner
+(shape (P,)) the batch member each panel belongs to.  It returns shape
+(C, P, 15), its C components on the leading axis; every component of a
+member is integrated over the same panels, each against its own
+tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +32,9 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "integrate_interval",
+    "integrate_interval_batch",
     "integrate_semi_infinite",
+    "integrate_semi_infinite_batch",
     "integrate_oscillatory",
 ]
 
@@ -113,8 +125,10 @@ def _gk15(f: Callable, a: float, b: float):
 def _adaptive_panel(f: Callable, a: float, b: float, tol: float, budget: list):
     """Adaptive bisection of one panel until its error beats tol.
 
-    `budget` is a one-element mutable list holding the remaining number of
-    splits shared across the whole call.
+    The oscillatory march refines its panels one at a time with this, as
+    each panel's width depends on the one before.  `budget` is a
+    one-element mutable list holding the remaining number of splits shared
+    across the whole call.
     """
     val, err = _gk15(f, a, b)
     stack = [(a, b, val, err)]
@@ -138,58 +152,232 @@ def _adaptive_panel(f: Callable, a: float, b: float, tol: float, budget: list):
     return total, total_err
 
 
+# -----------------------------------------------------------------------------
+# Batched lockstep march (integrand contract in the module docstring)
+# -----------------------------------------------------------------------------
+
+# nodes on [0, 1] and half-weights, so that a panel [a, b] needs only b - a
+_GK_UNIT = 0.5 * (1.0 + _GK_NODES)
+_GK_WEIGHTS = 0.5 * np.stack([_GK_WK, _GK_WG], axis=1)
+
+
+def _gk15_batch(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
+    """Gauss-Kronrod 7/15 on P panels; returns the (2C, P) stack of the C
+    integrals over the C error estimates."""
+    width = b - a
+    x = a[:, None] + width[:, None] * _GK_UNIT
+    both = (np.asarray(f(x, owner), dtype=float) @ _GK_WEIGHTS) * width[:, None]
+    ik = both[..., 0]
+    err = (200.0 * np.abs(ik - both[..., 1])) ** 1.5
+    # never report less than float roundoff on the panel
+    return np.concatenate((ik, np.maximum(err, np.abs(ik) * 1e-15)))
+
+
+# Outer panels a member marches per block, of width 1, 2, 4, ...: a feature
+# near the lower end is never hidden in one wide panel.  Every semi-infinite
+# integrand of the package has died out within nine, so one block usually
+# ends the march; spare panels lie in the dead tail and cost one node set.
+_BLOCK = 16
+_BLOCK_EDGES = 2.0 ** np.arange(_BLOCK + 1) - 1.0
+
+
+def _block_panels(start, first, members, end=None):
+    """The _BLOCK panels of width first, 2 first, 4 first, ... from start for
+    each listed member, clipped to end when given (the last panel then
+    reaching it).  Returns (starts, ends, owners, slots)."""
+    edges = start[:, None] + first[:, None] * _BLOCK_EDGES
+    if end is not None:
+        edges = np.minimum(edges, end[:, None])
+        edges[:, -1] = end
+    return (edges[:, :-1].ravel(), edges[:, 1:].ravel(),
+            np.repeat(members, _BLOCK), np.tile(np.arange(_BLOCK), members.size))
+
+
+def _open_tolerances(est, fresh, total, outer, spec):
+    """Tolerances (C, len(fresh), _BLOCK) of the blocks just opened, from
+    their root estimates: the last len(fresh) * _BLOCK panels of `est`."""
+    comps = total.shape[0]
+    roots = est[:comps, -fresh.size * _BLOCK:].reshape(comps, fresh.size, _BLOCK)
+    ahead = total[:, fresh, None] + np.cumsum(roots, axis=2) - roots
+    opening = outer[fresh] == 0
+    ahead[:, opening, 0] = roots[:, opening, 0]
+    return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(ahead)) * 0.25
+
+
+def _close_blocks(vals, errs, done, total, total_err, outer, streak, spec):
+    """Take the refined blocks (C, D, _BLOCK) of the `done` members panel by
+    panel, updating their totals, panel counts and tail streaks in place;
+    returns (finished, error bounds (C, D))."""
+    order = np.arange(_BLOCK)
+    run = total[:, done, None] + np.cumsum(vals, axis=2)
+    small = np.logical_and.reduce(
+        np.abs(vals) < spec.tail_cutoff_envelope * np.maximum(np.abs(run), spec.abs_tol))
+    last_big = np.maximum.accumulate(np.where(small, -1, order), axis=1)
+    streaks = np.where(last_big >= 0, order - last_big, streak[done, None] + order + 1)
+    stop = small & (streaks >= 2) & (outer[done, None] + order >= 2)
+    finished = stop.any(axis=1)
+    pick = (slice(None), np.arange(done.size),
+            np.where(finished, np.argmax(stop, axis=1), _BLOCK - 1))
+    total[:, done] = run[pick]
+    total_err[:, done] += np.cumsum(errs, axis=2)[pick]
+    outer[done] += pick[2] + 1
+    streak[done] = streaks[pick[1:]]
+    return finished, total_err[:, done] + np.abs(vals[pick])
+
+
+def _march(f: Callable, lower, upper, max_splits: int, tol: float = 0.0,
+           spec: QuadratureSpec | None = None) -> np.ndarray:
+    """Adaptive Gauss-Kronrod march of a batch of M members in lockstep.
+
+    Each member's panels come in blocks of _BLOCK, of width 1, 2, 4, ...
+    Finite intervals (`upper` given) are one block clipped to [a, b], each
+    panel refined to the absolute tolerance `tol`.  Semi-infinite integrals
+    (`upper` None) march block after block from `lower`.  There each panel
+    is refined to max(abs_tol, rel_tol |reference|) / 4 per component; its
+    reference is the running total up to it, with the panels before it in
+    its block counted at their Gauss-Kronrod estimates, and for the very
+    first panel its own estimate.  Once a block is refined its panels are
+    taken in order, and a member stops at the first panel that makes two
+    consecutive, three panels at least, below spec.tail_cutoff_envelope
+    times the running total in every component; later panels are dropped.
+
+    Each step sends every pending panel of every member through one
+    integrand call.  A member whose pending splits exceed its remaining
+    budget of `max_splits` accepts them unrefined and has spent its budget.
+
+    Returns the (C, M) integrals.  Raises QuadratureError for the first
+    member that has spent its budget (or, semi-infinite, passed 300 panels
+    without stopping) when its panels are complete, carrying its partial
+    value in the component with the largest error bound.
+    """
+    a = np.array(lower, dtype=float).ravel()  # a copy: marched in place
+    members = a.size
+    semi = upper is None
+    first = np.ones(members)
+    fresh = np.arange(members)  # members whose block roots are pending
+    pa, pb, owner, slot = _block_panels(
+        a, first, fresh, None if semi else np.array(upper, dtype=float).ravel())
+    budget = np.full(members, max_splits)
+    outer = np.zeros(members, dtype=int)
+    streak = np.zeros(members, dtype=int)
+    est = _gk15_batch(f, pa, pb, owner)
+    comps = est.shape[0] // 2
+    total = np.zeros((comps, members))
+    total_err = np.zeros_like(total)
+    tols = np.full((comps, members, _BLOCK), tol)
+    # rows 0..C-1 accumulate each open panel's value, C..2C-1 its error
+    acc = np.zeros((2 * comps, members, _BLOCK))
+    rows = np.arange(2 * comps)[:, None] * (members * _BLOCK)
+    while True:
+        if semi and fresh.size:
+            tols[:, fresh] = _open_tolerances(est, fresh, total, outer, spec)
+            fresh = fresh[:0]
+        cell = owner * _BLOCK + slot
+        want = np.logical_or.reduce(est[comps:] > tols.reshape(comps, -1)[:, cell])
+        budget -= np.bincount(owner[want], minlength=members)
+        if budget.min() < 0:
+            short = budget < 0
+            want &= ~short[owner]
+            budget[short] = 0
+        keep = ~want
+        acc += np.bincount((rows + cell[keep]).ravel(), weights=est[:, keep].ravel(),
+                           minlength=acc.size).reshape(acc.shape)
+        sa, sb, so, sl = pa[want], pb[want], owner[want], slot[want]
+        mid = 0.5 * (sa + sb)
+        stepped = np.bincount(owner, minlength=members) > 0
+        stepped[so] = False
+        pa, pb = np.concatenate((sa, mid)), np.concatenate((mid, sb))
+        owner, slot = np.concatenate((so, so)), np.concatenate((sl, sl))
+        if stepped.any():  # these members have refined all their open panels
+            done = np.flatnonzero(stepped)
+            vals, errs = acc[:comps, done], acc[comps:, done]
+            acc[:, done] = 0.0
+            if semi:
+                finished, bound = _close_blocks(vals, errs, done, total, total_err,
+                                                outer, streak, spec)
+                failed = (budget[done] <= 0) | (~finished & (outer[done] > 300))
+            else:
+                total[:, done] = vals.sum(axis=2)
+                total_err[:, done] = bound = errs.sum(axis=2)
+                failed = budget[done] <= 0
+                finished = ~failed
+            if failed.any():
+                j = int(np.argmax(failed))
+                c = int(np.argmax(bound[:, j]))
+                raise QuadratureError(
+                    f"{'semi-infinite' if semi else 'interval'} quadrature did not "
+                    f"converge (member {done[j]} of {members})",
+                    float(total[c, done[j]]), float(bound[c, j]))
+            fresh = done[~finished]
+            if fresh.size:
+                a[fresh] += first[fresh] * _BLOCK_EDGES[-1]
+                first[fresh] *= 2.0 ** _BLOCK
+                ga, gb, go, gs = _block_panels(a[fresh], first[fresh], fresh)
+                pa, pb = np.concatenate((pa, ga)), np.concatenate((pb, gb))
+                owner, slot = np.concatenate((owner, go)), np.concatenate((slot, gs))
+        if not pa.size:
+            return total
+        est = _gk15_batch(f, pa, pb, owner)
+
+
+def _one(f: Callable) -> Callable:
+    """A scalar integrand as a one-component batched integrand."""
+    def batched(x, owner):
+        return np.asarray(f(x.ravel()), dtype=float).reshape(1, *x.shape)
+    return batched
+
+
+def integrate_interval_batch(f: Callable, a, b, tol: float = 1e-12,
+                             max_splits: int = 2000) -> np.ndarray:
+    """Batched integrals of f over the finite intervals [a_m, b_m].
+
+    f follows the batched integrand contract of the module docstring;
+    every component is refined to the absolute tolerance tol, and each
+    member may split max_splits panels.  Returns the (C, M) integrals.
+
+    Raises QuadratureError (carrying a partial value and an error bound)
+    once any member spends its budget.
+    """
+    return _march(f, a, b, max_splits, tol=tol)
+
+
+def integrate_semi_infinite_batch(f: Callable, lower,
+                                  spec: QuadratureSpec = DEFAULT_QUADRATURE
+                                  ) -> np.ndarray:
+    """Batched integrals of f over [lower_m, inf) for decaying integrands.
+
+    f follows the batched integrand contract of the module docstring.  Each
+    member marches panels of geometrically growing width, _BLOCK at a time,
+    each refined adaptively with Gauss-Kronrod 7/15, and truncates once
+    consecutive panels fall below spec.tail_cutoff_envelope relative to its
+    running estimate.  Returns the (C, M) integrals.
+
+    Raises QuadratureError (carrying a partial value and an error bound)
+    if any member exhausts its subdivision budget before its tail dies out.
+    """
+    return _march(f, lower, None, spec.max_subdivisions, spec=spec)
+
+
 def integrate_interval(f: Callable, a: float, b: float, tol: float = 1e-12,
                        max_splits: int = 2000) -> float:
-    """Adaptive Gauss-Kronrod integral of f over the finite interval [a, b].
+    """Adaptive Gauss-Kronrod integral of f over the finite interval [a, b]:
+    a batch of one of integrate_interval_batch.
 
     Raises QuadratureError (carrying the partial value and an error bound)
     once the max_splits budget is spent.
     """
-    budget = [max_splits]
-    val, err = _adaptive_panel(f, a, b, tol, budget)
-    if budget[0] <= 0:
-        raise QuadratureError("interval quadrature did not converge", val, err)
-    return val
+    return float(integrate_interval_batch(_one(f), a, b, tol, max_splits)[0, 0])
 
 
 def integrate_semi_infinite(f: Callable, lower: float,
                             spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Integrate f over [lower, inf) for integrands with a decaying envelope.
-
-    Marches panels of geometrically growing width, each refined adaptively
-    with Gauss-Kronrod 7/15, and truncates once consecutive panels fall
-    below spec.tail_cutoff_envelope relative to the running estimate.
+    """Integrate f over [lower, inf) for integrands with a decaying envelope:
+    a batch of one of integrate_semi_infinite_batch.
 
     Raises QuadratureError (carrying the partial value and an error bound)
     if the subdivision budget is exhausted before the tail dies out.
     """
-    budget = [spec.max_subdivisions]
-    h = 1.0
-    a = float(lower)
-    total = 0.0
-    total_err = 0.0
-    negligible_streak = 0
-    panels = 0
-    while True:
-        b = a + h
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total)) * 0.25
-        val, err = _adaptive_panel(f, a, b, tol, budget)
-        total += val
-        total_err += err
-        panels += 1
-        scale = max(abs(total), spec.abs_tol)
-        if abs(val) < spec.tail_cutoff_envelope * scale:
-            negligible_streak += 1
-            if negligible_streak >= 2 and panels >= 3:
-                return total
-        else:
-            negligible_streak = 0
-        if budget[0] <= 0 or panels > 300:
-            raise QuadratureError(
-                "semi-infinite quadrature did not converge", total,
-                total_err + abs(val))
-        a = b
-        h *= 2.0
+    return float(integrate_semi_infinite_batch(_one(f), lower, spec)[0, 0])
 
 
 # -----------------------------------------------------------------------------

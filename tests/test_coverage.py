@@ -3,18 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacthz.channel import (LinkBudget, effective_noise,
                              interference_probability, received_power,
                              sweep_weight)
 from isacthz.config import default_deployment, default_system
-from isacthz.coverage import (_PHASE_BUDGET, CoverageQuery, CoverageResult,
-                              ShotNoiseField, coverage_probability,
-                              coverage_sweep)
+from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET, CoverageQuery,
+                              CoverageResult, ShotNoiseField, _field_for,
+                              _split_table, clear_field_cache,
+                              coverage_probability, coverage_sweep)
 from isacthz.misalignment import beam_misalignment
 from isacthz.schemes import scheme_abilities, scheme_ability
-from isacthz.sensing import perfect_ability
-from isacthz.specfun import QuadratureSpec, integrate_semi_infinite
+from isacthz.sensing import SCHEMES, perfect_ability
+from isacthz.specfun import (QuadratureSpec, integrate_interval,
+                             integrate_semi_infinite)
 
 SYS = default_system()
 DEP = default_deployment()
@@ -29,23 +33,106 @@ def _field(p_ms=0.1, lower=None, budget=BUD, deploy=DEP, system=SYS):
                           lower if lower is not None else 2 * deploy.r_b)
 
 
+def direct_shot_noise(fld, s):
+    """Oracle of the split table: (f_r(s), f_i(s)) of one field at its own
+    weight, from separate scalar quadratures of the f_r and f_i brackets.
+
+    On [lower, r_split] (interference phase above the budget) the
+    interference cosine/sine collapse to weighted endpoint corrections; the
+    absorption trig terms are endpoint-corrected on their own fast zone
+    [lower, r_abs], where the unit term is an area, and integrated
+    numerically on [r_abs, r_split] together with the unit term.  Beyond
+    r_split everything is slow and the cosine bracket is evaluated in the
+    cancellation-free form (1-p) 2 sin^2(ph_a/2) + p 2 sin^2(ph_i/2).
+    """
+    lower, k = fld.lower, fld.k
+    two_rb = 2.0 * fld.deploy.r_b
+
+    def g(r):
+        return r ** -2.0 * np.exp(-k * r)
+
+    def p_int(r):
+        return fld.w_s * np.exp(-fld.lam_block * (r - two_rb) * two_rb)
+
+    def endpoint(c_x, a, b, kind, weight):
+        # first-order endpoint value of int_a^b r h(r) trig(phase) dr
+        def term(r):
+            phase = 2.0 * math.pi * s * c_x * g(r)
+            dphase = -phase * (2.0 / r + k)
+            w = float(weight(np.asarray(r, dtype=float)))
+            if kind == "cos":
+                return r * w * math.sin(phase) / dphase
+            return -r * w * math.cos(phase) / dphase
+
+        return term(b) - term(a)
+
+    r_abs = float(fld._phase_radius(s, fld.c_abs, _PHASE_BUDGET))
+    r_split = float(fld._phase_radius(s, fld.c_int, _PHASE_BUDGET))
+
+    def bracket_r(r):
+        ph_a = 2.0 * math.pi * s * fld.c_abs * g(r)
+        ph_i = 2.0 * math.pi * s * fld.c_int * g(r)
+        p = p_int(r)
+        return r * 2.0 * ((1.0 - p) * np.sin(0.5 * ph_a) ** 2
+                          + p * np.sin(0.5 * ph_i) ** 2)
+
+    def bracket_i(r):
+        ph_a = 2.0 * math.pi * s * fld.c_abs * g(r)
+        ph_i = 2.0 * math.pi * s * fld.c_int * g(r)
+        p = p_int(r)
+        return r * (np.sin(ph_i) * p + np.sin(ph_a) * (1.0 - p))
+
+    f_r = integrate_semi_infinite(bracket_r, r_split, _INNER_QUAD)
+    f_i = integrate_semi_infinite(bracket_i, r_split, _INNER_QUAD)
+    if r_split > lower:
+        f_r -= endpoint(fld.c_int, lower, r_split, "cos", p_int)
+        f_i += endpoint(fld.c_int, lower, r_split, "sin", p_int)
+        # r_abs < r_split because c_abs < c_int
+        f_r += 0.5 * (r_abs ** 2 - lower ** 2)
+        if r_abs > lower:
+            # the absorption endpoint keeps weight 1, as the library does
+            f_r -= endpoint(fld.c_abs, lower, r_abs, "cos", np.ones_like)
+            f_i += endpoint(fld.c_abs, lower, r_abs, "sin", np.ones_like)
+
+        def slow_abs_r(r):
+            # r [1 - (1 - p) cos ph_a], free of cancellation
+            ph_a = 2.0 * math.pi * s * fld.c_abs * g(r)
+            p = p_int(r)
+            return r * ((1.0 - p) * 2.0 * np.sin(0.5 * ph_a) ** 2 + p)
+
+        def slow_abs_i(r):
+            ph_a = 2.0 * math.pi * s * fld.c_abs * g(r)
+            return r * np.sin(ph_a) * (1.0 - p_int(r))
+
+        f_r += integrate_interval(slow_abs_r, r_abs, r_split, tol=1e-12)
+        f_i += integrate_interval(slow_abs_i, r_abs, r_split, tol=1e-12)
+    return f_r, f_i
+
+
+def _direct(fld, s):
+    """The library's (f_r(s), f_i(s)) at the field's weight, evaluated
+    directly by the batched split rather than interpolated."""
+    f0_r, f1_r, f0_i, f1_i = fld._split_parts([s])[:, 0]
+    return f0_r + fld.w_s * f1_r, f0_i + fld.w_s * f1_i
+
+
 class TestShotNoiseParts:
     def test_vanish_at_small_s(self):
-        fr, fi = _field().exact(1e-6)
+        fr, fi = _direct(_field(), 1e-6)
         assert abs(fr) < 1e-9
         assert abs(fi) < 1e-6
 
     def test_vanish_without_power(self):
         tiny = LinkBudget(a=1e-280, k_abs=BUD.k_abs, g_b=BUD.g_b, g_m=BUD.g_m,
                           theta_b=BUD.theta_b, theta_m=BUD.theta_m)
-        fr, fi = _field(budget=tiny).exact(1e6)
+        fr, fi = _direct(_field(budget=tiny), 1e6)
         assert abs(fr) < 1e-12
         assert abs(fi) < 1e-12
 
     def test_real_part_nonnegative(self):
         fld = _field()
         for s in np.geomspace(1e2, 1e13, 23):
-            fr, _ = fld.exact(float(s))
+            fr, _ = _direct(fld, float(s))
             assert fr >= -1e-10
 
     def test_against_direct_quadrature(self):
@@ -71,7 +158,7 @@ class TestShotNoiseParts:
 
             ref_r = integrate_semi_infinite(bracket_r, 2 * DEP.r_b, TIGHT)
             ref_i = integrate_semi_infinite(bracket_i, 2 * DEP.r_b, TIGHT)
-            fr, fi = fld.exact(s)
+            fr, fi = _direct(fld, s)
             assert fr == pytest.approx(ref_r, rel=2e-4, abs=1e-8)
             assert fi == pytest.approx(ref_i, rel=2e-4, abs=1e-8)
 
@@ -79,10 +166,115 @@ class TestShotNoiseParts:
         fld = _field(p_ms=0.12)
         for s in (3.3e4, 7.7e6, 2.2e9, 8.8e11):
             fr_i, fi_i = fld.parts(s)
-            fr_e, fi_e = fld.exact(s)
+            fr_e, fi_e = direct_shot_noise(fld, s)
             # envelope exponent error 2 pi lambda_b * |dfr| stays below 1e-4
             assert fr_i == pytest.approx(fr_e, rel=2e-3, abs=1e-6)
             assert fi_i == pytest.approx(fi_e, rel=2e-3, abs=5e-2)
+
+
+ORACLE_REL = 1e-10
+
+
+def _sweep_weights(deploy, system=SYS):
+    """w_s of the four schemes, then at the ends p_ms = 0 and 1."""
+    abilities = scheme_abilities(SCHEMES, system, deploy)
+    p_ms = [beam_misalignment(deploy, ability, system.tau).p_ms
+            for ability in abilities.values()]
+    return [sweep_weight(deploy, system, p) for p in p_ms + [0.0, 1.0]]
+
+
+def _oracle_deviation(budget, deploy, weights, lower):
+    """Worst relative deviation of the shared split table from
+    direct_shot_noise at every 5th grid point: f_r against itself, f_i
+    against max(|f_r|, |f_i|), since f_i crosses zero."""
+    grid, split = _split_table(budget, deploy, lower)
+    worst = 0.0
+    for w in weights:
+        fld = ShotNoiseField(budget, deploy, w, lower)
+        for j in range(0, grid.size, 5):
+            fr, fi = direct_shot_noise(fld, float(grid[j]))
+            tab_r = split[0, j] + w * split[1, j]
+            tab_i = split[2, j] + w * split[3, j]
+            worst = max(worst, abs(tab_r - fr) / abs(fr),
+                        abs(tab_i - fi) / max(abs(fr), abs(fi)))
+    return worst
+
+
+LOSSLESS = replace(BUD, k_abs=0.0)
+EDGES = {
+    "dense nodes": (BUD, replace(DEP, lambda_b=10 * DEP.lambda_b)),
+    "sparse nodes": (BUD, replace(DEP, lambda_b=DEP.lambda_b / 10)),
+    "lossless": (LOSSLESS, DEP),
+    "narrow beams": (LinkBudget.from_params(SYS, replace(DEP, n_b=1024, n_m=1024)),
+                     replace(DEP, n_b=1024, n_m=1024)),
+    "wide beams": (LinkBudget.from_params(SYS, replace(DEP, n_b=8, n_m=8)),
+                   replace(DEP, n_b=8, n_m=8)),
+}
+
+
+class TestSplitTableOracle:
+    """The batched F0 + w_s F1 table against per-weight scalar quadrature."""
+
+    @pytest.mark.parametrize("lower", [2 * DEP.r_b, 10.0, 20.0, 40.0])
+    def test_default_deployment(self, lower):
+        assert _oracle_deviation(BUD, DEP, _sweep_weights(DEP), lower) <= ORACLE_REL
+
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_edge_configuration(self, edge):
+        budget, deploy = EDGES[edge]
+        weights = [sweep_weight(deploy, SYS, p) for p in (0.0, 1.0)]
+        assert _oracle_deviation(budget, deploy, weights, 2 * deploy.r_b) <= ORACLE_REL
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(density=st.floats(-1.0, 1.0), absorption=st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+           n_b=st.integers(8, 1024), n_m=st.integers(8, 1024),
+           p_ms=st.floats(0.0, 1.0),
+           lower=st.sampled_from([2 * DEP.r_b, 10.0, 20.0, 40.0]))
+    def test_drawn_configuration(self, density, absorption, n_b, n_m, p_ms, lower):
+        # lambda_b within a decade of the default, absorption from none to
+        # three times the default, any beam widths; one weight per draw
+        # keeps a draw near a second
+        deploy = replace(DEP, lambda_b=DEP.lambda_b * 10.0 ** density,
+                         n_b=n_b, n_m=n_m)
+        budget = replace(LinkBudget.from_params(SYS, deploy),
+                         k_abs=absorption * SYS.k_abs)
+        weights = [sweep_weight(deploy, SYS, p_ms)]
+        assert _oracle_deviation(budget, deploy, weights, lower) <= ORACLE_REL
+
+
+class TestFieldCache:
+    R1 = [10.0, 20.0, 40.0]
+
+    @pytest.mark.parametrize("mode, tables", [("theorem", 1), ("derivation", 3)])
+    def test_one_split_table_per_lower_bound(self, mode, tables):
+        # four schemes share one table per lower bound: 2 r_b in theorem
+        # mode, each r1 in derivation mode
+        abilities = scheme_abilities(SCHEMES, SYS, DEP)
+        clear_field_cache()
+        coverage_sweep(self.R1, [10.0], SCHEMES, BUD, DEP, SYS, abilities, mode)
+        assert _split_table.cache_info().misses == tables
+        assert _field_for.cache_info().misses == len(SCHEMES) * tables
+
+    def test_clear_empties_both_caches(self):
+        q = CoverageQuery(r1=20.0, threshold=10.0)
+        coverage_probability(q, BUD, DEP, SYS, perfect_ability())
+        assert _split_table.cache_info().currsize > 0
+        assert _field_for.cache_info().currsize > 0
+        clear_field_cache()
+        assert _split_table.cache_info().currsize == 0
+        assert _field_for.cache_info().currsize == 0
+
+    def test_request_order_does_not_matter(self):
+        abilities = scheme_abilities(SCHEMES, SYS, DEP)
+        q = CoverageQuery(r1=20.0, threshold=10.0)
+        clear_field_cache()
+        first = coverage_probability(q, BUD, DEP, SYS, abilities["jsrs"]).p_cvp
+        clear_field_cache()
+        for name in SCHEMES:
+            if name != "jsrs":
+                coverage_probability(q, BUD, DEP, SYS, abilities[name])
+        after = coverage_probability(q, BUD, DEP, SYS, abilities["jsrs"]).p_cvp
+        assert first == after
 
 
 class TestPhaseRadius:

@@ -92,6 +92,14 @@ class TestTimeoutProbability:
                 assert timeout_probability(dep) == pytest.approx(
                     nested_timeout_probability(dep), rel=1e-12)
 
+    def test_sparse_nodes_dense_blockers(self):
+        # the outer integrand's first panel is about 2e4 here; it must
+        # converge rather than spend the split budget on roundoff
+        dep = replace(DEP, lambda_b=1e-5, lambda_s=5.0)
+        p_to = timeout_probability(dep)
+        assert p_to == pytest.approx(0.99995, abs=1e-5)
+        assert p_to == pytest.approx(nested_timeout_probability(dep), rel=1e-12)
+
 
 class TestSpeedUnderestimate:
     def test_perfect_sensing(self):
