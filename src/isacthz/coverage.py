@@ -32,13 +32,17 @@ deployment, lower bound) on a log s-grid: the whole grid is evaluated in
 lockstep batches of s-points, each quadrature step integrating every
 pending panel of every s-point in one call.  Each sweep weight then reads
 its own interpolants off that shared table, which is what lets one table
-serve every scheme and a whole (r1, threshold) sweep.
+serve every scheme and a whole (r1, threshold) sweep.  The inversion reads
+the envelope and both phases from one lookup of those interpolants per
+node set or panel edge.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,41 +275,44 @@ class ShotNoiseField:
 
     def parts(self, s):
         """Interpolated (f_r, f_i); quadratic/linear extensions below the
-        tabulated range, clamped above it (the envelope is dead there)."""
+        tabulated range, clamped above it (the envelope is dead there).
+
+        The PCHIP pieces are evaluated from their coefficients in the power
+        form scipy uses; a 0-d s, as at the panel edges of the inversion,
+        takes a scalar path of bisect and math."""
         if self._tables is None:
             grid, split = _split_table(self.budget, self.deploy, self.lower)
             fr = np.maximum(split[0] + self.w_s * split[1], 1e-300)
             fi = split[2] + self.w_s * split[3]
             ln_s = np.log(grid)
-            self._tables = (
-                grid[0], grid[-1],
-                PchipInterpolator(ln_s, np.log(fr), extrapolate=False),
-                PchipInterpolator(ln_s, fi, extrapolate=False),
-                fr[0], fi[0], fr[-1], fi[-1],
-            )
-        s_lo, s_hi, fr_ip, fi_ip, fr0, fi0, fr1, fi1 = self._tables
+            # (4, 2, pieces): the log f_r and the f_i cubic of each piece
+            coef = np.stack((PchipInterpolator(ln_s, np.log(fr)).c,
+                             PchipInterpolator(ln_s, fi).c), axis=1)
+            # the scalar path reads flat copies: 8 coefficients per piece
+            self._tables = (grid[0], grid[-1], ln_s, coef, array("d", ln_s),
+                            array("d", coef.transpose(2, 1, 0).ravel()))
+        s_lo, s_hi, knots, coef, flat_knots, flat_coef = self._tables
+        # piece i holds knots[i] <= ln s < knots[i + 1], the last one closed:
+        # the count of inner knots at or below ln s
+        if np.ndim(s) == 0:
+            ratio = min(float(s) / s_lo, 1.0)
+            ln = math.log(min(max(float(s), s_lo), s_hi))
+            i = bisect.bisect_right(flat_knots, ln, 1, len(flat_knots) - 1) - 1
+            d = ln - flat_knots[i]
+            return (math.exp(_cubic(flat_coef, d, 8 * i)) * (ratio * ratio),
+                    _cubic(flat_coef, d, 8 * i + 4) * ratio)
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        fr = np.empty_like(s)
-        fi = np.empty_like(s)
-        below = s < s_lo
-        above = s > s_hi
-        mid = ~(below | above)
-        if np.any(mid):
-            ln = np.log(s[mid])
-            fr[mid] = np.exp(fr_ip(ln))
-            fi[mid] = fi_ip(ln)
-        if np.any(below):
-            ratio = s[below] / s_lo
-            fr[below] = fr0 * ratio ** 2
-            fi[below] = fi0 * ratio
-        if np.any(above):
-            fr[above] = fr1
-            fi[above] = fi1
-        if scalar:
-            return float(fr[0]), float(fi[0])
-        return fr, fi
+        ratio = np.minimum(s / s_lo, 1.0)
+        ln = np.log(np.minimum(np.maximum(s, s_lo), s_hi))
+        i = np.searchsorted(knots[1:-1], ln, side="right")
+        log_fr, fi = _cubic(coef[:, :, i], ln - knots[i])
+        return np.exp(log_fr) * (ratio * ratio), fi * ratio
+
+
+def _cubic(c, d, k=0):
+    """c[k] d^3 + c[k+1] d^2 + c[k+2] d + c[k+3], summed in scipy's power form."""
+    dd = d * d
+    return c[k + 3] + c[k + 2] * d + c[k + 1] * dd + c[k] * (dd * d)
 
 
 # A table is a few hundred s-points of four components, shared by every
@@ -334,9 +341,15 @@ def coverage_probability(query: CoverageQuery, budget: LinkBudget,
                          deploy: Deployment, system: SystemParams,
                          ability: SensingAbility) -> CoverageResult:
     """Analytic coverage probability at one (r1, threshold) point."""
+    return _coverage_cell(query, budget, deploy, system,
+                          beam_misalignment(deploy, ability, system.tau).p_ms)
+
+
+def _coverage_cell(query: CoverageQuery, budget: LinkBudget, deploy: Deployment,
+                   system: SystemParams, p_ms: float) -> CoverageResult:
+    """coverage_probability at a given misalignment probability p_ms."""
     if query.r1 < 2.0 * deploy.r_b:
         raise ValueError("coverage requires r1 >= 2 r_b")
-    p_ms = beam_misalignment(deploy, ability, system.tau).p_ms
     y = received_power(budget, query.r1) / query.threshold
     p_eff = effective_noise(budget, deploy, system, query.r1)
 
@@ -351,22 +364,13 @@ def coverage_probability(query: CoverageQuery, budget: LinkBudget,
     fld = _field_for(budget, deploy, sweep_weight(deploy, system, p_ms), lower)
     two_pi_lb = 2.0 * math.pi * deploy.lambda_b
 
-    def envelope(s):
-        fr, _ = fld.parts(s)
-        return np.exp(-two_pi_lb * fr)
+    def terms(s):
+        # envelope, phi1 and phi2 from one field lookup
+        fr, fi = fld.parts(s)
+        phi1 = -two_pi_lb * fi - 2.0 * math.pi * s * p_eff
+        return np.exp(-two_pi_lb * fr), phi1, phi1 + 2.0 * math.pi * s * y
 
-    def phi1(s):
-        s = np.asarray(s, dtype=float)
-        _, fi = fld.parts(s)
-        return -two_pi_lb * fi - 2.0 * math.pi * s * p_eff
-
-    def phi2(s):
-        s = np.asarray(s, dtype=float)
-        _, fi = fld.parts(s)
-        return -two_pi_lb * fi - 2.0 * math.pi * s * p_eff + 2.0 * math.pi * s * y
-
-    p_cm, err = integrate_oscillatory(envelope, phi1, phi2,
-                                      DEFAULT_COVERAGE_QUADRATURE)
+    p_cm, err = integrate_oscillatory(terms, spec=DEFAULT_COVERAGE_QUADRATURE)
 
     tol = max(DEFAULT_COVERAGE_QUADRATURE.abs_tol, 10.0 * err, 1e-6)
     if p_cm < -10.0 * max(tol, 1e-4) or p_cm > 1.0 + 10.0 * max(tol, 1e-4):
@@ -389,12 +393,13 @@ def coverage_sweep(r1_grid, threshold_grid, schemes, budget: LinkBudget,
     """
     rows = []
     for scheme in schemes:
-        ability = abilities[scheme]
+        # p_ms depends on neither r1 nor the threshold
+        p_ms = beam_misalignment(deploy, abilities[scheme], system.tau).p_ms
         for r1 in r1_grid:
             for thr in threshold_grid:
                 q = CoverageQuery(r1=float(r1), threshold=float(thr),
                                   lower_bound_mode=lower_bound_mode)
-                res = coverage_probability(q, budget, deploy, system, ability)
+                res = _coverage_cell(q, budget, deploy, system, p_ms)
                 rows.append({
                     "scheme": scheme,
                     "r1_m": float(r1),

@@ -4,10 +4,11 @@ Everything here is pure and stateless: adaptive Gauss-Kronrod integrators
 for finite intervals and for semi-infinite integrands with decaying tails,
 and a panel-marching integrator for oscillatory kernels of the form
 
-    envelope(s) * [sin(phi2(s)) - sin(phi1(s))] / (pi * s).
+    envelope(s) * [sin(phi2(s)) - sin(phi1(s))] / (pi * s),
 
-All integrand callables must accept numpy arrays (they are evaluated on
-batches of quadrature nodes).
+whose three terms come from one callable, so each node set costs one
+evaluation.  All integrand callables must accept numpy arrays (they are
+evaluated on batches of quadrature nodes).
 
 The finite and semi-infinite integrators march a whole batch of integrals
 in lockstep (`integrate_interval_batch`, `integrate_semi_infinite_batch`);
@@ -109,49 +110,6 @@ _GK_WG = np.array([
 ])
 
 
-def _gk15(f: Callable, a: float, b: float):
-    """One Gauss-Kronrod 7/15 panel; returns (integral, error_estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _GK_NODES), dtype=float)
-    ik = half * float(np.dot(_GK_WK, fx))
-    ig = half * float(np.dot(_GK_WG, fx))
-    err = (200.0 * abs(ik - ig)) ** 1.5 if ik != ig else 0.0
-    # never report less than float roundoff on the panel
-    err = max(err, abs(ik) * 1e-15)
-    return ik, err
-
-
-def _adaptive_panel(f: Callable, a: float, b: float, tol: float, budget: list):
-    """Adaptive bisection of one panel until its error beats tol.
-
-    The oscillatory march refines its panels one at a time with this, as
-    each panel's width depends on the one before.  `budget` is a
-    one-element mutable list holding the remaining number of splits shared
-    across the whole call.
-    """
-    val, err = _gk15(f, a, b)
-    stack = [(a, b, val, err)]
-    total, total_err = 0.0, 0.0
-    while stack:
-        a0, b0, v0, e0 = stack.pop()
-        if e0 <= tol:
-            total += v0
-            total_err += e0
-            continue
-        if budget[0] <= 0:
-            total += v0
-            total_err += e0
-            continue
-        budget[0] -= 1
-        m = 0.5 * (a0 + b0)
-        vl, el = _gk15(f, a0, m)
-        vr, er = _gk15(f, m, b0)
-        stack.append((a0, m, vl, el))
-        stack.append((m, b0, vr, er))
-    return total, total_err
-
-
 # -----------------------------------------------------------------------------
 # Batched lockstep march (integrand contract in the module docstring)
 # -----------------------------------------------------------------------------
@@ -177,6 +135,8 @@ def _gk15_batch(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
 # near the lower end is never hidden in one wide panel.  Every semi-infinite
 # integrand of the package has died out within nine, so one block usually
 # ends the march; spare panels lie in the dead tail and cost one node set.
+# The oscillatory march lays out its phase-paced panels in blocks of the
+# same size; a spare panel there also costs one edge lookup.
 _BLOCK = 16
 _BLOCK_EDGES = 2.0 ** np.arange(_BLOCK + 1) - 1.0
 
@@ -384,120 +344,155 @@ def integrate_semi_infinite(f: Callable, lower: float,
 # Oscillatory kernel: envelope(s) * [sin(phi2) - sin(phi1)] / (pi s)
 # -----------------------------------------------------------------------------
 
-def _euler_accelerate(partial_sums: np.ndarray):
-    """Iterated averaging of a partial-sum sequence; returns (value, spread)."""
+# s-points probed for the phase scale that sets the first panel width
+_PROBE_S = np.array([10.0 ** k for k in range(-18, 19)])
+# partial sums the tail estimate averages, and the weights C(m, k) / 2^m of
+# m averaging passes, m < _EULER_TERMS
+_EULER_TERMS = 24
+_EULER_WEIGHTS = [np.array([math.comb(m, k) for k in range(m + 1)]) / 2.0 ** m
+                  for m in range(_EULER_TERMS)]
+
+
+def _euler_accelerate(partial_sums):
+    """Iterated averaging of at most _EULER_TERMS partial sums t_0..t_(n-1),
+    in closed form: the n - 1 passes leave sum_k C(n-1, k) t_k / 2^(n-1),
+    the pass before the last the same form over t_1.. with n - 2.  Returns
+    (value, spread between the two)."""
     t = np.asarray(partial_sums, dtype=float)
-    last = t[-1]
-    prev = last
-    while t.size > 1:
-        t = 0.5 * (t[1:] + t[:-1])
-        prev = last
-        last = t[-1]
+    last = float(_EULER_WEIGHTS[t.size - 1] @ t)
+    prev = float(_EULER_WEIGHTS[t.size - 2] @ t[1:]) if t.size > 1 else last
     return last, abs(last - prev)
 
 
-def _phase_scale_probe(phi, lower):
-    """Find an s where the phase is O(1); sets the first panel width."""
-    base = max(lower, 0.0)
-    for k in range(-18, 19):
-        s = 10.0 ** k
-        if abs(float(phi(base + s))) > 1.0:
-            return s
-    return 10.0 ** 18
+def _alternating(vals):
+    """Whether the last nonzero panel values mostly alternate in sign."""
+    recent = [v for v in vals[-10:] if v != 0.0]
+    if len(recent) < 4:
+        return False
+    flips = sum(1 for u, w in zip(recent, recent[1:]) if u * w < 0.0)
+    return flips >= 0.6 * (len(recent) - 1)
 
 
-def _oscillatory_single(envelope: Callable, phi: Callable,
-                        spec: QuadratureSpec, lower: float):
-    """D(phi) = int_lower^inf envelope(s) sin(phi(s)) / (pi s) ds.
+def _refine(f: Callable, pa, pb, est, tols, budget: int):
+    """Refine the panels [pa_j, pb_j], with Gauss-Kronrod estimates est (as
+    from _gk15_batch), in lockstep until each error beats tols_j, splitting
+    at most `budget` times; a step asking for more accepts its panels
+    unrefined and spends the budget.  Returns the panels' values and
+    errors and the splits left."""
+    cell = np.arange(pa.size)
+    done_cells, done_est = [], []
+    while True:
+        want = est[1] > tols[cell]
+        budget -= np.count_nonzero(want)
+        if budget < 0:
+            want[:] = False
+            budget = 0
+        done_cells.append(cell[~want])
+        done_est.append(est[:, ~want])
+        if not want.any():
+            cells = np.concatenate(done_cells)
+            vals, errs = (np.bincount(cells, weights=w, minlength=tols.size)
+                          for w in np.concatenate(done_est, axis=1))
+            return vals, errs, budget
+        sa, sb, sc = pa[want], pb[want], cell[want]
+        mid = 0.5 * (sa + sb)
+        pa, pb, cell = (np.concatenate((sa, mid)), np.concatenate((mid, sb)),
+                        np.concatenate((sc, sc)))
+        est = _gk15_batch(f, pa, pb, cell)
+
+
+def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
+                        lower: float):
+    """D(phi) = int_lower^inf envelope(s) sin(phi(s)) / (pi s) ds, with
+    envelope and phi the 0th and `which`th of terms(s).
 
     phi must vanish at s = 0, which makes the kernel finite there.  Panels
     track the local half-period of phi, so their contributions alternate
     once the kernel oscillates; the tail is summed with iterated averaging
-    (Euler-style acceleration).  Integration stops when the accelerated
-    tail stabilises within tolerance or the envelope falls below
-    spec.tail_cutoff_envelope.
+    (Euler-style acceleration).  The panels come in blocks of _BLOCK: their
+    edges are laid out one after the other, then all are refined in
+    lockstep, each to a tolerance referenced to the running total plus
+    the estimates of the panels before it.  The stop rules are then taken
+    panel by panel: integration stops when the accelerated tail stabilises
+    within tolerance, the integrand is dead or the envelope falls below
+    spec.tail_cutoff_envelope; a block that spends the split budget raises.
     """
 
-    def integrand(s):
-        s = np.asarray(s, dtype=float)
-        p = np.asarray(phi(s), dtype=float)
-        env = np.asarray(envelope(s), dtype=float)
-        s_safe = np.where(s == 0.0, 1e-300, s)
-        val = env * np.sin(p) / (np.pi * s_safe)
-        return np.where(s == 0.0, 0.0, val)
+    def integrand(x, owner):
+        t = terms(x)
+        return (t[0] * np.sin(t[which]) / (np.pi * x))[None]
 
-    def _alternating(vals):
-        recent = [v for v in vals[-10:] if v != 0.0]
-        if len(recent) < 4:
-            return False
-        flips = sum(1 for u, w in zip(recent, recent[1:]) if u * w < 0.0)
-        return flips >= 0.6 * (len(recent) - 1)
-
-    h = max(_phase_scale_probe(phi, lower) / 4.0, 1e-300)
-    budget = [spec.max_subdivisions]
     a = float(lower)
-    env_ref = max(abs(float(envelope(a + h))), 1e-300)
-
-    partial = 0.0
-    sums = []
-    vals = []
-    panels = 0
-    stable = 0
+    t = terms(np.append(a, max(a, 0.0) + _PROBE_S))
+    phi_a = float(t[which][0])
+    # the first probed s where the phase is O(1) sets the first panel width
+    big = np.abs(t[which][1:]) > 1.0
+    h = max(_PROBE_S[np.argmax(big) if big.any() else -1] / 4.0, 1e-300)
+    env_ref = max(abs(float(terms(a + h)[0])), 1e-300)
+    budget = spec.max_subdivisions
+    partial, sums, vals, stable = 0.0, [], [], 0
     while True:
-        b = a + h
-        tol = max(spec.abs_tol, spec.rel_tol * abs(partial)) * 0.1
-        val, err = _adaptive_panel(integrand, a, b, tol, budget)
-        partial += val
-        sums.append(partial)
-        vals.append(val)
-        panels += 1
-
-        oscillating = _alternating(vals)
-        if oscillating and len(sums) >= 6:
-            # alternating panel sums: accelerated tail estimate
-            est, est_err = _euler_accelerate(sums[-24:])
-            target = max(spec.abs_tol, spec.rel_tol * abs(est))
-            if est_err < target:
-                stable += 1
-                if stable >= 3:
-                    return est, est_err + err
+        edges, envs, widths = [a], [], []
+        for _ in range(_BLOCK):
+            b = a + h
+            t = terms(b)
+            phi_b = float(t[which])
+            edges.append(b)
+            envs.append(abs(float(t[0])))
+            widths.append(h)
+            # next panel length: local half-period of phi
+            slope = abs(phi_b - phi_a) / h
+            if slope * h < 0.1:
+                h *= 2.0
             else:
+                h = min(max(math.pi / slope, 0.25 * h), 4.0 * h)
+            a, phi_a = b, phi_b
+        pa, pb = np.array(edges[:-1]), np.array(edges[1:])
+        roots = _gk15_batch(integrand, pa, pb, np.arange(_BLOCK))
+        ahead = np.abs(partial + np.cumsum(roots[0]) - roots[0])
+        panel_vals, panel_errs, budget = _refine(
+            integrand, pa, pb, roots,
+            np.maximum(spec.abs_tol, spec.rel_tol * ahead) * 0.1, budget)
+        for val, err, b, env_b, h_b in zip(panel_vals.tolist(), panel_errs.tolist(),
+                                           edges[1:], envs, widths):
+            partial += val
+            sums.append(partial)
+            vals.append(val)
+            done = None
+            oscillating = _alternating(vals)
+            if oscillating and len(sums) >= 6:
+                # alternating panel sums: accelerated tail estimate
+                est, est_err = _euler_accelerate(sums[-_EULER_TERMS:])
+                if est_err < max(spec.abs_tol, spec.rel_tol * abs(est)):
+                    stable += 1
+                    if stable >= 3:
+                        done = est, est_err + err
+                else:
+                    stable = 0
+            else:
+                est, est_err = partial, abs(val) + err
                 stable = 0
-        else:
-            est, est_err = partial, abs(val) + err
-            stable = 0
-            # a dead integrand (equal phases, or envelope long gone)
-            if panels >= 6 and all(
-                    abs(u) <= max(spec.abs_tol, spec.rel_tol * abs(partial)) * 0.01
-                    for u in vals[-4:]):
-                return partial, est_err
-
-        env_b = abs(float(envelope(b)))
-        if env_b < spec.tail_cutoff_envelope * env_ref and panels >= 4:
-            # envelope dead: the raw sum is the value; bound the lost tail
-            bound = env_b * 2.0 / (math.pi * max(b, 1e-300)) * h
-            if oscillating:
-                return est, est_err + bound
-            return partial, err + bound
-
-        if budget[0] <= 0 or panels >= spec.max_subdivisions:
-            raise QuadratureError(
-                "oscillatory quadrature did not converge", est, max(est_err, abs(val)))
-
-        # next panel length: local half-period of phi
-        slope = abs(float(phi(b)) - float(phi(a))) / h
-        if slope * h < 0.1:
-            h_next = h * 2.0
-        else:
-            h_next = min(max(math.pi / slope, 0.25 * h), 4.0 * h)
-        a = b
-        h = h_next
+                # a dead integrand (equal phases, or envelope long gone)
+                if len(vals) >= 6 and all(
+                        abs(u) <= max(spec.abs_tol, spec.rel_tol * abs(partial)) * 0.01
+                        for u in vals[-4:]):
+                    done = partial, est_err
+            if (done is None and env_b < spec.tail_cutoff_envelope * env_ref
+                    and len(vals) >= 4):
+                # envelope dead: the raw sum is the value; bound the lost tail
+                bound = env_b * 2.0 / (math.pi * max(b, 1e-300)) * h_b
+                done = (est, est_err + bound) if oscillating else (partial, err + bound)
+            if done is not None and budget > 0:
+                return done
+            if budget <= 0 or len(vals) >= spec.max_subdivisions:
+                raise QuadratureError(
+                    "oscillatory quadrature did not converge", est, max(est_err, abs(val)))
 
 
-def integrate_oscillatory(envelope: Callable, phi1: Callable, phi2: Callable,
-                          spec: QuadratureSpec = DEFAULT_QUADRATURE,
+def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRATURE,
                           lower: float = 0.0):
-    """Integrate envelope(s) * [sin(phi2(s)) - sin(phi1(s))] / (pi s) on [lower, inf).
+    """Integrate envelope(s) * [sin(phi2(s)) - sin(phi1(s))] / (pi s) on [lower, inf),
+    with (envelope, phi1, phi2) = terms(s) for s a float or an array.
 
     The two sine terms generally oscillate on very different scales (their
     linear slopes can be orders of magnitude apart), so they are integrated
@@ -511,6 +506,6 @@ def integrate_oscillatory(envelope: Callable, phi1: Callable, phi2: Callable,
     Raises:
         QuadratureError: when the panel budget runs out first.
     """
-    v2, e2 = _oscillatory_single(envelope, phi2, spec, lower)
-    v1, e1 = _oscillatory_single(envelope, phi1, spec, lower)
+    v2, e2 = _oscillatory_kernel(terms, 2, spec, lower)
+    v1, e1 = _oscillatory_kernel(terms, 1, spec, lower)
     return v2 - v1, e1 + e2

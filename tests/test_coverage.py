@@ -10,15 +10,17 @@ from isacthz.channel import (LinkBudget, effective_noise,
                              interference_probability, received_power,
                              sweep_weight)
 from isacthz.config import default_deployment, default_system
-from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET, CoverageQuery,
-                              CoverageResult, ShotNoiseField, _field_for,
-                              _split_table, clear_field_cache,
+from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET,
+                              DEFAULT_COVERAGE_QUADRATURE, LOWER_BOUND_MODES,
+                              CoverageQuery, CoverageResult, ShotNoiseField,
+                              _field_for, _split_table, clear_field_cache,
                               coverage_probability, coverage_sweep)
 from isacthz.misalignment import beam_misalignment
 from isacthz.schemes import scheme_abilities, scheme_ability
 from isacthz.sensing import SCHEMES, perfect_ability
 from isacthz.specfun import (QuadratureSpec, integrate_interval,
                              integrate_semi_infinite)
+from test_specfun import oscillatory_oracle
 
 SYS = default_system()
 DEP = default_deployment()
@@ -275,6 +277,60 @@ class TestFieldCache:
                 coverage_probability(q, BUD, DEP, SYS, abilities[name])
         after = coverage_probability(q, BUD, DEP, SYS, abilities["jsrs"]).p_cvp
         assert first == after
+
+
+def oracle_p_cm(query, p_ms):
+    """p_cm of one default-deployment cell by the scalar oscillatory march,
+    with the envelope and the two phases as separate field lookups."""
+    lower = 2 * DEP.r_b if query.lower_bound_mode == "theorem" else query.r1
+    fld = _field_for(BUD, DEP, sweep_weight(DEP, SYS, p_ms), lower)
+    two_pi_lb = 2.0 * math.pi * DEP.lambda_b
+    y = received_power(BUD, query.r1) / query.threshold
+    p_eff = effective_noise(BUD, DEP, SYS, query.r1)
+
+    def envelope(s):
+        return np.exp(-two_pi_lb * fld.parts(s)[0])
+
+    def phi1(s):
+        return -two_pi_lb * fld.parts(s)[1] - 2.0 * math.pi * s * p_eff
+
+    def phi2(s):
+        return phi1(s) + 2.0 * math.pi * s * y
+
+    p_cm, _ = oscillatory_oracle(envelope, phi1, phi2, DEFAULT_COVERAGE_QUADRATURE)
+    return min(max(p_cm, 0.0), 1.0)
+
+
+ABILITIES = scheme_abilities(SCHEMES, SYS, DEP)
+
+
+class TestInversionOracle:
+    """The block march with its fused lookup against the scalar march."""
+
+    @pytest.mark.parametrize("mode", LOWER_BOUND_MODES)
+    def test_default_deployment(self, mode):
+        worst = 0.0
+        for name, ability in ABILITIES.items():
+            for r1 in (5.0, 20.0, 38.0):
+                for db in (-5.0, 5.0, 15.0):
+                    q = CoverageQuery(r1=r1, threshold=10.0 ** (db / 10.0),
+                                      lower_bound_mode=mode)
+                    res = coverage_probability(q, BUD, DEP, SYS, ability)
+                    worst = max(worst, abs(res.p_cm - oracle_p_cm(q, res.p_ms)))
+        assert worst <= 1e-12
+
+
+class TestCoverageProperties:
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(scheme=st.sampled_from(SCHEMES), mode=st.sampled_from(LOWER_BOUND_MODES),
+           r1=st.floats(2 * DEP.r_b, 40.0), db=st.floats(-10.0, 20.0),
+           step=st.floats(0.1, 10.0))
+    def test_bounded_and_monotone_in_threshold(self, scheme, mode, r1, db, step):
+        p_cvp = [coverage_probability(
+            CoverageQuery(r1=r1, threshold=10.0 ** (t / 10.0), lower_bound_mode=mode),
+            BUD, DEP, SYS, ABILITIES[scheme]).p_cvp for t in (db, db + step)]
+        assert all(0.0 <= p <= 1.0 for p in p_cvp)
+        assert p_cvp[1] <= p_cvp[0] + 2e-6
 
 
 class TestPhaseRadius:

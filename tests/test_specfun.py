@@ -4,11 +4,181 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from isacthz import specfun
 from isacthz.specfun import (QuadratureError, QuadratureSpec,
                              integrate_interval, integrate_interval_batch,
                              integrate_oscillatory, integrate_semi_infinite,
                              integrate_semi_infinite_batch)
 
+
+# -----------------------------------------------------------------------------
+# Oracle of integrate_oscillatory: the scalar march, one GK15 panel at a time
+# with separate envelope and phase callables
+# -----------------------------------------------------------------------------
+
+GK_NODES, GK_WK, GK_WG = specfun._GK_NODES, specfun._GK_WK, specfun._GK_WG
+
+
+def _gk15(f, a: float, b: float):
+    """One Gauss-Kronrod 7/15 panel; returns (integral, error_estimate)."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    fx = np.asarray(f(mid + half * GK_NODES), dtype=float)
+    ik = half * float(np.dot(GK_WK, fx))
+    ig = half * float(np.dot(GK_WG, fx))
+    err = (200.0 * abs(ik - ig)) ** 1.5 if ik != ig else 0.0
+    # never report less than float roundoff on the panel
+    err = max(err, abs(ik) * 1e-15)
+    return ik, err
+
+
+def _adaptive_panel(f, a: float, b: float, tol: float, budget: list):
+    """Adaptive bisection of one panel until its error beats tol.
+
+    The oscillatory march refines its panels one at a time with this, as
+    each panel's width depends on the one before.  `budget` is a
+    one-element mutable list holding the remaining number of splits shared
+    across the whole call.
+    """
+    val, err = _gk15(f, a, b)
+    stack = [(a, b, val, err)]
+    total, total_err = 0.0, 0.0
+    while stack:
+        a0, b0, v0, e0 = stack.pop()
+        if e0 <= tol:
+            total += v0
+            total_err += e0
+            continue
+        if budget[0] <= 0:
+            total += v0
+            total_err += e0
+            continue
+        budget[0] -= 1
+        m = 0.5 * (a0 + b0)
+        vl, el = _gk15(f, a0, m)
+        vr, er = _gk15(f, m, b0)
+        stack.append((a0, m, vl, el))
+        stack.append((m, b0, vr, er))
+    return total, total_err
+
+
+def euler_loop(partial_sums: np.ndarray):
+    """Iterated averaging of a partial-sum sequence, one pass at a time;
+    returns (value, spread)."""
+    t = np.asarray(partial_sums, dtype=float)
+    last = t[-1]
+    prev = last
+    while t.size > 1:
+        t = 0.5 * (t[1:] + t[:-1])
+        prev = last
+        last = t[-1]
+    return last, abs(last - prev)
+
+
+def _phase_scale_probe(phi, lower):
+    """Find an s where the phase is O(1); sets the first panel width."""
+    base = max(lower, 0.0)
+    for k in range(-18, 19):
+        s = 10.0 ** k
+        if abs(float(phi(base + s))) > 1.0:
+            return s
+    return 10.0 ** 18
+
+
+def _oscillatory_single(envelope, phi, spec, lower):
+    """D(phi) = int_lower^inf envelope(s) sin(phi(s)) / (pi s) ds.
+
+    phi must vanish at s = 0, which makes the kernel finite there.  Panels
+    track the local half-period of phi, so their contributions alternate
+    once the kernel oscillates; the tail is summed with iterated averaging
+    (Euler-style acceleration).  Integration stops when the accelerated
+    tail stabilises within tolerance or the envelope falls below
+    spec.tail_cutoff_envelope.
+    """
+
+    def integrand(s):
+        s = np.asarray(s, dtype=float)
+        p = np.asarray(phi(s), dtype=float)
+        env = np.asarray(envelope(s), dtype=float)
+        s_safe = np.where(s == 0.0, 1e-300, s)
+        val = env * np.sin(p) / (np.pi * s_safe)
+        return np.where(s == 0.0, 0.0, val)
+
+    def _alternating(vals):
+        recent = [v for v in vals[-10:] if v != 0.0]
+        if len(recent) < 4:
+            return False
+        flips = sum(1 for u, w in zip(recent, recent[1:]) if u * w < 0.0)
+        return flips >= 0.6 * (len(recent) - 1)
+
+    h = max(_phase_scale_probe(phi, lower) / 4.0, 1e-300)
+    budget = [spec.max_subdivisions]
+    a = float(lower)
+    env_ref = max(abs(float(envelope(a + h))), 1e-300)
+
+    partial = 0.0
+    sums = []
+    vals = []
+    panels = 0
+    stable = 0
+    while True:
+        b = a + h
+        tol = max(spec.abs_tol, spec.rel_tol * abs(partial)) * 0.1
+        val, err = _adaptive_panel(integrand, a, b, tol, budget)
+        partial += val
+        sums.append(partial)
+        vals.append(val)
+        panels += 1
+
+        oscillating = _alternating(vals)
+        if oscillating and len(sums) >= 6:
+            # alternating panel sums: accelerated tail estimate
+            est, est_err = euler_loop(sums[-24:])
+            target = max(spec.abs_tol, spec.rel_tol * abs(est))
+            if est_err < target:
+                stable += 1
+                if stable >= 3:
+                    return est, est_err + err
+            else:
+                stable = 0
+        else:
+            est, est_err = partial, abs(val) + err
+            stable = 0
+            # a dead integrand (equal phases, or envelope long gone)
+            if panels >= 6 and all(
+                    abs(u) <= max(spec.abs_tol, spec.rel_tol * abs(partial)) * 0.01
+                    for u in vals[-4:]):
+                return partial, est_err
+
+        env_b = abs(float(envelope(b)))
+        if env_b < spec.tail_cutoff_envelope * env_ref and panels >= 4:
+            # envelope dead: the raw sum is the value; bound the lost tail
+            bound = env_b * 2.0 / (math.pi * max(b, 1e-300)) * h
+            if oscillating:
+                return est, est_err + bound
+            return partial, err + bound
+
+        if budget[0] <= 0 or panels >= spec.max_subdivisions:
+            raise QuadratureError(
+                "oscillatory quadrature did not converge", est, max(est_err, abs(val)))
+
+        # next panel length: local half-period of phi
+        slope = abs(float(phi(b)) - float(phi(a))) / h
+        if slope * h < 0.1:
+            h_next = h * 2.0
+        else:
+            h_next = min(max(math.pi / slope, 0.25 * h), 4.0 * h)
+        a = b
+        h = h_next
+
+
+def oscillatory_oracle(envelope, phi1, phi2, spec=specfun.DEFAULT_QUADRATURE,
+                       lower=0.0):
+    """integrate_oscillatory by the scalar march, with the terms as three
+    callables."""
+    v2, e2 = _oscillatory_single(envelope, phi2, spec, lower)
+    v1, e1 = _oscillatory_single(envelope, phi1, spec, lower)
+    return v2 - v1, e1 + e2
 
 class TestInterval:
     def test_exhausted_budget_raises(self):
@@ -124,32 +294,71 @@ class TestBatch:
         assert err.value.error_bound > 0.0
 
 
+def _terms(envelope, phi1, phi2):
+    """The three terms of an oscillatory integrand as one callable."""
+    def terms(s):
+        s = np.asarray(s, dtype=float)
+        return envelope(s), phi1(s), phi2(s)
+    return terms
+
+
+# (envelope, phi1, phi2) of the TestOscillatory integrands, by name
+_ZERO = lambda s: 0.0 * np.asarray(s, float)
+_ONE = lambda s: np.ones_like(np.asarray(s, float))
+KERNELS = {
+    "arctan": (lambda s: np.exp(-s), _ZERO,
+               lambda s: 2.0 * np.pi * np.asarray(s, float)),
+    "equal_phases": (lambda s: np.exp(-s), lambda s: 3.0 * np.asarray(s, float) ** 2,
+                     lambda s: 3.0 * np.asarray(s, float) ** 2),
+    "two_scale": (_ONE, lambda s: -2e-10 * np.asarray(s, float),
+                  lambda s: 3e-5 * np.asarray(s, float)),
+    "negative_margin": (_ONE, lambda s: 2e-10 * np.asarray(s, float),
+                        lambda s: -3e-5 * np.asarray(s, float)),
+}
+
+
 class TestOscillatory:
     def test_arctan_identity(self):
-        val, err = integrate_oscillatory(lambda s: np.exp(-s),
-                                         lambda s: 0.0 * np.asarray(s, float),
-                                         lambda s: 2.0 * np.pi * np.asarray(s, float))
+        val, err = integrate_oscillatory(_terms(*KERNELS["arctan"]))
         assert val == pytest.approx(math.atan(2.0 * math.pi) / math.pi, abs=1e-6)
 
     def test_equal_phases_vanish(self):
-        phi = lambda s: 3.0 * np.asarray(s, float) ** 2
-        val, _ = integrate_oscillatory(lambda s: np.exp(-s), phi, phi)
+        val, _ = integrate_oscillatory(_terms(*KERNELS["equal_phases"]))
         assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_two_scale_dirichlet(self):
         # sign(y) / 2 + sign(p) / 2 with vastly different slopes
-        one = lambda s: np.ones_like(np.asarray(s, float))
-        val, _ = integrate_oscillatory(one,
-                                       lambda s: -2e-10 * np.asarray(s, float),
-                                       lambda s: 3e-5 * np.asarray(s, float))
+        val, _ = integrate_oscillatory(_terms(*KERNELS["two_scale"]))
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_negative_margin_dirichlet(self):
-        one = lambda s: np.ones_like(np.asarray(s, float))
-        val, _ = integrate_oscillatory(one,
-                                       lambda s: 2e-10 * np.asarray(s, float),
-                                       lambda s: -3e-5 * np.asarray(s, float))
+        val, _ = integrate_oscillatory(_terms(*KERNELS["negative_margin"]))
         assert val == pytest.approx(-1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_block_march_equals_scalar_march(self, name):
+        val, err = integrate_oscillatory(_terms(*KERNELS[name]))
+        ref, ref_err = oscillatory_oracle(*KERNELS[name])
+        assert abs(val - ref) <= 1e-12
+        assert err == pytest.approx(ref_err, rel=1e-6, abs=1e-15)
+
+    def test_exhausted_budget_raises(self):
+        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3,
+                              tail_cutoff_envelope=1e-15)
+        with pytest.raises(QuadratureError) as err:
+            integrate_oscillatory(_terms(*KERNELS["arctan"]), spec)
+        assert math.isfinite(err.value.partial)
+        assert math.isfinite(err.value.error_bound)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_euler_closed_form_equals_loop(self, n):
+        # partial sums of the alternating series of log 2, shifted so that
+        # no value is near zero
+        sums = 1.0 + np.cumsum((-1.0) ** np.arange(n) / np.arange(1.0, n + 1.0))
+        val, spread = specfun._euler_accelerate(sums)
+        ref, ref_spread = euler_loop(sums)
+        assert abs(val - ref) <= 1e-15 * abs(ref)
+        assert abs(spread - ref_spread) <= 1e-15 * abs(ref)
 
 
 class TestQuadratureSpec:
