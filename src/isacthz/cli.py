@@ -111,7 +111,7 @@ def _cmd_abilities(args, system, deploy):
 
 def _cmd_pattern(args, system, deploy):
     req = PatternRequirement(d_max_req=args.d_max_req, v_max_req=args.v_max_req,
-                             n_rs=args.n_rs or system.n_rs)
+                             n_rs=system.n_rs if args.n_rs is None else args.n_rs)
     pat = optimal_pattern(req, system, deploy.theta_b)
     ab = sensing_ability(pat, replace(system, n_rs=req.n_rs), deploy.theta_b)
     header = ["alpha", "U", "V", "N_s", "N_f", "B_s", "T_s",

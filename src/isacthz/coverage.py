@@ -388,8 +388,8 @@ def coverage_sweep(r1_grid, threshold_grid, schemes, budget: LinkBudget,
     """Cross-product coverage table.
 
     abilities maps scheme name -> SensingAbility.  Returns a list of dict
-    rows (scheme, r1_m, threshold_db, p_ms, p_cm, p_cvp, abs_err); schemes
-    share the tabulated shot-noise field whenever their p_ms coincides.
+    rows (scheme, r1_m, threshold_db, p_ms, p_cm, p_cvp, abs_err).  One
+    tabulated shot-noise field per lower bound serves every scheme.
     """
     rows = []
     for scheme in schemes:

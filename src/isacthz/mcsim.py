@@ -268,13 +268,13 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
         raise ValueError("threshold must be > 0")
     if lower_bound_mode not in ("theorem", "derivation"):
         raise ValueError("lower_bound_mode must be 'theorem' or 'derivation'")
-    if window_radius is not None and not window_radius > 0.0:
-        raise ValueError("window_radius must be > 0")
-
-    p_ms = beam_misalignment(deploy, ability, system.tau).p_ms
     r_lo = 2.0 * deploy.r_b if lower_bound_mode == "theorem" else r1
     r_win = (default_window_radius(system, deploy, r1) if window_radius is None
              else window_radius)
+    if not r_win > r_lo:  # NaN included
+        raise ValueError("window_radius must exceed the lower-bound radius")
+
+    p_ms = beam_misalignment(deploy, ability, system.tau).p_ms
     duty = deploy.n_b * system.t_ssb / system.tau
     q_mark = (duty + (1.0 - duty) * p_ms) / (deploy.n_b * deploy.n_m)
     k_over_a = budget.k_abs / (deploy.n_b * deploy.n_m) * budget.a

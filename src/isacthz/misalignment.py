@@ -46,23 +46,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MisalignmentBreakdown:
-    """Misalignment probability with its two constituents and the Lemma
-    constants mu_g, w1, w2 used to build them."""
+    """Misalignment probability with its two constituents."""
 
     p_err: float
     p_to: float
     p_ms: float
-    mu_g: float
-    w1: float
-    w2: float
 
     def __post_init__(self):
         for name in ("p_err", "p_to", "p_ms"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {val}")
-        if self.mu_g < 0.0:
-            raise ValueError("mu_g must be >= 0")
 
 
 def beam_switch_density(deploy: Deployment) -> float:
@@ -187,14 +181,7 @@ def beam_misalignment(deploy: Deployment, ability: SensingAbility,
     reachable (not blocked); p_to is ability-independent.  The sum is a
     union bound and is capped at one.
     """
-    if deploy.lambda_b > 0.0:
-        w1, _, w2 = _lemma_constants(deploy)
-    else:
-        w1 = (deploy.lambda_s + deploy.lambda_m) * 2.0 * deploy.r_b
-        w2 = math.inf
     p_ve = speed_underestimate_probability(deploy, ability, tau)
     p_err = p_ve * (1.0 - expected_closest_blockage(deploy))
     p_to = timeout_probability(deploy)
-    return MisalignmentBreakdown(
-        p_err=p_err, p_to=p_to, p_ms=min(p_err + p_to, 1.0),
-        mu_g=beam_switch_density(deploy), w1=w1, w2=w2)
+    return MisalignmentBreakdown(p_err=p_err, p_to=p_to, p_ms=min(p_err + p_to, 1.0))

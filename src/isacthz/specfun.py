@@ -11,13 +11,15 @@ evaluation.  All integrand callables must accept numpy arrays (they are
 evaluated on batches of quadrature nodes).
 
 The finite and semi-infinite integrators march a whole batch of integrals
-in lockstep (`integrate_interval_batch`, `integrate_semi_infinite_batch`);
-the scalar `integrate_interval` and `integrate_semi_infinite` are batches
-of one.  A batched integrand is called as f(x, owner): x holds the 15
-Gauss-Kronrod nodes of each of P pending panels, shape (P, 15), and owner
-(shape (P,)) the batch member each panel belongs to.  It returns shape
-(C, P, 15), its C components on the leading axis; every component of a
-member is integrated over the same panels, each against its own
+in rounds of panel blocks (`integrate_interval_batch`,
+`integrate_semi_infinite_batch`); the scalar `integrate_interval` and
+`integrate_semi_infinite` are batches of one.  One refinement loop,
+`_refine`, bisects the panels of both marches and of the oscillatory
+integrator.  A batched integrand is called as f(x, owner): x holds the
+15 Gauss-Kronrod nodes of each of P pending panels, shape (P, 15), and
+owner (shape (P,)) the batch member each panel belongs to.  It returns
+shape (C, P, 15), its C components on the leading axis; every component
+of a member is integrated over the same panels, each against its own
 tolerance.
 """
 
@@ -141,25 +143,47 @@ _BLOCK = 16
 _BLOCK_EDGES = 2.0 ** np.arange(_BLOCK + 1) - 1.0
 
 
-def _block_panels(start, first, members, end=None):
-    """The _BLOCK panels of width first, 2 first, 4 first, ... from start for
-    each listed member, clipped to end when given (the last panel then
-    reaching it).  Returns (starts, ends, owners, slots)."""
-    edges = start[:, None] + first[:, None] * _BLOCK_EDGES
-    if end is not None:
-        edges = np.minimum(edges, end[:, None])
-        edges[:, -1] = end
-    return (edges[:, :-1].ravel(), edges[:, 1:].ravel(),
-            np.repeat(members, _BLOCK), np.tile(np.arange(_BLOCK), members.size))
+def _refine(f: Callable, pa, pb, owner, est, tols, budget):
+    """Refine the P panels [pa_j, pb_j], with Gauss-Kronrod estimates est (as
+    from _gk15_batch), in lockstep until every component's error beats its
+    tolerance in tols (C, P).  Each split is charged to budget[owner_j],
+    updated in place; an owner asking for more splits than it has left
+    accepts those panels unrefined and has spent its budget.  Returns the
+    (2, C, P) values and errors of the panels."""
+    comps, cells = tols.shape
+    cell, own = np.arange(cells), owner
+    done_cells, done_est = [], []
+    while True:
+        # a comparison per component: on a few panels, cheaper than a reduce
+        want = est[comps] > tols[0][cell]
+        for c in range(1, comps):
+            want |= est[comps + c] > tols[c][cell]
+        budget -= np.bincount(own[want], minlength=budget.size)
+        if budget.min() < 0:
+            short = budget < 0
+            want &= ~short[own]
+            budget[short] = 0
+        keep = ~want
+        done_cells.append(cell[keep])
+        done_est.append(est[:, keep])
+        if not want.any():
+            # rows 0..C-1 sum each panel's value, C..2C-1 its error
+            index = np.arange(2 * comps)[:, None] * cells + np.concatenate(done_cells)
+            return np.bincount(index.ravel(), weights=np.concatenate(done_est, axis=1).ravel(),
+                               minlength=2 * comps * cells).reshape(2, comps, cells)
+        sa, sb, cell = pa[want], pb[want], cell[want]
+        mid = 0.5 * (sa + sb)
+        pa, pb = np.concatenate((sa, mid)), np.concatenate((mid, sb))
+        cell = np.concatenate((cell, cell))
+        own = owner[cell]
+        est = _gk15_batch(f, pa, pb, own)
 
 
-def _open_tolerances(est, fresh, total, outer, spec):
-    """Tolerances (C, len(fresh), _BLOCK) of the blocks just opened, from
-    their root estimates: the last len(fresh) * _BLOCK panels of `est`."""
-    comps = total.shape[0]
-    roots = est[:comps, -fresh.size * _BLOCK:].reshape(comps, fresh.size, _BLOCK)
-    ahead = total[:, fresh, None] + np.cumsum(roots, axis=2) - roots
-    opening = outer[fresh] == 0
+def _open_tolerances(roots, live, total, outer, spec):
+    """Tolerances (C, len(live), _BLOCK) of the blocks just opened, from
+    their root estimates (C, len(live), _BLOCK)."""
+    ahead = total[:, live, None] + np.cumsum(roots, axis=2) - roots
+    opening = outer[live] == 0
     ahead[:, opening, 0] = roots[:, opening, 0]
     return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(ahead)) * 0.25
 
@@ -187,97 +211,74 @@ def _close_blocks(vals, errs, done, total, total_err, outer, streak, spec):
 
 def _march(f: Callable, lower, upper, max_splits: int, tol: float = 0.0,
            spec: QuadratureSpec | None = None) -> np.ndarray:
-    """Adaptive Gauss-Kronrod march of a batch of M members in lockstep.
+    """Adaptive Gauss-Kronrod march of a batch of M members, in rounds.
 
-    Each member's panels come in blocks of _BLOCK, of width 1, 2, 4, ...
-    Finite intervals (`upper` given) are one block clipped to [a, b], each
-    panel refined to the absolute tolerance `tol`.  Semi-infinite integrals
-    (`upper` None) march block after block from `lower`.  There each panel
-    is refined to max(abs_tol, rel_tol |reference|) / 4 per component; its
-    reference is the running total up to it, with the panels before it in
-    its block counted at their Gauss-Kronrod estimates, and for the very
-    first panel its own estimate.  Once a block is refined its panels are
-    taken in order, and a member stops at the first panel that makes two
-    consecutive, three panels at least, below spec.tail_cutoff_envelope
-    times the running total in every component; later panels are dropped.
-
-    Each step sends every pending panel of every member through one
-    integrand call.  A member whose pending splits exceed its remaining
-    budget of `max_splits` accepts them unrefined and has spent its budget.
+    Each round lays out one block of _BLOCK panels (width 1, 2, 4, ...) per
+    open member, evaluates them in one integrand call and refines them with
+    _refine; a member splits at most `max_splits` panels in all.  A finite
+    interval (`upper` given) is one block clipped to [a, b], each panel
+    refined to the absolute tolerance `tol`.  A semi-infinite member
+    marches block after block from `lower`, each panel refined to
+    max(abs_tol, rel_tol |reference|) / 4 per component, the reference
+    being the running total up to it with the panels before it in its block
+    at their estimates (for the very first panel, its own estimate).  It
+    stops at the first panel that makes two consecutive, three panels at
+    least, below spec.tail_cutoff_envelope times the running total in
+    every component.
 
     Returns the (C, M) integrals.  Raises QuadratureError for the first
-    member that has spent its budget (or, semi-infinite, passed 300 panels
-    without stopping) when its panels are complete, carrying its partial
-    value in the component with the largest error bound.
+    member of a round that has spent its budget (or, semi-infinite, passed
+    300 panels without stopping), with its partial value in the component
+    with the largest error bound.
     """
     a = np.array(lower, dtype=float).ravel()  # a copy: marched in place
     members = a.size
     semi = upper is None
+    end = None if semi else np.array(upper, dtype=float).ravel()
     first = np.ones(members)
-    fresh = np.arange(members)  # members whose block roots are pending
-    pa, pb, owner, slot = _block_panels(
-        a, first, fresh, None if semi else np.array(upper, dtype=float).ravel())
     budget = np.full(members, max_splits)
     outer = np.zeros(members, dtype=int)
     streak = np.zeros(members, dtype=int)
-    est = _gk15_batch(f, pa, pb, owner)
-    comps = est.shape[0] // 2
-    total = np.zeros((comps, members))
-    total_err = np.zeros_like(total)
-    tols = np.full((comps, members, _BLOCK), tol)
-    # rows 0..C-1 accumulate each open panel's value, C..2C-1 its error
-    acc = np.zeros((2 * comps, members, _BLOCK))
-    rows = np.arange(2 * comps)[:, None] * (members * _BLOCK)
+    live = np.arange(members)
+    total = total_err = None
     while True:
-        if semi and fresh.size:
-            tols[:, fresh] = _open_tolerances(est, fresh, total, outer, spec)
-            fresh = fresh[:0]
-        cell = owner * _BLOCK + slot
-        want = np.logical_or.reduce(est[comps:] > tols.reshape(comps, -1)[:, cell])
-        budget -= np.bincount(owner[want], minlength=members)
-        if budget.min() < 0:
-            short = budget < 0
-            want &= ~short[owner]
-            budget[short] = 0
-        keep = ~want
-        acc += np.bincount((rows + cell[keep]).ravel(), weights=est[:, keep].ravel(),
-                           minlength=acc.size).reshape(acc.shape)
-        sa, sb, so, sl = pa[want], pb[want], owner[want], slot[want]
-        mid = 0.5 * (sa + sb)
-        stepped = np.bincount(owner, minlength=members) > 0
-        stepped[so] = False
-        pa, pb = np.concatenate((sa, mid)), np.concatenate((mid, sb))
-        owner, slot = np.concatenate((so, so)), np.concatenate((sl, sl))
-        if stepped.any():  # these members have refined all their open panels
-            done = np.flatnonzero(stepped)
-            vals, errs = acc[:comps, done], acc[comps:, done]
-            acc[:, done] = 0.0
-            if semi:
-                finished, bound = _close_blocks(vals, errs, done, total, total_err,
-                                                outer, streak, spec)
-                failed = (budget[done] <= 0) | (~finished & (outer[done] > 300))
-            else:
-                total[:, done] = vals.sum(axis=2)
-                total_err[:, done] = bound = errs.sum(axis=2)
-                failed = budget[done] <= 0
-                finished = ~failed
-            if failed.any():
-                j = int(np.argmax(failed))
-                c = int(np.argmax(bound[:, j]))
-                raise QuadratureError(
-                    f"{'semi-infinite' if semi else 'interval'} quadrature did not "
-                    f"converge (member {done[j]} of {members})",
-                    float(total[c, done[j]]), float(bound[c, j]))
-            fresh = done[~finished]
-            if fresh.size:
-                a[fresh] += first[fresh] * _BLOCK_EDGES[-1]
-                first[fresh] *= 2.0 ** _BLOCK
-                ga, gb, go, gs = _block_panels(a[fresh], first[fresh], fresh)
-                pa, pb = np.concatenate((pa, ga)), np.concatenate((pb, gb))
-                owner, slot = np.concatenate((owner, go)), np.concatenate((slot, gs))
-        if not pa.size:
-            return total
+        # blocks of width first, 2 first, 4 first, ... from a; a finite batch
+        # closes in its first round, its blocks clipped to [a, b]
+        edges = a[live, None] + first[live, None] * _BLOCK_EDGES
+        if not semi:
+            edges = np.minimum(edges, end[:, None])
+            edges[:, -1] = end
+        pa, pb, owner = edges[:, :-1].ravel(), edges[:, 1:].ravel(), np.repeat(live, _BLOCK)
         est = _gk15_batch(f, pa, pb, owner)
+        comps = est.shape[0] // 2
+        if total is None:
+            total, total_err = np.zeros((2, comps, members))
+        roots = est[:comps].reshape(comps, live.size, _BLOCK)
+        tols = (_open_tolerances(roots, live, total, outer, spec) if semi
+                else np.full(roots.shape, tol))
+        vals, errs = _refine(f, pa, pb, owner, est, tols.reshape(comps, -1),
+                             budget).reshape(2, comps, live.size, _BLOCK)
+        if semi:
+            finished, bound = _close_blocks(vals, errs, live, total, total_err,
+                                            outer, streak, spec)
+            failed = (budget[live] <= 0) | (~finished & (outer[live] > 300))
+        else:
+            total[:, live] = vals.sum(axis=2)
+            total_err[:, live] = bound = errs.sum(axis=2)
+            failed = budget[live] <= 0
+            finished = ~failed
+        if failed.any():
+            j = int(np.argmax(failed))
+            c = int(np.argmax(bound[:, j]))
+            raise QuadratureError(
+                f"{'semi-infinite' if semi else 'interval'} quadrature did not "
+                f"converge (member {live[j]} of {members})",
+                float(total[c, live[j]]), float(bound[c, j]))
+        live = live[~finished]
+        if not live.size:
+            return total
+        a[live] += first[live] * _BLOCK_EDGES[-1]
+        first[live] *= 2.0 ** _BLOCK
 
 
 def _one(f: Callable) -> Callable:
@@ -373,34 +374,6 @@ def _alternating(vals):
     return flips >= 0.6 * (len(recent) - 1)
 
 
-def _refine(f: Callable, pa, pb, est, tols, budget: int):
-    """Refine the panels [pa_j, pb_j], with Gauss-Kronrod estimates est (as
-    from _gk15_batch), in lockstep until each error beats tols_j, splitting
-    at most `budget` times; a step asking for more accepts its panels
-    unrefined and spends the budget.  Returns the panels' values and
-    errors and the splits left."""
-    cell = np.arange(pa.size)
-    done_cells, done_est = [], []
-    while True:
-        want = est[1] > tols[cell]
-        budget -= np.count_nonzero(want)
-        if budget < 0:
-            want[:] = False
-            budget = 0
-        done_cells.append(cell[~want])
-        done_est.append(est[:, ~want])
-        if not want.any():
-            cells = np.concatenate(done_cells)
-            vals, errs = (np.bincount(cells, weights=w, minlength=tols.size)
-                          for w in np.concatenate(done_est, axis=1))
-            return vals, errs, budget
-        sa, sb, sc = pa[want], pb[want], cell[want]
-        mid = 0.5 * (sa + sb)
-        pa, pb, cell = (np.concatenate((sa, mid)), np.concatenate((mid, sb)),
-                        np.concatenate((sc, sc)))
-        est = _gk15_batch(f, pa, pb, cell)
-
-
 def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
                         lower: float):
     """D(phi) = int_lower^inf envelope(s) sin(phi(s)) / (pi s) ds, with
@@ -429,7 +402,8 @@ def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
     big = np.abs(t[which][1:]) > 1.0
     h = max(_PROBE_S[np.argmax(big) if big.any() else -1] / 4.0, 1e-300)
     env_ref = max(abs(float(terms(a + h)[0])), 1e-300)
-    budget = spec.max_subdivisions
+    budget = np.array([spec.max_subdivisions])
+    owner = np.zeros(_BLOCK, dtype=int)
     partial, sums, vals, stable = 0.0, [], [], 0
     while True:
         edges, envs, widths = [a], [], []
@@ -448,11 +422,11 @@ def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
                 h = min(max(math.pi / slope, 0.25 * h), 4.0 * h)
             a, phi_a = b, phi_b
         pa, pb = np.array(edges[:-1]), np.array(edges[1:])
-        roots = _gk15_batch(integrand, pa, pb, np.arange(_BLOCK))
+        roots = _gk15_batch(integrand, pa, pb, owner)
         ahead = np.abs(partial + np.cumsum(roots[0]) - roots[0])
-        panel_vals, panel_errs, budget = _refine(
-            integrand, pa, pb, roots,
-            np.maximum(spec.abs_tol, spec.rel_tol * ahead) * 0.1, budget)
+        (panel_vals,), (panel_errs,) = _refine(
+            integrand, pa, pb, owner, roots,
+            (np.maximum(spec.abs_tol, spec.rel_tol * ahead) * 0.1)[None], budget)
         for val, err, b, env_b, h_b in zip(panel_vals.tolist(), panel_errs.tolist(),
                                            edges[1:], envs, widths):
             partial += val
@@ -482,9 +456,9 @@ def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
                 # envelope dead: the raw sum is the value; bound the lost tail
                 bound = env_b * 2.0 / (math.pi * max(b, 1e-300)) * h_b
                 done = (est, est_err + bound) if oscillating else (partial, err + bound)
-            if done is not None and budget > 0:
+            if done is not None and budget[0] > 0:
                 return done
-            if budget <= 0 or len(vals) >= spec.max_subdivisions:
+            if budget[0] <= 0 or len(vals) >= spec.max_subdivisions:
                 raise QuadratureError(
                     "oscillatory quadrature did not converge", est, max(est_err, abs(val)))
 

@@ -50,6 +50,12 @@ class TestPattern:
                      "--out", str(tmp_path / "p.csv")])
         assert code == 2
 
+    def test_zero_reference_signals_rejected(self, tmp_path):
+        # 0 used to fall back to the configured n_rs
+        code = main(["pattern", "--d-max-req", "30", "--v-max-req", "20",
+                     "--n-rs", "0", "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+
 
 class TestMisalign:
     def test_sweep_rows(self):
@@ -95,6 +101,14 @@ class TestSimulate:
         code = main(["simulate", "--what", "coverage", "--trials", "100",
                      "--window-m", "0", "--out", str(tmp_path / "w.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("window", ["30", "40"])
+    def test_window_must_exceed_lower_bound(self, tmp_path, capsys, window):
+        code = main(["simulate", "--what", "coverage", "--trials", "100",
+                     "--lower-bound", "derivation", "--r1-m", "40",
+                     "--window-m", window, "--out", str(tmp_path / "w.csv")])
+        assert code == 2
+        assert "lower-bound radius" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "r1.csv", tmp_path / "r2.csv"

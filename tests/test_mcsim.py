@@ -203,6 +203,17 @@ class TestCoverageEstimator:
                 estimate_coverage(DEP, BUD, SYS, ability, 20.0, 1.0, 100, 1,
                                   window_radius=window)
 
+    def test_window_must_exceed_lower_bound(self):
+        # at or inside the lower-bound radius the annulus is empty or negative
+        ability = scheme_ability("perfect", SYS, DEP)
+        for mode, r1, window in (("theorem", 20.0, 2.0 * DEP.r_b),
+                                 ("theorem", 20.0, 0.5 * DEP.r_b),
+                                 ("derivation", 40.0, 40.0),
+                                 ("derivation", 40.0, 30.0)):
+            with pytest.raises(ValueError, match="lower-bound radius"):
+                estimate_coverage(DEP, BUD, SYS, ability, r1, 1.0, 100, 1,
+                                  lower_bound_mode=mode, window_radius=window)
+
 
 class TestPinnedStream:
     """Estimates recorded at a fixed seed; the sampler's draw order is part

@@ -248,6 +248,20 @@ class TestBatch:
             single = integrate_semi_infinite(self._decay(k), lo)
             assert abs(batch[0, m] - single) <= 1e-15 * abs(single)
 
+    def test_members_closing_in_different_rounds(self):
+        # e^-x dies within the first block; (1 + x)^-3 still adds more than
+        # the tail cutoff beyond it and needs a second round
+        decays = (lambda x: np.exp(-x), lambda x: (1.0 + x) ** -3.0)
+
+        def f(x, owner):
+            return np.where(owner[:, None] == 0, decays[0](x), decays[1](x))[None]
+
+        batch = integrate_semi_infinite_batch(f, np.zeros(2))
+        for m, g in enumerate(decays):
+            single = integrate_semi_infinite(g, 0.0)
+            assert abs(batch[0, m] - single) <= 1e-15 * abs(single)
+        assert batch[0] == pytest.approx([1.0, 0.5], rel=1e-10)
+
     def test_interval_batch_equals_single_calls(self):
         freqs = self.RATES * 10.0
         ends = self.STARTS + np.array([0.5, 40.0, 3.0, 20.0, 7.5])
