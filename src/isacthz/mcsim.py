@@ -3,9 +3,9 @@
 Every analytical quantity in the package has a counterpart here that is
 estimated from Poisson point process draws and explicit corridor geometry
 rather than from the closed forms.  Estimators are deterministic in
-(seed, parameters, trials): work is cut into fixed-size batches and each
-batch consumes its own substream spawned from the master seed, so an
-estimate depends only on those three inputs.
+(seed, parameters, trials): work is cut into fixed-size batches, each on
+its own substream spawned from the master seed.  A link-estimator batch
+holds `_BATCH` trials, a coverage batch about `_NODE_BUDGET` nodes.
 
 Blockage geometry: a link of length r is blocked when some obstacle
 centre falls inside the rectangle of width 2 r_b around the segment
@@ -13,6 +13,15 @@ whose longitudinal extent is (r_b, r - r_b) (area 2 r_b (r - 2 r_b), the
 exact void-probability exponent of the analytic model).  One corridor
 test, `_blocked_bulk`, serves every estimator; an endpoint lies at
 longitudinal offset 0 or r and so never blocks its own link.
+
+Only what that test can see is sampled.  By the restriction property,
+a PPP's points in a region are Poisson(density * area) uniform draws
+independent of the rest of the plane: a link's obstacles are drawn in
+its frame box [0, r] x (-r_b, r_b), two links sharing one field draw
+the union of their boxes once.  By independent thinning, a coverage
+trial's marked nodes number Binomial(nodes, q_mark) and, its nodes being
+i.i.d., its first nodes serve as them; only trials holding one draw
+angles and a user/blocker disc around their corridors.
 
 The timeout estimator defaults to drawing an independent obstacle field
 per link.  The analytic timeout multiplies the two void probabilities,
@@ -34,17 +43,12 @@ from .config import Deployment, SystemParams
 from .misalignment import beam_misalignment, beam_switch_density
 from .sensing import SensingAbility
 
-__all__ = [
-    "McEstimate",
-    "estimate_blockage",
-    "estimate_timeout",
-    "estimate_misalignment",
-    "estimate_coverage",
-    "nearest_two_distances",
-    "default_window_radius",
-]
+__all__ = ["McEstimate", "estimate_blockage", "estimate_timeout",
+           "estimate_misalignment", "estimate_coverage",
+           "nearest_two_distances", "default_window_radius"]
 
 _BATCH = 8192
+_NODE_BUDGET = 2_700_000  # expected nodes per estimate_coverage batch
 
 
 @dataclass(frozen=True)
@@ -75,20 +79,18 @@ class McEstimate:
         return (self.mean - reference) / self.std_error
 
 
-def _batches(trials: int, seed: int):
+def _batches(trials: int, seed: int, size: int = _BATCH):
     """Yield (rng, size) per fixed-size batch, each on its own substream."""
-    n_batches = (trials + _BATCH - 1) // _BATCH
+    n_batches = (trials + size - 1) // size
     seqs = np.random.SeedSequence(seed).spawn(n_batches)
     for k, seq in enumerate(seqs):
-        yield np.random.default_rng(seq), min(_BATCH, trials - k * _BATCH)
+        yield np.random.default_rng(seq), min(size, trials - k * size)
 
 
 def _ppp_disc(rng, density: float, radius: float) -> np.ndarray:
     """Homogeneous PPP on the disc r <= radius."""
     area = math.pi * radius ** 2
     n = rng.poisson(density * area) if density > 0.0 and area > 0.0 else 0
-    if n == 0:
-        return np.empty((0, 2))
     rr = np.sqrt(rng.random(n) * radius ** 2)
     th = 2.0 * math.pi * rng.random(n)
     return np.column_stack([rr * np.cos(th), rr * np.sin(th)])
@@ -112,16 +114,35 @@ def _blocked_bulk(obs_x, obs_y, counts, bs_x, bs_y, r_b):
     return np.bincount(idx[hit], minlength=n_trials) > 0
 
 
-def _obstacle_field(rng, density: float, radii: np.ndarray):
-    """Per-trial PPP discs with individual radii; returns flat coords + counts."""
-    means = density * math.pi * radii ** 2
-    counts = rng.poisson(means)
+def _link_box(rng, density: float, r: np.ndarray, r_b: float):
+    """PPP on each link's frame box [0, r] x (-r_b, r_b), the link running
+    from the origin to (r, 0); returns flat coords grouped by link + counts."""
+    counts = rng.poisson(density * 2.0 * r_b * r)
     total = int(counts.sum())
-    if total == 0:
-        return (np.empty(0), np.empty(0), counts)
-    rad = np.repeat(radii, counts) * np.sqrt(rng.random(total))
-    ang = 2.0 * math.pi * rng.random(total)
-    return rad * np.cos(ang), rad * np.sin(ang), counts
+    lon = np.repeat(r, counts) * rng.random(total)
+    return lon, r_b * (2.0 * rng.random(total) - 1.0), counts
+
+
+def _union_boxes(rng, density: float, r12, a12, r_b: float):
+    """One PPP on the union of both links' boxes, in world coordinates: box 2
+    drops its points inside box 1.  Returns coords grouped by trial + counts."""
+    xs, ys, owners = [], [], []
+    for k in (0, 1):
+        lon, lat, counts = _link_box(rng, density, r12[:, k], r_b)
+        t = np.repeat(np.arange(counts.size), counts)
+        c, s = np.cos(a12[t, k]), np.sin(a12[t, k])
+        x, y = lon * c - lat * s, lon * s + lat * c
+        if k == 1:
+            c, s = np.cos(a12[t, 0]), np.sin(a12[t, 0])
+            lon = x * c + y * s
+            keep = ~((np.abs(y * c - x * s) < r_b) & (lon >= 0.0)
+                     & (lon <= r12[t, 0]))
+            x, y, t = x[keep], y[keep], t[keep]
+        xs.append(x), ys.append(y), owners.append(t)
+    t = np.concatenate(owners)
+    order = np.argsort(t, kind="stable")
+    return (np.concatenate(xs)[order], np.concatenate(ys)[order],
+            np.bincount(t, minlength=r12.shape[0]))
 
 
 def estimate_blockage(deploy: Deployment, r: float, trials: int,
@@ -136,11 +157,9 @@ def estimate_blockage(deploy: Deployment, r: float, trials: int,
     density = deploy.lambda_m + deploy.lambda_s
     hits = 0
     for rng, b in _batches(trials, seed):
-        radii = np.full(b, r + deploy.r_b)
-        ox, oy, counts = _obstacle_field(rng, density, radii)
-        blocked = _blocked_bulk(ox, oy, counts,
-                                np.full(b, r), np.zeros(b), deploy.r_b)
-        hits += int(blocked.sum())
+        links = np.full(b, r)
+        hits += int(_blocked_bulk(*_link_box(rng, density, links, deploy.r_b),
+                                  links, np.zeros(b), deploy.r_b).sum())
     return McEstimate.from_hits(hits, trials)
 
 
@@ -152,19 +171,12 @@ def _nearest_two_batch(rng, deploy: Deployment, b: int):
     counts = rng.poisson(mean, size=b)
     counts = np.maximum(counts, 2)  # probability ~1e-9 guard, keeps shapes sane
     max_n = int(counts.max())
-    u = rng.random((b, max_n))
-    rad = r_win * np.sqrt(u)
+    rad = r_win * np.sqrt(rng.random((b, max_n)))
     ang = 2.0 * math.pi * rng.random((b, max_n))
-    col = np.arange(max_n)
-    rad = np.where(col[None, :] < counts[:, None], rad, np.inf)
-    order = np.argpartition(rad, 1, axis=1)[:, :2]
+    rad = np.where(np.arange(max_n) < counts[:, None], rad, np.inf)
+    order = np.argpartition(rad, (0, 1), axis=1)[:, :2]  # nearest first
     rows = np.arange(b)[:, None]
-    r12 = rad[rows, order]
-    a12 = ang[rows, order]
-    swap = r12[:, 0] > r12[:, 1]
-    r12[swap] = r12[swap][:, ::-1]
-    a12[swap] = a12[swap][:, ::-1]
-    return r12, a12
+    return rad[rows, order], ang[rows, order]
 
 
 def nearest_two_distances(deploy: Deployment, samples: int, seed: int):
@@ -189,17 +201,16 @@ def estimate_timeout(deploy: Deployment, trials: int, seed: int,
     hits = 0
     for rng, b in _batches(trials, seed):
         r12, a12 = _nearest_two_batch(rng, deploy, b)
-        b1x, b1y = r12[:, 0] * np.cos(a12[:, 0]), r12[:, 0] * np.sin(a12[:, 0])
-        b2x, b2y = r12[:, 1] * np.cos(a12[:, 1]), r12[:, 1] * np.sin(a12[:, 1])
-        radii = r12[:, 1] + deploy.r_b
-        ox, oy, counts = _obstacle_field(rng, density, radii)
-        blocked1 = _blocked_bulk(ox, oy, counts, b1x, b1y, deploy.r_b)
         if shared_obstacles:
-            blocked2 = _blocked_bulk(ox, oy, counts, b2x, b2y, deploy.r_b)
+            field = _union_boxes(rng, density, r12, a12, deploy.r_b)
+            bx, by = r12 * np.cos(a12), r12 * np.sin(a12)
+            blocked = [_blocked_bulk(*field, bx[:, k], by[:, k], deploy.r_b)
+                       for k in (0, 1)]
         else:
-            ox2, oy2, counts2 = _obstacle_field(rng, density, radii)
-            blocked2 = _blocked_bulk(ox2, oy2, counts2, b2x, b2y, deploy.r_b)
-        hits += int((blocked1 & blocked2).sum())
+            blocked = [_blocked_bulk(
+                *_link_box(rng, density, r12[:, k], deploy.r_b),
+                r12[:, k], np.zeros(b), deploy.r_b) for k in (0, 1)]
+        hits += int((blocked[0] & blocked[1]).sum())
     return McEstimate.from_hits(hits, trials)
 
 
@@ -216,25 +227,19 @@ def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
     density = deploy.lambda_m + deploy.lambda_s
     lo = max((deploy.v - ability.delta_v) * tau - ability.delta_db, 0.0)
     hi = deploy.v * tau
-
     hits = 0
     for rng, b in _batches(trials, seed):
         d_b = rng.exponential(1.0 / mu_g, size=b)
         miss = (d_b > lo) & (d_b < hi)
-        r12, a12 = _nearest_two_batch(rng, deploy, b)
-        b1x, b1y = r12[:, 0] * np.cos(a12[:, 0]), r12[:, 0] * np.sin(a12[:, 0])
-        ox, oy, counts = _obstacle_field(rng, density, r12[:, 0] + deploy.r_b)
-        blocked1 = _blocked_bulk(ox, oy, counts, b1x, b1y, deploy.r_b)
+        r1 = _nearest_two_batch(rng, deploy, b)[0][:, 0]
+        blocked1 = _blocked_bulk(*_link_box(rng, density, r1, deploy.r_b),
+                                 r1, np.zeros(b), deploy.r_b)
         hits += int((miss & ~blocked1).sum())
     err = McEstimate.from_hits(hits, trials)
     to = estimate_timeout(deploy, trials, seed + 1)
     p_ms = min(err.mean + to.mean, 1.0)
     se = math.sqrt(err.std_error ** 2 + to.std_error ** 2)
-    return {
-        "p_err": err,
-        "p_to": to,
-        "p_ms": McEstimate(p_ms, se, trials),
-    }
+    return {"p_err": err, "p_to": to, "p_ms": McEstimate(p_ms, se, trials)}
 
 
 def default_window_radius(system: SystemParams, deploy: Deployment,
@@ -243,7 +248,7 @@ def default_window_radius(system: SystemParams, deploy: Deployment,
     reach = 14.0 / max(system.k_abs, 1e-2)
     lam = deploy.lambda_b + deploy.lambda_m + deploy.lambda_s
     reach = max(reach, 5.0 / max(2.0 * lam * deploy.r_b, 1e-3))
-    return min(max(60.0, r1 + 20.0, reach), 1500.0)
+    return max(min(max(60.0, reach), 1500.0), r1 + 20.0)
 
 
 def estimate_coverage(deploy: Deployment, budget: LinkBudget,
@@ -280,45 +285,39 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
     k_over_a = budget.k_abs / (deploy.n_b * deploy.n_m) * budget.a
     margin = received_power(budget, r1) / threshold - \
         effective_noise(budget, deploy, system, r1)
-    obstacle_density = deploy.lambda_m + deploy.lambda_s
+    density = deploy.lambda_m + deploy.lambda_s
 
+    area = math.pi * (r_win ** 2 - r_lo ** 2)
+    size = max(1, int(_NODE_BUDGET // max(deploy.lambda_b * area, 1.0)))
     hits = 0
-    for rng, b in _batches(trials, seed):
-        counts = rng.poisson(deploy.lambda_b * math.pi * (r_win ** 2 - r_lo ** 2),
-                             size=b)
-        total = int(counts.sum())
-        rad = np.sqrt(rng.random(total) * (r_win ** 2 - r_lo ** 2) + r_lo ** 2)
-        ang = 2.0 * math.pi * rng.random(total)
-        idx = np.repeat(np.arange(b), counts)
-        # absorption re-radiation weights, built in place to keep the
-        # batch's node-sized temporaries down to one
+    for rng, b in _batches(trials, seed, size):
+        counts = rng.poisson(deploy.lambda_b * area, size=b)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        rad2 = rng.random(int(ends[-1])) * (r_win ** 2 - r_lo ** 2) + r_lo ** 2
+        rad = np.sqrt(rad2)
+        # absorption re-radiation weights, summed over each trial's slice
         g = np.exp(-budget.k_abs * rad)
-        g *= rad ** -2
-        g *= k_over_a
-        i_eff = np.bincount(idx, weights=g, minlength=b)
-        del g
-
-        marks = rng.random(total) < q_mark
+        g /= rad2
+        i_eff = np.zeros(b)
+        busy = counts > 0  # reduceat cannot express an empty slice
+        i_eff[busy] = k_over_a * np.add.reduceat(g, starts[busy])
+        del g, rad2
+        # trial t's first m[t] nodes are its marked candidates; angles and
+        # the user/blocker disc are drawn per such trial, in trial order
+        m = rng.binomial(counts, q_mark)
         aligned = rng.random(b) >= p_ms
-
-        if np.any(marks):
-            # corridor test only for the rare marked candidates; trial t
-            # owns the nodes [starts[t], starts[t + 1]) and draws its own
-            # user/blocker field, in ascending trial order
-            starts = np.concatenate(([0], np.cumsum(counts)))
-            for t in np.unique(idx[marks]):
-                lo, hi = starts[t], starts[t + 1]
-                x = rad[lo:hi] * np.cos(ang[lo:hi])
-                y = rad[lo:hi] * np.sin(ang[lo:hi])
-                others = _ppp_disc(rng, obstacle_density, r_win)
-                obs_x = np.concatenate([x, [r1], others[:, 0]])
-                obs_y = np.concatenate([y, [0.0], others[:, 1]])
-                cand = np.flatnonzero(marks[lo:hi])
-                blocked = _blocked_bulk(
-                    np.tile(obs_x, cand.size), np.tile(obs_y, cand.size),
-                    np.full(cand.size, obs_x.size), x[cand], y[cand], deploy.r_b)
-                for r_j in rad[lo:hi][cand[~blocked]]:
-                    i_eff[t] += budget.a * r_j ** -2 * math.exp(-budget.k_abs * r_j)
-
+        for t, c in zip(np.flatnonzero(m), m[m > 0]):
+            r_t = rad[starts[t]:ends[t]]
+            ang = 2.0 * math.pi * rng.random(r_t.size)
+            x, y = r_t * np.cos(ang), r_t * np.sin(ang)
+            others = _ppp_disc(rng, density, r_t[:c].max() + deploy.r_b)
+            obs_x = np.concatenate([x, [r1], others[:, 0]])
+            obs_y = np.concatenate([y, [0.0], others[:, 1]])
+            blocked = _blocked_bulk(np.tile(obs_x, c), np.tile(obs_y, c),
+                                    np.full(c, obs_x.size), x[:c], y[:c],
+                                    deploy.r_b)
+            r_j = r_t[:c][~blocked]
+            i_eff[t] += budget.a * np.sum(np.exp(-budget.k_abs * r_j) / r_j ** 2)
         hits += int((aligned & (i_eff < margin)).sum())
     return McEstimate.from_hits(hits, trials)
