@@ -19,8 +19,8 @@ a PPP's points in a region are Poisson(density * area) uniform draws
 independent of the rest of the plane: a link's obstacles are drawn in
 its frame box [0, r] x (-r_b, r_b), two links sharing one field draw
 the union of their boxes once.  By independent thinning, a coverage
-trial's marked nodes number Binomial(nodes, q_mark) and, its nodes being
-i.i.d., its first nodes serve as them; only trials holding one draw
+trial holds Binomial(nodes, q_mark) marked nodes, and as its nodes are
+i.i.d. its first ones can stand for them; only trials holding one draw
 angles and a user/blocker disc around their corridors.
 
 The timeout estimator defaults to drawing an independent obstacle field
