@@ -31,7 +31,6 @@ __all__ = [
     "absorption_at",
     "bundled_absorption_table",
     "dbm_to_watts",
-    "watts_to_dbm",
     "kmh_to_mps",
 ]
 
@@ -46,10 +45,6 @@ class ConfigError(ValueError):
 
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
-
-
-def watts_to_dbm(p_w: float) -> float:
-    return 10.0 * math.log10(p_w / 1e-3)
 
 
 def kmh_to_mps(v_kmh: float) -> float:

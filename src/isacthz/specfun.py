@@ -1,8 +1,8 @@
 """Quadrature primitives shared by the analytical modules.
 
-Everything here is pure and stateless: adaptive Gauss-Kronrod integrators
-for finite intervals and for semi-infinite integrands with decaying tails,
-and a panel-marching integrator for oscillatory kernels of the form
+Everything here is pure and stateless: an adaptive Gauss-Kronrod
+integrator for semi-infinite integrands with decaying tails, and a
+panel-marching integrator for oscillatory kernels of the form
 
     envelope(s) * [sin(phi2(s)) - sin(phi1(s))] / (pi * s),
 
@@ -10,11 +10,10 @@ whose three terms come from one callable, so each node set costs one
 evaluation.  All integrand callables must accept numpy arrays (they are
 evaluated on batches of quadrature nodes).
 
-The finite and semi-infinite integrators march a whole batch of integrals
-in rounds of panel blocks (`integrate_interval_batch`,
-`integrate_semi_infinite_batch`); the scalar `integrate_interval` and
-`integrate_semi_infinite` are batches of one.  One refinement loop,
-`_refine`, bisects the panels of both marches and of the oscillatory
+The one batch integrator, `integrate_semi_infinite_batch`, marches a
+whole batch of tails in rounds of panel blocks; the scalar
+`integrate_semi_infinite` is a batch of one.  One refinement loop,
+`_refine`, bisects the panels of that march and of the oscillatory
 integrator.  A batched integrand is called as f(x, owner): x holds the
 15 Gauss-Kronrod nodes of each of P pending panels, shape (P, 15), and
 owner (shape (P,)) the batch member each panel belongs to.  It returns
@@ -34,8 +33,6 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
-    "integrate_interval",
-    "integrate_interval_batch",
     "integrate_semi_infinite",
     "integrate_semi_infinite_batch",
     "integrate_oscillatory",
@@ -209,70 +206,54 @@ def _close_blocks(vals, errs, done, total, total_err, outer, streak, spec):
     return finished, total_err[:, done] + np.abs(vals[pick])
 
 
-def _march(f: Callable, lower, upper, max_splits: int, tol: float = 0.0,
-           spec: QuadratureSpec | None = None) -> np.ndarray:
-    """Adaptive Gauss-Kronrod march of a batch of M members, in rounds.
+def _march(f: Callable, lower, spec: QuadratureSpec) -> np.ndarray:
+    """Adaptive Gauss-Kronrod march of a batch of M members over [lower_m, inf).
 
     Each round lays out one block of _BLOCK panels (width 1, 2, 4, ...) per
     open member, evaluates them in one integrand call and refines them with
-    _refine; a member splits at most `max_splits` panels in all.  A finite
-    interval (`upper` given) is one block clipped to [a, b], each panel
-    refined to the absolute tolerance `tol`.  A semi-infinite member
-    marches block after block from `lower`, each panel refined to
-    max(abs_tol, rel_tol |reference|) / 4 per component, the reference
-    being the running total up to it with the panels before it in its block
-    at their estimates (for the very first panel, its own estimate).  It
-    stops at the first panel that makes two consecutive, three panels at
-    least, below spec.tail_cutoff_envelope times the running total in
-    every component.
+    _refine; a member splits at most spec.max_subdivisions panels in all.
+    Each panel is refined to max(abs_tol, rel_tol |reference|) / 4 per
+    component, the reference being the running total up to it with the
+    panels before it in its block at their estimates (for the very first
+    panel, its own estimate).  A member stops at the first panel that makes
+    two consecutive, three panels at least, below spec.tail_cutoff_envelope
+    times the running total in every component.
 
-    Returns the (C, M) integrals.  Raises QuadratureError for the first
-    member of a round that has spent its budget (or, semi-infinite, passed
-    300 panels without stopping), with its partial value in the component
-    with the largest error bound.
+    Returns the (C, M) integrals.  Raises ValueError for an empty batch and
+    QuadratureError for the first member of a round that has spent its
+    budget or passed 300 panels without stopping, with its partial value in
+    the component with the largest error bound.
     """
     a = np.array(lower, dtype=float).ravel()  # a copy: marched in place
     members = a.size
-    semi = upper is None
-    end = None if semi else np.array(upper, dtype=float).ravel()
+    if not members:
+        raise ValueError("empty batch: no lower bound to integrate from")
     first = np.ones(members)
-    budget = np.full(members, max_splits)
+    budget = np.full(members, spec.max_subdivisions)
     outer = np.zeros(members, dtype=int)
     streak = np.zeros(members, dtype=int)
     live = np.arange(members)
     total = total_err = None
     while True:
-        # blocks of width first, 2 first, 4 first, ... from a; a finite batch
-        # closes in its first round, its blocks clipped to [a, b]
+        # blocks of width first, 2 first, 4 first, ... from a
         edges = a[live, None] + first[live, None] * _BLOCK_EDGES
-        if not semi:
-            edges = np.minimum(edges, end[:, None])
-            edges[:, -1] = end
         pa, pb, owner = edges[:, :-1].ravel(), edges[:, 1:].ravel(), np.repeat(live, _BLOCK)
         est = _gk15_batch(f, pa, pb, owner)
         comps = est.shape[0] // 2
         if total is None:
             total, total_err = np.zeros((2, comps, members))
         roots = est[:comps].reshape(comps, live.size, _BLOCK)
-        tols = (_open_tolerances(roots, live, total, outer, spec) if semi
-                else np.full(roots.shape, tol))
+        tols = _open_tolerances(roots, live, total, outer, spec)
         vals, errs = _refine(f, pa, pb, owner, est, tols.reshape(comps, -1),
                              budget).reshape(2, comps, live.size, _BLOCK)
-        if semi:
-            finished, bound = _close_blocks(vals, errs, live, total, total_err,
-                                            outer, streak, spec)
-            failed = (budget[live] <= 0) | (~finished & (outer[live] > 300))
-        else:
-            total[:, live] = vals.sum(axis=2)
-            total_err[:, live] = bound = errs.sum(axis=2)
-            failed = budget[live] <= 0
-            finished = ~failed
+        finished, bound = _close_blocks(vals, errs, live, total, total_err,
+                                        outer, streak, spec)
+        failed = (budget[live] <= 0) | (~finished & (outer[live] > 300))
         if failed.any():
             j = int(np.argmax(failed))
             c = int(np.argmax(bound[:, j]))
             raise QuadratureError(
-                f"{'semi-infinite' if semi else 'interval'} quadrature did not "
-                f"converge (member {live[j]} of {members})",
+                f"semi-infinite quadrature did not converge (member {live[j]} of {members})",
                 float(total[c, live[j]]), float(bound[c, j]))
         live = live[~finished]
         if not live.size:
@@ -288,20 +269,6 @@ def _one(f: Callable) -> Callable:
     return batched
 
 
-def integrate_interval_batch(f: Callable, a, b, tol: float = 1e-12,
-                             max_splits: int = 2000) -> np.ndarray:
-    """Batched integrals of f over the finite intervals [a_m, b_m].
-
-    f follows the batched integrand contract of the module docstring;
-    every component is refined to the absolute tolerance tol, and each
-    member may split max_splits panels.  Returns the (C, M) integrals.
-
-    Raises QuadratureError (carrying a partial value and an error bound)
-    once any member spends its budget.
-    """
-    return _march(f, a, b, max_splits, tol=tol)
-
-
 def integrate_semi_infinite_batch(f: Callable, lower,
                                   spec: QuadratureSpec = DEFAULT_QUADRATURE
                                   ) -> np.ndarray:
@@ -313,21 +280,11 @@ def integrate_semi_infinite_batch(f: Callable, lower,
     consecutive panels fall below spec.tail_cutoff_envelope relative to its
     running estimate.  Returns the (C, M) integrals.
 
-    Raises QuadratureError (carrying a partial value and an error bound)
-    if any member exhausts its subdivision budget before its tail dies out.
+    Raises ValueError for an empty batch, and QuadratureError (carrying a
+    partial value and an error bound) if any member exhausts its
+    subdivision budget before its tail dies out.
     """
-    return _march(f, lower, None, spec.max_subdivisions, spec=spec)
-
-
-def integrate_interval(f: Callable, a: float, b: float, tol: float = 1e-12,
-                       max_splits: int = 2000) -> float:
-    """Adaptive Gauss-Kronrod integral of f over the finite interval [a, b]:
-    a batch of one of integrate_interval_batch.
-
-    Raises QuadratureError (carrying the partial value and an error bound)
-    once the max_splits budget is spent.
-    """
-    return float(integrate_interval_batch(_one(f), a, b, tol, max_splits)[0, 0])
+    return _march(f, lower, spec)
 
 
 def integrate_semi_infinite(f: Callable, lower: float,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from isacthz.channel import (LinkBudget, effective_noise,
                              interference_probability, received_power,
@@ -18,8 +19,7 @@ from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET,
 from isacthz.misalignment import beam_misalignment
 from isacthz.schemes import scheme_abilities, scheme_ability
 from isacthz.sensing import SCHEMES, perfect_ability
-from isacthz.specfun import (QuadratureSpec, integrate_interval,
-                             integrate_semi_infinite)
+from isacthz.specfun import QuadratureSpec, integrate_semi_infinite
 from test_specfun import oscillatory_oracle
 
 SYS = default_system()
@@ -43,7 +43,8 @@ def direct_shot_noise(fld, s):
     interference cosine/sine collapse to weighted endpoint corrections; the
     absorption trig terms are endpoint-corrected on their own fast zone
     [lower, r_abs], where the unit term is an area, and integrated
-    numerically on [r_abs, r_split] together with the unit term.  Beyond
+    numerically on [r_abs, r_split] together with the unit term, as the
+    difference of the tails from r_abs and from r_split.  Beyond
     r_split everything is slow and the cosine bracket is evaluated in the
     cancellation-free form (1-p) 2 sin^2(ph_a/2) + p 2 sin^2(ph_i/2).
     """
@@ -106,8 +107,12 @@ def direct_shot_noise(fld, s):
             ph_a = 2.0 * math.pi * s * fld.c_abs * g(r)
             return r * np.sin(ph_a) * (1.0 - p_int(r))
 
-        f_r += integrate_interval(slow_abs_r, r_abs, r_split, tol=1e-12)
-        f_i += integrate_interval(slow_abs_i, r_abs, r_split, tol=1e-12)
+        def segment(f):
+            return (integrate_semi_infinite(f, r_abs, _INNER_QUAD)
+                    - integrate_semi_infinite(f, r_split, _INNER_QUAD))
+
+        f_r += segment(slow_abs_r)
+        f_i += segment(slow_abs_i)
     return f_r, f_i
 
 
@@ -369,6 +374,29 @@ class TestPhaseRadius:
     def test_lower_bound_below_contact_rejected(self):
         with pytest.raises(ValueError):
             _field(lower=DEP.r_b)
+
+
+class TestLineOfSightArea:
+    @pytest.mark.parametrize("deploy", [
+        DEP, replace(DEP, lambda_b=10 * DEP.lambda_b),
+        replace(DEP, lambda_m=0.0, lambda_s=0.0)],
+        ids=["default", "dense", "blocker-free"])
+    def test_closed_form_matches_quadrature(self, deploy):
+        # on the table's own [r_abs, r_split] segments
+        fld = _field(deploy=deploy)
+        lam = deploy.lambda_b + deploy.lambda_m + deploy.lambda_s
+        two_rb = 2 * deploy.r_b
+        grid, _ = _split_table(BUD, deploy, fld.lower)
+        checked = 0
+        for s in grid[::10]:
+            a = float(fld._phase_radius(s, fld.c_abs, _PHASE_BUDGET))
+            b = float(fld._phase_radius(s, fld.c_int, _PHASE_BUDGET))
+            if b > fld.lower:
+                ref, _ = quad(lambda r: r * math.exp(-lam * (r - two_rb) * two_rb),
+                              a, b, epsabs=0.0, epsrel=1e-13, limit=200)
+                assert fld._los_area(a, b) == pytest.approx(ref, rel=1e-12)
+                checked += 1
+        assert checked > 10
 
 
 class TestCoverageProbability:

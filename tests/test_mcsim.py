@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from isacthz import mcsim
 from isacthz.channel import LinkBudget, effective_noise, received_power
 from isacthz.config import default_deployment, default_system
 from isacthz.mcsim import (McEstimate, _batches, _blocked_bulk,
@@ -226,6 +227,34 @@ class TestCoverageEstimator:
         est = estimate_coverage(DEP, BUD, SYS, ability, 1600.0, 1.0, 200, 57,
                                 lower_bound_mode="derivation")
         assert 0.0 <= est.mean <= 1.0 and est.trials == 200
+
+    def test_candidate_corridors_see_whole_field(self, monkeypatch):
+        # the users and blockers drawn for a trial with marked candidates
+        # (listed after the serving node at (r1, 0)) must cover every
+        # candidate corridor: their count there is Poisson with mean
+        # (lambda_m + lambda_s) 2 r_b (r - 2 r_b) per candidate
+        dep = replace(DEP, n_b=8, n_m=8)
+        r1, r_b = 20.0, dep.r_b
+        scenes = []
+
+        def record(obs_x, obs_y, counts, bs_x, bs_y, r_b):
+            scenes.append((obs_x[:counts[0]], obs_y[:counts[0]], bs_x, bs_y))
+            return _blocked_bulk(obs_x, obs_y, counts, bs_x, bs_y, r_b)
+
+        monkeypatch.setattr(mcsim, "_blocked_bulk", record)
+        estimate_coverage(dep, LinkBudget.from_params(SYS, dep), SYS,
+                          scheme_ability("jsrs", SYS, dep), r1, 10.0, 4000, 58,
+                          window_radius=150.0)
+        seen = mean = 0.0
+        for obs_x, obs_y, bs_x, bs_y in scenes:
+            cut = np.flatnonzero((obs_x == r1) & (obs_y == 0.0))[0] + 1
+            r = np.hypot(bs_x, bs_y)[:, None]
+            lon = (obs_x[cut:] * bs_x[:, None] + obs_y[cut:] * bs_y[:, None]) / r
+            lat = (obs_y[cut:] * bs_x[:, None] - obs_x[cut:] * bs_y[:, None]) / r
+            seen += np.sum((np.abs(lat) < r_b) & (lon > r_b) & (lon < r - r_b))
+            mean += (dep.lambda_m + dep.lambda_s) * 2.0 * r_b * np.sum(r - 2.0 * r_b)
+        assert mean > 1000.0
+        assert abs(seen - mean) < 5.0 * math.sqrt(mean)
 
     def test_window_must_exceed_lower_bound(self):
         # at or inside the lower-bound radius the annulus is empty or negative

@@ -6,7 +6,6 @@ import scipy.special as sp
 
 from isacthz import specfun
 from isacthz.specfun import (QuadratureError, QuadratureSpec,
-                             integrate_interval, integrate_interval_batch,
                              integrate_oscillatory, integrate_semi_infinite,
                              integrate_semi_infinite_batch)
 
@@ -180,16 +179,6 @@ def oscillatory_oracle(envelope, phi1, phi2, spec=specfun.DEFAULT_QUADRATURE,
     v1, e1 = _oscillatory_single(envelope, phi1, spec, lower)
     return v2 - v1, e1 + e2
 
-class TestInterval:
-    def test_exhausted_budget_raises(self):
-        f = lambda r: np.sin(50.0 * r) ** 2
-        with pytest.raises(QuadratureError) as err:
-            integrate_interval(f, 0.0, 40.0, max_splits=2)
-        assert err.value.partial != 0.0
-        assert err.value.error_bound > 0.0
-        assert integrate_interval(f, 0.0, 40.0) == \
-            pytest.approx(20.0 - math.sin(4000.0) / 200.0, rel=1e-10)
-
 
 class TestSemiInfinite:
     def test_exponential(self):
@@ -262,35 +251,12 @@ class TestBatch:
             assert abs(batch[0, m] - single) <= 1e-15 * abs(single)
         assert batch[0] == pytest.approx([1.0, 0.5], rel=1e-10)
 
-    def test_interval_batch_equals_single_calls(self):
-        freqs = self.RATES * 10.0
-        ends = self.STARTS + np.array([0.5, 40.0, 3.0, 20.0, 7.5])
-
-        def f(x, owner):
-            return (np.sin(freqs[owner][:, None] * x) ** 2)[None]
-
-        batch = integrate_interval_batch(f, self.STARTS, ends)
-        for m, (c, a, b) in enumerate(zip(freqs, self.STARTS, ends)):
-            single = integrate_interval(lambda x: np.sin(c * x) ** 2, a, b)
-            assert abs(batch[0, m] - single) <= 1e-15 * abs(single)
-
     def test_components_on_leading_axis(self):
         # int_0^inf x^n e^-x = n! for each component, over shared panels
         val = integrate_semi_infinite_batch(
             lambda x, owner: np.stack([np.exp(-x), x * np.exp(-x),
                                        x ** 2 * np.exp(-x)]), [0.0])
         assert val[:, 0] == pytest.approx([1.0, 1.0, 2.0], rel=1e-12)
-
-    def test_interval_member_out_of_budget_raises(self):
-        hard = np.array([False, True, False])
-
-        def f(x, owner):
-            return np.where(hard[owner][:, None], np.sin(50.0 * x) ** 2, x)[None]
-
-        with pytest.raises(QuadratureError) as err:
-            integrate_interval_batch(f, np.zeros(3), np.full(3, 40.0), max_splits=2)
-        assert err.value.partial != 0.0
-        assert err.value.error_bound > 0.0
 
     def test_semi_infinite_member_out_of_budget_raises(self):
         spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3,
@@ -306,6 +272,13 @@ class TestBatch:
             integrate_semi_infinite_batch(f, np.zeros(3), spec)
         assert err.value.partial != 0.0
         assert err.value.error_bound > 0.0
+
+    def test_empty_batch_raises_before_integrand(self):
+        def f(x, owner):
+            raise AssertionError("integrand called on an empty batch")
+
+        with pytest.raises(ValueError, match="empty batch"):
+            integrate_semi_infinite_batch(f, [])
 
 
 def _terms(envelope, phi1, phi2):
