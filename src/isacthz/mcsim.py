@@ -21,7 +21,10 @@ its frame box [0, r] x (-r_b, r_b), two links sharing one field draw
 the union of their boxes once.  By independent thinning, a coverage
 trial holds Binomial(nodes, q_mark) marked nodes, and as its nodes are
 i.i.d. its first ones can stand for them; only trials holding one draw
-angles and a user/blocker disc around their corridors.
+angles and a user/blocker disc around their corridors.  By the mapping
+theorem, pi lambda_b r^2 over the nodes is a unit-rate PPP on [0, inf),
+so a user's two nearest nodes are drawn exactly from two exponential
+partial sums: the link estimators truncate nothing to a window.
 
 The timeout estimator defaults to drawing an independent obstacle field
 per link.  The analytic timeout multiplies the two void probabilities,
@@ -81,6 +84,8 @@ class McEstimate:
 
 def _batches(trials: int, seed: int, size: int = _BATCH):
     """Yield (rng, size) per fixed-size batch, each on its own substream."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     n_batches = (trials + size - 1) // size
     seqs = np.random.SeedSequence(seed).spawn(n_batches)
     for k, seq in enumerate(seqs):
@@ -164,19 +169,18 @@ def estimate_blockage(deploy: Deployment, r: float, trials: int,
 
 
 def _nearest_two_batch(rng, deploy: Deployment, b: int):
-    """Positions of the two nearest nodes to the origin for b trials."""
-    # window large enough that the second-nearest lies inside w.h.p.
-    r_win = math.sqrt(36.0 / (deploy.lambda_b * math.pi))
-    mean = deploy.lambda_b * math.pi * r_win ** 2  # = 36
-    counts = rng.poisson(mean, size=b)
-    counts = np.maximum(counts, 2)  # probability ~1e-9 guard, keeps shapes sane
-    max_n = int(counts.max())
-    rad = r_win * np.sqrt(rng.random((b, max_n)))
-    ang = 2.0 * math.pi * rng.random((b, max_n))
-    rad = np.where(np.arange(max_n) < counts[:, None], rad, np.inf)
-    order = np.argpartition(rad, (0, 1), axis=1)[:, :2]  # nearest first
-    rows = np.arange(b)[:, None]
-    return rad[rows, order], ang[rows, order]
+    """Radii and angles, shape (b, 2) each, of the two nearest nodes to the
+    origin for b trials, nearest first.
+
+    pi lambda_b r^2 maps the node PPP onto a unit-rate PPP on [0, inf), so
+    the two smallest values are the first two partial sums of unit
+    exponentials; angles are uniform and independent of the radii.
+    """
+    if not deploy.lambda_b > 0.0:
+        raise ValueError("nearest-two distances need lambda_b > 0")
+    e = rng.standard_exponential((b, 2)).cumsum(axis=1)
+    return (np.sqrt(e / (math.pi * deploy.lambda_b)),
+            2.0 * math.pi * rng.random((b, 2)))
 
 
 def nearest_two_distances(deploy: Deployment, samples: int, seed: int):
@@ -287,17 +291,21 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
         effective_noise(budget, deploy, system, r1)
     density = deploy.lambda_m + deploy.lambda_s
 
-    area = math.pi * (r_win ** 2 - r_lo ** 2)
+    span = r_win ** 2 - r_lo ** 2
+    area = math.pi * span
     size = max(1, int(_NODE_BUDGET // max(deploy.lambda_b * area, 1.0)))
     hits = 0
     for rng, b in _batches(trials, seed, size):
         counts = rng.poisson(deploy.lambda_b * area, size=b)
         ends = np.cumsum(counts)
         starts = ends - counts
-        rad2 = rng.random(int(ends[-1])) * (r_win ** 2 - r_lo ** 2) + r_lo ** 2
+        rad2 = rng.random(int(ends[-1]))
+        rad2 *= span
+        rad2 += r_lo ** 2
         rad = np.sqrt(rad2)
         # absorption re-radiation weights, summed over each trial's slice
-        g = np.exp(-budget.k_abs * rad)
+        g = np.multiply(rad, -budget.k_abs)
+        np.exp(g, out=g)
         g /= rad2
         i_eff = np.zeros(b)
         busy = counts > 0  # reduceat cannot express an empty slice

@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from isacthz.channel import (LinkBudget, expected_interference,
                              expected_noise, sweep_weight)
@@ -19,7 +18,7 @@ from isacthz.config import default_deployment, default_system
 from isacthz.coverage import (CoverageQuery, coverage_probability,
                               coverage_sweep)
 from isacthz.mcsim import (estimate_blockage, estimate_coverage,
-                           estimate_timeout, nearest_two_distances)
+                           estimate_timeout)
 from isacthz.misalignment import (blockage_probability,
                                   expected_closest_blockage,
                                   expected_closest_blockage_quadrature,
@@ -29,6 +28,7 @@ from isacthz.pattern import (PatternRequirement, brute_force_pattern,
 from isacthz.schemes import scheme_abilities, scheme_ability
 from isacthz.sensing import a_theta, ability_from_spans, ssb_ability
 from isacthz.specfun import QuadratureSpec, integrate_semi_infinite
+from test_mcsim import joint_distance_gof, window_distances
 
 SYS = default_system()
 DEP = default_deployment()
@@ -224,14 +224,9 @@ def test_criterion_4_lemma_vs_monte_carlo():
     est_t = estimate_timeout(DEP, MC_TRIALS_LEMMA, 2025)
     sig_t = est_t.sigmas_off(timeout_probability(DEP))
 
-    r1, r2 = nearest_two_distances(DEP, MC_SAMPLES_GOF, 2026)
-    rate = DEP.lambda_b * math.pi
-    u = 1.0 - np.exp(-rate * r1 ** 2)
-    v = 1.0 - np.exp(-rate * (r2 ** 2 - r1 ** 2))
-    k = 10
-    counts, _, _ = np.histogram2d(u, v, bins=k, range=[[0, 1], [0, 1]])
-    _, p_val = stats.chisquare(counts.ravel(),
-                               f_exp=np.full(k * k, len(u) / k ** 2))
+    # the joint law is checked on the window oracle, not on the library's
+    # exact sampler (which draws that law directly)
+    p_val = joint_distance_gof(*window_distances(MC_SAMPLES_GOF, 2026), 10)
 
     ok = abs(sig_b) <= 3.0 and abs(sig_t) <= 3.0 and p_val > 0.01
     _report("4 blockage/timeout vs Monte Carlo", ok,

@@ -110,6 +110,14 @@ class TestSimulate:
         assert code == 2
         assert "lower-bound radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("what", ["blockage", "misalign", "coverage"])
+    def test_trials_must_be_positive(self, tmp_path, capsys, what):
+        # 0 trials used to end in a ZeroDivisionError traceback
+        code = main(["simulate", "--what", what, "--trials", "0",
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "r1.csv", tmp_path / "r2.csv"
         for out in (a, b):

@@ -8,11 +8,11 @@ from scipy import stats
 from isacthz import mcsim
 from isacthz.channel import LinkBudget, effective_noise, received_power
 from isacthz.config import default_deployment, default_system
-from isacthz.mcsim import (McEstimate, _batches, _blocked_bulk,
-                           _nearest_two_batch, _ppp_disc, _union_boxes,
-                           default_window_radius, estimate_blockage,
-                           estimate_coverage, estimate_misalignment,
-                           estimate_timeout, nearest_two_distances)
+from isacthz.mcsim import (McEstimate, _batches, _blocked_bulk, _ppp_disc,
+                           _union_boxes, default_window_radius,
+                           estimate_blockage, estimate_coverage,
+                           estimate_misalignment, estimate_timeout,
+                           nearest_two_distances)
 from isacthz.misalignment import (beam_misalignment, beam_switch_density,
                                   blockage_probability, timeout_probability)
 from isacthz.sensing import baseline_5g_ability
@@ -21,6 +21,42 @@ from isacthz.schemes import scheme_ability
 SYS = default_system()
 DEP = default_deployment()
 BUD = LinkBudget.from_params(SYS, DEP)
+
+
+def _nearest_two_window(rng, deploy, b):
+    """The nearest-two draw before the exact sampler: a Poisson(36) window
+    of nodes per trial, of which the two nearest are kept."""
+    # window large enough that the second-nearest lies inside w.h.p.
+    r_win = math.sqrt(36.0 / (deploy.lambda_b * math.pi))
+    mean = deploy.lambda_b * math.pi * r_win ** 2  # = 36
+    counts = rng.poisson(mean, size=b)
+    counts = np.maximum(counts, 2)  # probability ~1e-9 guard, keeps shapes sane
+    max_n = int(counts.max())
+    rad = r_win * np.sqrt(rng.random((b, max_n)))
+    ang = 2.0 * math.pi * rng.random((b, max_n))
+    rad = np.where(np.arange(max_n) < counts[:, None], rad, np.inf)
+    order = np.argpartition(rad, (0, 1), axis=1)[:, :2]  # nearest first
+    rows = np.arange(b)[:, None]
+    return rad[rows, order], ang[rows, order]
+
+
+def window_distances(samples, seed):
+    """`nearest_two_distances` drawn by the window oracle."""
+    out = np.concatenate([_nearest_two_window(rng, DEP, b)[0]
+                          for rng, b in _batches(samples, seed)])
+    return out[:, 0], out[:, 1]
+
+
+def joint_distance_gof(r1, r2, k):
+    """Chi-square p-value of (r1, r2) against the nearest-two joint law:
+    r1^2 and r2^2 - r1^2 are independent exponentials with rate lambda_b pi,
+    so their CDF values fill the unit square uniformly (k x k bins)."""
+    rate = DEP.lambda_b * math.pi
+    u = 1.0 - np.exp(-rate * r1 ** 2)
+    v = 1.0 - np.exp(-rate * (r2 ** 2 - r1 ** 2))
+    counts, _, _ = np.histogram2d(u, v, bins=k, range=[[0, 1], [0, 1]])
+    return stats.chisquare(counts.ravel(),
+                           f_exp=np.full(k * k, len(u) / k ** 2)).pvalue
 
 
 class TestSceneSampling:
@@ -142,17 +178,33 @@ class TestNearestTwo:
         assert np.all(r1 <= r2)
 
     def test_joint_density(self):
-        # exact transform: r1^2 and r2^2 - r1^2 are independent
-        # exponentials with rate lambda_b pi under the joint law
-        r1, r2 = nearest_two_distances(DEP, 30000, 41)
-        rate = DEP.lambda_b * math.pi
-        u = 1.0 - np.exp(-rate * r1 ** 2)
-        v = 1.0 - np.exp(-rate * (r2 ** 2 - r1 ** 2))
-        k = 8
-        counts, _, _ = np.histogram2d(u, v, bins=k, range=[[0, 1], [0, 1]])
-        _, p = stats.chisquare(counts.ravel(),
-                               f_exp=np.full(k * k, len(u) / k ** 2))
-        assert p > 0.01
+        # on the window oracle: the library sampler is the joint law itself
+        assert joint_distance_gof(*window_distances(30000, 41), 8) > 0.01
+
+    def test_matches_window_oracle(self):
+        # two-sample KS of the exact sampler against the window draw
+        r1, r2 = nearest_two_distances(DEP, 40000, 42)
+        w1, w2 = window_distances(40000, 43)
+        for a, b in ((r1, w1), (r2, w2), (r2 ** 2 - r1 ** 2, w2 ** 2 - w1 ** 2)):
+            assert stats.ks_2samp(a, b).pvalue > 0.01
+
+    def test_empty_node_field(self):
+        # used to divide by zero; the exponential draw would return inf
+        dep0 = replace(DEP, lambda_b=0.0)
+        with pytest.raises(ValueError, match="lambda_b > 0"):
+            nearest_two_distances(dep0, 100, 44)
+        with pytest.raises(ValueError, match="lambda_b > 0"):
+            estimate_timeout(dep0, 1000, 44)
+
+    def test_trials_must_be_positive(self):
+        # 0 trials used to die in numpy's concatenate or in hits / trials
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                list(_batches(trials, 45))
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            nearest_two_distances(DEP, 0, 45)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            estimate_blockage(DEP, 52.0, 0, 45)
 
 
 class TestCoverageEstimator:
@@ -292,7 +344,7 @@ def _whole_disc(quantity, trials, seed, ability=None):
                          - ability.delta_db, 0.0)
                 d_b = rng.exponential(1.0 / beam_switch_density(DEP), size=b)
                 event = (d_b > lo) & (d_b < DEP.v * SYS.tau)
-            r12, a12 = _nearest_two_batch(rng, DEP, b)
+            r12, a12 = _nearest_two_window(rng, DEP, b)
             ends = r12 * np.exp(1j * a12)  # link end points as x + iy
             if quantity == "p_err":
                 ends = ends[:, :1]
@@ -361,7 +413,8 @@ class TestWholeDiscOracle:
 class TestPinnedStream:
     """Estimates recorded at a fixed seed; the sampler's draw order is part
     of the contract, so a refactor must reproduce them exactly.  Recorded
-    after the switch to box, union and thinned-mark sampling."""
+    after the switch to box, union and thinned-mark sampling, the timeout
+    and misalignment ones after the exact nearest-two draw."""
 
     def test_coverage_urban(self):
         ability = scheme_ability("jsrs", SYS, DEP)
@@ -385,10 +438,19 @@ class TestPinnedStream:
         assert estimate_blockage(DEP, 52.0, 20000, 3).mean == 0.64165
 
     def test_timeout(self):
-        assert estimate_timeout(DEP, 20000, 9).mean == 0.0536
-        assert estimate_timeout(DEP, 20000, 9, shared_obstacles=True).mean == 0.0592
+        assert estimate_timeout(DEP, 20000, 9).mean == 0.0553
+        assert estimate_timeout(DEP, 20000, 9, shared_obstacles=True).mean == 0.06045
 
     def test_misalignment(self):
+        ests = estimate_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
+                                     SYS.tau, 20000, 14)
+        assert ests["p_err"].mean == 0.0435
+
+    def test_window_oracle_stream(self, monkeypatch):
+        # the window oracle is the nearest-two draw these were recorded with
+        monkeypatch.setattr(mcsim, "_nearest_two_batch", _nearest_two_window)
+        assert estimate_timeout(DEP, 20000, 9).mean == 0.0536
+        assert estimate_timeout(DEP, 20000, 9, shared_obstacles=True).mean == 0.0592
         ests = estimate_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
                                      SYS.tau, 20000, 14)
         assert ests["p_err"].mean == 0.04275
