@@ -49,7 +49,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gammainc, lambertw
 
 from .channel import (LinkBudget, effective_noise, orientation_odds,
@@ -282,17 +281,16 @@ class ShotNoiseField:
         """Interpolated (f_r, f_i); quadratic/linear extensions below the
         tabulated range, clamped above it (the envelope is dead there).
 
-        The PCHIP pieces are evaluated from their coefficients in the power
-        form scipy uses; a 0-d s, as at the panel edges of the inversion,
-        takes a scalar path of bisect and math."""
+        The PCHIP pieces are evaluated from their power-form coefficients
+        (_pchip_coefficients); a 0-d s, as at the panel edges of the
+        inversion, takes a scalar path of bisect and math."""
         if self._tables is None:
             grid, split = _split_table(self.budget, self.deploy, self.lower)
             fr = np.maximum(split[0] + self.w_s * split[1], 1e-300)
             fi = split[2] + self.w_s * split[3]
             ln_s = np.log(grid)
             # (4, 2, pieces): the log f_r and the f_i cubic of each piece
-            coef = np.stack((PchipInterpolator(ln_s, np.log(fr)).c,
-                             PchipInterpolator(ln_s, fi).c), axis=1)
+            coef = _pchip_coefficients(ln_s, np.stack((np.log(fr), fi)))
             # the scalar path reads flat copies: 8 coefficients per piece
             self._tables = (grid[0], grid[-1], ln_s, coef, array("d", ln_s),
                             array("d", coef.transpose(2, 1, 0).ravel()))
@@ -318,6 +316,37 @@ def _cubic(c, d, k=0):
     """c[k] d^3 + c[k+1] d^2 + c[k+2] d + c[k+3], summed in scipy's power form."""
     dd = d * d
     return c[k + 3] + c[k + 2] * d + c[k + 1] * dd + c[k] * (dd * d)
+
+
+def _pchip_coefficients(x, y):
+    """Power-form coefficients (4, rows, n - 1) of the monotone piecewise
+    cubic Hermite interpolants of the rows of y (rows, n) on the knots x,
+    n >= 3, with the arithmetic of scipy's PchipInterpolator(x, row).c.
+
+    Inner slopes are Fritsch-Carlson (SIAM J. Numer. Anal. 17, 1980): zero
+    where the neighbouring secants differ in sign or one is flat, else the
+    weighted harmonic mean of Fritsch-Butland (1984); the end slopes are
+    one-sided three-point estimates, held to the secant's sign and to three
+    times its size where the data turn."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    left, right = m[:, :-1], m[:, 1:]
+    flat = (np.sign(left) != np.sign(right)) | (left == 0.0) | (right == 0.0)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[:, 1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / left + w2 / right) / (w1 + w2)))
+    d[:, 0] = _pchip_end(h[0], h[1], m[:, 0], m[:, 1])
+    d[:, -1] = _pchip_end(h[-1], h[-2], m[:, -1], m[:, -2])
+    t = (d[:, :-1] + d[:, 1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:, :-1]) / h - t, d[:, :-1], y[:, :-1]))
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """End slope from the two nearest secants m0 (width h0) and m1."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    turn = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(turn, 3.0 * m0, d))
 
 
 # A table is a few hundred s-points of four components, shared by every

@@ -140,15 +140,18 @@ _BLOCK = 16
 _BLOCK_EDGES = 2.0 ** np.arange(_BLOCK + 1) - 1.0
 
 
-def _refine(f: Callable, pa, pb, owner, est, tols, budget):
-    """Refine the P panels [pa_j, pb_j], with Gauss-Kronrod estimates est (as
-    from _gk15_batch), in lockstep until every component's error beats its
-    tolerance in tols (C, P).  Each split is charged to budget[owner_j],
-    updated in place; an owner asking for more splits than it has left
-    accepts those panels unrefined and has spent its budget.  Returns the
-    (2, C, P) values and errors of the panels."""
+def _refine(f: Callable, pa, pb, owner, est, tols, budget, cell=None):
+    """Refine the panels [pa_j, pb_j], with Gauss-Kronrod estimates est (as
+    from _gk15_batch), in lockstep until every component's error beats the
+    tolerance in tols (C, P) of the cell the panel is a piece of: cell_j,
+    by default panel j itself.  Each split is charged to the budget of the
+    cell's owner, budget[owner[cell_j]], updated in place; an owner asking
+    for more splits than it has left accepts those panels unrefined and has
+    spent its budget.  Returns the (2, C, P) values and errors of the P
+    cells, each the sum over its pieces."""
     comps, cells = tols.shape
-    cell, own = np.arange(cells), owner
+    cell = np.arange(cells) if cell is None else cell
+    own = owner[cell]
     done_cells, done_est = [], []
     while True:
         # a comparison per component: on a few panels, cheaper than a reduce
@@ -309,6 +312,16 @@ _PROBE_S = np.array([10.0 ** k for k in range(-18, 19)])
 _EULER_TERMS = 24
 _EULER_WEIGHTS = [np.array([math.comb(m, k) for k in range(m + 1)]) / 2.0 ** m
                   for m in range(_EULER_TERMS)]
+# The march's first panel [a, a + h] is laid out as _HEAD_LEVELS + 1
+# geometric pieces toward a, split at a + h 2^-k for k = _HEAD_LEVELS ... 1.
+# An integrand with a feature on every scale of ln(s - a), as a field
+# interpolated in ln s is, would otherwise bisect toward a one level per
+# refinement step.
+_HEAD_LEVELS = 32
+_HEAD_SPLITS = 2.0 ** -np.arange(_HEAD_LEVELS, 0.0, -1.0)
+# the block cell of each laid-out panel: first block, then the others
+_HEAD_CELLS = np.concatenate((np.zeros(_HEAD_LEVELS, dtype=int), np.arange(_BLOCK)))
+_BLOCK_CELLS = np.arange(_BLOCK)
 
 
 def _euler_accelerate(partial_sums):
@@ -342,7 +355,11 @@ def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
     (Euler-style acceleration).  The panels come in blocks of _BLOCK: their
     edges are laid out one after the other, then all are refined in
     lockstep, each to a tolerance referenced to the running total plus
-    the estimates of the panels before it.  The stop rules are then taken
+    the estimates of the panels before it.  The first block's first panel
+    goes in as _HEAD_LEVELS + 1 geometric pieces toward the lower end,
+    refined in the same lockstep, each held to that panel's tolerance, and
+    summed back into it; the stop rules, the tail and the budget see its
+    one value as they see any panel's.  The stop rules are then taken
     panel by panel: integration stops when the accelerated tail stabilises
     within tolerance, the integrand is dead or the envelope falls below
     spec.tail_cutoff_envelope; a block that spends the split budget raises.
@@ -362,6 +379,7 @@ def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
     budget = np.array([spec.max_subdivisions])
     owner = np.zeros(_BLOCK, dtype=int)
     partial, sums, vals, stable = 0.0, [], [], 0
+    cell = _HEAD_CELLS
     while True:
         edges, envs, widths = [a], [], []
         for _ in range(_BLOCK):
@@ -378,12 +396,17 @@ def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
             else:
                 h = min(max(math.pi / slope, 0.25 * h), 4.0 * h)
             a, phi_a = b, phi_b
-        pa, pb = np.array(edges[:-1]), np.array(edges[1:])
-        roots = _gk15_batch(integrand, pa, pb, owner)
-        ahead = np.abs(partial + np.cumsum(roots[0]) - roots[0])
+        pb = np.array(edges[1:])
+        if cell is _HEAD_CELLS:
+            pb = np.concatenate((edges[0] + widths[0] * _HEAD_SPLITS, pb))
+        pa = np.append(edges[0], pb[:-1])
+        est = _gk15_batch(integrand, pa, pb, owner[cell])
+        roots = np.bincount(cell, weights=est[0], minlength=_BLOCK)
+        ahead = np.abs(partial + np.cumsum(roots) - roots)
         (panel_vals,), (panel_errs,) = _refine(
-            integrand, pa, pb, owner, roots,
-            (np.maximum(spec.abs_tol, spec.rel_tol * ahead) * 0.1)[None], budget)
+            integrand, pa, pb, owner, est,
+            (np.maximum(spec.abs_tol, spec.rel_tol * ahead) * 0.1)[None], budget, cell)
+        cell = _BLOCK_CELLS
         for val, err, b, env_b, h_b in zip(panel_vals.tolist(), panel_errs.tolist(),
                                            edges[1:], envs, widths):
             partial += val

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
+from isacthz import specfun
 from isacthz.channel import (LinkBudget, effective_noise,
                              interference_probability, received_power,
                              sweep_weight)
@@ -14,7 +16,8 @@ from isacthz.config import default_deployment, default_system
 from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET,
                               DEFAULT_COVERAGE_QUADRATURE, LOWER_BOUND_MODES,
                               CoverageQuery, CoverageResult, ShotNoiseField,
-                              _field_for, _split_table, clear_field_cache,
+                              _coverage_cell, _field_for, _pchip_coefficients,
+                              _split_table, clear_field_cache,
                               coverage_probability, coverage_sweep)
 from isacthz.misalignment import beam_misalignment
 from isacthz.schemes import scheme_abilities, scheme_ability
@@ -284,14 +287,15 @@ class TestFieldCache:
         assert first == after
 
 
-def oracle_p_cm(query, p_ms):
-    """p_cm of one default-deployment cell by the scalar oscillatory march,
-    with the envelope and the two phases as separate field lookups."""
-    lower = 2 * DEP.r_b if query.lower_bound_mode == "theorem" else query.r1
-    fld = _field_for(BUD, DEP, sweep_weight(DEP, SYS, p_ms), lower)
-    two_pi_lb = 2.0 * math.pi * DEP.lambda_b
-    y = received_power(BUD, query.r1) / query.threshold
-    p_eff = effective_noise(BUD, DEP, SYS, query.r1)
+def oracle_p_cm(query, p_ms, budget=BUD, deploy=DEP, head=specfun._HEAD_LEVELS):
+    """(p_cm, error estimate) of one cell by the scalar oscillatory march,
+    with the envelope and the two phases as separate field lookups; head = 0
+    bisects the first panel instead of laying it out geometrically."""
+    lower = 2 * deploy.r_b if query.lower_bound_mode == "theorem" else query.r1
+    fld = _field_for(budget, deploy, sweep_weight(deploy, SYS, p_ms), lower)
+    two_pi_lb = 2.0 * math.pi * deploy.lambda_b
+    y = received_power(budget, query.r1) / query.threshold
+    p_eff = effective_noise(budget, deploy, SYS, query.r1)
 
     def envelope(s):
         return np.exp(-two_pi_lb * fld.parts(s)[0])
@@ -302,11 +306,17 @@ def oracle_p_cm(query, p_ms):
     def phi2(s):
         return phi1(s) + 2.0 * math.pi * s * y
 
-    p_cm, _ = oscillatory_oracle(envelope, phi1, phi2, DEFAULT_COVERAGE_QUADRATURE)
-    return min(max(p_cm, 0.0), 1.0)
+    p_cm, err = oscillatory_oracle(envelope, phi1, phi2, DEFAULT_COVERAGE_QUADRATURE,
+                                   head=head)
+    return min(max(p_cm, 0.0), 1.0), err
 
 
 ABILITIES = scheme_abilities(SCHEMES, SYS, DEP)
+
+
+def _cells(modes, r1s, dbs):
+    return [CoverageQuery(r1=r1, threshold=10.0 ** (db / 10.0), lower_bound_mode=mode)
+            for mode in modes for r1 in r1s for db in dbs]
 
 
 class TestInversionOracle:
@@ -321,8 +331,73 @@ class TestInversionOracle:
                     q = CoverageQuery(r1=r1, threshold=10.0 ** (db / 10.0),
                                       lower_bound_mode=mode)
                     res = coverage_probability(q, BUD, DEP, SYS, ability)
-                    worst = max(worst, abs(res.p_cm - oracle_p_cm(q, res.p_ms)))
+                    worst = max(worst, abs(res.p_cm - oracle_p_cm(q, res.p_ms)[0]))
         assert worst <= 1e-12
+
+
+class TestBisectingLayoutOracle:
+    """The library against the scalar march that bisects its first panel
+    toward s = 0: the two layouts must agree within their summed error
+    estimates."""
+
+    @staticmethod
+    def _worst(budget, deploy, queries):
+        """Largest |delta p_cm| / (err_library + err_oracle) over every
+        scheme at every query."""
+        worst = 0.0
+        for ability in scheme_abilities(SCHEMES, SYS, deploy).values():
+            p_ms = beam_misalignment(deploy, ability, SYS.tau).p_ms
+            for q in queries:
+                res = _coverage_cell(q, budget, deploy, SYS, p_ms)
+                ref, ref_err = oracle_p_cm(q, p_ms, budget, deploy, head=0)
+                worst = max(worst, abs(res.p_cm - ref) / (res.integral_abs_error + ref_err))
+        return worst
+
+    def test_default_deployment(self):
+        queries = _cells(LOWER_BOUND_MODES, (5.0, 12.0, 20.0, 38.0), (-5.0, 0.0, 5.0, 15.0))
+        assert self._worst(BUD, DEP, queries) <= 1.0
+
+    @pytest.mark.parametrize("edge", ["dense nodes", "sparse nodes", "narrow beams",
+                                      "wide beams"])
+    def test_edge_configuration(self, edge):
+        budget, deploy = EDGES[edge]
+        queries = _cells(LOWER_BOUND_MODES, (5.0, 38.0), (-5.0, 15.0))
+        assert self._worst(budget, deploy, queries) <= 1.0
+
+
+class TestInversionWork:
+    def test_first_panel_is_not_bisected(self, monkeypatch):
+        # bisecting the first panel toward s = 0 took about 37 Gauss-Kronrod
+        # rounds per cell here, one per level; its geometric pieces take 10
+        p_ms = beam_misalignment(DEP, ABILITIES["jsrs"], SYS.tau).p_ms
+        queries = _cells(["theorem"], (5.0, 20.0, 38.0), (-5.0, 5.0, 15.0))
+        _coverage_cell(queries[0], BUD, DEP, SYS, p_ms)  # builds the table
+        calls = []
+        gk15 = specfun._gk15_batch
+        monkeypatch.setattr(specfun, "_gk15_batch",
+                            lambda *args: calls.append(1) or gk15(*args))
+        per_cell = []
+        for q in queries:
+            del calls[:]
+            _coverage_cell(q, BUD, DEP, SYS, p_ms)
+            per_cell.append(len(calls))
+        assert max(per_cell) <= 16
+
+
+class TestPchipCoefficients:
+    def test_equal_to_scipy(self):
+        # random knots and rows with flat runs, sign changes and the
+        # shortest tables, against scipy's PCHIP as the oracle
+        worst = 0.0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 40))
+            x = np.cumsum(rng.uniform(0.01, 2.0, n))
+            y = rng.normal(size=(2, n))
+            y[1] = np.cumsum(np.abs(y[1]) * (rng.random(n) < 0.7))
+            ref = np.stack([PchipInterpolator(x, row).c for row in y], axis=1)
+            worst = max(worst, np.abs(_pchip_coefficients(x, y) - ref).max())
+        assert worst == 0.0
 
 
 class TestCoverageProperties:

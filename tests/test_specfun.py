@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from scipy.interpolate import PchipInterpolator
 
 from isacthz import specfun
 from isacthz.specfun import (QuadratureError, QuadratureSpec,
@@ -84,15 +85,17 @@ def _phase_scale_probe(phi, lower):
     return 10.0 ** 18
 
 
-def _oscillatory_single(envelope, phi, spec, lower):
+def _oscillatory_single(envelope, phi, spec, lower, head=specfun._HEAD_LEVELS):
     """D(phi) = int_lower^inf envelope(s) sin(phi(s)) / (pi s) ds.
 
     phi must vanish at s = 0, which makes the kernel finite there.  Panels
     track the local half-period of phi, so their contributions alternate
     once the kernel oscillates; the tail is summed with iterated averaging
-    (Euler-style acceleration).  Integration stops when the accelerated
-    tail stabilises within tolerance or the envelope falls below
-    spec.tail_cutoff_envelope.
+    (Euler-style acceleration).  The first panel [a, a + h] is integrated
+    as pieces with edges a + h 2^-k, k = head ... 0, after a itself, each
+    to that panel's tolerance; head = 0 keeps it whole, bisected toward a.
+    Integration stops when the accelerated tail stabilises within tolerance
+    or the envelope falls below spec.tail_cutoff_envelope.
     """
 
     def integrand(s):
@@ -123,7 +126,14 @@ def _oscillatory_single(envelope, phi, spec, lower):
     while True:
         b = a + h
         tol = max(spec.abs_tol, spec.rel_tol * abs(partial)) * 0.1
-        val, err = _adaptive_panel(integrand, a, b, tol, budget)
+        edges = [a, b]
+        if not panels:
+            edges = [a] + [a + h * 2.0 ** -k for k in range(head, -1, -1)]
+        val = err = 0.0
+        for lo, hi in zip(edges, edges[1:]):
+            v, e = _adaptive_panel(integrand, lo, hi, tol, budget)
+            val += v
+            err += e
         partial += val
         sums.append(partial)
         vals.append(val)
@@ -172,11 +182,11 @@ def _oscillatory_single(envelope, phi, spec, lower):
 
 
 def oscillatory_oracle(envelope, phi1, phi2, spec=specfun.DEFAULT_QUADRATURE,
-                       lower=0.0):
+                       lower=0.0, head=specfun._HEAD_LEVELS):
     """integrate_oscillatory by the scalar march, with the terms as three
-    callables."""
-    v2, e2 = _oscillatory_single(envelope, phi2, spec, lower)
-    v1, e1 = _oscillatory_single(envelope, phi1, spec, lower)
+    callables; head = 0 gives the layout that bisects the first panel."""
+    v2, e2 = _oscillatory_single(envelope, phi2, spec, lower, head)
+    v1, e1 = _oscillatory_single(envelope, phi1, spec, lower, head)
     return v2 - v1, e1 + e2
 
 
@@ -292,6 +302,17 @@ def _terms(envelope, phi1, phi2):
 # (envelope, phi1, phi2) of the TestOscillatory integrands, by name
 _ZERO = lambda s: 0.0 * np.asarray(s, float)
 _ONE = lambda s: np.ones_like(np.asarray(s, float))
+# a slope piecewise cubic in ln s, with a knot every unit from ln s = -30 to
+# 0: like an interpolated field, it has a kink on every scale that the
+# first panel [0, 1/4] spans
+_LN_S_CUBIC = PchipInterpolator(np.arange(-30.0, 1.0),
+                                np.random.default_rng(5).uniform(0.5, 1.5, 31))
+
+
+def _ln_s_cubic_phase(s):
+    s = np.asarray(s, float)
+    return 2.0 * np.pi * s * _LN_S_CUBIC(np.log(np.clip(s, np.exp(-30.0), 1.0)))
+
 KERNELS = {
     "arctan": (lambda s: np.exp(-s), _ZERO,
                lambda s: 2.0 * np.pi * np.asarray(s, float)),
@@ -301,6 +322,7 @@ KERNELS = {
                   lambda s: 3e-5 * np.asarray(s, float)),
     "negative_margin": (_ONE, lambda s: 2e-10 * np.asarray(s, float),
                         lambda s: -3e-5 * np.asarray(s, float)),
+    "ln_s_cubic": (lambda s: np.exp(-np.asarray(s, float)), _ZERO, _ln_s_cubic_phase),
 }
 
 
