@@ -16,16 +16,24 @@ from scipy.special import exp1
 from .config import C_LIGHT, Deployment, SystemParams
 
 __all__ = [
+    "LOWER_BOUND_MODES",
     "LinkBudget",
     "antenna_gain",
     "received_power",
+    "reradiation_constant",
     "orientation_odds",
     "sweep_weight",
+    "log_void_probability",
+    "lower_bound_radius",
     "interference_probability",
     "expected_interference",
     "expected_noise",
     "effective_noise",
 ]
+
+# inner radius of the interfering-node field: 2 r_b (theorem) or r1
+# (derivation), see lower_bound_radius
+LOWER_BOUND_MODES = ("theorem", "derivation")
 
 
 def antenna_gain(theta: float) -> float:
@@ -84,6 +92,12 @@ def received_power(budget: LinkBudget, r):
     return float(out) if out.ndim == 0 else out
 
 
+def reradiation_constant(budget: LinkBudget, deploy: Deployment) -> float:
+    """A K / (n_b n_m): a node at r re-radiates absorbed power
+    A K r^-2 e^(-K r) / (n_b n_m) toward the typical user."""
+    return budget.a * budget.k_abs / (deploy.n_b * deploy.n_m)
+
+
 def orientation_odds(deploy: Deployment) -> float:
     """Accidental mutual-orientation odds (theta_b / 2 pi)(theta_m / 2 pi),
     the largest sweep weight (reached at p_ms = 1)."""
@@ -105,19 +119,33 @@ def sweep_weight(deploy: Deployment, system: SystemParams, p_ms: float) -> float
     return (duty + (1.0 - duty) * p_ms) * orientation_odds(deploy)
 
 
+def log_void_probability(density: float, r_b: float, r):
+    """-density (r - 2 r_b) 2 r_b: the log probability that a PPP of the
+    given density leaves empty the 2 r_b wide corridor of a link of length
+    r >= 2 r_b, whose blocking centres lie along (r_b, r - r_b)."""
+    return -density * (r - 2.0 * r_b) * (2.0 * r_b)
+
+
+def lower_bound_radius(mode: str, deploy: Deployment, r1: float) -> float:
+    """Inner radius of the interfering-node field: 2 r_b in theorem mode,
+    the serving distance r1 in derivation mode."""
+    if mode not in LOWER_BOUND_MODES:
+        raise ValueError(f"lower_bound_mode must be one of {LOWER_BOUND_MODES}")
+    return 2.0 * deploy.r_b if mode == "theorem" else r1
+
+
 def interference_probability(deploy: Deployment, system: SystemParams, r, p_ms: float):
     """Probability that a node at distance r interferes with the typical user.
 
     Product of the sweep/misalignment factor, the orientation odds, and the
-    line-of-sight void probability exp(-lambda (r - 2 r_b) 2 r_b) over the
-    total density lambda = lambda_b + lambda_m + lambda_s.
+    line-of-sight void probability over the total density
+    lambda_b + lambda_m + lambda_s.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 2.0 * deploy.r_b):
         raise ValueError("interference requires r >= 2 r_b")
-    lam = deploy.lambda_b + deploy.lambda_m + deploy.lambda_s
     w_s = sweep_weight(deploy, system, p_ms)
-    out = w_s * np.exp(-lam * (r - 2.0 * deploy.r_b) * 2.0 * deploy.r_b)
+    out = w_s * np.exp(log_void_probability(deploy.total_density, deploy.r_b, r))
     return float(out) if out.ndim == 0 else out
 
 
@@ -131,7 +159,7 @@ def expected_interference(budget: LinkBudget, deploy: Deployment,
         raise ValueError("expected_interference requires r1 >= 2 r_b")
     if deploy.lambda_b == 0.0:
         return 0.0
-    lam = deploy.lambda_b + deploy.lambda_m + deploy.lambda_s
+    lam = deploy.total_density
     w_s = sweep_weight(deploy, system, p_ms)
     if w_s == 0.0:
         return 0.0
@@ -152,8 +180,7 @@ def expected_noise(budget: LinkBudget, deploy: Deployment,
     thermal = system.thermal_noise_power
     if deploy.lambda_b == 0.0 or budget.k_abs == 0.0:
         return thermal
-    pref = (2.0 * math.pi * deploy.lambda_b * budget.a * budget.k_abs
-            / (deploy.n_b * deploy.n_m))
+    pref = 2.0 * math.pi * deploy.lambda_b * reradiation_constant(budget, deploy)
     return thermal + pref * exp1(budget.k_abs * r1)
 
 
@@ -163,6 +190,6 @@ def effective_noise(budget: LinkBudget, deploy: Deployment,
     serving node's own re-radiated absorption at distance r1."""
     if not r1 > 0.0:
         raise ValueError("effective_noise requires r1 > 0")
-    self_abs = (budget.k_abs / (deploy.n_b * deploy.n_m)
-                * budget.a * r1 ** -2 * math.exp(-budget.k_abs * r1))
+    self_abs = (reradiation_constant(budget, deploy)
+                * r1 ** -2 * math.exp(-budget.k_abs * r1))
     return system.thermal_noise_power + self_abs

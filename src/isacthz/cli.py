@@ -24,7 +24,7 @@ import math
 import sys as _sys
 from dataclasses import replace
 
-from .channel import LinkBudget
+from .channel import LOWER_BOUND_MODES, LinkBudget
 from .config import ConfigError, Deployment, SystemParams, load_config
 from .coverage import coverage_probability, coverage_sweep, CoverageQuery
 from .misalignment import (beam_misalignment, blockage_probability,
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[0.0, 5.0, 10.0], dest="threshold_db_grid")
     p.add_argument("--schemes", nargs="+", default=list(SCHEMES),
                    choices=SCHEMES)
-    p.add_argument("--lower-bound", choices=("theorem", "derivation"),
+    p.add_argument("--lower-bound", choices=LOWER_BOUND_MODES,
                    default="theorem", dest="lower_bound")
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimates")
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-db", type=float, default=5.0,
                    dest="threshold_db")
     p.add_argument("--window-m", type=float, default=None, dest="window_m")
-    p.add_argument("--lower-bound", choices=("theorem", "derivation"),
+    p.add_argument("--lower-bound", choices=LOWER_BOUND_MODES,
                    default="theorem", dest="lower_bound")
 
     p = sub.add_parser("compare", help="scheme comparison report")

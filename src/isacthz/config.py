@@ -100,6 +100,16 @@ class SystemParams:
         """Thermal noise over the full band, density * b_tot [W]."""
         return self.thermal_noise_density * self.b_tot
 
+    @property
+    def subcarrier_cap(self) -> int:
+        """Whole subcarriers that fit the band, floor(b_tot / f_scs)."""
+        return math.floor(self.b_tot / self.f_scs + 1e-9)
+
+    @property
+    def symbol_cap(self) -> int:
+        """Whole symbols that fit the data duration, floor(t_tot / t_sym)."""
+        return math.floor(self.t_tot / self.t_sym + 1e-9)
+
 
 @dataclass(frozen=True)
 class Deployment:
@@ -138,6 +148,17 @@ class Deployment:
     @property
     def theta_m(self) -> float:
         return 2.0 * math.pi / self.n_m
+
+    @property
+    def obstacle_density(self) -> float:
+        """Density of the fields that block a link, lambda_m + lambda_s."""
+        return self.lambda_m + self.lambda_s
+
+    @property
+    def total_density(self) -> float:
+        """Density of everything that blocks an interferer's line of sight,
+        lambda_b + lambda_m + lambda_s (nodes block one another)."""
+        return self.lambda_b + self.lambda_m + self.lambda_s
 
 
 @dataclass(frozen=True)

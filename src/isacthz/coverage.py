@@ -51,8 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, lambertw
 
-from .channel import (LinkBudget, effective_noise, orientation_odds,
-                      received_power, sweep_weight)
+from .channel import (LOWER_BOUND_MODES, LinkBudget, effective_noise,
+                      log_void_probability, lower_bound_radius,
+                      orientation_odds, received_power, reradiation_constant,
+                      sweep_weight)
 from .config import Deployment, SystemParams
 from .misalignment import beam_misalignment
 from .sensing import SensingAbility
@@ -67,8 +69,6 @@ __all__ = [
     "coverage_sweep",
     "clear_field_cache",
 ]
-
-LOWER_BOUND_MODES = ("theorem", "derivation")
 
 # phase budget separating the numerically-resolved slow zone from the
 # endpoint-corrected fast zone of the distance integrals
@@ -136,9 +136,8 @@ class ShotNoiseField:
         self.w_s = w_s
         self.lower = lower_bound
         self.k = budget.k_abs
-        self.c_abs = budget.a * budget.k_abs / (deploy.n_b * deploy.n_m)
-        self.c_int = budget.a * (1.0 + budget.k_abs / (deploy.n_b * deploy.n_m))
-        self.lam_block = deploy.lambda_b + deploy.lambda_m + deploy.lambda_s
+        self.c_abs = reradiation_constant(budget, deploy)
+        self.c_int = budget.a + self.c_abs
         self._tables = None
 
     # -- geometry helpers ---------------------------------------------------
@@ -148,8 +147,8 @@ class ShotNoiseField:
 
     def _p_los(self, r):
         """Line-of-sight odds of a node at r; p_I(r) = w_s times this."""
-        two_rb = 2.0 * self.deploy.r_b
-        return np.exp(-self.lam_block * (r - two_rb) * two_rb)
+        return np.exp(log_void_probability(self.deploy.total_density,
+                                           self.deploy.r_b, r))
 
     def _phase_radius(self, s, c_x: float, target: float):
         """Radius where the phase 2 pi s c_x r^-2 e^{-k r} falls to `target`,
@@ -180,11 +179,11 @@ class ShotNoiseField:
         return cos_b - cos_a, sin_b - sin_a
 
     def _los_area(self, a, b):
-        """int_a^b r p_los(r) dr in closed form: with c = 2 r_b lam_block and
+        """int_a^b r p_los(r) dr in closed form: with c = 2 r_b lambda_total and
         x = c (b - a), p_los(a) [a P(1, x) / c + P(2, x) / c^2], where
         P(1, x) = 1 - e^-x and P(2, x) = 1 - (1 + x) e^-x (regularized lower
         incomplete gamma) keep every term positive, free of cancellation."""
-        c = 2.0 * self.deploy.r_b * self.lam_block
+        c = 2.0 * self.deploy.r_b * self.deploy.total_density
         x = c * (b - a)
         return self._p_los(a) * (-a * np.expm1(-x) / c + gammainc(2.0, x) / c ** 2)
 
@@ -386,6 +385,7 @@ def _coverage_cell(query: CoverageQuery, budget: LinkBudget, deploy: Deployment,
         raise ValueError("coverage requires r1 >= 2 r_b")
     y = received_power(budget, query.r1) / query.threshold
     p_eff = effective_noise(budget, deploy, system, query.r1)
+    w_s = sweep_weight(deploy, system, p_ms)
 
     if deploy.lambda_b <= 0.0:
         # no node field: the SINR test is deterministic against the
@@ -394,8 +394,8 @@ def _coverage_cell(query: CoverageQuery, budget: LinkBudget, deploy: Deployment,
         return CoverageResult(p_cvp=(1.0 - p_ms) * p_cm, p_cm=p_cm,
                               p_ms=p_ms, integral_abs_error=0.0)
 
-    lower = 2.0 * deploy.r_b if query.lower_bound_mode == "theorem" else query.r1
-    fld = _field_for(budget, deploy, sweep_weight(deploy, system, p_ms), lower)
+    lower = lower_bound_radius(query.lower_bound_mode, deploy, query.r1)
+    fld = _field_for(budget, deploy, w_s, lower)
     two_pi_lb = 2.0 * math.pi * deploy.lambda_b
 
     def terms(s):

@@ -17,21 +17,19 @@ longitudinal offset 0 or r and so never blocks its own link.
 Only what that test can see is sampled.  By the restriction property,
 a PPP's points in a region are Poisson(density * area) uniform draws
 independent of the rest of the plane: a link's obstacles are drawn in
-its frame box [0, r] x (-r_b, r_b), two links sharing one field draw
-the union of their boxes once.  By independent thinning, a coverage
-trial holds Binomial(nodes, q_mark) marked nodes, and as its nodes are
-i.i.d. its first ones can stand for them; only trials holding one draw
-angles and a user/blocker disc around their corridors.  By the mapping
+its frame box [0, r] x (-r_b, r_b), each link from its own field, as the
+analytic timeout multiplies the two links' void probabilities.  By
+independent thinning, a coverage trial holds Binomial(nodes, q_mark)
+marked nodes, and as its nodes are i.i.d. its first ones can stand for
+them; only trials holding one draw angles and a user/blocker disc around
+their corridors.  By the mapping
 theorem, pi lambda_b r^2 over the nodes is a unit-rate PPP on [0, inf),
 so a user's two nearest nodes are drawn exactly from two exponential
 partial sums: the link estimators truncate nothing to a window.
 
-The timeout estimator defaults to drawing an independent obstacle field
-per link.  The analytic timeout multiplies the two void probabilities,
-i.e. it treats the two corridors' blockage as conditionally independent;
-with a single shared obstacle field the corridors overlap near the origin
-and the empirical probability sits many sigma above the formula.  The
-shared-field variant stays available for quantifying exactly that gap.
+The oracle reads the model's inputs from their homes (densities, sweep
+weight, re-radiation constant, lower-bound radius, beam-crossing miss
+window) and none of its closed-form results.
 """
 
 from __future__ import annotations
@@ -41,9 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkBudget, effective_noise, received_power
+from .channel import (LinkBudget, effective_noise, lower_bound_radius,
+                      received_power, reradiation_constant, sweep_weight)
 from .config import Deployment, SystemParams
-from .misalignment import beam_misalignment, beam_switch_density
+from .misalignment import (beam_misalignment, beam_switch_density,
+                           crossing_miss_window)
 from .sensing import SensingAbility
 
 __all__ = ["McEstimate", "estimate_blockage", "estimate_timeout",
@@ -128,26 +128,11 @@ def _link_box(rng, density: float, r: np.ndarray, r_b: float):
     return lon, r_b * (2.0 * rng.random(total) - 1.0), counts
 
 
-def _union_boxes(rng, density: float, r12, a12, r_b: float):
-    """One PPP on the union of both links' boxes, in world coordinates: box 2
-    drops its points inside box 1.  Returns coords grouped by trial + counts."""
-    xs, ys, owners = [], [], []
-    for k in (0, 1):
-        lon, lat, counts = _link_box(rng, density, r12[:, k], r_b)
-        t = np.repeat(np.arange(counts.size), counts)
-        c, s = np.cos(a12[t, k]), np.sin(a12[t, k])
-        x, y = lon * c - lat * s, lon * s + lat * c
-        if k == 1:
-            c, s = np.cos(a12[t, 0]), np.sin(a12[t, 0])
-            lon = x * c + y * s
-            keep = ~((np.abs(y * c - x * s) < r_b) & (lon >= 0.0)
-                     & (lon <= r12[t, 0]))
-            x, y, t = x[keep], y[keep], t[keep]
-        xs.append(x), ys.append(y), owners.append(t)
-    t = np.concatenate(owners)
-    order = np.argsort(t, kind="stable")
-    return (np.concatenate(xs)[order], np.concatenate(ys)[order],
-            np.bincount(t, minlength=r12.shape[0]))
+def _blocked_links(rng, deploy: Deployment, r: np.ndarray) -> np.ndarray:
+    """Corridor test of links of lengths r, each against its own user and
+    blocker field (density lambda_m + lambda_s) drawn in its box."""
+    return _blocked_bulk(*_link_box(rng, deploy.obstacle_density, r, deploy.r_b),
+                         r, np.zeros(r.size), deploy.r_b)
 
 
 def estimate_blockage(deploy: Deployment, r: float, trials: int,
@@ -159,12 +144,9 @@ def estimate_blockage(deploy: Deployment, r: float, trials: int,
     """
     if r < 2.0 * deploy.r_b:
         raise ValueError("estimate_blockage requires r >= 2 r_b")
-    density = deploy.lambda_m + deploy.lambda_s
     hits = 0
     for rng, b in _batches(trials, seed):
-        links = np.full(b, r)
-        hits += int(_blocked_bulk(*_link_box(rng, density, links, deploy.r_b),
-                                  links, np.zeros(b), deploy.r_b).sum())
+        hits += int(_blocked_links(rng, deploy, np.full(b, r)).sum())
     return McEstimate.from_hits(hits, trials)
 
 
@@ -190,31 +172,16 @@ def nearest_two_distances(deploy: Deployment, samples: int, seed: int):
     return out[:, 0], out[:, 1]
 
 
-def estimate_timeout(deploy: Deployment, trials: int, seed: int,
-                     shared_obstacles: bool = False) -> McEstimate:
-    """Fraction of scenes whose two nearest nodes are both corridor-blocked.
-
-    By default each link's corridor is tested against its own obstacle
-    field, matching the analytic factorisation of the two blockage events;
-    shared_obstacles=True uses one common field instead (physically shared
-    geometry, which the closed form does not model).
-    """
+def estimate_timeout(deploy: Deployment, trials: int, seed: int) -> McEstimate:
+    """Fraction of scenes whose two nearest nodes are both corridor-blocked,
+    each link's corridor tested against its own obstacle field."""
     if trials < 1000:
         raise ValueError("estimate_timeout needs at least 1e3 trials")
-    density = deploy.lambda_m + deploy.lambda_s
     hits = 0
     for rng, b in _batches(trials, seed):
-        r12, a12 = _nearest_two_batch(rng, deploy, b)
-        if shared_obstacles:
-            field = _union_boxes(rng, density, r12, a12, deploy.r_b)
-            bx, by = r12 * np.cos(a12), r12 * np.sin(a12)
-            blocked = [_blocked_bulk(*field, bx[:, k], by[:, k], deploy.r_b)
-                       for k in (0, 1)]
-        else:
-            blocked = [_blocked_bulk(
-                *_link_box(rng, density, r12[:, k], deploy.r_b),
-                r12[:, k], np.zeros(b), deploy.r_b) for k in (0, 1)]
-        hits += int((blocked[0] & blocked[1]).sum())
+        r12 = _nearest_two_batch(rng, deploy, b)[0]
+        hits += int((_blocked_links(rng, deploy, r12[:, 0])
+                     & _blocked_links(rng, deploy, r12[:, 1])).sum())
     return McEstimate.from_hits(hits, trials)
 
 
@@ -228,17 +195,13 @@ def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
     'p_err', 'p_to' and 'p_ms' estimates (p_ms as the additive bound).
     """
     mu_g = beam_switch_density(deploy)
-    density = deploy.lambda_m + deploy.lambda_s
-    lo = max((deploy.v - ability.delta_v) * tau - ability.delta_db, 0.0)
-    hi = deploy.v * tau
+    lo, hi = crossing_miss_window(deploy, ability, tau)
     hits = 0
     for rng, b in _batches(trials, seed):
         d_b = rng.exponential(1.0 / mu_g, size=b)
         miss = (d_b > lo) & (d_b < hi)
         r1 = _nearest_two_batch(rng, deploy, b)[0][:, 0]
-        blocked1 = _blocked_bulk(*_link_box(rng, density, r1, deploy.r_b),
-                                 r1, np.zeros(b), deploy.r_b)
-        hits += int((miss & ~blocked1).sum())
+        hits += int((miss & ~_blocked_links(rng, deploy, r1)).sum())
     err = McEstimate.from_hits(hits, trials)
     to = estimate_timeout(deploy, trials, seed + 1)
     p_ms = min(err.mean + to.mean, 1.0)
@@ -250,8 +213,7 @@ def default_window_radius(system: SystemParams, deploy: Deployment,
                           r1: float) -> float:
     """Simulation disc radius capturing the interference and noise tails."""
     reach = 14.0 / max(system.k_abs, 1e-2)
-    lam = deploy.lambda_b + deploy.lambda_m + deploy.lambda_s
-    reach = max(reach, 5.0 / max(2.0 * lam * deploy.r_b, 1e-3))
+    reach = max(reach, 5.0 / max(2.0 * deploy.total_density * deploy.r_b, 1e-3))
     return max(min(max(60.0, reach), 1500.0), r1 + 20.0)
 
 
@@ -273,23 +235,19 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
     """
     if r1 < 2.0 * deploy.r_b:
         raise ValueError("estimate_coverage requires r1 >= 2 r_b")
-    if threshold <= 0.0:
-        raise ValueError("threshold must be > 0")
-    if lower_bound_mode not in ("theorem", "derivation"):
-        raise ValueError("lower_bound_mode must be 'theorem' or 'derivation'")
-    r_lo = 2.0 * deploy.r_b if lower_bound_mode == "theorem" else r1
+    if not threshold > 0.0:
+        raise ValueError("threshold must be > 0 (linear SINR)")
+    r_lo = lower_bound_radius(lower_bound_mode, deploy, r1)
     r_win = (default_window_radius(system, deploy, r1) if window_radius is None
              else window_radius)
     if not r_win > r_lo:  # NaN included
         raise ValueError("window_radius must exceed the lower-bound radius")
 
     p_ms = beam_misalignment(deploy, ability, system.tau).p_ms
-    duty = deploy.n_b * system.t_ssb / system.tau
-    q_mark = (duty + (1.0 - duty) * p_ms) / (deploy.n_b * deploy.n_m)
-    k_over_a = budget.k_abs / (deploy.n_b * deploy.n_m) * budget.a
+    q_mark = sweep_weight(deploy, system, p_ms)
+    c_abs = reradiation_constant(budget, deploy)
     margin = received_power(budget, r1) / threshold - \
         effective_noise(budget, deploy, system, r1)
-    density = deploy.lambda_m + deploy.lambda_s
 
     span = r_win ** 2 - r_lo ** 2
     area = math.pi * span
@@ -309,7 +267,7 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
         g /= rad2
         i_eff = np.zeros(b)
         busy = counts > 0  # reduceat cannot express an empty slice
-        i_eff[busy] = k_over_a * np.add.reduceat(g, starts[busy])
+        i_eff[busy] = c_abs * np.add.reduceat(g, starts[busy])
         del g, rad2
         # trial t's first m[t] nodes are its marked candidates; angles and
         # the user/blocker disc are drawn per such trial, in trial order
@@ -319,7 +277,8 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
             r_t = rad[starts[t]:ends[t]]
             ang = 2.0 * math.pi * rng.random(r_t.size)
             x, y = r_t * np.cos(ang), r_t * np.sin(ang)
-            others = _ppp_disc(rng, density, r_t[:c].max() + deploy.r_b)
+            others = _ppp_disc(rng, deploy.obstacle_density,
+                               r_t[:c].max() + deploy.r_b)
             obs_x = np.concatenate([x, [r1], others[:, 0]])
             obs_y = np.concatenate([y, [0.0], others[:, 1]])
             blocked = _blocked_bulk(np.tile(obs_x, c), np.tile(obs_y, c),

@@ -3,18 +3,18 @@ terms with their closed forms and quadrature checks.
 
 Component pieces:
 
-* blockage_probability -- void probability of the 2 r_b wide corridor,
-  1 - exp(-(lambda_s + lambda_m)(r - 2 r_b) 2 r_b).
+* blockage_probability -- complement of the void probability of the
+  2 r_b wide corridor against users and blockers,
+  1 - exp(-(lambda_m + lambda_s)(r - 2 r_b) 2 r_b).
 * timeout_probability -- both nearest nodes blocked, an integral over the
   joint nearest-two distance density whose inner part has an erfcx
   closed form.
 * speed_underestimate_probability -- the tracked speed falls short of the
-  beam-crossing rate; exponential beam-length law with density
-  mu_g = n_b sqrt(lambda_b) / pi.
+  beam-crossing rate: the beam length, exponential with density
+  mu_g = n_b sqrt(lambda_b) / pi, falls in crossing_miss_window.
 * expected_closest_blockage -- the nearest-node blockage averaged over its
-  distance; erfc closed form plus a direct quadrature used as the
-  normative cross-check (the closed form counts the vanishing r1 < 2 r_b
-  mass as blocked, and the quadrature integrates that same definition).
+  distance, in erfc closed form (it counts the vanishing r1 < 2 r_b mass
+  as blocked).
 
 The total is the additive union bound p_ms = min(p_err + p_to, 1).
 """
@@ -27,18 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
+from .channel import log_void_probability
 from .config import Deployment
 from .sensing import SensingAbility
-from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec,
-                      integrate_semi_infinite)
+from .specfun import integrate_semi_infinite
 
 __all__ = [
     "MisalignmentBreakdown",
     "blockage_probability",
     "timeout_probability",
     "speed_underestimate_probability",
+    "crossing_miss_window",
     "expected_closest_blockage",
-    "expected_closest_blockage_quadrature",
     "beam_misalignment",
     "beam_switch_density",
 ]
@@ -69,13 +69,13 @@ def blockage_probability(deploy: Deployment, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 2.0 * deploy.r_b):
         raise ValueError("blockage_probability requires r >= 2 r_b")
-    w1 = (deploy.lambda_s + deploy.lambda_m) * 2.0 * deploy.r_b
-    out = 1.0 - np.exp(-w1 * (r - 2.0 * deploy.r_b))
+    out = 1.0 - np.exp(log_void_probability(deploy.obstacle_density,
+                                            deploy.r_b, r))
     return float(out) if out.ndim == 0 else out
 
 
 def _lemma_constants(deploy: Deployment):
-    w1 = (deploy.lambda_s + deploy.lambda_m) * 2.0 * deploy.r_b
+    w1 = deploy.obstacle_density * 2.0 * deploy.r_b
     beta = deploy.lambda_b * math.pi
     w2 = 2.0 * deploy.r_b * math.sqrt(beta) + w1 / (2.0 * math.sqrt(beta))
     return w1, beta, w2
@@ -93,15 +93,14 @@ def timeout_probability(deploy: Deployment) -> float:
 
     the scaled complementary error function keeping every factor finite.
     """
-    if deploy.lambda_b <= 0.0 or deploy.lambda_s + deploy.lambda_m == 0.0:
+    if deploy.lambda_b <= 0.0 or deploy.obstacle_density == 0.0:
         return 0.0
     w1, beta, _ = _lemma_constants(deploy)
-    two_rb = 2.0 * deploy.r_b
     root = math.sqrt(beta)
 
     def outer(r1):
         r1 = np.asarray(r1, dtype=float)
-        exponent = -w1 * (r1 - two_rb)
+        exponent = log_void_probability(deploy.obstacle_density, deploy.r_b, r1)
         b = np.exp(exponent)
         p_block = -np.expm1(exponent)
         g = np.exp(-beta * r1 ** 2) * (
@@ -110,23 +109,30 @@ def timeout_probability(deploy: Deployment) -> float:
             * sp.erfcx(root * r1 + w1 / (2.0 * root)))
         return r1 * p_block * g
 
-    integral = integrate_semi_infinite(outer, two_rb)
+    integral = integrate_semi_infinite(outer, 2.0 * deploy.r_b)
     return (2.0 * deploy.lambda_b * math.pi) ** 2 * integral
+
+
+def crossing_miss_window(deploy: Deployment, ability: SensingAbility,
+                         tau: float) -> tuple:
+    """Beam lengths (lo, hi) = (max((v - dv) tau - ddb, 0), v tau) whose
+    crossing within one burst period the tracked speed misses.  lo is
+    clamped at zero so coarse resolutions cannot push the miss probability
+    past that of the crossing itself."""
+    if tau <= 0.0:
+        raise ValueError("tau must be > 0")
+    return (max((deploy.v - ability.delta_v) * tau - ability.delta_db, 0.0),
+            deploy.v * tau)
 
 
 def speed_underestimate_probability(deploy: Deployment, ability: SensingAbility,
                                     tau: float) -> float:
-    """Probability the tracked speed misses an upcoming beam crossing.
-
-    exp(-mu_g * max((v - dv) tau - ddb, 0)) - exp(-mu_g v tau), floored at
-    zero.  The first exponent is clamped at zero so coarse resolutions
-    cannot push the result past the complement of the crossing event.
+    """Probability the tracked speed misses an upcoming beam crossing: the
+    exponential beam length falls in crossing_miss_window,
+    exp(-mu_g lo) - exp(-mu_g hi), floored at zero.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be > 0")
+    lo, hi = crossing_miss_window(deploy, ability, tau)
     mu_g = beam_switch_density(deploy)
-    lo = max((deploy.v - ability.delta_v) * tau - ability.delta_db, 0.0)
-    hi = deploy.v * tau
     return max(math.exp(-mu_g * lo) - math.exp(-mu_g * hi), 0.0)
 
 
@@ -140,7 +146,7 @@ def expected_closest_blockage(deploy: Deployment) -> float:
     exponent minus w2^2 collapses to -4 lambda_b pi r_b^2, which keeps the
     expression finite where the raw form would overflow.
     """
-    if deploy.lambda_s + deploy.lambda_m == 0.0:
+    if deploy.obstacle_density == 0.0:
         return 0.0
     if deploy.lambda_b <= 0.0:
         return 1.0  # the nearest node sits arbitrarily far away
@@ -148,29 +154,6 @@ def expected_closest_blockage(deploy: Deployment) -> float:
     scaled = float(sp.erfcx(w2))  # erfc(w2) * exp(w2^2)
     inner = 1.0 - w1 / (2.0 * math.sqrt(deploy.lambda_b)) * scaled
     return 1.0 - math.exp(-4.0 * beta * deploy.r_b ** 2) * inner
-
-
-def expected_closest_blockage_quadrature(deploy: Deployment,
-                                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Direct quadrature of the defining integral of the closed form above:
-    1 - int_{2 r_b}^inf e^{-w1 (r - 2 r_b)} f_{r1}(r) dr with the nearest
-    distance density f_{r1}(r) = 2 pi lambda_b r e^{-lambda_b pi r^2}.
-
-    The complement form mirrors the closed form exactly: the (tiny)
-    probability mass of a nearest node inside 2 r_b counts as blocked.
-    """
-    if deploy.lambda_s + deploy.lambda_m == 0.0:
-        return 0.0
-    if deploy.lambda_b <= 0.0:
-        return 1.0
-    w1, beta, _ = _lemma_constants(deploy)
-    two_rb = 2.0 * deploy.r_b
-
-    def unblocked(r):
-        return (np.exp(-w1 * (r - two_rb))
-                * 2.0 * math.pi * deploy.lambda_b * r * np.exp(-beta * r ** 2))
-
-    return 1.0 - integrate_semi_infinite(unblocked, two_rb, spec)
 
 
 def beam_misalignment(deploy: Deployment, ability: SensingAbility,

@@ -88,10 +88,8 @@ def alpha_bounds(system: SystemParams) -> tuple:
     caps plus half a rounding step, so any alpha inside the interval
     materialises without tripping the resource invariants."""
     log_n = math.log(system.n_rs)
-    cap_f = math.floor(system.b_tot / system.f_scs + 1e-9)
-    cap_s = math.floor(system.t_tot / system.t_sym + 1e-9)
-    lo = max(0.01, 1.0 - math.log(cap_f + 0.5) / log_n)
-    hi = min(0.99, math.log(cap_s + 0.5) / log_n)
+    lo = max(0.01, 1.0 - math.log(system.subcarrier_cap + 0.5) / log_n)
+    hi = min(0.99, math.log(system.symbol_cap + 0.5) / log_n)
     if lo >= hi:
         raise InfeasibleRequirementError(
             "no alpha satisfies the bandwidth/duration budgets for this n_rs")

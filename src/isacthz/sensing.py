@@ -81,8 +81,7 @@ class SensingPattern:
         no more than the rounding step is clipped to the cap; anything
         larger is a genuine violation and raises."""
         n_rs = system.n_rs
-        cap_f = math.floor(system.b_tot / system.f_scs + 1e-9)
-        cap_s = math.floor(system.t_tot / system.t_sym + 1e-9)
+        cap_f, cap_s = system.subcarrier_cap, system.symbol_cap
         n_s_raw = n_rs ** alpha
         n_f_raw = n_rs ** (1.0 - alpha)
         n_s = max(1, round(n_s_raw))

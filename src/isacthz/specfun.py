@@ -209,18 +209,23 @@ def _close_blocks(vals, errs, done, total, total_err, outer, streak, spec):
     return finished, total_err[:, done] + np.abs(vals[pick])
 
 
-def _march(f: Callable, lower, spec: QuadratureSpec) -> np.ndarray:
-    """Adaptive Gauss-Kronrod march of a batch of M members over [lower_m, inf).
+def integrate_semi_infinite_batch(f: Callable, lower,
+                                  spec: QuadratureSpec = DEFAULT_QUADRATURE
+                                  ) -> np.ndarray:
+    """Batched integrals of f over [lower_m, inf), m < M, for decaying
+    integrands; f follows the batched integrand contract of the module
+    docstring.
 
-    Each round lays out one block of _BLOCK panels (width 1, 2, 4, ...) per
-    open member, evaluates them in one integrand call and refines them with
-    _refine; a member splits at most spec.max_subdivisions panels in all.
-    Each panel is refined to max(abs_tol, rel_tol |reference|) / 4 per
-    component, the reference being the running total up to it with the
-    panels before it in its block at their estimates (for the very first
-    panel, its own estimate).  A member stops at the first panel that makes
-    two consecutive, three panels at least, below spec.tail_cutoff_envelope
-    times the running total in every component.
+    An adaptive Gauss-Kronrod 7/15 march: each round lays out one block of
+    _BLOCK panels (width 1, 2, 4, ...) per open member, evaluates them in
+    one integrand call and refines them with _refine; a member splits at
+    most spec.max_subdivisions panels in all.  Each panel is refined to
+    max(abs_tol, rel_tol |reference|) / 4 per component, the reference
+    being the running total up to it with the panels before it in its
+    block at their estimates (for the very first panel, its own estimate).
+    A member stops at the first panel that makes two consecutive, three
+    panels at least, below spec.tail_cutoff_envelope times the running
+    total in every component.
 
     Returns the (C, M) integrals.  Raises ValueError for an empty batch and
     QuadratureError for the first member of a round that has spent its
@@ -270,24 +275,6 @@ def _one(f: Callable) -> Callable:
     def batched(x, owner):
         return np.asarray(f(x.ravel()), dtype=float).reshape(1, *x.shape)
     return batched
-
-
-def integrate_semi_infinite_batch(f: Callable, lower,
-                                  spec: QuadratureSpec = DEFAULT_QUADRATURE
-                                  ) -> np.ndarray:
-    """Batched integrals of f over [lower_m, inf) for decaying integrands.
-
-    f follows the batched integrand contract of the module docstring.  Each
-    member marches panels of geometrically growing width, _BLOCK at a time,
-    each refined adaptively with Gauss-Kronrod 7/15, and truncates once
-    consecutive panels fall below spec.tail_cutoff_envelope relative to its
-    running estimate.  Returns the (C, M) integrals.
-
-    Raises ValueError for an empty batch, and QuadratureError (carrying a
-    partial value and an error bound) if any member exhausts its
-    subdivision budget before its tail dies out.
-    """
-    return _march(f, lower, spec)
 
 
 def integrate_semi_infinite(f: Callable, lower: float,

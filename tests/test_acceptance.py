@@ -21,7 +21,6 @@ from isacthz.mcsim import (estimate_blockage, estimate_coverage,
                            estimate_timeout)
 from isacthz.misalignment import (blockage_probability,
                                   expected_closest_blockage,
-                                  expected_closest_blockage_quadrature,
                                   timeout_probability)
 from isacthz.pattern import (PatternRequirement, brute_force_pattern,
                              objective, optimal_pattern)
@@ -29,6 +28,7 @@ from isacthz.schemes import scheme_abilities, scheme_ability
 from isacthz.sensing import a_theta, ability_from_spans, ssb_ability
 from isacthz.specfun import QuadratureSpec, integrate_semi_infinite
 from test_mcsim import joint_distance_gof, window_distances
+from test_misalignment import expected_closest_blockage_quadrature
 
 SYS = default_system()
 DEP = default_deployment()

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from isacthz.config import default_deployment, default_system
 
 SYS = default_system()
 DEP = default_deployment()
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _read_csv(path):
@@ -149,3 +151,21 @@ class TestConfigErrors:
         bad.write_text("n_b = 2\n")
         assert main(["abilities", "--config", str(bad),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestGoldenTables:
+    """The default tables, byte for byte.  A change that moves a value on
+    purpose re-records the file it moves and lists the deltas."""
+
+    COMMANDS = {
+        "misalign_n_b.csv": ["misalign", "--sweep", "n_b"],
+        "misalign_n_rs.csv": ["misalign", "--sweep", "n_rs"],
+        "coverage_theorem.csv": ["coverage"],
+        "coverage_derivation.csv": ["coverage", "--lower-bound", "derivation"],
+        "compare.md": ["compare"],
+    }
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_stdout(self, capsys, name):
+        assert main(self.COMMANDS[name]) == 0
+        assert capsys.readouterr().out == (GOLDEN / name).read_text()

@@ -35,6 +35,21 @@ class TestDefaults:
         assert deploy == default_deployment()
 
 
+class TestDerived:
+    def test_densities(self):
+        dep = Deployment(lambda_b=1e-3, lambda_m=2e-3, lambda_s=4e-3)
+        assert dep.obstacle_density == 2e-3 + 4e-3
+        assert dep.total_density == 1e-3 + 2e-3 + 4e-3
+
+    def test_resource_caps(self):
+        system = default_system()
+        assert (system.subcarrier_cap, system.symbol_cap) == (520, 4484)
+        # 0.3 / 0.1 rounds to 2.9999999999999996: the guard keeps the 3
+        tight = SystemParams(f_scs=0.1, b_tot=0.3, b_ssb=0.2, t_sym=0.1,
+                             t_tot=0.3)
+        assert (tight.subcarrier_cap, tight.symbol_cap) == (3, 3)
+
+
 class TestValidation:
     def test_narrow_beam_count_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

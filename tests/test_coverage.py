@@ -58,7 +58,7 @@ def direct_shot_noise(fld, s):
         return r ** -2.0 * np.exp(-k * r)
 
     def p_int(r):
-        return fld.w_s * np.exp(-fld.lam_block * (r - two_rb) * two_rb)
+        return fld.w_s * np.exp(-fld.deploy.total_density * (r - two_rb) * two_rb)
 
     def endpoint(c_x, a, b, kind, weight):
         # first-order endpoint value of int_a^b r h(r) trig(phase) dr

@@ -8,11 +8,11 @@ from scipy import stats
 from isacthz import mcsim
 from isacthz.channel import LinkBudget, effective_noise, received_power
 from isacthz.config import default_deployment, default_system
+from isacthz.coverage import CoverageQuery, coverage_probability
 from isacthz.mcsim import (McEstimate, _batches, _blocked_bulk, _ppp_disc,
-                           _union_boxes, default_window_radius,
-                           estimate_blockage, estimate_coverage,
-                           estimate_misalignment, estimate_timeout,
-                           nearest_two_distances)
+                           default_window_radius, estimate_blockage,
+                           estimate_coverage, estimate_misalignment,
+                           estimate_timeout, nearest_two_distances)
 from isacthz.misalignment import (beam_misalignment, beam_switch_density,
                                   blockage_probability, timeout_probability)
 from isacthz.sensing import baseline_5g_ability
@@ -144,15 +144,6 @@ class TestEstimators:
         ref = timeout_probability(DEP)
         assert abs(est.mean - ref) <= 3.0 * est.std_error
 
-    def test_shared_obstacles_overshoot(self):
-        # one common obstacle field correlates the two corridors; the
-        # closed form multiplies void probabilities and must undershoot it
-        indep = estimate_timeout(DEP, 120000, 13)
-        shared = estimate_timeout(DEP, 120000, 13, shared_obstacles=True)
-        assert shared.mean > indep.mean
-        ref = timeout_probability(DEP)
-        assert (shared.mean - ref) / shared.std_error > 4.0
-
     def test_determinism(self):
         a = estimate_timeout(DEP, 20000, 21)
         b = estimate_timeout(DEP, 20000, 21)
@@ -248,6 +239,27 @@ class TestCoverageEstimator:
         with pytest.raises(ValueError):
             estimate_coverage(DEP, BUD, SYS, ability, 20.0, 1.0, 100, 1,
                               lower_bound_mode="nonsense")
+
+    @pytest.mark.parametrize("dep, r1, threshold, mode", [
+        (DEP, 0.3, 1.0, "theorem"),
+        (DEP, 20.0, 0.0, "theorem"),
+        (DEP, 20.0, -1.0, "derivation"),
+        (DEP, 20.0, 1.0, "nonsense"),
+        (replace(DEP, n_b=2048, n_m=2048), 20.0, 1.0, "theorem"),
+    ], ids=["r1_inside_2rb", "zero_threshold", "negative_threshold",
+            "unknown_mode", "burst_exceeds_tau"])
+    def test_rejects_what_the_analytic_side_rejects(self, dep, r1, threshold,
+                                                    mode):
+        # the burst case (duty n_b t_ssb / tau = 1.83) used to return 0.95
+        # where the analytic sweep weight raises
+        bud = LinkBudget.from_params(SYS, dep)
+        ability = scheme_ability("perfect", SYS, dep)
+        with pytest.raises(ValueError):
+            coverage_probability(CoverageQuery(r1, threshold, mode), bud, dep,
+                                 SYS, ability)
+        with pytest.raises(ValueError):
+            estimate_coverage(dep, bud, SYS, ability, r1, threshold, 100, 1,
+                              lower_bound_mode=mode)
 
     def test_window_must_be_positive(self):
         # 0 used to run at the default radius and -100 like 100
@@ -352,7 +364,7 @@ def _whole_disc(quantity, trials, seed, ability=None):
         field = _obstacle_field(rng, density, radii)
         blocked = np.ones(b, dtype=bool)
         for k in range(ends.shape[1]):
-            if k and quantity == "timeout_independent":
+            if k:  # each link of the timeout event has its own field
                 field = _obstacle_field(rng, density, radii)
             blocked &= _blocked_bulk(*field, ends[:, k].real, ends[:, k].imag,
                                      DEP.r_b)
@@ -363,7 +375,7 @@ def _whole_disc(quantity, trials, seed, ability=None):
 
 
 class TestWholeDiscOracle:
-    """The box and union draws against whole-disc draws at fixed seeds."""
+    """The box draws against whole-disc draws at fixed seeds."""
 
     @staticmethod
     def _agree(est, ref):
@@ -376,45 +388,19 @@ class TestWholeDiscOracle:
 
     def test_timeout_independent(self):
         self._agree(estimate_timeout(DEP, 100000, 62),
-                    _whole_disc("timeout_independent", 100000, 63))
-
-    def test_timeout_shared(self):
-        self._agree(estimate_timeout(DEP, 100000, 64, shared_obstacles=True),
-                    _whole_disc("timeout_shared", 100000, 65))
+                    _whole_disc("timeout", 100000, 63))
 
     def test_p_err(self):
         ability = scheme_ability("jsrs", SYS, DEP)
         ests = estimate_misalignment(DEP, ability, SYS.tau, 100000, 66)
         self._agree(ests["p_err"], _whole_disc("p_err", 100000, 67, ability))
 
-    @pytest.mark.parametrize("a2, overlap", [
-        (0.0, 2.0 * DEP.r_b * 20.0),   # collinear: box 1 lies inside box 2
-        (math.pi / 2, DEP.r_b ** 2),   # perpendicular: an r_b square
-    ])
-    def test_union_overlap_sampled_once(self, a2, overlap):
-        density, trials = 0.2, 20000
-        r12 = np.tile([20.0, 30.0], (trials, 1))
-        a12 = np.tile([0.0, a2], (trials, 1))
-        x, y, counts = _union_boxes(np.random.default_rng(68), density,
-                                    r12, a12, DEP.r_b)
-
-        def inside(r, a):
-            lon = x * math.cos(a) + y * math.sin(a)
-            lat = -x * math.sin(a) + y * math.cos(a)
-            return (lon >= 0.0) & (lon <= r) & (np.abs(lat) < DEP.r_b)
-
-        assert counts.sum() == x.size
-        assert np.all(inside(20.0, 0.0) | inside(30.0, a2))
-        expect = density * overlap
-        seen = np.sum(inside(20.0, 0.0) & inside(30.0, a2)) / trials
-        assert abs(seen - expect) <= 4.0 * math.sqrt(expect / trials)
-
 
 class TestPinnedStream:
     """Estimates recorded at a fixed seed; the sampler's draw order is part
     of the contract, so a refactor must reproduce them exactly.  Recorded
-    after the switch to box, union and thinned-mark sampling, the timeout
-    and misalignment ones after the exact nearest-two draw."""
+    after the switch to box and thinned-mark sampling, the timeout and
+    misalignment ones after the exact nearest-two draw."""
 
     def test_coverage_urban(self):
         ability = scheme_ability("jsrs", SYS, DEP)
@@ -439,7 +425,6 @@ class TestPinnedStream:
 
     def test_timeout(self):
         assert estimate_timeout(DEP, 20000, 9).mean == 0.0553
-        assert estimate_timeout(DEP, 20000, 9, shared_obstacles=True).mean == 0.06045
 
     def test_misalignment(self):
         ests = estimate_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
@@ -450,7 +435,6 @@ class TestPinnedStream:
         # the window oracle is the nearest-two draw these were recorded with
         monkeypatch.setattr(mcsim, "_nearest_two_batch", _nearest_two_window)
         assert estimate_timeout(DEP, 20000, 9).mean == 0.0536
-        assert estimate_timeout(DEP, 20000, 9, shared_obstacles=True).mean == 0.0592
         ests = estimate_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
                                      SYS.tau, 20000, 14)
         assert ests["p_err"].mean == 0.04275

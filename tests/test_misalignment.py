@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from isacthz.channel import log_void_probability
 from isacthz.config import default_deployment, default_system
 from isacthz.misalignment import (beam_misalignment, beam_switch_density,
                                   blockage_probability,
                                   expected_closest_blockage,
-                                  expected_closest_blockage_quadrature,
                                   speed_underestimate_probability,
                                   timeout_probability)
 from isacthz.sensing import (SensingAbility, baseline_5g_ability,
@@ -44,6 +44,28 @@ def nested_timeout_probability(deploy):
                          for x in np.atleast_1d(r1)])
 
     return (2.0 * beta) ** 2 * integrate_semi_infinite(outer, two_rb, spec)
+
+
+def expected_closest_blockage_quadrature(deploy, spec=DEFAULT_QUADRATURE):
+    """Oracle of expected_closest_blockage: direct quadrature of its defining
+    integral 1 - int_{2 r_b}^inf p_void(r) f_{r1}(r) dr with the nearest
+    distance density f_{r1}(r) = 2 pi lambda_b r e^{-lambda_b pi r^2}.
+
+    The complement form mirrors the closed form exactly: the (tiny)
+    probability mass of a nearest node inside 2 r_b counts as blocked.
+    """
+    if deploy.obstacle_density == 0.0:
+        return 0.0
+    if deploy.lambda_b <= 0.0:
+        return 1.0
+    beta = deploy.lambda_b * math.pi
+
+    def unblocked(r):
+        return (np.exp(log_void_probability(deploy.obstacle_density,
+                                            deploy.r_b, r))
+                * 2.0 * beta * r * np.exp(-beta * r ** 2))
+
+    return 1.0 - integrate_semi_infinite(unblocked, 2.0 * deploy.r_b, spec)
 
 
 class TestBlockageProbability:
