@@ -22,14 +22,17 @@ analytic timeout multiplies the two links' void probabilities.  By
 independent thinning, a coverage trial holds Binomial(nodes, q_mark)
 marked nodes, and as its nodes are i.i.d. its first ones can stand for
 them; only trials holding one draw angles and a user/blocker disc around
-their corridors.  By the mapping
-theorem, pi lambda_b r^2 over the nodes is a unit-rate PPP on [0, inf),
-so a user's two nearest nodes are drawn exactly from two exponential
-partial sums: the link estimators truncate nothing to a window.
+their corridors.  By the mapping theorem, pi lambda_b r^2 over the nodes
+is a unit-rate PPP on [0, inf), so a user's two nearest nodes are drawn
+exactly from two exponential partial sums: the link estimators truncate
+nothing to a window.
 
-The oracle reads the model's inputs from their homes (densities, sweep
-weight, re-radiation constant, lower-bound radius, beam-crossing miss
-window) and none of its closed-form results.
+The model's inputs come from the modules that define them: the densities
+from `config`, the sweep weight (q_mark), re-radiation constant and
+lower-bound radius from `channel`, the beam-crossing miss window from
+`misalignment`.  Every blockage, timeout and interference event is drawn
+from corridor geometry; only a coverage trial's alignment takes the
+analytic misalignment probability.
 """
 
 from __future__ import annotations

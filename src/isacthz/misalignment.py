@@ -1,5 +1,5 @@
 """Beam-misalignment probability: imperfect-sensing and association-timeout
-terms with their closed forms and quadrature checks.
+terms in closed form.
 
 Component pieces:
 
