@@ -38,10 +38,12 @@ from .sensing import SCHEMES, ability_from_spans, sensing_ability, ssb_ability
 from .specfun import QuadratureError
 
 __all__ = ["main", "ability_reference_rows", "misalign_sweep_rows",
-           "compare_report", "NB_SWEEP", "NRS_SWEEP"]
+           "compare_report", "NB_SWEEP", "NRS_SWEEP", "COVERAGE_GRID"]
 
 NB_SWEEP = (32, 64, 128, 256, 512)
 NRS_SWEEP = (1000, 1500, 2000, 5000, 10000, 30000, 100000)
+# default (r1 [m], threshold [dB]) grid of `coverage` and of `compare`
+COVERAGE_GRID = ((10.0, 20.0, 40.0), (0.0, 5.0, 10.0))
 
 _REFGRID_FCS = (0.22e12, 1.0e12)
 _REFGRID_BS = (0.1e9, 0.2e9)
@@ -242,9 +244,8 @@ def _cmd_simulate(args, system, deploy):
 # compare
 # -----------------------------------------------------------------------------
 
-def compare_report(system: SystemParams, deploy: Deployment,
-                   with_mc: bool = False, trials: int = 20000, seed: int = 1,
-                   r1_grid=(10.0, 20.0, 40.0), threshold_db=(0.0, 5.0, 10.0)):
+def compare_report(system: SystemParams, deploy: Deployment, with_mc: bool,
+                   trials: int, seed: int):
     """Markdown scheme-comparison report; returns (text, strict_ok)."""
     lines = ["# Scheme comparison", ""]
     strict_ok = True
@@ -286,6 +287,7 @@ def compare_report(system: SystemParams, deploy: Deployment,
         lines.append("")
 
     # coverage over the (r1, threshold) grid
+    r1_grid, threshold_db = COVERAGE_GRID
     budget = LinkBudget.from_params(system, deploy)
     abilities = scheme_abilities(SCHEMES, system, deploy)
     thresholds = [10.0 ** (db / 10.0) for db in threshold_db]
@@ -380,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="coverage sweep")
     _add_common(p)
-    p.add_argument("--r1-grid", type=float, nargs="+", default=[10.0, 20.0, 40.0],
+    p.add_argument("--r1-grid", type=float, nargs="+", default=list(COVERAGE_GRID[0]),
                    dest="r1_grid")
     p.add_argument("--threshold-db-grid", type=float, nargs="+",
-                   default=[0.0, 5.0, 10.0], dest="threshold_db_grid")
+                   default=list(COVERAGE_GRID[1]), dest="threshold_db_grid")
     p.add_argument("--schemes", nargs="+", default=list(SCHEMES),
                    choices=SCHEMES)
     p.add_argument("--lower-bound", choices=LOWER_BOUND_MODES,

@@ -11,14 +11,15 @@ through two semi-infinite integrals over node distance,
 
 with I_abs(r) = (A K / n_b n_m) r^-2 e^-Kr (absorption re-radiation from
 any node) and I_int(r) = A (1 + K / n_b n_m) r^-2 e^-Kr (an actively
-interfering node).  The conditional coverage term is then the oscillatory
-inversion integral
+interfering node).  The conditional coverage term is then the Gil-Pelaez
+difference F(y) - F(0), y = P_c(r1)/T, of two Dirichlet kernels
 
-  p_cm = int_0^inf e^{-2 pi lam_b f_r(s)} / (pi s)
-             [sin(2 pi s P_c(r1)/T + f_1(s)) - sin(f_1(s))] ds,
+  p_cm = D(f_1 + 2 pi s y) - D(f_1),
+  D(phi) = int_0^inf e^{-2 pi lam_b f_r(s)} sin(phi(s)) / (pi s) ds,
 
 with f_1(s) = -2 pi lam_b f_i(s) - 2 pi s P_n_eff, and the coverage
-probability is p_cvp = (1 - p_ms) p_cm.
+probability is p_cvp = (1 - p_ms) p_cm.  The threshold-free half D(f_1) is
+integrated once per (scheme, r1) row and serves all its thresholds.
 
 Numerics: for large s the distance integrands oscillate rapidly near the
 lower bound.  The evaluation splits each bracket by source, absorption
@@ -36,8 +37,8 @@ evaluated in lockstep batches of s-points, each quadrature step
 integrating every pending panel of every s-point in one call.  Each sweep
 weight then reads its own interpolants off that shared table, which is
 what lets one table serve every scheme and a whole (r1, threshold)
-sweep.  The inversion reads the envelope and both phases from one lookup
-of those interpolants per node set or panel edge.
+sweep.  Each kernel reads its envelope and phase from one lookup of those
+interpolants per node set or panel edge.
 """
 
 from __future__ import annotations
@@ -374,46 +375,55 @@ def coverage_probability(query: CoverageQuery, budget: LinkBudget,
                          deploy: Deployment, system: SystemParams,
                          ability: SensingAbility) -> CoverageResult:
     """Analytic coverage probability at one (r1, threshold) point."""
-    return _coverage_cell(query, budget, deploy, system,
-                          beam_misalignment(deploy, ability, system.tau).p_ms)
+    return _coverage_row(query.r1, [query.threshold], query.lower_bound_mode,
+                         budget, deploy, system,
+                         beam_misalignment(deploy, ability, system.tau).p_ms)[0]
 
 
-def _coverage_cell(query: CoverageQuery, budget: LinkBudget, deploy: Deployment,
-                   system: SystemParams, p_ms: float) -> CoverageResult:
-    """coverage_probability at a given misalignment probability p_ms."""
-    if query.r1 < 2.0 * deploy.r_b:
+def _coverage_row(r1: float, thresholds, mode: str, budget: LinkBudget,
+                  deploy: Deployment, system: SystemParams, p_ms: float) -> list:
+    """A CoverageResult per threshold at one r1 and a given p_ms: the
+    threshold-free kernel D(phi1), the y = 0 one, once, then one per y."""
+    for thr in thresholds:
+        CoverageQuery(r1, thr, mode)  # validates the threshold and the mode
+    if r1 < 2.0 * deploy.r_b:
         raise ValueError("coverage requires r1 >= 2 r_b")
-    y = received_power(budget, query.r1) / query.threshold
-    p_eff = effective_noise(budget, deploy, system, query.r1)
+    ys = [received_power(budget, r1) / thr for thr in thresholds]
+    p_eff = effective_noise(budget, deploy, system, r1)
     w_s = sweep_weight(deploy, system, p_ms)
 
     if deploy.lambda_b <= 0.0:
         # no node field: the SINR test is deterministic against the
         # effective noise (thermal plus the serving node's re-radiation)
-        p_cm = 1.0 if y > p_eff else 0.0
-        return CoverageResult(p_cvp=(1.0 - p_ms) * p_cm, p_cm=p_cm,
-                              p_ms=p_ms, integral_abs_error=0.0)
+        p_cms = [1.0 if y > p_eff else 0.0 for y in ys]
+        return [CoverageResult(p_cvp=(1.0 - p_ms) * p_cm, p_cm=p_cm, p_ms=p_ms,
+                               integral_abs_error=0.0) for p_cm in p_cms]
 
-    lower = lower_bound_radius(query.lower_bound_mode, deploy, query.r1)
-    fld = _field_for(budget, deploy, w_s, lower)
+    fld = _field_for(budget, deploy, w_s, lower_bound_radius(mode, deploy, r1))
     two_pi_lb = 2.0 * math.pi * deploy.lambda_b
 
-    def terms(s):
-        # envelope, phi1 and phi2 from one field lookup
-        fr, fi = fld.parts(s)
-        phi1 = -two_pi_lb * fi - 2.0 * math.pi * s * p_eff
-        return np.exp(-two_pi_lb * fr), phi1, phi1 + 2.0 * math.pi * s * y
+    def kernel(y):
+        def terms(s):
+            # envelope and phase phi1 + 2 pi s y from one field lookup
+            fr, fi = fld.parts(s)
+            return (np.exp(-two_pi_lb * fr),
+                    -two_pi_lb * fi - 2.0 * math.pi * s * p_eff + 2.0 * math.pi * s * y)
+        return integrate_oscillatory(terms, spec=DEFAULT_COVERAGE_QUADRATURE)
 
-    p_cm, err = integrate_oscillatory(terms, spec=DEFAULT_COVERAGE_QUADRATURE)
-
-    slack = 10.0 * max(10.0 * err, 1e-4)
-    if p_cm < -slack or p_cm > 1.0 + slack:
-        raise QuadratureError(
-            "conditional coverage escaped [0, 1]; inversion integrand suspect",
-            p_cm, err)
-    p_cm_clamped = min(max(p_cm, 0.0), 1.0)
-    return CoverageResult(p_cvp=(1.0 - p_ms) * p_cm_clamped, p_cm=p_cm_clamped,
-                          p_ms=p_ms, integral_abs_error=err)
+    v1, e1 = kernel(0.0)
+    row = []
+    for y in ys:
+        v2, e2 = kernel(y)
+        p_cm, err = v2 - v1, e1 + e2
+        slack = 10.0 * max(10.0 * err, 1e-4)
+        if p_cm < -slack or p_cm > 1.0 + slack:
+            raise QuadratureError(
+                "conditional coverage escaped [0, 1]; inversion integrand suspect",
+                p_cm, err)
+        p_cm = min(max(p_cm, 0.0), 1.0)
+        row.append(CoverageResult(p_cvp=(1.0 - p_ms) * p_cm, p_cm=p_cm, p_ms=p_ms,
+                                  integral_abs_error=err))
+    return row
 
 
 def coverage_sweep(r1_grid, threshold_grid, schemes, budget: LinkBudget,
@@ -423,24 +433,20 @@ def coverage_sweep(r1_grid, threshold_grid, schemes, budget: LinkBudget,
 
     abilities maps scheme name -> SensingAbility.  Returns a list of dict
     rows (scheme, r1_m, threshold_db, p_ms, p_cm, p_cvp, abs_err).  One
-    tabulated shot-noise field per lower bound serves every scheme.
+    tabulated shot-noise field per lower bound serves every scheme, and one
+    _coverage_row per (scheme, r1) every threshold.
     """
+    thresholds = [float(thr) for thr in threshold_grid]
     rows = []
     for scheme in schemes:
         # p_ms depends on neither r1 nor the threshold
         p_ms = beam_misalignment(deploy, abilities[scheme], system.tau).p_ms
         for r1 in r1_grid:
-            for thr in threshold_grid:
-                q = CoverageQuery(r1=float(r1), threshold=float(thr),
-                                  lower_bound_mode=lower_bound_mode)
-                res = _coverage_cell(q, budget, deploy, system, p_ms)
-                rows.append({
-                    "scheme": scheme,
-                    "r1_m": float(r1),
-                    "threshold_db": 10.0 * math.log10(thr),
-                    "p_ms": res.p_ms,
-                    "p_cm": res.p_cm,
-                    "p_cvp": res.p_cvp,
-                    "abs_err": res.integral_abs_error,
-                })
+            results = _coverage_row(float(r1), thresholds, lower_bound_mode,
+                                    budget, deploy, system, p_ms)
+            rows += [{"scheme": scheme, "r1_m": float(r1),
+                      "threshold_db": 10.0 * math.log10(thr), "p_ms": res.p_ms,
+                      "p_cm": res.p_cm, "p_cvp": res.p_cvp,
+                      "abs_err": res.integral_abs_error}
+                     for thr, res in zip(thresholds, results)]
     return rows

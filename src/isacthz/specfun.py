@@ -2,11 +2,11 @@
 
 Everything here is pure and stateless: an adaptive Gauss-Kronrod
 integrator for semi-infinite integrands with decaying tails, and a
-panel-marching integrator for oscillatory kernels of the form
+panel-marching integrator for one Dirichlet-type kernel
 
-    envelope(s) * [sin(phi2(s)) - sin(phi1(s))] / (pi * s),
+    D(phi) = int_0^inf envelope(s) sin(phi(s)) / (pi * s) ds,
 
-whose three terms come from one callable, so each node set costs one
+whose two terms come from one callable, so each node set costs one
 evaluation.  All integrand callables must accept numpy arrays (they are
 evaluated on batches of quadrature nodes).
 
@@ -289,7 +289,7 @@ def integrate_semi_infinite(f: Callable, lower: float,
 
 
 # -----------------------------------------------------------------------------
-# Oscillatory kernel: envelope(s) * [sin(phi2) - sin(phi1)] / (pi s)
+# Oscillatory (Dirichlet) kernel: envelope(s) * sin(phi(s)) / (pi s)
 # -----------------------------------------------------------------------------
 
 # s-points probed for the phase scale that sets the first panel width
@@ -331,10 +331,9 @@ def _alternating(vals):
     return flips >= 0.6 * (len(recent) - 1)
 
 
-def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
-                        lower: float):
-    """D(phi) = int_lower^inf envelope(s) sin(phi(s)) / (pi s) ds, with
-    envelope and phi the 0th and `which`th of terms(s).
+def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+    """D(phi) = int_0^inf envelope(s) sin(phi(s)) / (pi s) ds, one Dirichlet
+    kernel, with (envelope, phi) = terms(s) for s a float or an array.
 
     phi must vanish at s = 0, which makes the kernel finite there.  Panels
     track the local half-period of phi, so their contributions alternate
@@ -343,24 +342,30 @@ def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
     edges are laid out one after the other, then all are refined in
     lockstep, each to a tolerance referenced to the running total plus
     the estimates of the panels before it.  The first block's first panel
-    goes in as _HEAD_LEVELS + 1 geometric pieces toward the lower end,
-    refined in the same lockstep, each held to that panel's tolerance, and
-    summed back into it; the stop rules, the tail and the budget see its
-    one value as they see any panel's.  The stop rules are then taken
-    panel by panel: integration stops when the accelerated tail stabilises
-    within tolerance, the integrand is dead or the envelope falls below
-    spec.tail_cutoff_envelope; a block that spends the split budget raises.
+    goes in as _HEAD_LEVELS + 1 geometric pieces toward s = 0, refined in
+    the same lockstep, each held to that panel's tolerance, and summed back
+    into it; the stop rules, the tail and the budget see its one value as
+    they see any panel's.  The stop rules are then taken panel by panel:
+    integration stops when the accelerated tail stabilises within
+    tolerance, the integrand is dead or the envelope falls below
+    spec.tail_cutoff_envelope.
+
+    Returns:
+        (value, error_estimate)
+
+    Raises:
+        QuadratureError: when the panel budget runs out first.
     """
 
     def integrand(x, owner):
-        t = terms(x)
-        return (t[0] * np.sin(t[which]) / (np.pi * x))[None]
+        env, phi = terms(x)
+        return (env * np.sin(phi) / (np.pi * x))[None]
 
-    a = float(lower)
-    t = terms(np.append(a, max(a, 0.0) + _PROBE_S))
-    phi_a = float(t[which][0])
+    a = 0.0
+    phi = terms(np.append(a, _PROBE_S))[1]
+    phi_a = float(phi[0])
     # the first probed s where the phase is O(1) sets the first panel width
-    big = np.abs(t[which][1:]) > 1.0
+    big = np.abs(phi[1:]) > 1.0
     h = max(_PROBE_S[np.argmax(big) if big.any() else -1] / 4.0, 1e-300)
     env_ref = max(abs(float(terms(a + h)[0])), 1e-300)
     budget = np.array([spec.max_subdivisions])
@@ -371,10 +376,10 @@ def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
         edges, envs, widths = [a], [], []
         for _ in range(_BLOCK):
             b = a + h
-            t = terms(b)
-            phi_b = float(t[which])
+            env, phi_b = terms(b)
+            phi_b = float(phi_b)
             edges.append(b)
-            envs.append(abs(float(t[0])))
+            envs.append(abs(float(env)))
             widths.append(h)
             # next panel length: local half-period of phi
             slope = abs(phi_b - phi_a) / h
@@ -428,25 +433,3 @@ def _oscillatory_kernel(terms: Callable, which: int, spec: QuadratureSpec,
             if budget[0] <= 0 or len(vals) >= spec.max_subdivisions:
                 raise QuadratureError(
                     "oscillatory quadrature did not converge", est, max(est_err, abs(val)))
-
-
-def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                          lower: float = 0.0):
-    """Integrate envelope(s) * [sin(phi2(s)) - sin(phi1(s))] / (pi s) on [lower, inf),
-    with (envelope, phi1, phi2) = terms(s) for s a float or an array.
-
-    The two sine terms generally oscillate on very different scales (their
-    linear slopes can be orders of magnitude apart), so they are integrated
-    as separate Dirichlet-type kernels, each with panels paced by its own
-    phase, and the results subtracted.  Both phases must vanish at s = 0,
-    which keeps each kernel finite at the lower end.
-
-    Returns:
-        (value, error_estimate)
-
-    Raises:
-        QuadratureError: when the panel budget runs out first.
-    """
-    v2, e2 = _oscillatory_kernel(terms, 2, spec, lower)
-    v1, e1 = _oscillatory_kernel(terms, 1, spec, lower)
-    return v2 - v1, e1 + e2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from isacthz import specfun
+from isacthz import coverage, specfun
 from isacthz.channel import (LinkBudget, effective_noise,
                              interference_probability, received_power,
                              sweep_weight)
@@ -16,7 +16,7 @@ from isacthz.config import default_deployment, default_system
 from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET,
                               DEFAULT_COVERAGE_QUADRATURE, LOWER_BOUND_MODES,
                               CoverageQuery, CoverageResult, ShotNoiseField,
-                              _coverage_cell, _field_for, _pchip_coefficients,
+                              _coverage_row, _field_for, _pchip_coefficients,
                               _split_table, clear_field_cache,
                               coverage_probability, coverage_sweep)
 from isacthz.misalignment import beam_misalignment
@@ -287,6 +287,12 @@ class TestFieldCache:
         assert first == after
 
 
+def _cell(query, budget, deploy, p_ms):
+    """One coverage cell at a given p_ms: a row of one threshold."""
+    return _coverage_row(query.r1, [query.threshold], query.lower_bound_mode,
+                         budget, deploy, SYS, p_ms)[0]
+
+
 def oracle_p_cm(query, p_ms, budget=BUD, deploy=DEP, head=specfun._HEAD_LEVELS):
     """(p_cm, error estimate) of one cell by the scalar oscillatory march,
     with the envelope and the two phases as separate field lookups; head = 0
@@ -348,7 +354,7 @@ class TestBisectingLayoutOracle:
         for ability in scheme_abilities(SCHEMES, SYS, deploy).values():
             p_ms = beam_misalignment(deploy, ability, SYS.tau).p_ms
             for q in queries:
-                res = _coverage_cell(q, budget, deploy, SYS, p_ms)
+                res = _cell(q, budget, deploy, p_ms)
                 ref, ref_err = oracle_p_cm(q, p_ms, budget, deploy, head=0)
                 worst = max(worst, abs(res.p_cm - ref) / (res.integral_abs_error + ref_err))
         return worst
@@ -371,7 +377,7 @@ class TestInversionWork:
         # rounds per cell here, one per level; its geometric pieces take 10
         p_ms = beam_misalignment(DEP, ABILITIES["jsrs"], SYS.tau).p_ms
         queries = _cells(["theorem"], (5.0, 20.0, 38.0), (-5.0, 5.0, 15.0))
-        _coverage_cell(queries[0], BUD, DEP, SYS, p_ms)  # builds the table
+        _cell(queries[0], BUD, DEP, p_ms)  # builds the table
         calls = []
         gk15 = specfun._gk15_batch
         monkeypatch.setattr(specfun, "_gk15_batch",
@@ -379,7 +385,7 @@ class TestInversionWork:
         per_cell = []
         for q in queries:
             del calls[:]
-            _coverage_cell(q, BUD, DEP, SYS, p_ms)
+            _cell(q, BUD, DEP, p_ms)
             per_cell.append(len(calls))
         assert max(per_cell) <= 16
 
@@ -564,13 +570,34 @@ class TestCoverageProbability:
 
 class TestCoverageSweep:
     def test_single_point_matches_probability(self):
-        abilities = scheme_abilities(("jsrs",), SYS, DEP)
-        rows = coverage_sweep([20.0], [10.0], ("jsrs",), BUD, DEP, SYS,
-                              abilities)
-        assert len(rows) == 1
-        q = CoverageQuery(r1=20.0, threshold=10.0)
-        res = coverage_probability(q, BUD, DEP, SYS, abilities["jsrs"])
-        assert rows[0]["p_cvp"] == pytest.approx(res.p_cvp, abs=1e-9)
+        # each row of the sweep is the cell coverage_probability computes
+        r1s, dbs = (5.0, 20.0, 38.0), (-5.0, 5.0, 15.0)
+        thresholds = [10.0 ** (db / 10.0) for db in dbs]
+        for mode in LOWER_BOUND_MODES:
+            rows = coverage_sweep(r1s, thresholds, SCHEMES, BUD, DEP, SYS,
+                                  ABILITIES, mode)
+            assert len(rows) == len(SCHEMES) * len(r1s) * len(dbs)
+            cells = [(name, r1, thr) for name in SCHEMES for r1 in r1s
+                     for thr in thresholds]
+            for row, (name, r1, thr) in zip(rows, cells):
+                q = CoverageQuery(r1=r1, threshold=thr, lower_bound_mode=mode)
+                res = coverage_probability(q, BUD, DEP, SYS, ABILITIES[name])
+                assert row == {"scheme": name, "r1_m": r1,
+                               "threshold_db": 10.0 * math.log10(thr),
+                               "p_ms": res.p_ms, "p_cm": res.p_cm,
+                               "p_cvp": res.p_cvp,
+                               "abs_err": res.integral_abs_error}
+
+    def test_one_kernel_per_threshold_plus_one_per_row(self, monkeypatch):
+        # the threshold-free half D(phi1) is integrated once per (scheme, r1)
+        calls = []
+        integrate = coverage.integrate_oscillatory
+        monkeypatch.setattr(coverage, "integrate_oscillatory",
+                            lambda *a, **k: calls.append(1) or integrate(*a, **k))
+        schemes, r1s, thresholds = ("jsrs", "5g"), (10.0, 30.0), (1.0, 3.0, 10.0)
+        rows = coverage_sweep(r1s, thresholds, schemes, BUD, DEP, SYS, ABILITIES)
+        assert len(rows) == 2 * 2 * 3
+        assert len(calls) == 2 * 2 * (3 + 1)
 
     def test_threshold_monotone(self):
         abilities = scheme_abilities(("jsrs",), SYS, DEP)

@@ -75,25 +75,25 @@ def euler_loop(partial_sums: np.ndarray):
     return last, abs(last - prev)
 
 
-def _phase_scale_probe(phi, lower):
+def _phase_scale_probe(phi):
     """Find an s where the phase is O(1); sets the first panel width."""
-    base = max(lower, 0.0)
     for k in range(-18, 19):
         s = 10.0 ** k
-        if abs(float(phi(base + s))) > 1.0:
+        if abs(float(phi(s))) > 1.0:
             return s
     return 10.0 ** 18
 
 
-def _oscillatory_single(envelope, phi, spec, lower, head=specfun._HEAD_LEVELS):
-    """D(phi) = int_lower^inf envelope(s) sin(phi(s)) / (pi s) ds.
+def _oscillatory_single(envelope, phi, spec=specfun.DEFAULT_QUADRATURE,
+                        head=specfun._HEAD_LEVELS):
+    """D(phi) = int_0^inf envelope(s) sin(phi(s)) / (pi s) ds.
 
     phi must vanish at s = 0, which makes the kernel finite there.  Panels
     track the local half-period of phi, so their contributions alternate
     once the kernel oscillates; the tail is summed with iterated averaging
-    (Euler-style acceleration).  The first panel [a, a + h] is integrated
-    as pieces with edges a + h 2^-k, k = head ... 0, after a itself, each
-    to that panel's tolerance; head = 0 keeps it whole, bisected toward a.
+    (Euler-style acceleration).  The first panel [0, h] is integrated
+    as pieces with edges h 2^-k, k = head ... 0, after 0 itself, each
+    to that panel's tolerance; head = 0 keeps it whole, bisected toward 0.
     Integration stops when the accelerated tail stabilises within tolerance
     or the envelope falls below spec.tail_cutoff_envelope.
     """
@@ -113,9 +113,9 @@ def _oscillatory_single(envelope, phi, spec, lower, head=specfun._HEAD_LEVELS):
         flips = sum(1 for u, w in zip(recent, recent[1:]) if u * w < 0.0)
         return flips >= 0.6 * (len(recent) - 1)
 
-    h = max(_phase_scale_probe(phi, lower) / 4.0, 1e-300)
+    h = max(_phase_scale_probe(phi) / 4.0, 1e-300)
     budget = [spec.max_subdivisions]
-    a = float(lower)
+    a = 0.0
     env_ref = max(abs(float(envelope(a + h))), 1e-300)
 
     partial = 0.0
@@ -182,11 +182,12 @@ def _oscillatory_single(envelope, phi, spec, lower, head=specfun._HEAD_LEVELS):
 
 
 def oscillatory_oracle(envelope, phi1, phi2, spec=specfun.DEFAULT_QUADRATURE,
-                       lower=0.0, head=specfun._HEAD_LEVELS):
-    """integrate_oscillatory by the scalar march, with the terms as three
-    callables; head = 0 gives the layout that bisects the first panel."""
-    v2, e2 = _oscillatory_single(envelope, phi2, spec, lower, head)
-    v1, e1 = _oscillatory_single(envelope, phi1, spec, lower, head)
+                       head=specfun._HEAD_LEVELS):
+    """The Gil-Pelaez difference D(phi2) - D(phi1) of coverage, and its
+    summed error, by the scalar march with the terms as three callables;
+    head = 0 gives the layout that bisects the first panel."""
+    v2, e2 = _oscillatory_single(envelope, phi2, spec, head)
+    v1, e1 = _oscillatory_single(envelope, phi1, spec, head)
     return v2 - v1, e1 + e2
 
 
@@ -291,15 +292,16 @@ class TestBatch:
             integrate_semi_infinite_batch(f, [])
 
 
-def _terms(envelope, phi1, phi2):
-    """The three terms of an oscillatory integrand as one callable."""
+def _terms(envelope, phi):
+    """The two terms of a Dirichlet kernel as one callable."""
     def terms(s):
         s = np.asarray(s, dtype=float)
-        return envelope(s), phi1(s), phi2(s)
+        return envelope(s), phi(s)
     return terms
 
 
-# (envelope, phi1, phi2) of the TestOscillatory integrands, by name
+# (envelope, phi1, phi2) of the TestOscillatory integrands, by name: each
+# phase with the envelope is one kernel
 _ZERO = lambda s: 0.0 * np.asarray(s, float)
 _ONE = lambda s: np.ones_like(np.asarray(s, float))
 # a slope piecewise cubic in ln s, with a knot every unit from ln s = -30 to
@@ -327,35 +329,45 @@ KERNELS = {
 
 
 class TestOscillatory:
+    """One Dirichlet kernel per call, against closed forms and the scalar
+    march."""
+
     def test_arctan_identity(self):
-        val, err = integrate_oscillatory(_terms(*KERNELS["arctan"]))
+        # int_0^inf e^-s sin(2 pi s) / (pi s) ds = atan(2 pi) / pi
+        env, _, phi = KERNELS["arctan"]
+        val, err = integrate_oscillatory(_terms(env, phi))
         assert val == pytest.approx(math.atan(2.0 * math.pi) / math.pi, abs=1e-6)
 
-    def test_equal_phases_vanish(self):
-        val, _ = integrate_oscillatory(_terms(*KERNELS["equal_phases"]))
-        assert val == pytest.approx(0.0, abs=1e-10)
+    def test_zero_phase_vanishes(self):
+        val, _ = integrate_oscillatory(_terms(lambda s: np.exp(-s), _ZERO))
+        assert val == 0.0
 
     def test_two_scale_dirichlet(self):
-        # sign(y) / 2 + sign(p) / 2 with vastly different slopes
-        val, _ = integrate_oscillatory(_terms(*KERNELS["two_scale"]))
-        assert val == pytest.approx(1.0, abs=1e-8)
+        # D(c s) = sign(c) / 2 at envelope 1, on slopes five decades apart
+        for c, half in ((3e-5, 0.5), (-2e-10, -0.5)):
+            val, _ = integrate_oscillatory(_terms(_ONE, lambda s: c * s))
+            assert val == pytest.approx(half, abs=1e-12)
 
     def test_negative_margin_dirichlet(self):
-        val, _ = integrate_oscillatory(_terms(*KERNELS["negative_margin"]))
-        assert val == pytest.approx(-1.0, abs=1e-8)
+        for c, half in ((-3e-5, -0.5), (2e-10, 0.5)):
+            val, _ = integrate_oscillatory(_terms(_ONE, lambda s: c * s))
+            assert val == pytest.approx(half, abs=1e-12)
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_block_march_equals_scalar_march(self, name):
-        val, err = integrate_oscillatory(_terms(*KERNELS[name]))
-        ref, ref_err = oscillatory_oracle(*KERNELS[name])
-        assert abs(val - ref) <= 1e-12
-        assert err == pytest.approx(ref_err, rel=1e-6, abs=1e-15)
+        envelope, *phases = KERNELS[name]
+        for phi in phases:
+            val, err = integrate_oscillatory(_terms(envelope, phi))
+            ref, ref_err = _oscillatory_single(envelope, phi)
+            assert abs(val - ref) <= 1e-12
+            assert err == pytest.approx(ref_err, rel=1e-6, abs=1e-15)
 
     def test_exhausted_budget_raises(self):
         spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3,
                               tail_cutoff_envelope=1e-15)
+        env, _, phi = KERNELS["arctan"]
         with pytest.raises(QuadratureError) as err:
-            integrate_oscillatory(_terms(*KERNELS["arctan"]), spec)
+            integrate_oscillatory(_terms(env, phi), spec)
         assert math.isfinite(err.value.partial)
         assert math.isfinite(err.value.error_bound)
 
