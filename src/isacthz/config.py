@@ -88,7 +88,7 @@ class SystemParams:
                      "b_tot", "t_tot", "p_t", "thermal_noise_density", "k_abs"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"SystemParams.{name} must be > 0")
-        if self.n_rs < 1:
+        if not self.n_rs >= 1:
             raise ConfigError("SystemParams.n_rs must be >= 1")
         if self.b_ssb > self.b_tot:
             raise ConfigError("SystemParams.b_ssb must not exceed b_tot")
@@ -128,17 +128,18 @@ class Deployment:
     v: float = kmh_to_mps(70.0)
 
     def __post_init__(self):
+        # written as `not x >= 0` so that NaN fails them too
         for name in ("lambda_b", "lambda_m", "lambda_s"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"Deployment.{name} must be >= 0")
         if not self.r_b > 0.0:
             raise ConfigError("Deployment.r_b must be > 0")
         # beamwidth 2*pi/n must stay strictly below pi/2
         for name in ("n_b", "n_m"):
-            if getattr(self, name) <= 4:
+            if not getattr(self, name) > 4:
                 raise ConfigError(
                     f"Deployment.{name} must exceed 4 (beamwidth below pi/2)")
-        if self.v < 0.0:
+        if not self.v >= 0.0:
             raise ConfigError("Deployment.v must be >= 0")
 
     @property
@@ -174,7 +175,7 @@ class AbsorptionTable:
         fs = self.frequencies
         if any(fs[i] >= fs[i + 1] for i in range(len(fs) - 1)):
             raise ConfigError("absorption table frequencies must be strictly increasing")
-        if any(k < 0 for k in self.k_values):
+        if not all(k >= 0 for k in self.k_values):
             raise ConfigError("absorption coefficients must be >= 0")
 
     @classmethod
@@ -249,6 +250,8 @@ def _parse_kv(path) -> dict:
             val = val.strip()
             if not key or not val:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: key '{key}' is set twice")
             values[key] = val
     return values
 
@@ -257,9 +260,11 @@ def load_config(path=None, absorption_table: AbsorptionTable | None = None):
     """Load (SystemParams, Deployment) from a key=value file.
 
     Missing keys fall back to the reference defaults; an absent or empty
-    file therefore yields the full default parameter set.  K is taken from
-    an explicit ``absorption_k`` key when present, otherwise interpolated
-    at f_c from ``absorption_table = <csv path>`` or the bundled sample.
+    file therefore yields the full default parameter set.  Values must be
+    finite, and no field may be set twice (say, by ``p_t`` and ``p_t_dbm``).
+    K is taken from an explicit ``absorption_k`` key when present, otherwise
+    interpolated at f_c from ``absorption_table = <csv path>`` or the
+    bundled sample.
     """
     raw = _parse_kv(path) if path is not None else {}
 
@@ -280,11 +285,15 @@ def load_config(path=None, absorption_table: AbsorptionTable | None = None):
         else:
             raise ConfigError(f"unknown config key '{key}'")
         try:
-            num = float(val)
+            num = float(val) if conv is None else conv(float(val))
         except ValueError as exc:
             raise ConfigError(f"config key '{key}': not a number: {val!r}") from exc
-        if conv is not None:
-            num = conv(num)
+        except OverflowError as exc:  # 10 ** (dBm / 10) past the float range
+            raise ConfigError(f"config key '{key}' must be finite: {val!r}") from exc
+        if not math.isfinite(num):
+            raise ConfigError(f"config key '{key}' must be finite: {val!r}")
+        if field in target:
+            raise ConfigError(f"config key '{key}' sets {field}, which another key set")
         if field in _INT_FIELDS:
             if num != int(num):
                 raise ConfigError(f"config key '{key}' must be an integer")

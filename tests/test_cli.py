@@ -152,6 +152,15 @@ class TestConfigErrors:
         assert main(["abilities", "--config", str(bad),
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("text", ["n_b = inf\n", "lambda_b = nan\n",
+                                      "p_t = 0.2\np_t_dbm = 23\n"],
+                             ids=["inf_n_b", "nan_lambda_b", "p_t_twice"])
+    def test_non_finite_or_repeated_exit_code(self, tmp_path, text):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["coverage", "--config", str(bad), "--r1-grid", "20",
+                     "--threshold-db-grid", "5", "--schemes", "perfect"]) == 2
+
 
 class TestGoldenTables:
     """The default tables, byte for byte.  A change that moves a value on

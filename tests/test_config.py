@@ -89,6 +89,26 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("text", [
+        "n_b = inf\n",                     # int(inf) overflows
+        "lambda_b = nan\n",                # NaN passes a `< 0` check
+        "p_t_dbm = 4000\n",                # 1e397 W overflows the float range
+        "n_b = 64\nn_b = 128\n",           # a key set twice
+        "p_t = 0.2\np_t_dbm = 23\n",       # two keys, one field
+        "v_kmh = 70\nv = 20\n",
+    ], ids=["inf_n_b", "nan_lambda_b", "huge_p_t_dbm", "n_b_twice", "p_t_twice",
+            "v_twice"])
+    def test_non_finite_or_repeated_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("field", ["lambda_b", "lambda_m", "lambda_s", "v"])
+    def test_nan_deployment_rejected(self, field):
+        with pytest.raises(ConfigError):
+            Deployment(**{field: float("nan")})
+
 
 class TestUnitSuffixes:
     def test_dbm_and_kmh(self, tmp_path):
