@@ -69,8 +69,7 @@ def blockage_probability(deploy: Deployment, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 2.0 * deploy.r_b):
         raise ValueError("blockage_probability requires r >= 2 r_b")
-    out = 1.0 - np.exp(log_void_probability(deploy.obstacle_density,
-                                            deploy.r_b, r))
+    out = -np.expm1(log_void_probability(deploy.obstacle_density, deploy.r_b, r))
     return float(out) if out.ndim == 0 else out
 
 

@@ -90,6 +90,13 @@ class TestBlockageProbability:
         with pytest.raises(ValueError):
             blockage_probability(DEP, 0.5)
 
+    def test_just_past_contact(self):
+        # 1 - e^-x loses about 1.5e-9 relative here; -expm1(-x) keeps it
+        r = 2 * DEP.r_b + 1e-6
+        x = DEP.obstacle_density * (r - 2 * DEP.r_b) * (2 * DEP.r_b)
+        ref = -math.expm1(-x)
+        assert abs(blockage_probability(DEP, r) - ref) <= 1e-15 * ref
+
 
 class TestTimeoutProbability:
     def test_zero_without_obstacles(self):
