@@ -1,0 +1,21 @@
+import contextlib
+import io
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path):
+    # in-process, as __main__, with stdout captured
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    assert out.getvalue().strip()
