@@ -345,6 +345,17 @@ def _cmd_compare(args, system, deploy):
 # argument plumbing
 # -----------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: inf, nan and non-numbers exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--out", default=None, help="output CSV/markdown path (default stdout)")
@@ -367,8 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pattern", help="optimal pilot pattern")
     _add_common(p)
-    p.add_argument("--d-max-req", type=float, required=True, dest="d_max_req")
-    p.add_argument("--v-max-req", type=float, required=True, dest="v_max_req")
+    p.add_argument("--d-max-req", type=_finite_float, required=True,
+                   dest="d_max_req")
+    p.add_argument("--v-max-req", type=_finite_float, required=True,
+                   dest="v_max_req")
     p.add_argument("--n-rs", type=int, default=None, dest="n_rs")
     p.add_argument("--verify", action="store_true",
                    help="run the brute-force oracle and print the gap")
@@ -382,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="coverage sweep")
     _add_common(p)
-    p.add_argument("--r1-grid", type=float, nargs="+", default=list(COVERAGE_GRID[0]),
-                   dest="r1_grid")
-    p.add_argument("--threshold-db-grid", type=float, nargs="+",
+    p.add_argument("--r1-grid", type=_finite_float, nargs="+",
+                   default=list(COVERAGE_GRID[0]), dest="r1_grid")
+    p.add_argument("--threshold-db-grid", type=_finite_float, nargs="+",
                    default=list(COVERAGE_GRID[1]), dest="threshold_db_grid")
     p.add_argument("--schemes", nargs="+", default=list(SCHEMES),
                    choices=SCHEMES)
@@ -397,11 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=("blockage", "timeout", "misalign",
                                       "coverage"), required=True)
     p.add_argument("--scheme", choices=SCHEMES, default="jsrs")
-    p.add_argument("--r-m", type=float, default=52.0, dest="r_m")
-    p.add_argument("--r1-m", type=float, default=20.0, dest="r1_m")
-    p.add_argument("--threshold-db", type=float, default=5.0,
+    p.add_argument("--r-m", type=_finite_float, default=52.0, dest="r_m")
+    p.add_argument("--r1-m", type=_finite_float, default=20.0, dest="r1_m")
+    p.add_argument("--threshold-db", type=_finite_float, default=5.0,
                    dest="threshold_db")
-    p.add_argument("--window-m", type=float, default=None, dest="window_m")
+    p.add_argument("--window-m", type=_finite_float, default=None,
+                   dest="window_m")
     p.add_argument("--lower-bound", choices=LOWER_BOUND_MODES,
                    default="theorem", dest="lower_bound")
 

@@ -18,8 +18,10 @@ difference F(y) - F(0), y = P_c(r1)/T, of two Dirichlet kernels
   D(phi) = int_0^inf e^{-2 pi lam_b f_r(s)} sin(phi(s)) / (pi s) ds,
 
 with f_1(s) = -2 pi lam_b f_i(s) - 2 pi s P_n_eff, and the coverage
-probability is p_cvp = (1 - p_ms) p_cm.  The threshold-free half D(f_1) is
-integrated once per (scheme, r1) row and serves all its thresholds.
+probability is p_cvp = (1 - p_ms) p_cm.  The threshold-free half D(f_1)
+reads only the field and r1: it is integrated once per (budget, deployment,
+sweep weight, lower bound, effective noise) and cached, so a cell whose
+half is cached integrates only its own threshold's kernel.
 
 Numerics: for large s the distance integrands oscillate rapidly near the
 lower bound.  The evaluation splits each bracket by source, absorption
@@ -365,10 +367,35 @@ def _field_for(budget: LinkBudget, deploy: Deployment, w_s: float,
     return ShotNoiseField(budget, deploy, w_s, lower_bound)
 
 
+def _kernel(budget: LinkBudget, deploy: Deployment, w_s: float,
+            lower_bound: float, p_eff: float, y: float):
+    """(value, error) of the Dirichlet kernel D(phi1 + 2 pi s y) on the
+    field of (budget, deploy, w_s, lower_bound) at effective noise p_eff."""
+    fld = _field_for(budget, deploy, w_s, lower_bound)
+    two_pi_lb = 2.0 * math.pi * deploy.lambda_b
+
+    def terms(s):
+        # envelope and phase phi1 + 2 pi s y from one field lookup
+        fr, fi = fld.parts(s)
+        return (np.exp(-two_pi_lb * fr),
+                -two_pi_lb * fi - 2.0 * math.pi * s * p_eff + 2.0 * math.pi * s * y)
+    return integrate_oscillatory(terms, spec=DEFAULT_COVERAGE_QUADRATURE)
+
+
+# The threshold-free half D(phi1) of every cell: two floats per (scheme,
+# r1, lower bound); a QuadratureError propagates and is not stored.
+@functools.lru_cache(maxsize=1024)
+def _threshold_free_kernel(budget: LinkBudget, deploy: Deployment, w_s: float,
+                           lower_bound: float, p_eff: float):
+    return _kernel(budget, deploy, w_s, lower_bound, p_eff, 0.0)
+
+
 def clear_field_cache():
-    """Empty the split tables and the per-weight views built from them."""
+    """Empty the split tables, the per-weight views built from them and the
+    threshold-free kernels integrated on those views."""
     _split_table.cache_clear()
     _field_for.cache_clear()
+    _threshold_free_kernel.cache_clear()
 
 
 def coverage_probability(query: CoverageQuery, budget: LinkBudget,
@@ -383,7 +410,8 @@ def coverage_probability(query: CoverageQuery, budget: LinkBudget,
 def _coverage_row(r1: float, thresholds, mode: str, budget: LinkBudget,
                   deploy: Deployment, system: SystemParams, p_ms: float) -> list:
     """A CoverageResult per threshold at one r1 and a given p_ms: the
-    threshold-free kernel D(phi1), the y = 0 one, once, then one per y."""
+    threshold-free kernel D(phi1), the y = 0 one, from its cache, then one
+    kernel per y."""
     for thr in thresholds:
         CoverageQuery(r1, thr, mode)  # validates the threshold and the mode
     if r1 < 2.0 * deploy.r_b:
@@ -399,21 +427,11 @@ def _coverage_row(r1: float, thresholds, mode: str, budget: LinkBudget,
         return [CoverageResult(p_cvp=(1.0 - p_ms) * p_cm, p_cm=p_cm, p_ms=p_ms,
                                integral_abs_error=0.0) for p_cm in p_cms]
 
-    fld = _field_for(budget, deploy, w_s, lower_bound_radius(mode, deploy, r1))
-    two_pi_lb = 2.0 * math.pi * deploy.lambda_b
-
-    def kernel(y):
-        def terms(s):
-            # envelope and phase phi1 + 2 pi s y from one field lookup
-            fr, fi = fld.parts(s)
-            return (np.exp(-two_pi_lb * fr),
-                    -two_pi_lb * fi - 2.0 * math.pi * s * p_eff + 2.0 * math.pi * s * y)
-        return integrate_oscillatory(terms, spec=DEFAULT_COVERAGE_QUADRATURE)
-
-    v1, e1 = kernel(0.0)
+    key = (budget, deploy, w_s, lower_bound_radius(mode, deploy, r1), p_eff)
+    v1, e1 = _threshold_free_kernel(*key)
     row = []
     for y in ys:
-        v2, e2 = kernel(y)
+        v2, e2 = _kernel(*key, y)
         p_cm, err = v2 - v1, e1 + e2
         slack = 10.0 * max(10.0 * err, 1e-4)
         if p_cm < -slack or p_cm > 1.0 + slack:

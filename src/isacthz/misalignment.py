@@ -8,7 +8,7 @@ Component pieces:
   1 - exp(-(lambda_m + lambda_s)(r - 2 r_b) 2 r_b).
 * timeout_probability -- both nearest nodes blocked, an integral over the
   joint nearest-two distance density whose inner part has an erfcx
-  closed form.
+  closed form; cached per deployment.
 * speed_underestimate_probability -- the tracked speed falls short of the
   beam-crossing rate: the beam length, exponential with density
   mu_g = n_b sqrt(lambda_b) / pi, falls in crossing_miss_window.
@@ -21,6 +21,7 @@ The total is the additive union bound p_ms = min(p_err + p_to, 1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +81,9 @@ def _lemma_constants(deploy: Deployment):
     return w1, beta, w2
 
 
+# p_to reads the deployment only, while its callers ask for it once per
+# scheme and sweep point; the bound keeps long-lived processes small.
+@functools.lru_cache(maxsize=256)
 def timeout_probability(deploy: Deployment) -> float:
     """Probability that the two nearest nodes are both corridor-blocked.
 

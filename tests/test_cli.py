@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from isacthz.cli import ability_reference_rows, main, misalign_sweep_rows
+from isacthz.cli import (_sweep_deployments, ability_reference_rows, main,
+                         misalign_sweep_rows)
 from isacthz.config import default_deployment, default_system
+from isacthz.misalignment import timeout_probability
 
 SYS = default_system()
 DEP = default_deployment()
@@ -65,6 +67,18 @@ class TestMisalign:
         assert len(rows) == 10
         for row in rows:
             assert row[3] >= 0.0 and row[5] <= 1.0
+
+    @pytest.mark.parametrize("sweep", ["n_b", "n_rs"])
+    def test_one_timeout_per_deployment(self, sweep):
+        # every scheme and pilot budget of a deployment shares its p_to
+        points = _sweep_deployments(SYS, DEP, sweep)
+        timeout_probability.cache_clear()
+        rows = misalign_sweep_rows(SYS, DEP, sweep)
+        assert (timeout_probability.cache_info().misses
+                == len({deploy for _, _, _, deploy in points}))
+        deploy_of = {value: deploy for _, value, _, deploy in points}
+        for _, value, _, _, p_to, _ in rows:
+            assert p_to == timeout_probability.__wrapped__(deploy_of[value])
 
     def test_cli(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -143,6 +157,26 @@ class TestArguments:
         with pytest.raises(SystemExit) as exc:
             main(["coverage", "--trials", "5"])
         assert exc.value.code == 2
+
+    # inf used to print blank r1_m / threshold_db cells with exit 0, and
+    # nan or inf radii ended in numpy's "lam value too large"
+    @pytest.mark.parametrize("argv", [
+        ["pattern", "--d-max-req", "inf", "--v-max-req", "20"],
+        ["pattern", "--d-max-req", "50", "--v-max-req", "nan"],
+        ["coverage", "--r1-grid", "inf"],
+        ["coverage", "--threshold-db-grid", "inf"],
+        ["coverage", "--r1-grid", "20", "nan"],
+        ["simulate", "--what", "blockage", "--r-m", "nan"],
+        ["simulate", "--what", "coverage", "--r1-m", "inf"],
+        ["simulate", "--what", "coverage", "--threshold-db=-inf"],
+        ["simulate", "--what", "coverage", "--window-m", "inf"],
+    ], ids=["d_max_req", "v_max_req", "r1_grid", "threshold_db_grid",
+            "r1_grid_second", "r_m", "r1_m", "threshold_db", "window_m"])
+    def test_non_finite_float_exit_code(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
 
 
 class TestConfigErrors:

@@ -17,12 +17,14 @@ from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET,
                               DEFAULT_COVERAGE_QUADRATURE, LOWER_BOUND_MODES,
                               CoverageQuery, CoverageResult, ShotNoiseField,
                               _coverage_row, _field_for, _pchip_coefficients,
-                              _split_table, clear_field_cache,
+                              _split_table, _threshold_free_kernel,
+                              clear_field_cache,
                               coverage_probability, coverage_sweep)
 from isacthz.misalignment import beam_misalignment
 from isacthz.schemes import scheme_abilities, scheme_ability
 from isacthz.sensing import SCHEMES, perfect_ability
-from isacthz.specfun import QuadratureSpec, integrate_semi_infinite
+from isacthz.specfun import (QuadratureError, QuadratureSpec,
+                             integrate_semi_infinite)
 from test_specfun import oscillatory_oracle
 
 SYS = default_system()
@@ -268,11 +270,10 @@ class TestFieldCache:
     def test_clear_empties_both_caches(self):
         q = CoverageQuery(r1=20.0, threshold=10.0)
         coverage_probability(q, BUD, DEP, SYS, perfect_ability())
-        assert _split_table.cache_info().currsize > 0
-        assert _field_for.cache_info().currsize > 0
+        caches = (_split_table, _field_for, _threshold_free_kernel)
+        assert all(c.cache_info().currsize > 0 for c in caches)
         clear_field_cache()
-        assert _split_table.cache_info().currsize == 0
-        assert _field_for.cache_info().currsize == 0
+        assert all(c.cache_info().currsize == 0 for c in caches)
 
     def test_request_order_does_not_matter(self):
         abilities = scheme_abilities(SCHEMES, SYS, DEP)
@@ -377,6 +378,7 @@ class TestInversionWork:
         # rounds per cell here, one per level; its geometric pieces take 10
         p_ms = beam_misalignment(DEP, ABILITIES["jsrs"], SYS.tau).p_ms
         queries = _cells(["theorem"], (5.0, 20.0, 38.0), (-5.0, 5.0, 15.0))
+        clear_field_cache()
         _cell(queries[0], BUD, DEP, p_ms)  # builds the table
         calls = []
         gk15 = specfun._gk15_batch
@@ -388,6 +390,54 @@ class TestInversionWork:
             _cell(q, BUD, DEP, p_ms)
             per_cell.append(len(calls))
         assert max(per_cell) <= 16
+
+
+class TestThresholdFreeCache:
+    """The cached threshold-free kernel D(phi1) against a fresh one."""
+
+    @staticmethod
+    def _count_kernels(monkeypatch):
+        calls = []
+        integrate = coverage.integrate_oscillatory
+        monkeypatch.setattr(coverage, "integrate_oscillatory",
+                            lambda *a, **k: calls.append(1) or integrate(*a, **k))
+        return calls
+
+    def test_warm_equals_cold(self):
+        queries = _cells(LOWER_BOUND_MODES, (5.0, 20.0, 38.0), (-5.0, 5.0, 15.0))
+        cold = []
+        for q in queries:
+            clear_field_cache()
+            cold.append(coverage_probability(q, BUD, DEP, SYS, ABILITIES["jsrs"]))
+        clear_field_cache()
+        warm = [coverage_probability(q, BUD, DEP, SYS, ABILITIES["jsrs"])
+                for q in queries]
+        assert warm == cold
+
+    def test_further_threshold_integrates_one_kernel(self, monkeypatch):
+        clear_field_cache()
+        calls = self._count_kernels(monkeypatch)
+        for db, kernels in ((5.0, 2), (10.0, 1), (-5.0, 1)):
+            del calls[:]
+            q = CoverageQuery(r1=20.0, threshold=10.0 ** (db / 10.0))
+            coverage_probability(q, BUD, DEP, SYS, ABILITIES["jsrs"])
+            assert len(calls) == kernels
+
+    def test_quadrature_error_is_not_cached(self, monkeypatch):
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(1)
+            raise QuadratureError("forced", 0.0, 1.0)
+
+        clear_field_cache()
+        monkeypatch.setattr(coverage, "integrate_oscillatory", fail)
+        q = CoverageQuery(r1=20.0, threshold=10.0)
+        for attempt in (1, 2):
+            with pytest.raises(QuadratureError):
+                coverage_probability(q, BUD, DEP, SYS, ABILITIES["jsrs"])
+            assert len(calls) == attempt
+        assert _threshold_free_kernel.cache_info().currsize == 0
 
 
 class TestPchipCoefficients:
@@ -590,6 +640,7 @@ class TestCoverageSweep:
 
     def test_one_kernel_per_threshold_plus_one_per_row(self, monkeypatch):
         # the threshold-free half D(phi1) is integrated once per (scheme, r1)
+        clear_field_cache()
         calls = []
         integrate = coverage.integrate_oscillatory
         monkeypatch.setattr(coverage, "integrate_oscillatory",
