@@ -395,14 +395,6 @@ class TestInversionWork:
 class TestThresholdFreeCache:
     """The cached threshold-free kernel D(phi1) against a fresh one."""
 
-    @staticmethod
-    def _count_kernels(monkeypatch):
-        calls = []
-        integrate = coverage.integrate_oscillatory
-        monkeypatch.setattr(coverage, "integrate_oscillatory",
-                            lambda *a, **k: calls.append(1) or integrate(*a, **k))
-        return calls
-
     def test_warm_equals_cold(self):
         queries = _cells(LOWER_BOUND_MODES, (5.0, 20.0, 38.0), (-5.0, 5.0, 15.0))
         cold = []
@@ -416,7 +408,10 @@ class TestThresholdFreeCache:
 
     def test_further_threshold_integrates_one_kernel(self, monkeypatch):
         clear_field_cache()
-        calls = self._count_kernels(monkeypatch)
+        calls = []
+        integrate = coverage.integrate_oscillatory
+        monkeypatch.setattr(coverage, "integrate_oscillatory",
+                            lambda *a, **k: calls.append(1) or integrate(*a, **k))
         for db, kernels in ((5.0, 2), (10.0, 1), (-5.0, 1)):
             del calls[:]
             q = CoverageQuery(r1=20.0, threshold=10.0 ** (db / 10.0))
