@@ -5,7 +5,7 @@ estimated from Poisson point process draws and explicit corridor geometry
 rather than from the closed forms.  Estimators are deterministic in
 (seed, parameters, trials): work is cut into fixed-size batches, each on
 its own substream spawned from the master seed.  A link-estimator batch
-holds `_BATCH` trials, a coverage batch about `_NODE_BUDGET` nodes.
+holds `_BATCH` trials, a coverage batch about `_NODE_BUDGET` near nodes.
 
 Blockage geometry: a link of length r is blocked when some obstacle
 centre falls inside the rectangle of width 2 r_b around the segment
@@ -26,6 +26,19 @@ their corridors.  By the mapping theorem, pi lambda_b r^2 over the nodes
 is a unit-rate PPP on [0, inf), so a user's two nearest nodes are drawn
 exactly from two exponential partial sums: the link estimators truncate
 nothing to a window.
+
+A coverage trial's annulus is split at the absorption reach R (at most
+the window radius).  Its near nodes, inside R, are drawn with their
+radii; its far nodes only as a Poisson count with a Binomial count of
+marked ones.  As the weight e^(-k r) / r^2 does not rise with r, the
+interference lies between lo, the near absorption noise, and hi, which
+adds every marked near node unblocked and every far node at the weight
+of R.  A trial is a hit when aligned with hi below the margin and a miss
+when misaligned or lo reaches it; only the trials left open draw their
+far radii, angles, user/blocker discs and corridors.  The decision is
+the one the whole draw would make, so the estimate is exact in law.  At
+k = 0 the reach is 1400 m: a lossless trial holds far nodes only in a
+wider window.
 
 The model's inputs come from the modules that define them: the densities
 from `config`, the sweep weight (q_mark), re-radiation constant and
@@ -212,12 +225,85 @@ def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
     return {"p_err": err, "p_to": to, "p_ms": McEstimate(p_ms, se, trials)}
 
 
+def _absorption_reach(k_abs: float) -> float:
+    """Radius past which absorption leaves a node's weight e^(-k r) / r^2
+    negligible: 14 absorption lengths, at least 60 m."""
+    return max(60.0, 14.0 / max(k_abs, 1e-2))
+
+
 def default_window_radius(system: SystemParams, deploy: Deployment,
                           r1: float) -> float:
     """Simulation disc radius capturing the interference and noise tails."""
-    reach = 14.0 / max(system.k_abs, 1e-2)
-    reach = max(reach, 5.0 / max(2.0 * deploy.total_density * deploy.r_b, 1e-3))
-    return max(min(max(60.0, reach), 1500.0), r1 + 20.0)
+    los = 5.0 / max(2.0 * deploy.total_density * deploy.r_b, 1e-3)
+    return max(min(max(_absorption_reach(system.k_abs), los), 1500.0),
+               r1 + 20.0)
+
+
+def _annulus_radii(rng, n: int, r_in: float, r_out: float) -> np.ndarray:
+    """Radii of n points drawn uniformly on the annulus r_in <= r <= r_out."""
+    rad = rng.random(n)
+    rad *= r_out ** 2 - r_in ** 2
+    rad += r_in ** 2
+    return np.sqrt(rad, out=rad)
+
+
+def _weights(rad: np.ndarray, k_abs: float) -> np.ndarray:
+    """Path weights e^(-k r) / r^2, non-increasing in r."""
+    g = np.multiply(rad, -k_abs)
+    np.exp(g, out=g)
+    g /= rad
+    g /= rad
+    return g
+
+
+def _grouped_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each group of a flat array laid out in groups of `counts`."""
+    return np.bincount(np.repeat(np.arange(counts.size), counts),
+                       weights=values, minlength=counts.size)
+
+
+def _bound_decisions(lo, hi, aligned, margin):
+    """(hit, open) masks of trials whose interference lies in [lo, hi]: a
+    hit when aligned and hi < margin, open when aligned and lo < margin <=
+    hi, a miss otherwise."""
+    hit = aligned & (hi < margin)
+    return hit, aligned & ~hit & (lo < margin)
+
+
+def _resolve(rng, deploy: Deployment, budget: LinkBudget, r1: float,
+             c_abs: float, lo, near, far, ring) -> np.ndarray:
+    """Interference i_eff of open trials, each drawn whole.
+
+    lo holds their near absorption sums and near = (rad, starts, counts,
+    marks) their near nodes, slices of the flat radii rad whose first
+    `marks` are marked.  far = (counts, marks) of their far nodes, whose
+    radii are drawn here on the ring (r_near, r_win).  Each trial holding
+    a marked node then draws the angles of all its nodes and the user/
+    blocker disc around its marked nodes' corridors, in trial order.
+    """
+    rad, starts, counts, marks = near
+    f_counts, f_marks = far
+    r_far = _annulus_radii(rng, int(f_counts.sum()), *ring)
+    i_eff = lo + c_abs * _grouped_sums(_weights(r_far, budget.k_abs), f_counts)
+    f_starts = np.cumsum(f_counts) - f_counts
+    for t in np.flatnonzero(marks + f_marks):
+        m, m_f = marks[t], f_marks[t]
+        r_n = rad[starts[t]:starts[t] + counts[t]]
+        r_f = r_far[f_starts[t]:f_starts[t] + f_counts[t]]
+        # marked nodes first
+        r_t = np.concatenate([r_n[:m], r_f[:m_f], r_n[m:], r_f[m_f:]])
+        c = m + m_f
+        ang = 2.0 * math.pi * rng.random(r_t.size)
+        x, y = r_t * np.cos(ang), r_t * np.sin(ang)
+        others = _ppp_disc(rng, deploy.obstacle_density,
+                           r_t[:c].max() + deploy.r_b)
+        obs_x = np.concatenate([x, [r1], others[:, 0]])
+        obs_y = np.concatenate([y, [0.0], others[:, 1]])
+        blocked = _blocked_bulk(np.tile(obs_x, c), np.tile(obs_y, c),
+                                np.full(c, obs_x.size), x[:c], y[:c],
+                                deploy.r_b)
+        i_eff[t] += budget.a * _weights(r_t[:c][~blocked], budget.k_abs).sum()
+    return i_eff
 
 
 def estimate_coverage(deploy: Deployment, budget: LinkBudget,
@@ -245,6 +331,7 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
              else window_radius)
     if not r_win > r_lo:  # NaN included
         raise ValueError("window_radius must exceed the lower-bound radius")
+    r_near = min(r_win, max(_absorption_reach(budget.k_abs), r1 + 20.0))
 
     p_ms = beam_misalignment(deploy, ability, system.tau).p_ms
     q_mark = sweep_weight(deploy, system, p_ms)
@@ -252,42 +339,35 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
     margin = received_power(budget, r1) / threshold - \
         effective_noise(budget, deploy, system, r1)
 
-    span = r_win ** 2 - r_lo ** 2
-    area = math.pi * span
-    size = max(1, int(_NODE_BUDGET // max(deploy.lambda_b * area, 1.0)))
+    near_mean = deploy.lambda_b * math.pi * (r_near ** 2 - r_lo ** 2)
+    far_mean = deploy.lambda_b * math.pi * (r_win ** 2 - r_near ** 2)
+    g_edge = math.exp(-budget.k_abs * r_near) / r_near ** 2  # far weight cap
+    size = max(1, int(_NODE_BUDGET // max(near_mean, 1.0)))
     hits = 0
     for rng, b in _batches(trials, seed, size):
-        counts = rng.poisson(deploy.lambda_b * area, size=b)
+        counts = rng.poisson(near_mean, size=b)
         ends = np.cumsum(counts)
         starts = ends - counts
-        rad2 = rng.random(int(ends[-1]))
-        rad2 *= span
-        rad2 += r_lo ** 2
-        rad = np.sqrt(rad2)
-        # absorption re-radiation weights, summed over each trial's slice
-        g = np.multiply(rad, -budget.k_abs)
-        np.exp(g, out=g)
-        g /= rad2
-        i_eff = np.zeros(b)
+        rad = _annulus_radii(rng, int(ends[-1]), r_lo, r_near)
+        g = _weights(rad, budget.k_abs)
+        lo = np.zeros(b)  # near absorption noise
         busy = counts > 0  # reduceat cannot express an empty slice
-        i_eff[busy] = c_abs * np.add.reduceat(g, starts[busy])
-        del g, rad2
-        # trial t's first m[t] nodes are its marked candidates; angles and
-        # the user/blocker disc are drawn per such trial, in trial order
+        lo[busy] = c_abs * np.add.reduceat(g, starts[busy])
+        # trial t's first m[t] near nodes are its marked ones, and it holds
+        # m_far[t] marked among far[t] far nodes
         m = rng.binomial(counts, q_mark)
+        far = rng.poisson(far_mean, size=b)
+        m_far = rng.binomial(far, q_mark)
         aligned = rng.random(b) >= p_ms
-        for t, c in zip(np.flatnonzero(m), m[m > 0]):
-            r_t = rad[starts[t]:ends[t]]
-            ang = 2.0 * math.pi * rng.random(r_t.size)
-            x, y = r_t * np.cos(ang), r_t * np.sin(ang)
-            others = _ppp_disc(rng, deploy.obstacle_density,
-                               r_t[:c].max() + deploy.r_b)
-            obs_x = np.concatenate([x, [r1], others[:, 0]])
-            obs_y = np.concatenate([y, [0.0], others[:, 1]])
-            blocked = _blocked_bulk(np.tile(obs_x, c), np.tile(obs_y, c),
-                                    np.full(c, obs_x.size), x[:c], y[:c],
-                                    deploy.r_b)
-            r_j = r_t[:c][~blocked]
-            i_eff[t] += budget.a * np.sum(np.exp(-budget.k_abs * r_j) / r_j ** 2)
-        hits += int((aligned & (i_eff < margin)).sum())
+        # flat indices of the marked near nodes, grouped by trial
+        head = np.repeat(starts - np.cumsum(m) + m, m) + np.arange(m.sum())
+        marked = budget.a * _grouped_sums(g[head], m)
+        del g
+        hi = lo + marked + g_edge * (c_abs * far + budget.a * m_far)
+        hit, open_ = _bound_decisions(lo, hi, aligned, margin)
+        o = np.flatnonzero(open_)
+        i_eff = _resolve(rng, deploy, budget, r1, c_abs, lo[o],
+                         (rad, starts[o], counts[o], m[o]), (far[o], m_far[o]),
+                         (r_near, r_win))
+        hits += int(hit.sum()) + int((i_eff < margin).sum())
     return McEstimate.from_hits(hits, trials)
