@@ -8,17 +8,15 @@ schemes across serving distance and SINR threshold.
 from isacthz.channel import LinkBudget
 from isacthz.config import default_deployment, default_system
 from isacthz.coverage import coverage_sweep
-from isacthz.schemes import scheme_abilities
 
 system = default_system()
 deploy = default_deployment()
 budget = LinkBudget.from_params(system, deploy)
 
 schemes = ("perfect", "jsrs", "5g", "ssb")
-abilities = scheme_abilities(schemes, system, deploy)
 thresholds = [10.0 ** (db / 10.0) for db in (0.0, 5.0, 10.0)]
 rows = coverage_sweep((10.0, 20.0, 40.0), thresholds, schemes, budget,
-                      deploy, system, abilities)
+                      deploy, system)
 
 print(f"{'r1 [m]':>7} {'T [dB]':>7} | " + " ".join(f"{s:>9}" for s in schemes))
 table = {}

@@ -47,40 +47,28 @@ def antenna_gain(theta: float) -> float:
 class LinkBudget:
     """Composite link constants for one (system, deployment) pair.
 
+    The cone gains of the deployment's beamwidths enter A only.
+
     Attributes:
         a: Composite power constant A [W m^2].
         k_abs: Absorption coefficient [1/m].
-        g_b: Transmit-side cone gain.
-        g_m: Receive-side cone gain.
-        theta_b: Transmit beamwidth [rad].
-        theta_m: Receive beamwidth [rad].
     """
 
     a: float
     k_abs: float
-    g_b: float
-    g_m: float
-    theta_b: float
-    theta_m: float
 
     def __post_init__(self):
         if not self.a > 0.0:
             raise ValueError("LinkBudget.a must be > 0")
-        if self.k_abs < 0.0:
+        if not self.k_abs >= 0.0:
             raise ValueError("LinkBudget.k_abs must be >= 0")
-        if self.g_b < 2.0 or self.g_m < 2.0:
-            raise ValueError("cone gains are >= 2 by construction")
-        for th in (self.theta_b, self.theta_m):
-            if not 0.0 < th < 0.5 * math.pi:
-                raise ValueError("beamwidths must lie in (0, pi/2)")
 
     @classmethod
     def from_params(cls, system: SystemParams, deploy: Deployment) -> "LinkBudget":
         g_b = antenna_gain(deploy.theta_b)
         g_m = antenna_gain(deploy.theta_m)
         a = system.p_t * g_b * g_m * C_LIGHT ** 2 / (16.0 * math.pi ** 2 * system.f_c ** 2)
-        return cls(a=a, k_abs=system.k_abs, g_b=g_b, g_m=g_m,
-                   theta_b=deploy.theta_b, theta_m=deploy.theta_m)
+        return cls(a=a, k_abs=system.k_abs)
 
 
 def received_power(budget: LinkBudget, r):

@@ -9,7 +9,8 @@ Subcommands:
   simulate    Monte-Carlo estimates with analytic cross-check (CSV)
   compare     markdown report of the scheme comparison
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
+Exit codes: 0 success, 2 validation or file error (a missing --config,
+absorption table or --out directory), 3 numerical non-convergence,
 4 Monte-Carlo/analytic disagreement beyond threshold under --strict.
 Only simulate and compare take --seed, --trials and --strict; only compare
 takes --with-mc.
@@ -33,7 +34,7 @@ from .mcsim import (estimate_blockage, estimate_coverage,
                     estimate_misalignment, estimate_timeout)
 from .pattern import (InfeasibleRequirementError, PatternRequirement,
                       brute_force_pattern, objective, optimal_pattern)
-from .schemes import scheme_abilities, scheme_ability
+from .schemes import scheme_ability
 from .sensing import SCHEMES, ability_from_spans, sensing_ability, ssb_ability
 from .specfun import QuadratureError
 
@@ -173,11 +174,9 @@ def _cmd_misalign(args, system, deploy):
 
 def _cmd_coverage(args, system, deploy):
     budget = LinkBudget.from_params(system, deploy)
-    abilities = scheme_abilities(args.schemes, system, deploy)
     thresholds = [10.0 ** (db / 10.0) for db in args.threshold_db_grid]
     rows = coverage_sweep(args.r1_grid, thresholds, args.schemes, budget,
-                          deploy, system, abilities,
-                          lower_bound_mode=args.lower_bound)
+                          deploy, system, lower_bound_mode=args.lower_bound)
     out = [[r["scheme"], r["r1_m"], r["threshold_db"], r["p_ms"], r["p_cm"],
             r["p_cvp"], r["abs_err"]] for r in rows]
     _write_csv(args.out, ["scheme", "r1_m", "threshold_db", "p_ms", "p_cm",
@@ -289,10 +288,8 @@ def compare_report(system: SystemParams, deploy: Deployment, with_mc: bool,
     # coverage over the (r1, threshold) grid
     r1_grid, threshold_db = COVERAGE_GRID
     budget = LinkBudget.from_params(system, deploy)
-    abilities = scheme_abilities(SCHEMES, system, deploy)
     thresholds = [10.0 ** (db / 10.0) for db in threshold_db]
-    cov = coverage_sweep(r1_grid, thresholds, SCHEMES, budget, deploy, system,
-                         abilities)
+    cov = coverage_sweep(r1_grid, thresholds, SCHEMES, budget, deploy, system)
     lines.append("## Coverage probability (theorem lower bound)")
     lines.append("")
     header = "| r1 [m] | T [dB] | " + " | ".join(SCHEMES) + \
@@ -312,8 +309,8 @@ def compare_report(system: SystemParams, deploy: Deployment, with_mc: bool,
         cells = [f"{r[s]['p_cvp']:.6g}" for s in SCHEMES]
         line = f"| {r1:g} | {db:g} | " + " | ".join(cells) + f" | {gap:.6g} |"
         if with_mc:
-            ability = abilities["jsrs"]
-            est = estimate_coverage(deploy, budget, system, ability, r1,
+            est = estimate_coverage(deploy, budget, system,
+                                    scheme_ability("jsrs", system, deploy), r1,
                                     10.0 ** (db / 10.0), trials, seed)
             strict_ok = strict_ok and _mc_agrees(est, r["jsrs"]["p_cvp"],
                                                  coverage=True)
@@ -443,7 +440,7 @@ def main(argv=None) -> int:
     try:
         system, deploy = load_config(args.config)
         code = _COMMANDS[args.command](args, system, deploy)
-    except (ConfigError, InfeasibleRequirementError, ValueError) as exc:
+    except (ConfigError, InfeasibleRequirementError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except QuadratureError as exc:

@@ -256,7 +256,7 @@ def _parse_kv(path) -> dict:
     return values
 
 
-def load_config(path=None, absorption_table: AbsorptionTable | None = None):
+def load_config(path=None):
     """Load (SystemParams, Deployment) from a key=value file.
 
     Missing keys fall back to the reference defaults; an absent or empty
@@ -305,11 +305,8 @@ def load_config(path=None, absorption_table: AbsorptionTable | None = None):
         sys_kwargs["b_ssb"] = 240.0 * sys_kwargs["f_scs"]
 
     if "k_abs" not in sys_kwargs:
-        table = absorption_table
-        if table is None and table_path is not None:
-            table = AbsorptionTable.from_csv(table_path)
-        if table is None:
-            table = bundled_absorption_table()
+        table = (bundled_absorption_table() if table_path is None
+                 else AbsorptionTable.from_csv(table_path))
         f_c = sys_kwargs.get("f_c", SystemParams.f_c)
         sys_kwargs["k_abs"] = absorption_at(table, f_c)
 

@@ -60,6 +60,7 @@ from .channel import (LOWER_BOUND_MODES, LinkBudget, effective_noise,
                       sweep_weight)
 from .config import Deployment, SystemParams
 from .misalignment import beam_misalignment
+from .schemes import scheme_ability
 from .sensing import SensingAbility
 from .specfun import (QuadratureError, QuadratureSpec, integrate_oscillatory,
                       integrate_semi_infinite_batch)
@@ -446,19 +447,21 @@ def _coverage_row(r1: float, thresholds, mode: str, budget: LinkBudget,
 
 def coverage_sweep(r1_grid, threshold_grid, schemes, budget: LinkBudget,
                    deploy: Deployment, system: SystemParams,
-                   abilities: dict, lower_bound_mode: str = "theorem"):
+                   lower_bound_mode: str = "theorem"):
     """Cross-product coverage table.
 
-    abilities maps scheme name -> SensingAbility.  Returns a list of dict
-    rows (scheme, r1_m, threshold_db, p_ms, p_cm, p_cvp, abs_err).  One
-    tabulated shot-noise field per lower bound serves every scheme, and one
-    _coverage_row per (scheme, r1) every threshold.
+    Each scheme's sensing ability is derived from (system, deploy) by
+    scheme_ability.  Returns a list of dict rows (scheme, r1_m,
+    threshold_db, p_ms, p_cm, p_cvp, abs_err).  One tabulated shot-noise
+    field per lower bound serves every scheme, and one _coverage_row per
+    (scheme, r1) every threshold.
     """
     thresholds = [float(thr) for thr in threshold_grid]
     rows = []
     for scheme in schemes:
         # p_ms depends on neither r1 nor the threshold
-        p_ms = beam_misalignment(deploy, abilities[scheme], system.tau).p_ms
+        ability = scheme_ability(scheme, system, deploy)
+        p_ms = beam_misalignment(deploy, ability, system.tau).p_ms
         for r1 in r1_grid:
             results = _coverage_row(float(r1), thresholds, lower_bound_mode,
                                     budget, deploy, system, p_ms)

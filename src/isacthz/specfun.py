@@ -72,9 +72,10 @@ class QuadratureSpec:
     tail_cutoff_envelope: float = 1e-12
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.tail_cutoff_envelope <= 0:
+        if not all(tol > 0 for tol in (self.abs_tol, self.rel_tol,
+                                       self.tail_cutoff_envelope)):
             raise ValueError("quadrature tolerances must be > 0")
-        if self.max_subdivisions < 1:
+        if not self.max_subdivisions >= 1:
             raise ValueError("max_subdivisions must be >= 1")
 
 

@@ -24,7 +24,7 @@ from isacthz.misalignment import (blockage_probability,
                                   timeout_probability)
 from isacthz.pattern import (PatternRequirement, brute_force_pattern,
                              objective, optimal_pattern)
-from isacthz.schemes import scheme_abilities, scheme_ability
+from isacthz.schemes import scheme_ability
 from isacthz.sensing import a_theta, ability_from_spans, ssb_ability
 from isacthz.specfun import QuadratureSpec, integrate_semi_infinite
 from test_mcsim import joint_distance_gof, window_distances
@@ -276,10 +276,8 @@ def test_criterion_5_coverage_vs_monte_carlo():
 @pytest.fixture(scope="module")
 def coverage_rows():
     schemes = ("perfect", "jsrs", "5g")
-    abilities = scheme_abilities(schemes, SYS, DEP)
     thresholds = [10.0 ** (db / 10.0) for db in COVERAGE_GRID_DB]
-    return coverage_sweep(COVERAGE_GRID_R1, thresholds, schemes, BUD, DEP,
-                          SYS, abilities)
+    return coverage_sweep(COVERAGE_GRID_R1, thresholds, schemes, BUD, DEP, SYS)
 
 
 def test_criterion_6_scheme_ordering_and_bands(coverage_rows):

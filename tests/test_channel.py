@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,18 @@ TIGHT = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-12, max_subdivisions=8000,
 
 
 def _toy_budget(a=1.0, k=0.0):
-    return LinkBudget(a=a, k_abs=k, g_b=2.0, g_m=2.0,
-                      theta_b=0.1, theta_m=0.1)
+    return LinkBudget(a=a, k_abs=k)
+
+
+class TestLinkBudget:
+    @pytest.mark.parametrize("a, k", [(0.0, 0.0), (math.nan, 0.0), (1.0, -1.0),
+                                      (1.0, math.nan)],
+                             ids=["zero_a", "nan_a", "negative_k", "nan_k"])
+    def test_validation(self, a, k):
+        # a NaN K used to pass and reach the estimators: the Monte-Carlo
+        # coverage read 0.0 +- 0.0 and the inversion raised QuadratureError
+        with pytest.raises(ValueError):
+            replace(BUD, a=a, k_abs=k)
 
 
 class TestAntennaGain:
@@ -70,12 +81,10 @@ class TestReceivedPower:
 
 class TestInterferenceProbability:
     def test_silent_when_aligned_and_no_sweep(self):
-        from dataclasses import replace
         sys_nosweep = replace(SYS, t_ssb=1e-30)
         assert interference_probability(DEP, sys_nosweep, 10.0, 0.0) < 1e-25
 
     def test_orientation_only_at_contact(self):
-        from dataclasses import replace
         sys_nosweep = replace(SYS, t_ssb=1e-30)
         val = interference_probability(DEP, sys_nosweep, 2 * DEP.r_b, 1.0)
         assert val == pytest.approx(DEP.theta_b * DEP.theta_m / (4 * math.pi ** 2),
@@ -101,12 +110,10 @@ class TestInterferenceProbability:
 
 class TestExpectedInterference:
     def test_zero_without_nodes(self):
-        from dataclasses import replace
         assert expected_interference(BUD, replace(DEP, lambda_b=0.0), SYS,
                                      20.0, 0.3) == 0.0
 
     def test_zero_when_silent(self):
-        from dataclasses import replace
         sys_nosweep = replace(SYS, t_ssb=1e-300)
         val = expected_interference(BUD, DEP, sys_nosweep, 20.0, 0.0)
         assert val < 1e-280
@@ -131,12 +138,10 @@ class TestExpectedInterference:
 
 class TestExpectedNoise:
     def test_thermal_floor_without_absorption(self):
-        bud0 = LinkBudget(a=BUD.a, k_abs=0.0, g_b=BUD.g_b, g_m=BUD.g_m,
-                          theta_b=BUD.theta_b, theta_m=BUD.theta_m)
+        bud0 = LinkBudget(a=BUD.a, k_abs=0.0)
         assert expected_noise(bud0, DEP, SYS, 20.0) == SYS.thermal_noise_power
 
     def test_thermal_floor_without_nodes(self):
-        from dataclasses import replace
         assert expected_noise(BUD, replace(DEP, lambda_b=0.0), SYS, 20.0) == \
             SYS.thermal_noise_power
 
@@ -159,12 +164,10 @@ class TestExpectedNoise:
 
 class TestEffectiveNoise:
     def test_thermal_without_absorption(self):
-        bud0 = LinkBudget(a=BUD.a, k_abs=0.0, g_b=BUD.g_b, g_m=BUD.g_m,
-                          theta_b=BUD.theta_b, theta_m=BUD.theta_m)
+        bud0 = LinkBudget(a=BUD.a, k_abs=0.0)
         assert effective_noise(bud0, DEP, SYS, 20.0) == SYS.thermal_noise_power
 
     def test_beam_count_scaling(self):
-        from dataclasses import replace
         base = effective_noise(BUD, DEP, SYS, 20.0) - SYS.thermal_noise_power
         doubled = effective_noise(BUD, replace(DEP, n_b=2 * DEP.n_b), SYS, 20.0) \
             - SYS.thermal_noise_power

@@ -195,6 +195,18 @@ class TestConfigErrors:
         assert main(["coverage", "--config", str(bad), "--r1-grid", "20",
                      "--threshold-db-grid", "5", "--schemes", "perfect"]) == 2
 
+    @pytest.mark.parametrize("case", ["config", "absorption_table", "out_dir"])
+    def test_missing_file_exit_code(self, tmp_path, capsys, case):
+        # each used to end in a FileNotFoundError traceback and exit 1
+        missing = tmp_path / "missing"
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(f"absorption_table = {missing / 'k.csv'}\n")
+        argv = {"config": ["--config", str(missing / "x.cfg")],
+                "absorption_table": ["--config", str(cfg)],
+                "out_dir": ["--out", str(missing / "grid.csv")]}[case]
+        assert main(["abilities"] + argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestGoldenTables:
     """The default tables, byte for byte.  A change that moves a value on

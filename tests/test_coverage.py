@@ -135,8 +135,7 @@ class TestShotNoiseParts:
         assert abs(fi) < 1e-6
 
     def test_vanish_without_power(self):
-        tiny = LinkBudget(a=1e-280, k_abs=BUD.k_abs, g_b=BUD.g_b, g_m=BUD.g_m,
-                          theta_b=BUD.theta_b, theta_m=BUD.theta_m)
+        tiny = LinkBudget(a=1e-280, k_abs=BUD.k_abs)
         fr, fi = _direct(_field(budget=tiny), 1e6)
         assert abs(fr) < 1e-12
         assert abs(fi) < 1e-12
@@ -261,9 +260,8 @@ class TestFieldCache:
     def test_one_split_table_per_lower_bound(self, mode, tables):
         # four schemes share one table per lower bound: 2 r_b in theorem
         # mode, each r1 in derivation mode
-        abilities = scheme_abilities(SCHEMES, SYS, DEP)
         clear_field_cache()
-        coverage_sweep(self.R1, [10.0], SCHEMES, BUD, DEP, SYS, abilities, mode)
+        coverage_sweep(self.R1, [10.0], SCHEMES, BUD, DEP, SYS, mode)
         assert _split_table.cache_info().misses == tables
         assert _field_for.cache_info().misses == len(SCHEMES) * tables
 
@@ -490,8 +488,7 @@ class TestPhaseRadius:
 
     def test_lossless_branch(self):
         # k = 0: the phase equation r^2 = x has the root sqrt(x)
-        lossless = LinkBudget(a=BUD.a, k_abs=0.0, g_b=BUD.g_b, g_m=BUD.g_m,
-                              theta_b=BUD.theta_b, theta_m=BUD.theta_m)
+        lossless = LinkBudget(a=BUD.a, k_abs=0.0)
         fld = ShotNoiseField(lossless, DEP, 1e-3, 2 * DEP.r_b)
         s = 1e8 / fld.c_int
         x = 2 * np.pi * s * fld.c_int / _PHASE_BUDGET
@@ -549,8 +546,7 @@ class TestCoverageProbability:
         # becomes the deterministic effective-noise test
         quiet = replace(DEP, n_b=4096, n_m=4096)
         sys_quiet = replace(SYS, t_ssb=1e-12)
-        bud = LinkBudget(a=BUD.a, k_abs=BUD.k_abs, g_b=BUD.g_b, g_m=BUD.g_m,
-                         theta_b=quiet.theta_b, theta_m=quiet.theta_m)
+        bud = BUD  # the default deployment's A, not the narrow beams' gains
         ability = perfect_ability()
         # decisive points: the margin must dwarf (or be below) anything the
         # residual re-radiation field can contribute
@@ -613,25 +609,39 @@ class TestCoverageProbability:
             CoverageQuery(r1=10.0, threshold=1.0, lower_bound_mode="both")
 
 
+def _assert_sweep_is_cells(r1s, thresholds, budget, deploy):
+    """Each row of the sweep is the cell coverage_probability computes with
+    the row's scheme's ability on the swept deployment."""
+    for mode in LOWER_BOUND_MODES:
+        rows = coverage_sweep(r1s, thresholds, SCHEMES, budget, deploy, SYS, mode)
+        assert len(rows) == len(SCHEMES) * len(r1s) * len(thresholds)
+        cells = [(name, r1, thr) for name in SCHEMES for r1 in r1s
+                 for thr in thresholds]
+        for row, (name, r1, thr) in zip(rows, cells):
+            q = CoverageQuery(r1=r1, threshold=thr, lower_bound_mode=mode)
+            res = coverage_probability(q, budget, deploy, SYS,
+                                       scheme_ability(name, SYS, deploy))
+            assert row == {"scheme": name, "r1_m": r1,
+                           "threshold_db": 10.0 * math.log10(thr),
+                           "p_ms": res.p_ms, "p_cm": res.p_cm,
+                           "p_cvp": res.p_cvp,
+                           "abs_err": res.integral_abs_error}
+
+
 class TestCoverageSweep:
     def test_single_point_matches_probability(self):
-        # each row of the sweep is the cell coverage_probability computes
-        r1s, dbs = (5.0, 20.0, 38.0), (-5.0, 5.0, 15.0)
-        thresholds = [10.0 ** (db / 10.0) for db in dbs]
-        for mode in LOWER_BOUND_MODES:
-            rows = coverage_sweep(r1s, thresholds, SCHEMES, BUD, DEP, SYS,
-                                  ABILITIES, mode)
-            assert len(rows) == len(SCHEMES) * len(r1s) * len(dbs)
-            cells = [(name, r1, thr) for name in SCHEMES for r1 in r1s
-                     for thr in thresholds]
-            for row, (name, r1, thr) in zip(rows, cells):
-                q = CoverageQuery(r1=r1, threshold=thr, lower_bound_mode=mode)
-                res = coverage_probability(q, BUD, DEP, SYS, ABILITIES[name])
-                assert row == {"scheme": name, "r1_m": r1,
-                               "threshold_db": 10.0 * math.log10(thr),
-                               "p_ms": res.p_ms, "p_cm": res.p_cm,
-                               "p_cvp": res.p_cvp,
-                               "abs_err": res.integral_abs_error}
+        thresholds = [10.0 ** (db / 10.0) for db in (-5.0, 5.0, 15.0)]
+        _assert_sweep_is_cells((5.0, 20.0, 38.0), thresholds, BUD, DEP)
+
+    def test_rows_follow_the_swept_deployment(self):
+        # n_b fixes theta_b, which sets both A and the jsrs and ssb
+        # abilities; the default deployment's jsrs ability gives another p_ms
+        dep = replace(DEP, n_b=64, n_m=64, lambda_b=5e-4)
+        stale = beam_misalignment(dep, ABILITIES["jsrs"], SYS.tau).p_ms
+        assert stale != beam_misalignment(dep, scheme_ability("jsrs", SYS, dep),
+                                          SYS.tau).p_ms
+        _assert_sweep_is_cells((10.0, 30.0), (1.0, 10.0),
+                               LinkBudget.from_params(SYS, dep), dep)
 
     def test_one_kernel_per_threshold_plus_one_per_row(self, monkeypatch):
         # the threshold-free half D(phi1) is integrated once per (scheme, r1)
@@ -641,24 +651,20 @@ class TestCoverageSweep:
         monkeypatch.setattr(coverage, "integrate_oscillatory",
                             lambda *a, **k: calls.append(1) or integrate(*a, **k))
         schemes, r1s, thresholds = ("jsrs", "5g"), (10.0, 30.0), (1.0, 3.0, 10.0)
-        rows = coverage_sweep(r1s, thresholds, schemes, BUD, DEP, SYS, ABILITIES)
+        rows = coverage_sweep(r1s, thresholds, schemes, BUD, DEP, SYS)
         assert len(rows) == 2 * 2 * 3
         assert len(calls) == 2 * 2 * (3 + 1)
 
     def test_threshold_monotone(self):
-        abilities = scheme_abilities(("jsrs",), SYS, DEP)
         thresholds = [10.0 ** (db / 10) for db in (0.0, 5.0, 10.0, 15.0)]
-        rows = coverage_sweep([20.0, 40.0], thresholds, ("jsrs",), BUD, DEP,
-                              SYS, abilities)
+        rows = coverage_sweep([20.0, 40.0], thresholds, ("jsrs",), BUD, DEP, SYS)
         for r1 in (20.0, 40.0):
             series = [r["p_cvp"] for r in rows if r["r1_m"] == r1]
             assert all(a >= b - 1e-6 for a, b in zip(series, series[1:]))
 
     def test_scheme_ordering(self):
         schemes = ("perfect", "jsrs", "5g")
-        abilities = scheme_abilities(schemes, SYS, DEP)
-        rows = coverage_sweep([10.0, 25.0], [1.0, 10.0], schemes, BUD, DEP,
-                              SYS, abilities)
+        rows = coverage_sweep([10.0, 25.0], [1.0, 10.0], schemes, BUD, DEP, SYS)
         table = {}
         for r in rows:
             table.setdefault((r["r1_m"], r["threshold_db"]), {})[r["scheme"]] = r["p_cvp"]

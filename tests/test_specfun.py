@@ -390,3 +390,9 @@ class TestQuadratureSpec:
             QuadratureSpec(max_subdivisions=0)
         with pytest.raises(ValueError):
             QuadratureSpec(tail_cutoff_envelope=-1.0)
+        # NaN compares false both ways; abs_tol = nan used to run the
+        # semi-infinite integrator to its panel cap
+        for field in ("abs_tol", "rel_tol", "tail_cutoff_envelope",
+                      "max_subdivisions"):
+            with pytest.raises(ValueError):
+                QuadratureSpec(**{field: math.nan})
