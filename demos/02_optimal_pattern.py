@@ -14,12 +14,12 @@ from isacthz.sensing import sensing_ability
 system = default_system()
 deploy = default_deployment()
 
-req = PatternRequirement(d_max_req=78.1, v_max_req=19.44, n_rs=system.n_rs)
+req = PatternRequirement(d_max_req=78.1, v_max_req=19.44)
 pat = optimal_pattern(req, system, deploy.theta_b)
 ab = sensing_ability(pat, system, deploy.theta_b)
 
 print(f"Requirement: detect {req.d_max_req} m, track {req.v_max_req} m/s, "
-      f"{req.n_rs} pilot elements")
+      f"{system.n_rs} pilot elements")
 print(f"Closed form: U={pat.u}, V={pat.v}, alpha={pat.alpha:.4f} "
       f"-> {pat.n_s} symbols x {pat.n_f} subcarriers")
 print(f"Achieved: dd_b={ab.delta_db * 100:.2f} cm, dv={ab.delta_v:.2f} m/s, "

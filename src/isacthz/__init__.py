@@ -16,7 +16,7 @@ from .misalignment import (MisalignmentBreakdown, beam_misalignment,
                            timeout_probability)
 from .pattern import (InfeasibleRequirementError, PatternRequirement,
                       brute_force_pattern, objective, optimal_pattern)
-from .schemes import scheme_abilities, scheme_ability
+from .schemes import scheme_ability
 from .sensing import (SCHEMES, SensingAbility, SensingPattern, a_theta,
                       baseline_5g_ability, perfect_ability, sensing_ability,
                       ssb_ability)

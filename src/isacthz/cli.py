@@ -113,10 +113,11 @@ def _cmd_abilities(args, system, deploy):
 # -----------------------------------------------------------------------------
 
 def _cmd_pattern(args, system, deploy):
-    req = PatternRequirement(d_max_req=args.d_max_req, v_max_req=args.v_max_req,
-                             n_rs=system.n_rs if args.n_rs is None else args.n_rs)
+    if args.n_rs is not None:
+        system = replace(system, n_rs=args.n_rs)
+    req = PatternRequirement(d_max_req=args.d_max_req, v_max_req=args.v_max_req)
     pat = optimal_pattern(req, system, deploy.theta_b)
-    ab = sensing_ability(pat, replace(system, n_rs=req.n_rs), deploy.theta_b)
+    ab = sensing_ability(pat, system, deploy.theta_b)
     header = ["alpha", "U", "V", "N_s", "N_f", "B_s", "T_s",
               "delta_r_m", "delta_db_m", "delta_v_mps", "d_max_m", "vmax_kmh"]
     row = [pat.alpha, pat.u, pat.v, pat.n_s, pat.n_f, pat.b_s, pat.t_s,
@@ -124,9 +125,8 @@ def _cmd_pattern(args, system, deploy):
     _write_csv(args.out, header, [row])
     if args.verify:
         bf = brute_force_pattern(req, system, deploy.theta_b, args.grid_size)
-        sys_req = replace(system, n_rs=req.n_rs)
-        gap = (objective(pat.alpha, pat.u, pat.v, sys_req, deploy.theta_b)
-               - objective(bf.alpha, bf.u, bf.v, sys_req, deploy.theta_b))
+        gap = (objective(pat.alpha, pat.u, pat.v, system, deploy.theta_b)
+               - objective(bf.alpha, bf.u, bf.v, system, deploy.theta_b))
         print(f"# brute force: alpha={bf.alpha:.6f} U={bf.u} V={bf.v} "
               f"objective gap={gap:+.3e}", file=_sys.stderr)
     return 0

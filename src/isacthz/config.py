@@ -1,8 +1,10 @@
 """Parameter ingestion, validation, and the absorption-coefficient table.
 
-Config files are flat ``key = value`` text ('#' starts a comment).  All
-units are SI (Hz, s, m, W); dBm and km/h inputs are accepted through
-explicit ``_dbm`` / ``_kmh`` key suffixes and converted at load time.
+Config files are flat ``key = value`` text ('#' starts a comment).  Each
+key is the name of a `SystemParams` or `Deployment` field, in SI units
+(Hz, s, m, W).  Three fields may instead be given in dBm or km/h, through
+the keys ``p_t_dbm``, ``thermal_noise_density_dbm`` and ``v_kmh``,
+converted at load time.
 
 The absorption coefficient K is resolved once at the carrier frequency and
 carried as a scalar afterwards.  A small sample table ships with the
@@ -14,9 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
-from pathlib import Path
 
 __all__ = [
     "C_LIGHT",
@@ -25,7 +26,6 @@ __all__ = [
     "AbsorptionTable",
     "ConfigError",
     "load_config",
-    "dump_config",
     "default_system",
     "default_deployment",
     "absorption_at",
@@ -221,19 +221,12 @@ def default_deployment() -> Deployment:
     return Deployment()
 
 
-# keys accepted in config files, mapped onto the dataclass fields
-_SYSTEM_KEYS = {
-    "f_c": "f_c", "f_scs": "f_scs", "t_sym": "t_sym", "tau": "tau",
-    "b_ssb": "b_ssb", "t_ssb": "t_ssb", "n_rs": "n_rs", "b_tot": "b_tot",
-    "t_tot": "t_tot", "p_t": "p_t",
-    "thermal_noise_density": "thermal_noise_density",
-    "absorption_k": "k_abs",
-}
-_DEPLOY_KEYS = {
-    "lambda_b": "lambda_b", "lambda_m": "lambda_m", "lambda_s": "lambda_s",
-    "r_b": "r_b", "n_b": "n_b", "n_m": "n_m", "v": "v",
-}
-_INT_FIELDS = {"n_rs", "n_b", "n_m"}
+# config key -> (dataclass, field): every field under its own name
+_FIELDS = {f.name: (cls, f) for cls in (SystemParams, Deployment)
+           for f in fields(cls)}
+# the keys that take a unit suffix, with its conversion to SI
+_UNIT_KEYS = {"p_t_dbm": dbm_to_watts, "thermal_noise_density_dbm": dbm_to_watts,
+              "v_kmh": kmh_to_mps}
 
 
 def _parse_kv(path) -> dict:
@@ -262,28 +255,21 @@ def load_config(path=None):
     Missing keys fall back to the reference defaults; an absent or empty
     file therefore yields the full default parameter set.  Values must be
     finite, and no field may be set twice (say, by ``p_t`` and ``p_t_dbm``).
-    K is taken from an explicit ``absorption_k`` key when present, otherwise
+    K is taken from an explicit ``k_abs`` key when present, otherwise
     interpolated at f_c from ``absorption_table = <csv path>`` or the
     bundled sample.
     """
     raw = _parse_kv(path) if path is not None else {}
 
-    sys_kwargs, dep_kwargs = {}, {}
+    kwargs = {SystemParams: {}, Deployment: {}}
     table_path = raw.pop("absorption_table", None)
     for key, val in raw.items():
-        base, conv = key, None
-        if key.endswith("_dbm"):
-            base, conv = key[:-4], dbm_to_watts
-        elif key.endswith("_kmh"):
-            base, conv = key[:-4], kmh_to_mps
-        if base in _SYSTEM_KEYS:
-            field = _SYSTEM_KEYS[base]
-            target = sys_kwargs
-        elif base in _DEPLOY_KEYS:
-            field = _DEPLOY_KEYS[base]
-            target = dep_kwargs
-        else:
+        conv = _UNIT_KEYS.get(key)
+        name = key if conv is None else key[:-4]
+        if name not in _FIELDS:
             raise ConfigError(f"unknown config key '{key}'")
+        cls, field = _FIELDS[name]
+        target = kwargs[cls]
         try:
             num = float(val) if conv is None else conv(float(val))
         except ValueError as exc:
@@ -292,14 +278,16 @@ def load_config(path=None):
             raise ConfigError(f"config key '{key}' must be finite: {val!r}") from exc
         if not math.isfinite(num):
             raise ConfigError(f"config key '{key}' must be finite: {val!r}")
-        if field in target:
-            raise ConfigError(f"config key '{key}' sets {field}, which another key set")
-        if field in _INT_FIELDS:
+        if name in target:
+            raise ConfigError(f"config key '{key}' sets {name}, which another key set")
+        # annotations are strings under `from __future__ import annotations`
+        if field.type in (int, "int"):
             if num != int(num):
                 raise ConfigError(f"config key '{key}' must be an integer")
             num = int(num)
-        target[field] = num
+        target[name] = num
 
+    sys_kwargs = kwargs[SystemParams]
     # the sweep-block bandwidth default tracks the subcarrier spacing
     if "b_ssb" not in sys_kwargs and "f_scs" in sys_kwargs:
         sys_kwargs["b_ssb"] = 240.0 * sys_kwargs["f_scs"]
@@ -310,18 +298,4 @@ def load_config(path=None):
         f_c = sys_kwargs.get("f_c", SystemParams.f_c)
         sys_kwargs["k_abs"] = absorption_at(table, f_c)
 
-    system = SystemParams(**sys_kwargs)
-    deploy = Deployment(**dep_kwargs)
-    return system, deploy
-
-
-def dump_config(system: SystemParams, deploy: Deployment, path) -> None:
-    """Write a config file that load_config reads back to identical values."""
-    inv_sys = {v: k for k, v in _SYSTEM_KEYS.items()}
-    lines = ["# isac-thz configuration (SI units)"]
-    for field, key in sorted(inv_sys.items(), key=lambda kv: kv[1]):
-        val = getattr(system, field)
-        lines.append(f"{key} = {val!r}")
-    for key, field in sorted(_DEPLOY_KEYS.items()):
-        lines.append(f"{key} = {getattr(deploy, field)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return SystemParams(**sys_kwargs), Deployment(**kwargs[Deployment])

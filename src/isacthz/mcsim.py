@@ -25,7 +25,8 @@ them; only trials holding one draw angles and a user/blocker disc around
 their corridors.  By the mapping theorem, pi lambda_b r^2 over the nodes
 is a unit-rate PPP on [0, inf), so a user's two nearest nodes are drawn
 exactly from two exponential partial sums: the link estimators truncate
-nothing to a window.
+nothing to a window.  A misalignment trial reads both of its events, the
+sensing error and the timeout, off one such scene.
 
 A coverage trial's annulus is split at the absorption reach R (at most
 the window radius).  Its near nodes, inside R, are drawn with their
@@ -166,26 +167,33 @@ def estimate_blockage(deploy: Deployment, r: float, trials: int,
     return McEstimate.from_hits(hits, trials)
 
 
-def _nearest_two_batch(rng, deploy: Deployment, b: int):
-    """Radii and angles, shape (b, 2) each, of the two nearest nodes to the
-    origin for b trials, nearest first.
+def _nearest_two_batch(rng, deploy: Deployment, b: int) -> np.ndarray:
+    """Radii, shape (b, 2), of the two nearest nodes to the origin for b
+    trials, nearest first.
 
     pi lambda_b r^2 maps the node PPP onto a unit-rate PPP on [0, inf), so
     the two smallest values are the first two partial sums of unit
-    exponentials; angles are uniform and independent of the radii.
+    exponentials.
     """
     if not deploy.lambda_b > 0.0:
         raise ValueError("nearest-two distances need lambda_b > 0")
     e = rng.standard_exponential((b, 2)).cumsum(axis=1)
-    return (np.sqrt(e / (math.pi * deploy.lambda_b)),
-            2.0 * math.pi * rng.random((b, 2)))
+    return np.sqrt(e / (math.pi * deploy.lambda_b))
 
 
 def nearest_two_distances(deploy: Deployment, samples: int, seed: int):
     """Sampled (r1, r2) distances of the two nearest nodes to the origin."""
-    out = np.concatenate([_nearest_two_batch(rng, deploy, b)[0]
+    out = np.concatenate([_nearest_two_batch(rng, deploy, b)
                           for rng, b in _batches(samples, seed)])
     return out[:, 0], out[:, 1]
+
+
+def _nearest_links_blocked(rng, deploy: Deployment, b: int) -> tuple:
+    """Corridor verdicts (nearest, second) of the links to the two nearest
+    nodes in b scenes, each link against its own obstacle field."""
+    r12 = _nearest_two_batch(rng, deploy, b)
+    return (_blocked_links(rng, deploy, r12[:, 0]),
+            _blocked_links(rng, deploy, r12[:, 1]))
 
 
 def estimate_timeout(deploy: Deployment, trials: int, seed: int) -> McEstimate:
@@ -195,34 +203,36 @@ def estimate_timeout(deploy: Deployment, trials: int, seed: int) -> McEstimate:
         raise ValueError("estimate_timeout needs at least 1e3 trials")
     hits = 0
     for rng, b in _batches(trials, seed):
-        r12 = _nearest_two_batch(rng, deploy, b)[0]
-        hits += int((_blocked_links(rng, deploy, r12[:, 0])
-                     & _blocked_links(rng, deploy, r12[:, 1])).sum())
+        near, second = _nearest_links_blocked(rng, deploy, b)
+        hits += int((near & second).sum())
     return McEstimate.from_hits(hits, trials)
 
 
 def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
                           tau: float, trials: int, seed: int) -> dict:
-    """Monte-Carlo counterparts of the misalignment constituents.
+    """Monte-Carlo counterparts of the misalignment constituents, all read
+    off one scene per trial.
 
-    The sensing-error event draws the beam-coverage length from its
-    exponential law and the nearest node's blockage from corridor geometry;
-    the timeout term reuses estimate_timeout.  Returns a dict with
-    'p_err', 'p_to' and 'p_ms' estimates (p_ms as the additive bound).
+    A trial draws the corridor verdicts of its two nearest links as
+    estimate_timeout does, so 'p_to' equals estimate_timeout at the same
+    seed, and then the beam-coverage length from its exponential law.
+    'p_err' counts a missed crossing with the nearest link open, 'p_to'
+    both links blocked.  The two events are disjoint, so 'p_ms' is the
+    frequency of their union and its hits are the sum of theirs.
     """
+    if 1 <= trials < 1000:  # _batches rejects fewer than one
+        raise ValueError("estimate_misalignment needs at least 1e3 trials")
     mu_g = beam_switch_density(deploy)
     lo, hi = crossing_miss_window(deploy, ability, tau)
-    hits = 0
+    err = to = 0
     for rng, b in _batches(trials, seed):
+        near, second = _nearest_links_blocked(rng, deploy, b)
         d_b = rng.exponential(1.0 / mu_g, size=b)
-        miss = (d_b > lo) & (d_b < hi)
-        r1 = _nearest_two_batch(rng, deploy, b)[0][:, 0]
-        hits += int((miss & ~_blocked_links(rng, deploy, r1)).sum())
-    err = McEstimate.from_hits(hits, trials)
-    to = estimate_timeout(deploy, trials, seed + 1)
-    p_ms = min(err.mean + to.mean, 1.0)
-    se = math.sqrt(err.std_error ** 2 + to.std_error ** 2)
-    return {"p_err": err, "p_to": to, "p_ms": McEstimate(p_ms, se, trials)}
+        err += int(((d_b > lo) & (d_b < hi) & ~near).sum())
+        to += int((near & second).sum())
+    return {"p_err": McEstimate.from_hits(err, trials),
+            "p_to": McEstimate.from_hits(to, trials),
+            "p_ms": McEstimate.from_hits(err + to, trials)}
 
 
 def _absorption_reach(k_abs: float) -> float:

@@ -16,7 +16,9 @@ Component pieces:
   distance, in erfc closed form (it counts the vanishing r1 < 2 r_b mass
   as blocked).
 
-The total is the additive union bound p_ms = min(p_err + p_to, 1).
+The total is p_ms = p_err + p_to: p_err needs the nearest node reachable
+and p_to needs it blocked, so the two events are disjoint.  The sum is
+capped at one against rounding.
 """
 
 from __future__ import annotations
@@ -164,8 +166,9 @@ def beam_misalignment(deploy: Deployment, ability: SensingAbility,
     """Total misalignment probability for one sensing ability.
 
     p_err couples the speed-underestimate event with the nearest node being
-    reachable (not blocked); p_to is ability-independent.  The sum is a
-    union bound and is capped at one.
+    reachable (not blocked); p_to is ability-independent and needs that
+    node blocked.  The events are disjoint, so p_ms is their sum, capped
+    at one against rounding.
     """
     p_ve = speed_underestimate_probability(deploy, ability, tau)
     p_err = p_ve * (1.0 - expected_closest_blockage(deploy))

@@ -18,7 +18,7 @@ alpha grid and every feasible (U, V) pair and must land on the same point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,19 +46,17 @@ class InfeasibleRequirementError(ValueError):
 
 @dataclass(frozen=True)
 class PatternRequirement:
-    """Sensing requirements the pattern must satisfy."""
+    """Sensing requirements the pattern must satisfy; the pilot budget
+    n_rs it spends is the system's."""
 
     d_max_req: float
     v_max_req: float
-    n_rs: int
 
     def __post_init__(self):
         if not self.d_max_req > 0.0:
             raise ValueError("d_max_req must be > 0")
         if not self.v_max_req > 0.0:
             raise ValueError("v_max_req must be > 0")
-        if self.n_rs < 2:
-            raise ValueError("n_rs must be >= 2")
 
 
 def objective(alpha, u: int, v: int, system: SystemParams, theta_b: float):
@@ -97,6 +95,9 @@ def alpha_bounds(system: SystemParams) -> tuple:
 
 
 def _spacings(req: PatternRequirement, system: SystemParams) -> tuple:
+    # both searches start here, before any log(n_rs)
+    if system.n_rs < 2:
+        raise ValueError("n_rs must be >= 2")
     u_hi = math.floor(C_LIGHT / (2.0 * system.f_scs * req.d_max_req))
     v_hi = math.floor(C_LIGHT / (2.0 * system.f_c * system.t_sym * req.v_max_req))
     if u_hi < 1:
@@ -128,7 +129,6 @@ def optimal_alpha(u: int, v: int, system: SystemParams, theta_b: float) -> float
 def optimal_pattern(req: PatternRequirement, system: SystemParams,
                     theta_b: float) -> SensingPattern:
     """Closed-form optimal pattern for the given requirements."""
-    system = _with_n_rs(system, req.n_rs)
     u_lo, u_hi, v_hi = _spacings(req, system)
     alpha = optimal_alpha(u_hi, v_hi, system, theta_b)
     return SensingPattern.materialize(alpha, u_hi, v_hi, system)
@@ -143,7 +143,6 @@ def brute_force_pattern(req: PatternRequirement, system: SystemParams,
     """
     if grid_size < 100:
         raise ValueError("grid_size must be >= 100")
-    system = _with_n_rs(system, req.n_rs)
     u_lo, u_hi, v_hi = _spacings(req, system)
     u_cap = max(1, math.floor(C_LIGHT / (2.0 * system.f_scs * _BRUTE_DMAX_FLOOR)))
     v_cap = max(1, math.floor(C_LIGHT / (2.0 * system.f_c * system.t_sym * _BRUTE_VMAX_FLOOR)))
@@ -162,7 +161,3 @@ def brute_force_pattern(req: PatternRequirement, system: SystemParams,
                 best = cand
     _, u, v, alpha = best
     return SensingPattern.materialize(alpha, u, v, system)
-
-
-def _with_n_rs(system: SystemParams, n_rs: int) -> SystemParams:
-    return system if system.n_rs == n_rs else replace(system, n_rs=n_rs)

@@ -16,14 +16,13 @@ from .sensing import (SCHEMES, SensingAbility, SensingPattern,
                       baseline_5g_ability, perfect_ability, sensing_ability,
                       ssb_ability)
 
-__all__ = ["SCHEMES", "default_requirement", "jsrs_pattern", "scheme_ability",
-           "scheme_abilities"]
+__all__ = ["SCHEMES", "default_requirement", "jsrs_pattern", "scheme_ability"]
 
 
 def default_requirement(system: SystemParams, deploy: Deployment) -> PatternRequirement:
     """Reference requirement: full single-spacing range, track the user speed."""
     return PatternRequirement(d_max_req=C_LIGHT / (2.0 * system.f_scs),
-                              v_max_req=deploy.v, n_rs=system.n_rs)
+                              v_max_req=deploy.v)
 
 
 def jsrs_pattern(system: SystemParams, deploy: Deployment) -> SensingPattern:
@@ -42,7 +41,3 @@ def scheme_ability(scheme: str, system: SystemParams,
     if scheme == "ssb":
         return ssb_ability(system, deploy.theta_b)
     raise ValueError(f"unknown scheme '{scheme}'; choose from {SCHEMES}")
-
-
-def scheme_abilities(schemes, system: SystemParams, deploy: Deployment) -> dict:
-    return {s: scheme_ability(s, system, deploy) for s in schemes}

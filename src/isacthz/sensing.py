@@ -15,7 +15,7 @@ average motion resolution across a randomly oriented trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import C_LIGHT, SystemParams
 
@@ -149,14 +149,12 @@ def ability_from_spans(u: int, v: int, b_s: float, t_s: float,
 
 
 def ssb_ability(system: SystemParams, theta_b: float) -> SensingAbility:
-    """Abilities when the sweep blocks alone do both detection and tracking."""
-    at = a_theta(theta_b)
-    delta_r = C_LIGHT / (2.0 * system.b_ssb)
-    delta_v = C_LIGHT / (2.0 * system.f_c * system.t_ssb)
-    d_max = C_LIGHT / (2.0 * system.f_scs)
-    v_max = C_LIGHT / (2.0 * system.f_c * system.t_sym)
-    return SensingAbility(delta_r=delta_r, delta_db=at * delta_r,
-                          delta_v=delta_v, d_max=d_max, v_max=v_max)
+    """Abilities when the sweep blocks alone do both detection and tracking:
+    one block spanning b_ssb by t_ssb, whose speed limit is the symbol
+    Doppler limit c / (2 f_c T_sym) alone."""
+    return replace(ability_from_spans(1, 1, system.b_ssb, system.t_ssb, system,
+                                      theta_b),
+                   v_max=C_LIGHT / (2.0 * system.f_c * system.t_sym))
 
 
 def baseline_5g_ability() -> SensingAbility:

@@ -114,7 +114,7 @@ def test_criterion_2_pattern_oracle():
         v_req = rng.uniform(3.0, 35.0)
         system = replace(SYS, f_c=f_c, n_rs=n_rs)
         theta = 2.0 * math.pi / n_b
-        req = PatternRequirement(d_req, v_req, n_rs)
+        req = PatternRequirement(d_req, v_req)
         try:
             pat = optimal_pattern(req, system, theta)
         except ValueError:

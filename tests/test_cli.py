@@ -7,6 +7,7 @@ from isacthz.cli import (_sweep_deployments, ability_reference_rows, main,
                          misalign_sweep_rows)
 from isacthz.config import default_deployment, default_system
 from isacthz.misalignment import timeout_probability
+from test_config import MISPLACED_SUFFIXES
 
 SYS = default_system()
 DEP = default_deployment()
@@ -59,6 +60,17 @@ class TestPattern:
         code = main(["pattern", "--d-max-req", "30", "--v-max-req", "20",
                      "--n-rs", "0", "--out", str(tmp_path / "p.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("source", ["option", "config"])
+    def test_one_reference_signal_rejected(self, tmp_path, capsys, source):
+        cfg = tmp_path / "n_rs.cfg"
+        cfg.write_text("n_rs = 1\n")
+        argv = {"option": ["--n-rs", "1"], "config": ["--config", str(cfg)]}
+        code = main(["pattern", "--d-max-req", "30", "--v-max-req", "10",
+                     "--verify", "--out", str(tmp_path / "p.csv")]
+                    + argv[source])
+        assert code == 2
+        assert "n_rs must be >= 2" in capsys.readouterr().err
 
 
 class TestMisalign:
@@ -134,6 +146,16 @@ class TestSimulate:
         assert code == 2
         assert "trials must be >= 1" in capsys.readouterr().err
 
+    def test_misalign_without_nodes(self, tmp_path, capsys):
+        # used to end in a ZeroDivisionError traceback: the beam-length draw
+        # divided by the zero beam-switch density before any node was drawn
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("lambda_b = 0\n")
+        code = main(["simulate", "--what", "misalign", "--trials", "2000",
+                     "--config", str(cfg), "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "lambda_b > 0" in capsys.readouterr().err
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "r1.csv", tmp_path / "r2.csv"
         for out in (a, b):
@@ -194,6 +216,13 @@ class TestConfigErrors:
         bad.write_text(text)
         assert main(["coverage", "--config", str(bad), "--r1-grid", "20",
                      "--threshold-db-grid", "5", "--schemes", "perfect"]) == 2
+
+    @pytest.mark.parametrize("key", list(MISPLACED_SUFFIXES))
+    def test_suffix_only_on_unit_keys(self, tmp_path, capsys, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{key} = {MISPLACED_SUFFIXES[key]}\n")
+        assert main(["misalign", "--config", str(bad), "--schemes", "5g"]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["config", "absorption_table", "out_dir"])
     def test_missing_file_exit_code(self, tmp_path, capsys, case):

@@ -1,10 +1,17 @@
+from dataclasses import fields
+
 import pytest
 
 from isacthz.config import (AbsorptionTable, ConfigError, Deployment,
                             SystemParams, absorption_at,
                             bundled_absorption_table, dbm_to_watts,
-                            default_deployment, default_system, dump_config,
-                            kmh_to_mps, load_config)
+                            default_deployment, default_system, kmh_to_mps,
+                            load_config)
+
+
+# suffixed keys of fields that take no unit, each with a value that loaded
+MISPLACED_SUFFIXES = {"lambda_b_dbm": "-20", "f_c_kmh": "1.224e12",
+                      "n_b_kmh": "360"}
 
 
 class TestDefaults:
@@ -119,15 +126,30 @@ class TestUnitSuffixes:
         assert deploy.v == pytest.approx(70.0 / 3.6)
         assert system.thermal_noise_density == pytest.approx(dbm_to_watts(-174.0))
 
+    @pytest.mark.parametrize("key", list(MISPLACED_SUFFIXES))
+    def test_suffix_only_on_unit_keys(self, tmp_path, key):
+        # any key used to take either suffix, and each of these loaded:
+        # lambda_b = 1e-5, f_c = 0.34e12 and n_b = 100
+        path = tmp_path / "units.cfg"
+        path.write_text(f"{key} = {MISPLACED_SUFFIXES[key]}\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(path)
 
-class TestRoundTrip:
-    def test_dump_and_reload_identical(self, tmp_path):
-        system, deploy = load_config()
-        path = tmp_path / "dump.cfg"
-        dump_config(system, deploy, path)
-        system2, deploy2 = load_config(path)
-        assert system2 == system
-        assert deploy2 == deploy
+
+class TestKeys:
+    def test_every_field_is_a_key(self, tmp_path):
+        system, deploy = SystemParams(k_abs=0.1, n_rs=2000), Deployment(n_b=64)
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{f.name} = {getattr(obj, f.name)!r}\n"
+                                for obj in (system, deploy)
+                                for f in fields(obj)))
+        assert load_config(path) == (system, deploy)
+
+    def test_absorption_key_is_k_abs(self, tmp_path):
+        path = tmp_path / "k.cfg"
+        path.write_text("absorption_k = 0.1\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(path)
 
 
 class TestAbsorptionTable:

@@ -21,7 +21,7 @@ from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET,
                               clear_field_cache,
                               coverage_probability, coverage_sweep)
 from isacthz.misalignment import beam_misalignment
-from isacthz.schemes import scheme_abilities, scheme_ability
+from isacthz.schemes import scheme_ability
 from isacthz.sensing import SCHEMES, perfect_ability
 from isacthz.specfun import (QuadratureError, QuadratureSpec,
                              integrate_semi_infinite)
@@ -33,6 +33,10 @@ BUD = LinkBudget.from_params(SYS, DEP)
 
 TIGHT = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-11, max_subdivisions=100000,
                        tail_cutoff_envelope=1e-13)
+
+
+def _abilities(system, deploy):
+    return {s: scheme_ability(s, system, deploy) for s in SCHEMES}
 
 
 def _field(p_ms=0.1, lower=None, budget=BUD, deploy=DEP, system=SYS):
@@ -188,7 +192,7 @@ ORACLE_REL = 1e-10
 
 def _sweep_weights(deploy, system=SYS):
     """w_s of the four schemes, then at the ends p_ms = 0 and 1."""
-    abilities = scheme_abilities(SCHEMES, system, deploy)
+    abilities = _abilities(system, deploy)
     p_ms = [beam_misalignment(deploy, ability, system.tau).p_ms
             for ability in abilities.values()]
     return [sweep_weight(deploy, system, p) for p in p_ms + [0.0, 1.0]]
@@ -274,7 +278,7 @@ class TestFieldCache:
         assert all(c.cache_info().currsize == 0 for c in caches)
 
     def test_request_order_does_not_matter(self):
-        abilities = scheme_abilities(SCHEMES, SYS, DEP)
+        abilities = _abilities(SYS, DEP)
         q = CoverageQuery(r1=20.0, threshold=10.0)
         clear_field_cache()
         first = coverage_probability(q, BUD, DEP, SYS, abilities["jsrs"]).p_cvp
@@ -316,7 +320,7 @@ def oracle_p_cm(query, p_ms, budget=BUD, deploy=DEP, head=specfun._HEAD_LEVELS):
     return min(max(p_cm, 0.0), 1.0), err
 
 
-ABILITIES = scheme_abilities(SCHEMES, SYS, DEP)
+ABILITIES = _abilities(SYS, DEP)
 
 
 def _cells(modes, r1s, dbs):
@@ -350,7 +354,7 @@ class TestBisectingLayoutOracle:
         """Largest |delta p_cm| / (err_library + err_oracle) over every
         scheme at every query."""
         worst = 0.0
-        for ability in scheme_abilities(SCHEMES, SYS, deploy).values():
+        for ability in _abilities(SYS, deploy).values():
             p_ms = beam_misalignment(deploy, ability, SYS.tau).p_ms
             for q in queries:
                 res = _cell(q, budget, deploy, p_ms)

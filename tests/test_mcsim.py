@@ -164,6 +164,22 @@ class TestEstimators:
         assert abs(ests["p_err"].mean - ref.p_err) <= 3.0 * ests["p_err"].std_error
         assert abs(ests["p_ms"].mean - ref.p_ms) <= 3.0 * ests["p_ms"].std_error
 
+    def test_misalignment_reads_one_scene(self):
+        # p_to is the timeout draw itself, and p_ms the union of two
+        # disjoint events; 2^14 trials keep every frequency exact in binary
+        ability = scheme_ability("jsrs", SYS, DEP)
+        for trials, seed in ((20000, 14), (2 ** 14, 15)):
+            ests = estimate_misalignment(DEP, ability, SYS.tau, trials, seed)
+            assert ests["p_to"] == estimate_timeout(DEP, trials, seed)
+        assert ests["p_ms"].mean == ests["p_err"].mean + ests["p_to"].mean
+
+    def test_misalignment_trial_floor(self):
+        ability = baseline_5g_ability()
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            estimate_misalignment(DEP, ability, SYS.tau, 0, 16)
+        with pytest.raises(ValueError, match="at least 1e3 trials"):
+            estimate_misalignment(DEP, ability, SYS.tau, 999, 16)
+
 
 class TestNearestTwo:
     def test_ordering(self):
@@ -554,9 +570,10 @@ class TestDecisionRule:
 class TestPinnedStream:
     """Estimates recorded at a fixed seed; the sampler's draw order is part
     of the contract, so a refactor must reproduce them exactly.  Recorded
-    after the switch to box and thinned-mark sampling, the timeout and
-    misalignment ones after the exact nearest-two draw, the coverage ones
-    after the near/far split."""
+    after the switch to box and thinned-mark sampling, the coverage ones
+    after the near/far split, the timeout and misalignment ones after the
+    nearest-two draw stopped drawing angles and each misalignment trial
+    read both events off one scene."""
 
     def test_coverage_urban(self):
         ability = scheme_ability("jsrs", SYS, DEP)
@@ -580,17 +597,19 @@ class TestPinnedStream:
         assert estimate_blockage(DEP, 52.0, 20000, 3).mean == 0.64165
 
     def test_timeout(self):
-        assert estimate_timeout(DEP, 20000, 9).mean == 0.0553
+        assert estimate_timeout(DEP, 20000, 9).mean == 0.05425
 
     def test_misalignment(self):
         ests = estimate_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
                                      SYS.tau, 20000, 14)
-        assert ests["p_err"].mean == 0.0435
+        assert ests["p_err"].mean == 0.0437
 
     def test_window_oracle_stream(self, monkeypatch):
         # the window oracle is the nearest-two draw these were recorded with
-        monkeypatch.setattr(mcsim, "_nearest_two_batch", _nearest_two_window)
+        monkeypatch.setattr(mcsim, "_nearest_two_batch",
+                            lambda rng, deploy, b:
+                            _nearest_two_window(rng, deploy, b)[0])
         assert estimate_timeout(DEP, 20000, 9).mean == 0.0536
         ests = estimate_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
                                      SYS.tau, 20000, 14)
-        assert ests["p_err"].mean == 0.04275
+        assert ests["p_err"].mean == 0.04055

@@ -54,7 +54,7 @@ class TestObjective:
 
 class TestOptimalPattern:
     def test_reference_requirement(self):
-        req = PatternRequirement(78.1, 19.44, 5000)
+        req = PatternRequirement(78.1, 19.44)
         pat = optimal_pattern(req, SYS, THETA)
         assert pat.u == 1
         assert pat.v == 5
@@ -62,32 +62,31 @@ class TestOptimalPattern:
 
     def test_exact_floor_boundary(self):
         d_req = 3e8 / (4.0 * SYS.f_scs)
-        pat = optimal_pattern(PatternRequirement(d_req, 19.44, 5000), SYS, THETA)
+        pat = optimal_pattern(PatternRequirement(d_req, 19.44), SYS, THETA)
         assert pat.u == 2
 
     def test_infeasible_speed(self):
         v_too_fast = 3e8 / (2.0 * SYS.f_c * SYS.t_sym) * 1.01
         with pytest.raises(InfeasibleRequirementError):
-            optimal_pattern(PatternRequirement(40.0, v_too_fast, 5000), SYS, THETA)
+            optimal_pattern(PatternRequirement(40.0, v_too_fast), SYS, THETA)
 
     def test_infeasible_range(self):
         d_too_far = 3e8 / (2.0 * SYS.f_scs) * 1.01
         with pytest.raises(InfeasibleRequirementError):
-            optimal_pattern(PatternRequirement(d_too_far, 19.44, 5000), SYS, THETA)
+            optimal_pattern(PatternRequirement(d_too_far, 19.44), SYS, THETA)
 
     def test_stationarity(self):
         # numerical derivative of the objective vanishes at the optimum
-        req = PatternRequirement(78.1, 19.44, 5000)
+        req = PatternRequirement(78.1, 19.44)
         pat = optimal_pattern(req, SYS, THETA)
-        sys_req = replace(SYS, n_rs=req.n_rs)
-        lo, hi = alpha_bounds(sys_req)
+        lo, hi = alpha_bounds(SYS)
         assert lo < pat.alpha < hi  # interior optimum for this case
         h = 1e-6
-        d = (objective(pat.alpha + h, pat.u, pat.v, sys_req, THETA)
-             - objective(pat.alpha - h, pat.u, pat.v, sys_req, THETA)) / (2 * h)
+        d = (objective(pat.alpha + h, pat.u, pat.v, SYS, THETA)
+             - objective(pat.alpha - h, pat.u, pat.v, SYS, THETA)) / (2 * h)
         # derivative scale is objective * ln(n_rs); require 1e-6 relative
-        scale = objective(pat.alpha, pat.u, pat.v, sys_req, THETA) \
-            * math.log(req.n_rs)
+        scale = objective(pat.alpha, pat.u, pat.v, SYS, THETA) \
+            * math.log(SYS.n_rs)
         assert abs(d) < 1e-6 * scale
 
     def _stationary_alpha(self, system, theta):
@@ -123,7 +122,7 @@ class TestOptimalPattern:
 
 class TestBruteForce:
     def test_matches_closed_form(self):
-        req = PatternRequirement(78.1, 19.44, 5000)
+        req = PatternRequirement(78.1, 19.44)
         pat = optimal_pattern(req, SYS, THETA)
         bf = brute_force_pattern(req, SYS, THETA, grid_size=10000)
         assert bf.u == pat.u
@@ -131,30 +130,36 @@ class TestBruteForce:
         assert abs(bf.alpha - pat.alpha) < 1e-3
 
     def test_never_beats_closed_form(self):
-        req = PatternRequirement(30.0, 10.0, 2000)
-        sys_req = replace(SYS, n_rs=req.n_rs)
-        pat = optimal_pattern(req, SYS, THETA)
-        bf = brute_force_pattern(req, SYS, THETA, grid_size=3000)
+        req = PatternRequirement(30.0, 10.0)
+        sys_req = replace(SYS, n_rs=2000)
+        pat = optimal_pattern(req, sys_req, THETA)
+        bf = brute_force_pattern(req, sys_req, THETA, grid_size=3000)
         gap = (objective(bf.alpha, bf.u, bf.v, sys_req, THETA)
                - objective(pat.alpha, pat.u, pat.v, sys_req, THETA))
         assert gap >= -1e-12
 
     def test_beats_random_feasible_triples(self):
-        req = PatternRequirement(78.1, 19.44, 5000)
-        sys_req = replace(SYS, n_rs=req.n_rs)
+        req = PatternRequirement(78.1, 19.44)
         pat = optimal_pattern(req, SYS, THETA)
-        best = objective(pat.alpha, pat.u, pat.v, sys_req, THETA)
+        best = objective(pat.alpha, pat.u, pat.v, SYS, THETA)
         rng = np.random.default_rng(7)
-        lo, hi = alpha_bounds(sys_req)
+        lo, hi = alpha_bounds(SYS)
         u_hi = math.floor(3e8 / (2 * SYS.f_scs * req.d_max_req))
         v_hi = math.floor(3e8 / (2 * SYS.f_c * SYS.t_sym * req.v_max_req))
         for _ in range(1000):
             alpha = rng.uniform(lo, hi)
             u = int(rng.integers(1, u_hi + 1))
             v = int(rng.integers(1, v_hi + 1))
-            assert objective(alpha, u, v, sys_req, THETA) >= best - 1e-12
+            assert objective(alpha, u, v, SYS, THETA) >= best - 1e-12
+
+    def test_one_reference_signal_rejected(self):
+        # log(n_rs) = 0 would divide by zero in the stationary exponent
+        sys1 = replace(SYS, n_rs=1)
+        for search in (optimal_pattern, brute_force_pattern):
+            with pytest.raises(ValueError, match="n_rs must be >= 2"):
+                search(PatternRequirement(78.1, 19.44), sys1, THETA)
 
     def test_grid_size_floor(self):
         with pytest.raises(ValueError):
-            brute_force_pattern(PatternRequirement(78.1, 19.44, 5000), SYS,
+            brute_force_pattern(PatternRequirement(78.1, 19.44), SYS,
                                 THETA, grid_size=10)

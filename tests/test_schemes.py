@@ -2,8 +2,7 @@ import pytest
 
 from isacthz.config import default_deployment, default_system
 from isacthz.pattern import optimal_pattern
-from isacthz.schemes import (default_requirement, jsrs_pattern,
-                             scheme_abilities, scheme_ability)
+from isacthz.schemes import default_requirement, jsrs_pattern, scheme_ability
 from isacthz.sensing import SCHEMES
 
 SYS = default_system()
@@ -19,7 +18,7 @@ def test_jsrs_uses_optimal_pattern():
 
 
 def test_all_schemes_resolve():
-    abilities = scheme_abilities(SCHEMES, SYS, DEP)
+    abilities = {s: scheme_ability(s, SYS, DEP) for s in SCHEMES}
     assert set(abilities) == set(SCHEMES)
     assert abilities["perfect"].delta_v == 0.0
     assert abilities["5g"].delta_db == 0.3
@@ -35,4 +34,3 @@ def test_default_requirement_tracks_user_speed():
     req = default_requirement(SYS, DEP)
     assert req.v_max_req == DEP.v
     assert req.d_max_req == pytest.approx(3e8 / (2 * SYS.f_scs))
-    assert req.n_rs == SYS.n_rs
