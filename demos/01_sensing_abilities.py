@@ -7,11 +7,11 @@ carrier frequencies, and prints the reference-numerology grid that the
 
 from dataclasses import replace
 
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.sensing import a_theta, ability_from_spans, ssb_ability
 
-system = default_system()
-deploy = default_deployment()
+system = SystemParams()
+deploy = Deployment()
 
 print(f"Beamwidth 2*pi/{deploy.n_b} rad -> transverse factor "
       f"A_theta = {a_theta(deploy.theta_b):.4f}")

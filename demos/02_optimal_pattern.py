@@ -6,13 +6,13 @@ the misalignment objective delta_v * tau + delta_db.  The brute-force
 grid search lands on the same point.
 """
 
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.pattern import (PatternRequirement, brute_force_pattern,
                              objective, optimal_pattern)
 from isacthz.sensing import sensing_ability
 
-system = default_system()
-deploy = default_deployment()
+system = SystemParams()
+deploy = Deployment()
 
 req = PatternRequirement(d_max_req=78.1, v_max_req=19.44)
 pat = optimal_pattern(req, system, deploy.theta_b)

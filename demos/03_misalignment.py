@@ -4,14 +4,14 @@ Shows the imperfect-sensing and association-timeout components per scheme
 and cross-checks the closed forms against the geometric Monte Carlo.
 """
 
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.mcsim import estimate_misalignment, estimate_timeout
 from isacthz.misalignment import beam_misalignment, timeout_probability
 from isacthz.schemes import scheme_ability
 from isacthz.sensing import SCHEMES
 
-system = default_system()
-deploy = default_deployment()
+system = SystemParams()
+deploy = Deployment()
 
 print(f"{'scheme':>8} {'p_err':>9} {'p_to':>9} {'p_ms':>9}")
 for scheme in SCHEMES:

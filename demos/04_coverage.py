@@ -6,11 +6,11 @@ schemes across serving distance and SINR threshold.
 """
 
 from isacthz.channel import LinkBudget
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.coverage import coverage_sweep
 
-system = default_system()
-deploy = default_deployment()
+system = SystemParams()
+deploy = Deployment()
 budget = LinkBudget.from_params(system, deploy)
 
 schemes = ("perfect", "jsrs", "5g", "ssb")

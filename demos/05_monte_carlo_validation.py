@@ -6,15 +6,15 @@ and prints the deviation of each analytic value in standard errors.
 """
 
 from isacthz.channel import LinkBudget
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.coverage import CoverageQuery, coverage_probability
 from isacthz.mcsim import (estimate_blockage, estimate_coverage,
                            estimate_timeout)
 from isacthz.misalignment import blockage_probability, timeout_probability
 from isacthz.schemes import scheme_ability
 
-system = default_system()
-deploy = default_deployment()
+system = SystemParams()
+deploy = Deployment()
 budget = LinkBudget.from_params(system, deploy)
 trials = 50000
 

@@ -371,9 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("abilities", help="sensing-ability reference grid")
+    p.set_defaults(run=_cmd_abilities)
     _add_common(p)
 
     p = sub.add_parser("pattern", help="optimal pilot pattern")
+    p.set_defaults(run=_cmd_pattern)
     _add_common(p)
     p.add_argument("--d-max-req", type=_finite_float, required=True,
                    dest="d_max_req")
@@ -385,12 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-size", type=int, default=10000, dest="grid_size")
 
     p = sub.add_parser("misalign", help="misalignment sweep")
+    p.set_defaults(run=_cmd_misalign)
     _add_common(p)
     p.add_argument("--sweep", choices=("n_b", "n_rs"), default="n_b")
     p.add_argument("--schemes", nargs="+", default=list(SCHEMES),
                    choices=SCHEMES)
 
     p = sub.add_parser("coverage", help="coverage sweep")
+    p.set_defaults(run=_cmd_coverage)
     _add_common(p)
     p.add_argument("--r1-grid", type=_finite_float, nargs="+",
                    default=list(COVERAGE_GRID[0]), dest="r1_grid")
@@ -402,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="theorem", dest="lower_bound")
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimates")
+    p.set_defaults(run=_cmd_simulate)
     _add_common(p)
     _add_monte_carlo(p)
     p.add_argument("--what", choices=("blockage", "timeout", "misalign",
@@ -417,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="theorem", dest="lower_bound")
 
     p = sub.add_parser("compare", help="scheme comparison report")
+    p.set_defaults(run=_cmd_compare)
     _add_common(p)
     _add_monte_carlo(p)
     p.add_argument("--with-mc", action="store_true", dest="with_mc",
@@ -425,21 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_COMMANDS = {
-    "abilities": _cmd_abilities,
-    "pattern": _cmd_pattern,
-    "misalign": _cmd_misalign,
-    "coverage": _cmd_coverage,
-    "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         system, deploy = load_config(args.config)
-        code = _COMMANDS[args.command](args, system, deploy)
+        code = args.run(args, system, deploy)
     except (ConfigError, InfeasibleRequirementError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Parameter ingestion, validation, and the absorption-coefficient table.
+"""Parameter ingestion and validation.
 
 Config files are flat ``key = value`` text ('#' starts a comment).  Each
 key is the name of a `SystemParams` or `Deployment` field, in SI units
@@ -7,9 +7,12 @@ the keys ``p_t_dbm``, ``thermal_noise_density_dbm`` and ``v_kmh``,
 converted at load time.
 
 The absorption coefficient K is resolved once at the carrier frequency and
-carried as a scalar afterwards.  A small sample table ships with the
-package; every value in it is synthetic and only fixes a plausible order
-of magnitude for tests and demos.
+carried as a scalar afterwards: from the key ``k_abs``, or by linear
+interpolation (no extrapolation) in the two-column ``frequency_hz,k_per_m``
+CSV that the key ``absorption_table`` names.  A malformed CSV row is a
+`ConfigError` naming the file and line.  Without either key, K comes from a
+small sample table shipped with the package; every value in it is synthetic
+and only fixes a plausible order of magnitude for tests and demos.
 """
 
 from __future__ import annotations
@@ -18,18 +21,14 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from importlib import resources
+from pathlib import Path
 
 __all__ = [
     "C_LIGHT",
     "SystemParams",
     "Deployment",
-    "AbsorptionTable",
     "ConfigError",
     "load_config",
-    "default_system",
-    "default_deployment",
-    "absorption_at",
-    "bundled_absorption_table",
     "dbm_to_watts",
     "kmh_to_mps",
 ]
@@ -162,63 +161,43 @@ class Deployment:
         return self.lambda_b + self.lambda_m + self.lambda_s
 
 
-@dataclass(frozen=True)
-class AbsorptionTable:
-    """Absorption coefficient versus frequency, linearly interpolated."""
-
-    frequencies: tuple
-    k_values: tuple
-
-    def __post_init__(self):
-        if len(self.frequencies) != len(self.k_values) or len(self.frequencies) < 1:
-            raise ConfigError("absorption table needs matching, non-empty columns")
-        fs = self.frequencies
-        if any(fs[i] >= fs[i + 1] for i in range(len(fs) - 1)):
-            raise ConfigError("absorption table frequencies must be strictly increasing")
-        if not all(k >= 0 for k in self.k_values):
-            raise ConfigError("absorption coefficients must be >= 0")
-
-    @classmethod
-    def from_csv(cls, path) -> "AbsorptionTable":
-        freqs, ks = [], []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or \
-                    [c.strip() for c in reader.fieldnames[:2]] != ["frequency_hz", "k_per_m"]:
-                raise ConfigError(
-                    f"{path}: expected CSV header 'frequency_hz,k_per_m'")
-            for row in reader:
-                freqs.append(float(row["frequency_hz"]))
-                ks.append(float(row["k_per_m"]))
-        return cls(tuple(freqs), tuple(ks))
-
-
-def absorption_at(table: AbsorptionTable, f: float) -> float:
-    """Linear interpolation of K at frequency f; no extrapolation."""
-    fs, ks = table.frequencies, table.k_values
+def _absorption_k(table, f: float) -> float:
+    """K at frequency f, linearly interpolated in a 'frequency_hz,k_per_m'
+    CSV (a path or a package resource); no extrapolation."""
+    fs, ks = [], []
+    with table.open(newline="") as fh:
+        reader = csv.reader(fh)
+        if [c.strip() for c in next(reader, [])[:2]] != ["frequency_hz", "k_per_m"]:
+            raise ConfigError(f"{table}:1: expected CSV header 'frequency_hz,k_per_m'")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{table}:{reader.line_num}"
+            if len(row) < 2:
+                raise ConfigError(f"{where}: expected 'frequency_hz,k_per_m' values")
+            try:
+                fq, k = float(row[0]), float(row[1])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: not a number: {row[:2]!r}") from exc
+            if not (math.isfinite(fq) and math.isfinite(k)):
+                raise ConfigError(f"{where}: values must be finite")
+            if k < 0.0:
+                raise ConfigError(f"{where}: absorption coefficients must be >= 0")
+            if fs and fq <= fs[-1]:
+                raise ConfigError(f"{where}: frequencies must be strictly increasing")
+            fs.append(fq)
+            ks.append(k)
+    if not fs:
+        raise ConfigError(f"{table}: absorption table has no rows")
     if f < fs[0] or f > fs[-1]:
         raise ConfigError(
-            f"frequency {f:.4g} Hz outside absorption table range "
+            f"{table}: frequency {f:.4g} Hz outside absorption table range "
             f"[{fs[0]:.4g}, {fs[-1]:.4g}]")
     for i in range(len(fs) - 1):
         if fs[i] <= f <= fs[i + 1]:
             w = (f - fs[i]) / (fs[i + 1] - fs[i])
             return ks[i] * (1.0 - w) + ks[i + 1] * w
     return ks[-1]
-
-
-def bundled_absorption_table() -> AbsorptionTable:
-    """The synthetic sample table shipped with the package."""
-    with resources.as_file(resources.files("isacthz.data") / "absorption_sample.csv") as p:
-        return AbsorptionTable.from_csv(p)
-
-
-def default_system() -> SystemParams:
-    return SystemParams()
-
-
-def default_deployment() -> Deployment:
-    return Deployment()
 
 
 # config key -> (dataclass, field): every field under its own name
@@ -255,9 +234,9 @@ def load_config(path=None):
     Missing keys fall back to the reference defaults; an absent or empty
     file therefore yields the full default parameter set.  Values must be
     finite, and no field may be set twice (say, by ``p_t`` and ``p_t_dbm``).
-    K is taken from an explicit ``k_abs`` key when present, otherwise
-    interpolated at f_c from ``absorption_table = <csv path>`` or the
-    bundled sample.
+    K is taken from an explicit ``k_abs`` key or interpolated at f_c in
+    ``absorption_table = <csv path>`` (setting both is an error), and
+    otherwise interpolated in the bundled sample.
     """
     raw = _parse_kv(path) if path is not None else {}
 
@@ -293,9 +272,10 @@ def load_config(path=None):
         sys_kwargs["b_ssb"] = 240.0 * sys_kwargs["f_scs"]
 
     if "k_abs" not in sys_kwargs:
-        table = (bundled_absorption_table() if table_path is None
-                 else AbsorptionTable.from_csv(table_path))
-        f_c = sys_kwargs.get("f_c", SystemParams.f_c)
-        sys_kwargs["k_abs"] = absorption_at(table, f_c)
+        table = (resources.files("isacthz.data") / "absorption_sample.csv"
+                 if table_path is None else Path(table_path))
+        sys_kwargs["k_abs"] = _absorption_k(table, sys_kwargs.get("f_c", SystemParams.f_c))
+    elif table_path is not None:
+        raise ConfigError("config key 'absorption_table' sets k_abs, which another key set")
 
     return SystemParams(**sys_kwargs), Deployment(**kwargs[Deployment])

@@ -85,6 +85,9 @@ def alpha_bounds(system: SystemParams) -> tuple:
     The budget bounds are phrased against the integer subcarrier/symbol
     caps plus half a rounding step, so any alpha inside the interval
     materialises without tripping the resource invariants."""
+    # log 1 = 0; optimal_alpha takes the bounds before its own log(n_rs)
+    if system.n_rs < 2:
+        raise ValueError("n_rs must be >= 2")
     log_n = math.log(system.n_rs)
     lo = max(0.01, 1.0 - math.log(system.subcarrier_cap + 0.5) / log_n)
     hi = min(0.99, math.log(system.symbol_cap + 0.5) / log_n)
@@ -95,9 +98,6 @@ def alpha_bounds(system: SystemParams) -> tuple:
 
 
 def _spacings(req: PatternRequirement, system: SystemParams) -> tuple:
-    # both searches start here, before any log(n_rs)
-    if system.n_rs < 2:
-        raise ValueError("n_rs must be >= 2")
     u_hi = math.floor(C_LIGHT / (2.0 * system.f_scs * req.d_max_req))
     v_hi = math.floor(C_LIGHT / (2.0 * system.f_c * system.t_sym * req.v_max_req))
     if u_hi < 1:
@@ -119,10 +119,10 @@ def _spacings(req: PatternRequirement, system: SystemParams) -> tuple:
 def optimal_alpha(u: int, v: int, system: SystemParams, theta_b: float) -> float:
     """Stationary point of the objective in alpha, clamped into the
     feasible interval (the objective is convex, so clamping is exact)."""
+    lo, hi = alpha_bounds(system)
     at = a_theta(theta_b)
     ratio = u * system.f_scs * system.tau / (v * system.f_c * system.t_sym * at)
     alpha = 0.5 * (math.log(ratio) / math.log(system.n_rs) + 1.0)
-    lo, hi = alpha_bounds(system)
     return min(max(alpha, lo), hi)
 
 

@@ -16,7 +16,7 @@ from .sensing import (SCHEMES, SensingAbility, SensingPattern,
                       baseline_5g_ability, perfect_ability, sensing_ability,
                       ssb_ability)
 
-__all__ = ["SCHEMES", "default_requirement", "jsrs_pattern", "scheme_ability"]
+__all__ = ["default_requirement", "jsrs_pattern", "scheme_ability"]
 
 
 def default_requirement(system: SystemParams, deploy: Deployment) -> PatternRequirement:

@@ -14,7 +14,7 @@ import pytest
 from isacthz.channel import (LinkBudget, expected_interference,
                              expected_noise, sweep_weight)
 from isacthz.cli import NRS_SWEEP, misalign_sweep_rows
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.coverage import (CoverageQuery, coverage_probability,
                               coverage_sweep)
 from isacthz.mcsim import (estimate_blockage, estimate_coverage,
@@ -30,8 +30,8 @@ from isacthz.specfun import QuadratureSpec, integrate_semi_infinite
 from test_mcsim import joint_distance_gof, window_distances
 from test_misalignment import expected_closest_blockage_quadrature
 
-SYS = default_system()
-DEP = default_deployment()
+SYS = SystemParams()
+DEP = Deployment()
 BUD = LinkBudget.from_params(SYS, DEP)
 
 MC_TRIALS_LEMMA = 1_000_000

@@ -8,11 +8,11 @@ from isacthz.channel import (LinkBudget, antenna_gain, effective_noise,
                              expected_interference, expected_noise,
                              interference_probability, received_power,
                              sweep_weight)
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.specfun import QuadratureSpec, integrate_semi_infinite
 
-SYS = default_system()
-DEP = default_deployment()
+SYS = SystemParams()
+DEP = Deployment()
 BUD = LinkBudget.from_params(SYS, DEP)
 
 TIGHT = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-12, max_subdivisions=8000,

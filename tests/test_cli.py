@@ -5,12 +5,12 @@ import pytest
 
 from isacthz.cli import (_sweep_deployments, ability_reference_rows, main,
                          misalign_sweep_rows)
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.misalignment import timeout_probability
-from test_config import MISPLACED_SUFFIXES
+from test_config import MALFORMED_TABLES, MISPLACED_SUFFIXES
 
-SYS = default_system()
-DEP = default_deployment()
+SYS = SystemParams()
+DEP = Deployment()
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -235,6 +235,16 @@ class TestConfigErrors:
                 "out_dir": ["--out", str(missing / "grid.csv")]}[case]
         assert main(["abilities"] + argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("case", list(MALFORMED_TABLES))
+    def test_malformed_absorption_table_exit_code(self, tmp_path, capsys, case):
+        text, line = MALFORMED_TABLES[case]
+        table = tmp_path / "k.csv"
+        table.write_text(text)
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(f"absorption_table = {table}\n")
+        assert main(["misalign", "--config", str(cfg), "--schemes", "5g"]) == 2
+        assert f"{table}:{line}:" in capsys.readouterr().err
 
 
 class TestGoldenTables:

@@ -1,17 +1,36 @@
+import re
 from dataclasses import fields
+from importlib import resources
 
 import pytest
 
-from isacthz.config import (AbsorptionTable, ConfigError, Deployment,
-                            SystemParams, absorption_at,
-                            bundled_absorption_table, dbm_to_watts,
-                            default_deployment, default_system, kmh_to_mps,
-                            load_config)
+from isacthz.config import (ConfigError, Deployment, SystemParams,
+                            dbm_to_watts, kmh_to_mps, load_config)
 
 
 # suffixed keys of fields that take no unit, each with a value that loaded
 MISPLACED_SUFFIXES = {"lambda_b_dbm": "-20", "f_c_kmh": "1.224e12",
                       "n_b_kmh": "360"}
+
+# absorption CSV bodies with one malformed row, and the line it is on
+MALFORMED_TABLES = {
+    "short_row": ("frequency_hz,k_per_m\n1e11,0.04\n2e11\n1e12,2.0\n", 3),
+    "nan_frequency": ("frequency_hz,k_per_m\n1e11,0.04\n1e12,2.0\nnan,2.0\n", 4),
+    "inf_k": ("frequency_hz,k_per_m\n1e11,0.04\n1e12,inf\n", 3),
+}
+
+
+def _k_at(tmp_path, f_c, table=None):
+    """K that load_config interpolates at f_c in an absorption CSV with the
+    body `table`, or in the bundled sample when there is none."""
+    cfg = tmp_path / "k.cfg"
+    lines = [f"f_c = {f_c!r}"]
+    if table is not None:
+        path = tmp_path / "k.csv"
+        path.write_text(table)
+        lines.append(f"absorption_table = {path}")
+    cfg.write_text("\n".join(lines) + "\n")
+    return load_config(cfg)[0].k_abs
 
 
 class TestDefaults:
@@ -38,8 +57,8 @@ class TestDefaults:
 
     def test_no_file_equals_defaults(self):
         system, deploy = load_config()
-        assert system == default_system()
-        assert deploy == default_deployment()
+        assert system == SystemParams()
+        assert deploy == Deployment()
 
 
 class TestDerived:
@@ -49,7 +68,7 @@ class TestDerived:
         assert dep.total_density == 1e-3 + 2e-3 + 4e-3
 
     def test_resource_caps(self):
-        system = default_system()
+        system = SystemParams()
         assert (system.subcarrier_cap, system.symbol_cap) == (520, 4484)
         # 0.3 / 0.1 rounds to 2.9999999999999996: the guard keeps the 3
         tight = SystemParams(f_scs=0.1, b_tot=0.3, b_ssb=0.2, t_sym=0.1,
@@ -103,8 +122,9 @@ class TestValidation:
         "n_b = 64\nn_b = 128\n",           # a key set twice
         "p_t = 0.2\np_t_dbm = 23\n",       # two keys, one field
         "v_kmh = 70\nv = 20\n",
+        "k_abs = 0.2\nabsorption_table = missing.csv\n",
     ], ids=["inf_n_b", "nan_lambda_b", "huge_p_t_dbm", "n_b_twice", "p_t_twice",
-            "v_twice"])
+            "v_twice", "k_abs_twice"])
     def test_non_finite_or_repeated_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -153,40 +173,42 @@ class TestKeys:
 
 
 class TestAbsorptionTable:
-    def test_exact_row(self):
-        table = AbsorptionTable((1e11, 2e11, 3e11), (0.01, 0.02, 0.05))
-        assert absorption_at(table, 2e11) == pytest.approx(0.02)
+    """K as load_config reads it off an absorption CSV."""
 
-    def test_midpoint_linearity(self):
-        table = AbsorptionTable((1e11, 2e11), (0.002, 0.004))
-        assert absorption_at(table, 1.5e11) == pytest.approx(0.003)
+    def test_exact_row(self, tmp_path):
+        table = "frequency_hz,k_per_m\n1e11,0.01\n2e11,0.02\n3e11,0.05\n"
+        assert _k_at(tmp_path, 2e11, table) == pytest.approx(0.02)
 
-    def test_out_of_range(self):
-        table = AbsorptionTable((1e11, 2e11), (0.002, 0.004))
-        with pytest.raises(ConfigError):
-            absorption_at(table, 0.5e11)
-        with pytest.raises(ConfigError):
-            absorption_at(table, 3e11)
+    def test_midpoint_linearity(self, tmp_path):
+        table = "frequency_hz,k_per_m\n1e11,0.002\n2e11,0.004\n"
+        assert _k_at(tmp_path, 1.5e11, table) == pytest.approx(0.003)
 
-    def test_monotone_between_rows(self):
-        table = bundled_absorption_table()
-        fs = table.frequencies
+    def test_out_of_range(self, tmp_path):
+        table = "frequency_hz,k_per_m\n1e11,0.002\n2e11,0.004\n"
+        with pytest.raises(ConfigError, match="outside absorption table range"):
+            _k_at(tmp_path, 0.5e11, table)
+        with pytest.raises(ConfigError, match="outside absorption table range"):
+            _k_at(tmp_path, 3e11, table)
+
+    def test_monotone_between_rows(self, tmp_path):
+        text = (resources.files("isacthz.data") / "absorption_sample.csv").read_text()
+        fs = [float(line.split(",")[0]) for line in text.split()[1:]]
+        assert len(fs) == 5
         for i in range(len(fs) - 1):
-            a = absorption_at(table, fs[i])
-            mid = absorption_at(table, 0.5 * (fs[i] + fs[i + 1]))
-            b = absorption_at(table, fs[i + 1])
+            a = _k_at(tmp_path, fs[i])
+            mid = _k_at(tmp_path, 0.5 * (fs[i] + fs[i + 1]))
+            b = _k_at(tmp_path, fs[i + 1])
             lo, hi = min(a, b), max(a, b)
             assert lo <= mid <= hi
 
     def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("freq,k\n1e11,0.01\n")
-        with pytest.raises(ConfigError):
-            AbsorptionTable.from_csv(path)
+        with pytest.raises(ConfigError, match="expected CSV header"):
+            _k_at(tmp_path, 1e11, "freq,k\n1e11,0.01\n")
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ConfigError):
-            AbsorptionTable((2e11, 1e11), (0.01, 0.02))
+    def test_unsorted_rejected(self, tmp_path):
+        table = "frequency_hz,k_per_m\n2e11,0.01\n1e11,0.02\n"
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            _k_at(tmp_path, 1.5e11, table)
 
     def test_table_lookup_in_config(self, tmp_path):
         csv_path = tmp_path / "abs.csv"
@@ -195,6 +217,13 @@ class TestAbsorptionTable:
         cfg.write_text(f"absorption_table = {csv_path}\nf_c = 5.5e11\n")
         system, _ = load_config(cfg)
         assert system.k_abs == pytest.approx(0.1 + 0.2 * (4.5 / 9.0))
+
+    @pytest.mark.parametrize("case", list(MALFORMED_TABLES))
+    def test_malformed_row_names_file_and_line(self, tmp_path, case):
+        table, line = MALFORMED_TABLES[case]
+        where = re.escape(f"{tmp_path / 'k.csv'}:{line}:")
+        with pytest.raises(ConfigError, match=where):
+            _k_at(tmp_path, SystemParams.f_c, table)
 
 
 class TestCoupledDefaults:

@@ -12,7 +12,7 @@ from isacthz import coverage, specfun
 from isacthz.channel import (LinkBudget, effective_noise,
                              interference_probability, received_power,
                              sweep_weight)
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET,
                               DEFAULT_COVERAGE_QUADRATURE, LOWER_BOUND_MODES,
                               CoverageQuery, CoverageResult, ShotNoiseField,
@@ -27,8 +27,8 @@ from isacthz.specfun import (QuadratureError, QuadratureSpec,
                              integrate_semi_infinite)
 from test_specfun import oscillatory_oracle
 
-SYS = default_system()
-DEP = default_deployment()
+SYS = SystemParams()
+DEP = Deployment()
 BUD = LinkBudget.from_params(SYS, DEP)
 
 TIGHT = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-11, max_subdivisions=100000,

@@ -9,7 +9,7 @@ from isacthz import mcsim
 from isacthz.channel import (LinkBudget, effective_noise, lower_bound_radius,
                              received_power, reradiation_constant,
                              sweep_weight)
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.coverage import CoverageQuery, coverage_probability
 from isacthz.mcsim import (McEstimate, _batches, _blocked_bulk, _ppp_disc,
                            default_window_radius, estimate_blockage,
@@ -20,8 +20,8 @@ from isacthz.misalignment import (beam_misalignment, beam_switch_density,
 from isacthz.sensing import baseline_5g_ability
 from isacthz.schemes import scheme_ability
 
-SYS = default_system()
-DEP = default_deployment()
+SYS = SystemParams()
+DEP = Deployment()
 BUD = LinkBudget.from_params(SYS, DEP)
 
 

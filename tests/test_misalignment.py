@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isacthz.channel import log_void_probability
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.misalignment import (beam_misalignment, beam_switch_density,
                                   blockage_probability,
                                   expected_closest_blockage,
@@ -16,8 +16,8 @@ from isacthz.sensing import (SensingAbility, baseline_5g_ability,
 from isacthz.specfun import (DEFAULT_QUADRATURE, QuadratureSpec,
                              integrate_semi_infinite)
 
-SYS = default_system()
-DEP = default_deployment()
+SYS = SystemParams()
+DEP = Deployment()
 
 
 def nested_timeout_probability(deploy):

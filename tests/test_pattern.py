@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.pattern import (InfeasibleRequirementError, PatternRequirement,
                              alpha_bounds, brute_force_pattern, objective,
                              optimal_alpha, optimal_pattern)
 from isacthz.sensing import a_theta
 
-SYS = default_system()
-DEP = default_deployment()
+SYS = SystemParams()
+DEP = Deployment()
 THETA = DEP.theta_b
 
 
@@ -158,6 +158,10 @@ class TestBruteForce:
         for search in (optimal_pattern, brute_force_pattern):
             with pytest.raises(ValueError, match="n_rs must be >= 2"):
                 search(PatternRequirement(78.1, 19.44), sys1, THETA)
+        with pytest.raises(ValueError, match="n_rs must be >= 2"):
+            alpha_bounds(sys1)
+        with pytest.raises(ValueError, match="n_rs must be >= 2"):
+            optimal_alpha(1, 1, sys1, THETA)
 
     def test_grid_size_floor(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,12 @@
 import pytest
 
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.pattern import optimal_pattern
 from isacthz.schemes import default_requirement, jsrs_pattern, scheme_ability
 from isacthz.sensing import SCHEMES
 
-SYS = default_system()
-DEP = default_deployment()
+SYS = SystemParams()
+DEP = Deployment()
 
 
 def test_jsrs_uses_optimal_pattern():

@@ -3,13 +3,13 @@ from dataclasses import replace
 
 import pytest
 
-from isacthz.config import default_deployment, default_system
+from isacthz.config import Deployment, SystemParams
 from isacthz.sensing import (SensingAbility, SensingPattern, a_theta,
                              ability_from_spans, baseline_5g_ability,
                              perfect_ability, sensing_ability, ssb_ability)
 
-SYS = default_system()
-DEP = default_deployment()
+SYS = SystemParams()
+DEP = Deployment()
 
 
 class TestATheta:
