@@ -11,9 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 validation or file error (a missing --config,
 absorption table or --out directory), 3 numerical non-convergence,
-4 Monte-Carlo/analytic disagreement beyond threshold under --strict.
-Only simulate and compare take --seed, --trials and --strict; only compare
-takes --with-mc.
+4 Monte-Carlo/analytic disagreement beyond threshold under simulate
+--strict.  Only simulate takes --seed, --trials and --strict.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import math
 import sys as _sys
 from dataclasses import replace
@@ -60,16 +60,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, header, rows):
-    out = _sys.stdout if path is None else open(path, "w", newline="")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    finally:
-        if path is not None:
-            out.close()
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _write(path, text: str) -> None:
+    """Write CSV or markdown text to `path`, or to stdout when it is None."""
+    if path is None:
+        _sys.stdout.write(text)
+        return
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _params_hash(*parts) -> str:
@@ -104,7 +109,7 @@ def ability_reference_rows(system: SystemParams, deploy: Deployment):
 def _cmd_abilities(args, system, deploy):
     header = ["signal", "U", "V", "B_s", "T_s", "f_c", "d_max_m",
               "delta_db_m", "delta_v_mps", "vmax_kmh"]
-    _write_csv(args.out, header, ability_reference_rows(system, deploy))
+    _write(args.out, _csv(header, ability_reference_rows(system, deploy)))
     return 0
 
 
@@ -122,9 +127,9 @@ def _cmd_pattern(args, system, deploy):
               "delta_r_m", "delta_db_m", "delta_v_mps", "d_max_m", "vmax_kmh"]
     row = [pat.alpha, pat.u, pat.v, pat.n_s, pat.n_f, pat.b_s, pat.t_s,
            ab.delta_r, ab.delta_db, ab.delta_v, ab.d_max, ab.v_max * 3.6]
-    _write_csv(args.out, header, [row])
+    _write(args.out, _csv(header, [row]))
     if args.verify:
-        bf = brute_force_pattern(req, system, deploy.theta_b, args.grid_size)
+        bf = brute_force_pattern(req, system, deploy.theta_b)
         gap = (objective(pat.alpha, pat.u, pat.v, system, deploy.theta_b)
                - objective(bf.alpha, bf.u, bf.v, system, deploy.theta_b))
         print(f"# brute force: alpha={bf.alpha:.6f} U={bf.u} V={bf.v} "
@@ -163,8 +168,8 @@ def misalign_sweep_rows(system: SystemParams, deploy: Deployment,
 
 def _cmd_misalign(args, system, deploy):
     rows = misalign_sweep_rows(system, deploy, args.sweep, args.schemes)
-    _write_csv(args.out, ["sweep_var", "value", "scheme", "p_err", "p_to",
-                          "p_ms"], rows)
+    _write(args.out, _csv(["sweep_var", "value", "scheme", "p_err", "p_to",
+                           "p_ms"], rows))
     return 0
 
 
@@ -179,22 +184,14 @@ def _cmd_coverage(args, system, deploy):
                           deploy, system, lower_bound_mode=args.lower_bound)
     out = [[r["scheme"], r["r1_m"], r["threshold_db"], r["p_ms"], r["p_cm"],
             r["p_cvp"], r["abs_err"]] for r in rows]
-    _write_csv(args.out, ["scheme", "r1_m", "threshold_db", "p_ms", "p_cm",
-                          "p_cvp", "abs_err"], out)
+    _write(args.out, _csv(["scheme", "r1_m", "threshold_db", "p_ms", "p_cm",
+                           "p_cvp", "abs_err"], out))
     return 0
 
 
 # -----------------------------------------------------------------------------
 # simulate
 # -----------------------------------------------------------------------------
-
-def _mc_agrees(est, ref: float, coverage: bool = False) -> bool:
-    """Monte-Carlo/analytic gate of --strict: |dev| <= max(0.02, 3 sigma)
-    for coverage and 4 sigma for every other quantity."""
-    if coverage:
-        return abs(est.mean - ref) <= max(0.02, 3.0 * est.std_error)
-    return abs(est.sigmas_off(ref)) <= 4.0
-
 
 def _cmd_simulate(args, system, deploy):
     budget = LinkBudget.from_params(system, deploy)
@@ -232,22 +229,23 @@ def _cmd_simulate(args, system, deploy):
 
     rows = [[quantity, digest, est.mean, est.std_error, est.trials, ref,
              est.sigmas_off(ref)] for quantity, digest, est, ref in checks]
-    strict_fail = not all(_mc_agrees(est, ref, quantity == "coverage")
-                          for quantity, _, est, ref in checks)
-    _write_csv(args.out, ["quantity", "params_hash", "mean", "std_error",
-                          "trials", "analytic_value", "sigmas_off"], rows)
-    return 4 if (args.strict and strict_fail) else 0
+    # the --strict gate: |dev| <= max(0.02, 3 sigma) for coverage and
+    # 4 sigma for every other quantity
+    agrees = all(abs(est.mean - ref) <= max(0.02, 3.0 * est.std_error)
+                 if quantity == "coverage" else abs(est.sigmas_off(ref)) <= 4.0
+                 for quantity, _, est, ref in checks)
+    _write(args.out, _csv(["quantity", "params_hash", "mean", "std_error",
+                           "trials", "analytic_value", "sigmas_off"], rows))
+    return 4 if (args.strict and not agrees) else 0
 
 
 # -----------------------------------------------------------------------------
 # compare
 # -----------------------------------------------------------------------------
 
-def compare_report(system: SystemParams, deploy: Deployment, with_mc: bool,
-                   trials: int, seed: int):
-    """Markdown scheme-comparison report; returns (text, strict_ok)."""
+def compare_report(system: SystemParams, deploy: Deployment) -> str:
+    """Markdown scheme-comparison report."""
     lines = ["# Scheme comparison", ""]
-    strict_ok = True
 
     # misalignment over the beam-count sweep
     rows = misalign_sweep_rows(system, deploy, "n_b", SCHEMES)
@@ -274,17 +272,6 @@ def compare_report(system: SystemParams, deploy: Deployment, with_mc: bool,
                  f"{100 * sum(reds_ssb) / len(reds_ssb):.1f}%.")
     lines.append("")
 
-    if with_mc:
-        ability = scheme_ability("jsrs", system, deploy)
-        ests = estimate_misalignment(deploy, ability, system.tau, trials, seed)
-        m = beam_misalignment(deploy, ability, system.tau)
-        sig = ests["p_ms"].sigmas_off(m.p_ms)
-        strict_ok = strict_ok and _mc_agrees(ests["p_ms"], m.p_ms)
-        lines.append(f"Monte-Carlo check (jsrs, defaults): p_ms "
-                     f"{ests['p_ms'].mean:.6g} vs analytic {m.p_ms:.6g} "
-                     f"({sig:+.2f} sigma at {trials} trials).")
-        lines.append("")
-
     # coverage over the (r1, threshold) grid
     r1_grid, threshold_db = COVERAGE_GRID
     budget = LinkBudget.from_params(system, deploy)
@@ -307,15 +294,8 @@ def compare_report(system: SystemParams, deploy: Deployment, with_mc: bool,
         if r["5g"]["p_cvp"] > 1e-9:
             gains_5g.append(r["jsrs"]["p_cvp"] / r["5g"]["p_cvp"] - 1.0)
         cells = [f"{r[s]['p_cvp']:.6g}" for s in SCHEMES]
-        line = f"| {r1:g} | {db:g} | " + " | ".join(cells) + f" | {gap:.6g} |"
-        if with_mc:
-            est = estimate_coverage(deploy, budget, system,
-                                    scheme_ability("jsrs", system, deploy), r1,
-                                    10.0 ** (db / 10.0), trials, seed)
-            strict_ok = strict_ok and _mc_agrees(est, r["jsrs"]["p_cvp"],
-                                                 coverage=True)
-            line += f" mc {est.mean:.6g} ({est.sigmas_off(r['jsrs']['p_cvp']):+.2f} sigma)"
-        lines.append(line)
+        lines.append(f"| {r1:g} | {db:g} | " + " | ".join(cells)
+                     + f" | {gap:.6g} |")
     lines.append("")
     if gains_5g:
         lines.append(f"Average jsrs coverage gain vs 5g: "
@@ -324,18 +304,12 @@ def compare_report(system: SystemParams, deploy: Deployment, with_mc: bool,
     lines.append(f"Largest jsrs-vs-perfect coverage gap on the grid: "
                  f"{max(gaps):.6g}.")
     lines.append("")
-    return "\n".join(lines) + "\n", strict_ok
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_compare(args, system, deploy):
-    text, strict_ok = compare_report(system, deploy, with_mc=args.with_mc,
-                                     trials=args.trials, seed=args.seed)
-    if args.out is None:
-        _sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    return 0 if (strict_ok or not args.strict) else 4
+    _write(args.out, compare_report(system, deploy))
+    return 0
 
 
 # -----------------------------------------------------------------------------
@@ -353,30 +327,31 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_common(p):
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--out", default=None, help="output CSV/markdown path (default stdout)")
-
-
-def _add_monte_carlo(p):
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--strict", action="store_true",
-                   help="exit 4 on Monte-Carlo/analytic disagreement")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="isac-thz",
                                  description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("abilities", help="sensing-ability reference grid")
-    p.set_defaults(run=_cmd_abilities)
-    _add_common(p)
+    # options that more than one subcommand takes, each declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="key=value config file")
+    common.add_argument("--out", default=None,
+                        help="output CSV/markdown path (default stdout)")
+    schemes = argparse.ArgumentParser(add_help=False)
+    schemes.add_argument("--schemes", nargs="+", default=list(SCHEMES),
+                         choices=SCHEMES)
+    lower_bound = argparse.ArgumentParser(add_help=False)
+    lower_bound.add_argument("--lower-bound", choices=LOWER_BOUND_MODES,
+                             default="theorem", dest="lower_bound")
 
-    p = sub.add_parser("pattern", help="optimal pilot pattern")
-    p.set_defaults(run=_cmd_pattern)
-    _add_common(p)
+    def command(name, run, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[common, *parents])
+        p.set_defaults(run=run)
+        return p
+
+    command("abilities", _cmd_abilities, "sensing-ability reference grid")
+
+    p = command("pattern", _cmd_pattern, "optimal pilot pattern")
     p.add_argument("--d-max-req", type=_finite_float, required=True,
                    dest="d_max_req")
     p.add_argument("--v-max-req", type=_finite_float, required=True,
@@ -384,31 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-rs", type=int, default=None, dest="n_rs")
     p.add_argument("--verify", action="store_true",
                    help="run the brute-force oracle and print the gap")
-    p.add_argument("--grid-size", type=int, default=10000, dest="grid_size")
 
-    p = sub.add_parser("misalign", help="misalignment sweep")
-    p.set_defaults(run=_cmd_misalign)
-    _add_common(p)
+    p = command("misalign", _cmd_misalign, "misalignment sweep", schemes)
     p.add_argument("--sweep", choices=("n_b", "n_rs"), default="n_b")
-    p.add_argument("--schemes", nargs="+", default=list(SCHEMES),
-                   choices=SCHEMES)
 
-    p = sub.add_parser("coverage", help="coverage sweep")
-    p.set_defaults(run=_cmd_coverage)
-    _add_common(p)
+    p = command("coverage", _cmd_coverage, "coverage sweep", schemes,
+                lower_bound)
     p.add_argument("--r1-grid", type=_finite_float, nargs="+",
                    default=list(COVERAGE_GRID[0]), dest="r1_grid")
     p.add_argument("--threshold-db-grid", type=_finite_float, nargs="+",
                    default=list(COVERAGE_GRID[1]), dest="threshold_db_grid")
-    p.add_argument("--schemes", nargs="+", default=list(SCHEMES),
-                   choices=SCHEMES)
-    p.add_argument("--lower-bound", choices=LOWER_BOUND_MODES,
-                   default="theorem", dest="lower_bound")
 
-    p = sub.add_parser("simulate", help="Monte-Carlo estimates")
-    p.set_defaults(run=_cmd_simulate)
-    _add_common(p)
-    _add_monte_carlo(p)
+    p = command("simulate", _cmd_simulate, "Monte-Carlo estimates",
+                lower_bound)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--strict", action="store_true",
+                   help="exit 4 on Monte-Carlo/analytic disagreement")
     p.add_argument("--what", choices=("blockage", "timeout", "misalign",
                                       "coverage"), required=True)
     p.add_argument("--scheme", choices=SCHEMES, default="jsrs")
@@ -418,16 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="threshold_db")
     p.add_argument("--window-m", type=_finite_float, default=None,
                    dest="window_m")
-    p.add_argument("--lower-bound", choices=LOWER_BOUND_MODES,
-                   default="theorem", dest="lower_bound")
 
-    p = sub.add_parser("compare", help="scheme comparison report")
-    p.set_defaults(run=_cmd_compare)
-    _add_common(p)
-    _add_monte_carlo(p)
-    p.add_argument("--with-mc", action="store_true", dest="with_mc",
-                   help="annotate analytic rows with Monte-Carlo sigmas")
-
+    command("compare", _cmd_compare, "scheme comparison report")
     return ap
 
 

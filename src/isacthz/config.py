@@ -235,7 +235,8 @@ def load_config(path=None):
     file therefore yields the full default parameter set.  Values must be
     finite, and no field may be set twice (say, by ``p_t`` and ``p_t_dbm``).
     K is taken from an explicit ``k_abs`` key or interpolated at f_c in
-    ``absorption_table = <csv path>`` (setting both is an error), and
+    ``absorption_table = <csv path>`` (setting both is an error; a
+    relative path is taken from the config file's directory), and
     otherwise interpolated in the bundled sample.
     """
     raw = _parse_kv(path) if path is not None else {}
@@ -272,8 +273,9 @@ def load_config(path=None):
         sys_kwargs["b_ssb"] = 240.0 * sys_kwargs["f_scs"]
 
     if "k_abs" not in sys_kwargs:
+        # a relative table path is read beside the config file
         table = (resources.files("isacthz.data") / "absorption_sample.csv"
-                 if table_path is None else Path(table_path))
+                 if table_path is None else Path(path).parent / table_path)
         sys_kwargs["k_abs"] = _absorption_k(table, sys_kwargs.get("f_c", SystemParams.f_c))
     elif table_path is not None:
         raise ConfigError("config key 'absorption_table' sets k_abs, which another key set")

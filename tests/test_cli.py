@@ -1,10 +1,12 @@
+import argparse
 import csv
+import re
 from pathlib import Path
 
 import pytest
 
-from isacthz.cli import (_sweep_deployments, ability_reference_rows, main,
-                         misalign_sweep_rows)
+from isacthz.cli import (_sweep_deployments, ability_reference_rows,
+                         build_parser, main, misalign_sweep_rows)
 from isacthz.config import Deployment, SystemParams
 from isacthz.misalignment import timeout_probability
 from test_config import MALFORMED_TABLES, MISPLACED_SUFFIXES
@@ -12,6 +14,7 @@ from test_config import MALFORMED_TABLES, MISPLACED_SUFFIXES
 SYS = SystemParams()
 DEP = Deployment()
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _read_csv(path):
@@ -49,6 +52,24 @@ class TestPattern:
         assert body["U"] == "1"
         assert body["V"] == "5"
         assert float(body["alpha"]) == pytest.approx(0.3144, abs=1e-3)
+
+    def test_verify_matches_brute_force(self, capsys):
+        argv = ["pattern", "--d-max-req", "78.1", "--v-max-req", "19.44"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--verify"]) == 0
+        verified = capsys.readouterr()
+        assert verified.out == plain.out
+        rows = list(csv.reader(verified.out.splitlines()))
+        body = dict(zip(rows[0], rows[1]))
+        lines = verified.err.splitlines()
+        assert len(lines) == 1
+        match = re.fullmatch(r"# brute force: alpha=\S+ U=(\d+) V=(\d+) "
+                             r"objective gap=(\S+)", lines[0])
+        assert match is not None
+        assert match.group(1, 2) == (body["U"], body["V"]) == ("1", "5")
+        # the closed form is never worse than the grid
+        assert float(match.group(3)) <= 1e-12
 
     def test_infeasible_exit_code(self, tmp_path):
         code = main(["pattern", "--d-max-req", "1e9", "--v-max-req", "19.44",
@@ -180,6 +201,18 @@ class TestArguments:
             main(["coverage", "--trials", "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--with-mc"], ["compare", "--trials", "10"],
+        ["compare", "--seed", "2"], ["compare", "--strict"],
+        ["pattern", "--d-max-req", "30", "--v-max-req", "10",
+         "--grid-size", "100"],
+    ], ids=["with_mc", "trials", "seed", "strict", "grid_size"])
+    def test_removed_options_rejected(self, argv):
+        # `simulate` is the one Monte-Carlo gate of the command line
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     # inf used to print blank r1_m / threshold_db cells with exit 0, and
     # nan or inf radii ended in numpy's "lam value too large"
     @pytest.mark.parametrize("argv", [
@@ -199,6 +232,34 @@ class TestArguments:
             main(argv)
         assert exc.value.code == 2
         assert "not a finite number" in capsys.readouterr().err
+
+
+def _readme_synopsis() -> dict:
+    """{subcommand: set of --options} from the fenced block under
+    '## Command line' in README.md; a line `isac-thz <command> ...` names
+    the options every subcommand takes."""
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    options, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("isac-thz "):
+            command = line.split()[1]
+            options[command] = set()
+        options[command] |= set(re.findall(r"--[a-z0-9][a-z0-9-]*", line))
+    common = options.pop("<command>", set())
+    return {name: opts | common for name, opts in options.items()}
+
+
+def _parser_options() -> dict:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in p._actions for s in a.option_strings
+                   if s.startswith("--")} - {"--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_synopsis_matches_parser():
+    assert _readme_synopsis() == _parser_options()
 
 
 class TestConfigErrors:

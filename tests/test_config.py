@@ -218,6 +218,19 @@ class TestAbsorptionTable:
         system, _ = load_config(cfg)
         assert system.k_abs == pytest.approx(0.1 + 0.2 * (4.5 / 9.0))
 
+    def test_relative_table_path_is_read_beside_config(self, tmp_path,
+                                                       monkeypatch):
+        # used to be opened against the working directory
+        beside = tmp_path / "cfg"
+        beside.mkdir()
+        (beside / "abs.csv").write_text("frequency_hz,k_per_m\n1e11,0.1\n1e12,0.3\n")
+        (beside / "ok.cfg").write_text("absorption_table = abs.csv\nf_c = 5.5e11\n")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        system, _ = load_config(beside / "ok.cfg")
+        assert system.k_abs == pytest.approx(0.1 + 0.2 * (4.5 / 9.0))
+
     @pytest.mark.parametrize("case", list(MALFORMED_TABLES))
     def test_malformed_row_names_file_and_line(self, tmp_path, case):
         table, line = MALFORMED_TABLES[case]
