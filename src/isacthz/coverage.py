@@ -35,12 +35,19 @@ line-of-sight area between the two radii.  Both parts are affine in the
 sweep weight w_s of the interferer probability, f = F0 + w_s F1, so the
 four weight-free components (F0_r, F1_r, F0_i, F1_i) are tabulated once
 per (budget, deployment, lower bound) on a log s-grid: the whole grid is
-evaluated in lockstep batches of s-points, each quadrature step
+evaluated in lockstep batches of _S_CHUNK s-points, each quadrature step
 integrating every pending panel of every s-point in one call.  Each sweep
 weight then reads its own interpolants off that shared table, which is
 what lets one table serve every scheme and a whole (r1, threshold)
 sweep.  Each kernel reads its envelope and phase from one lookup of those
 interpolants per node set or panel edge.
+
+Cost: a table build is almost all semi-infinite quadrature of the slow
+zones, two members per s-point, each usually closing within its first
+block of root panels (specfun._ROOT_BLOCK).  One batched integrand writes
+the four components at the 15 Gauss-Kronrod nodes of every pending panel
+into one array.  The end of the grid is searched a few decades at a
+time, so few s-points past it are integrated only to be discarded.
 """
 
 from __future__ import annotations
@@ -82,8 +89,16 @@ DEFAULT_COVERAGE_QUADRATURE = QuadratureSpec(
     abs_tol=1e-7, rel_tol=1e-6, max_subdivisions=60000,
     tail_cutoff_envelope=1e-10)
 
-# s-points per lockstep quadrature batch of the table; caps its memory
+# s-points per lockstep quadrature batch of the table.  Every s-point's
+# members march on their own, so the batch size moves no value; larger
+# batches were no faster and hold more node sets at once.
 _S_CHUNK = 32
+
+# decades per round of the table's end search.  A round integrates all of
+# its decades, so a round of 8 integrates at most 7 past the envelope
+# target; the default tables reach it 8-16 decades into the search, and
+# lambda_b in 5e-4..8e-3 with n_b = n_m in 16..1024 at 8-28.
+_DECADE_ROUND = 8
 
 _INNER_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9,
                              max_subdivisions=4000,
@@ -212,15 +227,20 @@ class ShotNoiseField:
         r_split = self._phase_radius(s, self.c_int, _PHASE_BUDGET)  # c_int >= c_abs
         # members 0..n-1 absorb, n..2n-1 interfere
         rate = 2.0 * math.pi * np.concatenate((s * self.c_abs, s * self.c_int))
-        absorbs = np.arange(2 * n) < n
-        weight = np.where(absorbs, -1.0, 1.0)
+        weight = np.repeat([-1.0, 1.0], n)
 
         def source(r, owner):
+            out = np.empty((4, *r.shape))
+            half, sin = out[0], out[2]
             ph = rate[owner][:, None] * self._g(r)
-            half, sin = 2.0 * r * np.sin(0.5 * ph) ** 2, r * np.sin(ph)
+            np.multiply(2.0 * r, np.sin(0.5 * ph) ** 2, out=half)
+            np.multiply(r, np.sin(ph), out=sin)
             p = weight[owner][:, None] * self._p_los(r)
-            a = absorbs[owner][:, None]
-            return np.stack([a * half, p * half, a * sin, p * sin])
+            np.multiply(p, half, out=out[1])
+            np.multiply(p, sin, out=out[3])
+            # F0 holds the absorption members only
+            out[0::2, owner >= n] = 0.0
+            return out
 
         both = integrate_semi_infinite_batch(source, np.concatenate((r_abs, r_split)),
                                              _INNER_QUAD)
@@ -263,7 +283,10 @@ class ShotNoiseField:
         The grid runs from where the interference phase at the lower bound
         is 1e-3 to the first decade where e^{-2 pi lam_b f_r} falls below
         1e-12 for every sweep weight, i.e. at both ends of the weight range
-        [0, orientation odds]."""
+        [0, orientation odds].  That decade is searched from 10^6 times the
+        start in rounds of _DECADE_ROUND decades, each round one batch,
+        stopping at the first round that reaches it; the search gives up at
+        10^66 times the start and ends the grid there."""
         if self.deploy.lambda_b <= 0.0:
             raise ValueError("shot-noise field needs lambda_b > 0")
         s_lo = 1e-3 / (2.0 * math.pi * self.c_int * self._g(self.lower))
@@ -271,8 +294,8 @@ class ShotNoiseField:
         w_max = orientation_odds(self.deploy)
         decades = s_lo * 10.0 ** np.arange(6, 66)
         s_hi = s_lo * 1e66
-        for i in range(0, decades.size, _S_CHUNK):
-            f0, f1 = self._split_parts(decades[i:i + _S_CHUNK])[:2]
+        for i in range(0, decades.size, _DECADE_ROUND):
+            f0, f1 = self._split_parts(decades[i:i + _DECADE_ROUND])[:2]
             reached = np.minimum(f0, f0 + w_max * f1) >= f_target
             if reached.any():
                 s_hi = decades[i + int(np.argmax(reached))]

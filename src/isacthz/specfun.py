@@ -131,14 +131,20 @@ def _gk15_batch(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     return np.concatenate((ik, np.maximum(err, np.abs(ik) * 1e-15)))
 
 
-# Outer panels a member marches per block, of width 1, 2, 4, ...: a feature
-# near the lower end is never hidden in one wide panel.  Every semi-infinite
-# integrand of the package has died out within nine, so one block usually
-# ends the march; spare panels lie in the dead tail and cost one node set.
-# The oscillatory march lays out its phase-paced panels in blocks of the
-# same size; a spare panel there also costs one edge lookup.
-_BLOCK = 16
-_BLOCK_EDGES = 2.0 ** np.arange(_BLOCK + 1) - 1.0
+# Root panels a semi-infinite member marches per block, of width 1, 2, 4,
+# ...: a feature near the lower end is never hidden in one wide panel.  A
+# member's tolerances and stop rule read only the panels up to where it
+# stops, so the block size moves no value of a member that stops within
+# it; spare panels lie in the dead tail and cost one node set each.
+# Measured root panels per member: 9 for every member of the default
+# shot-noise tables and for the default timeout_probability; 11-12 for
+# the table at a tenth of the default absorption and 12 for the timeout
+# at lambda_b = 1e-5; 7-8 at three times the default absorption; 3-13 for
+# the lossless table, of which 327 of 3816 members need 13.  Twelve closes
+# all but those last members in one round, without sizing the block to
+# the default deployment alone.
+_ROOT_BLOCK = 12
+_ROOT_EDGES = 2.0 ** np.arange(_ROOT_BLOCK + 1) - 1.0
 
 
 def _refine(f: Callable, pa, pb, owner, est, tols, budget, cell=None):
@@ -181,8 +187,8 @@ def _refine(f: Callable, pa, pb, owner, est, tols, budget, cell=None):
 
 
 def _open_tolerances(roots, live, total, outer, spec):
-    """Tolerances (C, len(live), _BLOCK) of the blocks just opened, from
-    their root estimates (C, len(live), _BLOCK)."""
+    """Tolerances (C, len(live), _ROOT_BLOCK) of the blocks just opened,
+    from their root estimates (C, len(live), _ROOT_BLOCK)."""
     ahead = total[:, live, None] + np.cumsum(roots, axis=2) - roots
     opening = outer[live] == 0
     ahead[:, opening, 0] = roots[:, opening, 0]
@@ -190,10 +196,10 @@ def _open_tolerances(roots, live, total, outer, spec):
 
 
 def _close_blocks(vals, errs, done, total, total_err, outer, streak, spec):
-    """Take the refined blocks (C, D, _BLOCK) of the `done` members panel by
-    panel, updating their totals, panel counts and tail streaks in place;
-    returns (finished, error bounds (C, D))."""
-    order = np.arange(_BLOCK)
+    """Take the refined blocks (C, D, _ROOT_BLOCK) of the `done` members
+    panel by panel, updating their totals, panel counts and tail streaks
+    in place; returns (finished, error bounds (C, D))."""
+    order = np.arange(_ROOT_BLOCK)
     run = total[:, done, None] + np.cumsum(vals, axis=2)
     small = np.logical_and.reduce(
         np.abs(vals) < spec.tail_cutoff_envelope * np.maximum(np.abs(run), spec.abs_tol))
@@ -202,7 +208,7 @@ def _close_blocks(vals, errs, done, total, total_err, outer, streak, spec):
     stop = small & (streaks >= 2) & (outer[done, None] + order >= 2)
     finished = stop.any(axis=1)
     pick = (slice(None), np.arange(done.size),
-            np.where(finished, np.argmax(stop, axis=1), _BLOCK - 1))
+            np.where(finished, np.argmax(stop, axis=1), _ROOT_BLOCK - 1))
     total[:, done] = run[pick]
     total_err[:, done] += np.cumsum(errs, axis=2)[pick]
     outer[done] += pick[2] + 1
@@ -218,8 +224,8 @@ def integrate_semi_infinite_batch(f: Callable, lower,
     docstring.
 
     An adaptive Gauss-Kronrod 7/15 march: each round lays out one block of
-    _BLOCK panels (width 1, 2, 4, ...) per open member, evaluates them in
-    one integrand call and refines them with _refine; a member splits at
+    _ROOT_BLOCK panels (width 1, 2, 4, ...) per open member, evaluates them
+    in one integrand call and refines them with _refine; a member splits at
     most spec.max_subdivisions panels in all.  Each panel is refined to
     max(abs_tol, rel_tol |reference|) / 4 per component, the reference
     being the running total up to it with the panels before it in its
@@ -245,16 +251,17 @@ def integrate_semi_infinite_batch(f: Callable, lower,
     total = total_err = None
     while True:
         # blocks of width first, 2 first, 4 first, ... from a
-        edges = a[live, None] + first[live, None] * _BLOCK_EDGES
-        pa, pb, owner = edges[:, :-1].ravel(), edges[:, 1:].ravel(), np.repeat(live, _BLOCK)
+        edges = a[live, None] + first[live, None] * _ROOT_EDGES
+        pa, pb = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        owner = np.repeat(live, _ROOT_BLOCK)
         est = _gk15_batch(f, pa, pb, owner)
         comps = est.shape[0] // 2
         if total is None:
             total, total_err = np.zeros((2, comps, members))
-        roots = est[:comps].reshape(comps, live.size, _BLOCK)
+        roots = est[:comps].reshape(comps, live.size, _ROOT_BLOCK)
         tols = _open_tolerances(roots, live, total, outer, spec)
         vals, errs = _refine(f, pa, pb, owner, est, tols.reshape(comps, -1),
-                             budget).reshape(2, comps, live.size, _BLOCK)
+                             budget).reshape(2, comps, live.size, _ROOT_BLOCK)
         finished, bound = _close_blocks(vals, errs, live, total, total_err,
                                         outer, streak, spec)
         failed = (budget[live] <= 0) | (~finished & (outer[live] > 300))
@@ -267,8 +274,8 @@ def integrate_semi_infinite_batch(f: Callable, lower,
         live = live[~finished]
         if not live.size:
             return total
-        a[live] += first[live] * _BLOCK_EDGES[-1]
-        first[live] *= 2.0 ** _BLOCK
+        a[live] += first[live] * _ROOT_EDGES[-1]
+        first[live] *= 2.0 ** _ROOT_BLOCK
 
 
 def _one(f: Callable) -> Callable:
@@ -307,9 +314,13 @@ _EULER_WEIGHTS = [np.array([math.comb(m, k) for k in range(m + 1)]) / 2.0 ** m
 # refinement step.
 _HEAD_LEVELS = 32
 _HEAD_SPLITS = 2.0 ** -np.arange(_HEAD_LEVELS, 0.0, -1.0)
+# Phase-paced panels the march lays out per block; a spare panel past the
+# stop costs one edge lookup and one node set.
+_PHASE_BLOCK = 16
 # the block cell of each laid-out panel: first block, then the others
-_HEAD_CELLS = np.concatenate((np.zeros(_HEAD_LEVELS, dtype=int), np.arange(_BLOCK)))
-_BLOCK_CELLS = np.arange(_BLOCK)
+_HEAD_CELLS = np.concatenate((np.zeros(_HEAD_LEVELS, dtype=int),
+                              np.arange(_PHASE_BLOCK)))
+_PHASE_CELLS = np.arange(_PHASE_BLOCK)
 
 
 def _euler_accelerate(partial_sums):
@@ -339,10 +350,10 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
     phi must vanish at s = 0, which makes the kernel finite there.  Panels
     track the local half-period of phi, so their contributions alternate
     once the kernel oscillates; the tail is summed with iterated averaging
-    (Euler-style acceleration).  The panels come in blocks of _BLOCK: their
-    edges are laid out one after the other, then all are refined in
-    lockstep, each to a tolerance referenced to the running total plus
-    the estimates of the panels before it.  The first block's first panel
+    (Euler-style acceleration).  The panels come in blocks of
+    _PHASE_BLOCK: their edges are laid out one after the other, then all
+    are refined in lockstep, each to a tolerance referenced to the running
+    total plus the estimates of the panels before it.  The first block's first panel
     goes in as _HEAD_LEVELS + 1 geometric pieces toward s = 0, refined in
     the same lockstep, each held to that panel's tolerance, and summed back
     into it; the stop rules, the tail and the budget see its one value as
@@ -370,12 +381,12 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
     h = max(_PROBE_S[np.argmax(big) if big.any() else -1] / 4.0, 1e-300)
     env_ref = max(abs(float(terms(a + h)[0])), 1e-300)
     budget = np.array([spec.max_subdivisions])
-    owner = np.zeros(_BLOCK, dtype=int)
+    owner = np.zeros(_PHASE_BLOCK, dtype=int)
     partial, sums, vals, stable = 0.0, [], [], 0
     cell = _HEAD_CELLS
     while True:
         edges, envs, widths = [a], [], []
-        for _ in range(_BLOCK):
+        for _ in range(_PHASE_BLOCK):
             b = a + h
             env, phi_b = terms(b)
             phi_b = float(phi_b)
@@ -394,12 +405,12 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
             pb = np.concatenate((edges[0] + widths[0] * _HEAD_SPLITS, pb))
         pa = np.append(edges[0], pb[:-1])
         est = _gk15_batch(integrand, pa, pb, owner[cell])
-        roots = np.bincount(cell, weights=est[0], minlength=_BLOCK)
+        roots = np.bincount(cell, weights=est[0], minlength=_PHASE_BLOCK)
         ahead = np.abs(partial + np.cumsum(roots) - roots)
         (panel_vals,), (panel_errs,) = _refine(
             integrand, pa, pb, owner, est,
             (np.maximum(spec.abs_tol, spec.rel_tol * ahead) * 0.1)[None], budget, cell)
-        cell = _BLOCK_CELLS
+        cell = _PHASE_CELLS
         for val, err, b, env_b, h_b in zip(panel_vals.tolist(), panel_errs.tolist(),
                                            edges[1:], envs, widths):
             partial += val

@@ -257,6 +257,65 @@ class TestSplitTableOracle:
         assert _oracle_deviation(budget, deploy, weights, lower) <= ORACLE_REL
 
 
+class TestPinnedField:
+    """The default split tables against values recorded from the code:
+    speed work on the table build must not move the field unseen.  A
+    change meant to move it re-records these literals."""
+
+    # lower bound: (grid size, s_hi, (grid index, component, value) x 4)
+    RECORDED = {
+        2 * DEP.r_b: (616, 5.2064895641038635e+19, (
+            (154, 0, 7.950736710229847e-06), (308, 1, 330.48849677048605),
+            (462, 2, 156.48680565240645), (615, 3, -15.837689376361418))),
+        10.0: (504, 1.2149897670793202e+19, (
+            (126, 0, 2.44196661191241e-06), (252, 1, 395.61187056285246),
+            (378, 2, 165.87539550681487), (503, 3, -15.320079313945952))),
+        20.0: (476, 1.6093974104807198e+20, (
+            (119, 0, 1.7860440985518259e-06), (238, 1, 445.49278704073146),
+            (357, 2, 201.45003056947013), (475, 3, -16.114253986950047))),
+        40.0: (392, 7.059674261688216e+20, (
+            (98, 0, 1.2308163017670634e-07), (196, 1, 422.9371466171025),
+            (294, 2, 238.37343701738627), (391, 3, -16.331454048843163))),
+    }
+
+    @pytest.mark.parametrize("lower", sorted(RECORDED))
+    def test_default_table(self, lower):
+        size, s_hi, entries = self.RECORDED[lower]
+        clear_field_cache()
+        grid, split = _split_table(BUD, DEP, lower)
+        assert grid.size == size
+        assert grid[-1] == pytest.approx(s_hi, rel=1e-13)
+        for j, c, value in entries:
+            assert split[c, j] == pytest.approx(value, rel=1e-13)
+
+
+class TestTableWork:
+    def test_default_table_panels(self, monkeypatch):
+        # one cold default table: 56,190 Gauss-Kronrod panels when every
+        # semi-infinite member laid out 16 root panels and the end search
+        # ran 32 decades at once, 50,170 with 12 and rounds of 8
+        panels, rounds = [], []
+        gk15 = specfun._gk15_batch
+        close = specfun._close_blocks
+
+        def count_panels(f, a, b, owner):
+            panels.append(a.size)
+            return gk15(f, a, b, owner)
+
+        def count_rounds(*args):
+            finished, bound = close(*args)
+            rounds.append(bool(finished.all()))
+            return finished, bound
+
+        monkeypatch.setattr(specfun, "_gk15_batch", count_panels)
+        monkeypatch.setattr(specfun, "_close_blocks", count_rounds)
+        clear_field_cache()
+        _split_table(BUD, DEP, 2 * DEP.r_b)
+        assert sum(panels) <= 51_000
+        # every member of every batch closes in its first root block
+        assert rounds and all(rounds)
+
+
 class TestFieldCache:
     R1 = [10.0, 20.0, 40.0]
 

@@ -248,7 +248,7 @@ class TestBatch:
             single = integrate_semi_infinite(self._decay(k), lo)
             assert abs(batch[0, m] - single) <= 1e-15 * abs(single)
 
-    def test_members_closing_in_different_rounds(self):
+    def test_members_closing_in_different_rounds(self, monkeypatch):
         # e^-x dies within the first block; (1 + x)^-3 still adds more than
         # the tail cutoff beyond it and needs a second round
         decays = (lambda x: np.exp(-x), lambda x: (1.0 + x) ** -3.0)
@@ -256,7 +256,18 @@ class TestBatch:
         def f(x, owner):
             return np.where(owner[:, None] == 0, decays[0](x), decays[1](x))[None]
 
+        closed = []
+        close = specfun._close_blocks
+
+        def record(vals, errs, done, *args):
+            finished, bound = close(vals, errs, done, *args)
+            closed.append(done[finished].tolist())
+            return finished, bound
+
+        monkeypatch.setattr(specfun, "_close_blocks", record)
         batch = integrate_semi_infinite_batch(f, np.zeros(2))
+        monkeypatch.undo()
+        assert closed[0] == [0] and closed[-1] == [1] and len(closed) >= 2
         for m, g in enumerate(decays):
             single = integrate_semi_infinite(g, 0.0)
             assert abs(batch[0, m] - single) <= 1e-15 * abs(single)
