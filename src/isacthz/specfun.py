@@ -353,12 +353,12 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
     (Euler-style acceleration).  The panels come in blocks of
     _PHASE_BLOCK: their edges are laid out one after the other, then all
     are refined in lockstep, each to a tolerance referenced to the running
-    total plus the estimates of the panels before it.  The first block's first panel
-    goes in as _HEAD_LEVELS + 1 geometric pieces toward s = 0, refined in
-    the same lockstep, each held to that panel's tolerance, and summed back
-    into it; the stop rules, the tail and the budget see its one value as
-    they see any panel's.  The stop rules are then taken panel by panel:
-    integration stops when the accelerated tail stabilises within
+    total plus the estimates of the panels before it.  The first block's
+    first panel goes in as _HEAD_LEVELS + 1 geometric pieces toward s = 0,
+    refined in the same lockstep, each held to that panel's tolerance, and
+    summed back into it; the stop rules, the tail and the budget see its
+    one value as they see any panel's.  The stop rules are then taken panel
+    by panel: integration stops when the accelerated tail stabilises within
     tolerance, the integrand is dead or the envelope falls below
     spec.tail_cutoff_envelope.
 

@@ -291,9 +291,8 @@ class TestPinnedField:
 
 class TestTableWork:
     def test_default_table_panels(self, monkeypatch):
-        # one cold default table: 56,190 Gauss-Kronrod panels when every
-        # semi-infinite member laid out 16 root panels and the end search
-        # ran 32 decades at once, 50,170 with 12 and rounds of 8
+        # one cold default table is 50,170 Gauss-Kronrod panels; 16 root
+        # panels per member and a 32-decade end search made it 56,190
         panels, rounds = [], []
         gk15 = specfun._gk15_batch
         close = specfun._close_blocks
