@@ -308,8 +308,12 @@ class ShotNoiseField:
         tabulated range, clamped above it (the envelope is dead there).
 
         The PCHIP pieces are evaluated from their power-form coefficients
-        (_pchip_coefficients); a 0-d s, as at the panel edges of the
-        inversion, takes a scalar path of bisect and math."""
+        (_pchip_coefficients).  A float s (np.float64 included), as at the
+        panel edges of the inversion, or a 0-d array takes a scalar path of
+        bisect and math; a float is not coerced to an array on the way.  An
+        array s gathers the coefficients of its pieces with np.take, so
+        that each of the cubic's terms reads one contiguous block rather
+        than a view strided across the table's pieces."""
         if self._tables is None:
             grid, split = _split_table(self.budget, self.deploy, self.lower)
             fr = np.maximum(split[0] + self.w_s * split[1], 1e-300)
@@ -318,14 +322,16 @@ class ShotNoiseField:
             # (4, 2, pieces): the log f_r and the f_i cubic of each piece
             coef = _pchip_coefficients(ln_s, np.stack((np.log(fr), fi)))
             # the scalar path reads flat copies: 8 coefficients per piece
-            self._tables = (grid[0], grid[-1], ln_s, coef, array("d", ln_s),
+            self._tables = (float(grid[0]), float(grid[-1]), ln_s, coef,
+                            array("d", ln_s),
                             array("d", coef.transpose(2, 1, 0).ravel()))
         s_lo, s_hi, knots, coef, flat_knots, flat_coef = self._tables
         # piece i holds knots[i] <= ln s < knots[i + 1], the last one closed:
         # the count of inner knots at or below ln s
-        if np.ndim(s) == 0:
-            ratio = min(float(s) / s_lo, 1.0)
-            ln = math.log(min(max(float(s), s_lo), s_hi))
+        if isinstance(s, float) or np.ndim(s) == 0:
+            s = float(s)
+            ratio = min(s / s_lo, 1.0)
+            ln = math.log(min(max(s, s_lo), s_hi))
             i = bisect.bisect_right(flat_knots, ln, 1, len(flat_knots) - 1) - 1
             d = ln - flat_knots[i]
             return (math.exp(_cubic(flat_coef, d, 8 * i)) * (ratio * ratio),
@@ -334,7 +340,7 @@ class ShotNoiseField:
         ratio = np.minimum(s / s_lo, 1.0)
         ln = np.log(np.minimum(np.maximum(s, s_lo), s_hi))
         i = np.searchsorted(knots[1:-1], ln, side="right")
-        log_fr, fi = _cubic(coef[:, :, i], ln - knots[i])
+        log_fr, fi = _cubic(coef.take(i, axis=2), ln - knots[i])
         return np.exp(log_fr) * (ratio * ratio), fi * ratio
 
 
@@ -396,13 +402,14 @@ def _kernel(budget: LinkBudget, deploy: Deployment, w_s: float,
     """(value, error) of the Dirichlet kernel D(phi1 + 2 pi s y) on the
     field of (budget, deploy, w_s, lower_bound) at effective noise p_eff."""
     fld = _field_for(budget, deploy, w_s, lower_bound)
-    two_pi_lb = 2.0 * math.pi * deploy.lambda_b
+    two_pi = 2.0 * math.pi
+    two_pi_lb = two_pi * deploy.lambda_b
 
     def terms(s):
         # envelope and phase phi1 + 2 pi s y from one field lookup
         fr, fi = fld.parts(s)
-        return (np.exp(-two_pi_lb * fr),
-                -two_pi_lb * fi - 2.0 * math.pi * s * p_eff + 2.0 * math.pi * s * y)
+        two_pi_s = two_pi * s
+        return np.exp(-two_pi_lb * fr), -two_pi_lb * fi - two_pi_s * p_eff + two_pi_s * y
     return integrate_oscillatory(terms, spec=DEFAULT_COVERAGE_QUADRATURE)
 
 

@@ -165,19 +165,24 @@ def _refine(f: Callable, pa, pb, owner, est, tols, budget, cell=None):
         want = est[comps] > tols[0][cell]
         for c in range(1, comps):
             want |= est[comps + c] > tols[c][cell]
-        budget -= np.bincount(own[want], minlength=budget.size)
-        if budget.min() < 0:
-            short = budget < 0
-            want &= ~short[own]
-            budget[short] = 0
-        keep = ~want
-        done_cells.append(cell[keep])
-        done_est.append(est[:, keep])
-        if not want.any():
+        splitting = want.any()
+        if splitting:
+            budget -= np.bincount(own[want], minlength=budget.size)
+            if budget.min() < 0:
+                short = budget < 0
+                want &= ~short[own]
+                budget[short] = 0
+                splitting = want.any()
+        if not splitting:
+            done_cells.append(cell)
+            done_est.append(est)
             # rows 0..C-1 sum each panel's value, C..2C-1 its error
             index = np.arange(2 * comps)[:, None] * cells + np.concatenate(done_cells)
             return np.bincount(index.ravel(), weights=np.concatenate(done_est, axis=1).ravel(),
                                minlength=2 * comps * cells).reshape(2, comps, cells)
+        keep = ~want
+        done_cells.append(cell[keep])
+        done_est.append(est[:, keep])
         sa, sb, cell = pa[want], pb[want], cell[want]
         mid = 0.5 * (sa + sb)
         pa, pb = np.concatenate((sa, mid)), np.concatenate((mid, sb))
@@ -300,8 +305,9 @@ def integrate_semi_infinite(f: Callable, lower: float,
 # Oscillatory (Dirichlet) kernel: envelope(s) * sin(phi(s)) / (pi s)
 # -----------------------------------------------------------------------------
 
-# s-points probed for the phase scale that sets the first panel width
-_PROBE_S = np.array([10.0 ** k for k in range(-18, 19)])
+# s = 0, where the march starts, then the s-points probed for the phase
+# scale that sets the first panel width
+_PROBE_S = np.array([0.0] + [10.0 ** k for k in range(-18, 19)])
 # partial sums the tail estimate averages, and the weights C(m, k) / 2^m of
 # m averaging passes, m < _EULER_TERMS
 _EULER_TERMS = 24
@@ -323,24 +329,30 @@ _HEAD_CELLS = np.concatenate((np.zeros(_HEAD_LEVELS, dtype=int),
 _PHASE_CELLS = np.arange(_PHASE_BLOCK)
 
 
-def _euler_accelerate(partial_sums):
+def _euler_accelerate(t):
     """Iterated averaging of at most _EULER_TERMS partial sums t_0..t_(n-1),
-    in closed form: the n - 1 passes leave sum_k C(n-1, k) t_k / 2^(n-1),
-    the pass before the last the same form over t_1.. with n - 2.  Returns
-    (value, spread between the two)."""
-    t = np.asarray(partial_sums, dtype=float)
+    an array, in closed form: the n - 1 passes leave
+    sum_k C(n-1, k) t_k / 2^(n-1), the pass before the last the same form
+    over t_1.. with n - 2.  Returns (value, spread between the two)."""
     last = float(_EULER_WEIGHTS[t.size - 1] @ t)
     prev = float(_EULER_WEIGHTS[t.size - 2] @ t[1:]) if t.size > 1 else last
     return last, abs(last - prev)
 
 
-def _alternating(vals):
-    """Whether the last nonzero panel values mostly alternate in sign."""
-    recent = [v for v in vals[-10:] if v != 0.0]
-    if len(recent) < 4:
+def _alternating(vals, nonzero, flips):
+    """Whether the nonzero values among the last 10 panel values mostly
+    alternate in sign.  nonzero[j] counts the nonzero values among the
+    first j panel values, and flips[j] the sign changes u * w < 0.0 between
+    consecutive nonzero ones there, so that no window is rebuilt."""
+    n = len(vals)
+    first = max(n - 10, 0)
+    count = nonzero[n] - nonzero[first]
+    if count < 4:
         return False
-    flips = sum(1 for u, w in zip(recent, recent[1:]) if u * w < 0.0)
-    return flips >= 0.6 * (len(recent) - 1)
+    while vals[first] == 0.0:
+        first += 1
+    # the first nonzero value of the window has no partner before it
+    return flips[n] - flips[first + 1] >= 0.6 * (count - 1)
 
 
 def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRATURE):
@@ -374,15 +386,19 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
         return (env * np.sin(phi) / (np.pi * x))[None]
 
     a = 0.0
-    phi = terms(np.append(a, _PROBE_S))[1]
+    phi = terms(_PROBE_S)[1]
     phi_a = float(phi[0])
-    # the first probed s where the phase is O(1) sets the first panel width
+    # the first probed s where the phase is O(1) sets the first panel width;
+    # as a float, it keeps the edges' scalar arithmetic off numpy scalars
     big = np.abs(phi[1:]) > 1.0
-    h = max(_PROBE_S[np.argmax(big) if big.any() else -1] / 4.0, 1e-300)
+    h = float(max(_PROBE_S[1 + np.argmax(big) if big.any() else -1] / 4.0, 1e-300))
     env_ref = max(abs(float(terms(a + h)[0])), 1e-300)
     budget = np.array([spec.max_subdivisions])
     owner = np.zeros(_PHASE_BLOCK, dtype=int)
-    partial, sums, vals, stable = 0.0, [], [], 0
+    # partial sums in an array the tail estimate reads as a view, doubled
+    # when full; the panel values with their nonzero and sign-flip counts
+    partial, sums, stable = 0.0, np.empty(2 * _EULER_TERMS), 0
+    vals, nonzero, flips, last = [], [0], [0], 0.0
     cell = _HEAD_CELLS
     while True:
         edges, envs, widths = [a], [], []
@@ -400,10 +416,10 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
             else:
                 h = min(max(math.pi / slope, 0.25 * h), 4.0 * h)
             a, phi_a = b, phi_b
-        pb = np.array(edges[1:])
+        pts = np.array(edges)
         if cell is _HEAD_CELLS:
-            pb = np.concatenate((edges[0] + widths[0] * _HEAD_SPLITS, pb))
-        pa = np.append(edges[0], pb[:-1])
+            pts = np.concatenate((pts[:1], edges[0] + widths[0] * _HEAD_SPLITS, pts[1:]))
+        pa, pb = pts[:-1], pts[1:]
         est = _gk15_batch(integrand, pa, pb, owner[cell])
         roots = np.bincount(cell, weights=est[0], minlength=_PHASE_BLOCK)
         ahead = np.abs(partial + np.cumsum(roots) - roots)
@@ -413,14 +429,22 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
         cell = _PHASE_CELLS
         for val, err, b, env_b, h_b in zip(panel_vals.tolist(), panel_errs.tolist(),
                                            edges[1:], envs, widths):
+            n = len(vals)
+            if n == sums.size:
+                sums = np.concatenate((sums, np.empty(n)))
             partial += val
-            sums.append(partial)
+            sums[n] = partial
             vals.append(val)
+            nonzero.append(nonzero[n] + (val != 0.0))
+            flips.append(flips[n] + (last * val < 0.0))
+            if val != 0.0:
+                last = val
+            n += 1
             done = None
-            oscillating = _alternating(vals)
-            if oscillating and len(sums) >= 6:
+            oscillating = _alternating(vals, nonzero, flips)
+            if oscillating and n >= 6:
                 # alternating panel sums: accelerated tail estimate
-                est, est_err = _euler_accelerate(sums[-_EULER_TERMS:])
+                est, est_err = _euler_accelerate(sums[max(n - _EULER_TERMS, 0):n])
                 if est_err < max(spec.abs_tol, spec.rel_tol * abs(est)):
                     stable += 1
                     if stable >= 3:

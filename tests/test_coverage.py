@@ -10,8 +10,8 @@ from scipy.interpolate import PchipInterpolator
 
 from isacthz import coverage, specfun
 from isacthz.channel import (LinkBudget, effective_noise,
-                             interference_probability, received_power,
-                             sweep_weight)
+                             interference_probability, lower_bound_radius,
+                             received_power, sweep_weight)
 from isacthz.config import Deployment, SystemParams
 from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET,
                               DEFAULT_COVERAGE_QUADRATURE, LOWER_BOUND_MODES,
@@ -185,6 +185,36 @@ class TestShotNoiseParts:
             # envelope exponent error 2 pi lambda_b * |dfr| stays below 1e-4
             assert fr_i == pytest.approx(fr_e, rel=2e-3, abs=1e-6)
             assert fi_i == pytest.approx(fi_e, rel=2e-3, abs=5e-2)
+
+
+class TestPartsPaths:
+    """parts() takes an array path for arrays and a scalar path for a float,
+    an np.float64 or a 0-d array; the two must agree."""
+
+    @pytest.fixture(params=[2 * DEP.r_b, 20.0], scope="class")
+    def lookups(self, request):
+        p_ms = beam_misalignment(DEP, scheme_ability("jsrs", SYS, DEP), SYS.tau).p_ms
+        fld = ShotNoiseField(BUD, DEP, sweep_weight(DEP, SYS, p_ms), request.param)
+        grid = _split_table(BUD, DEP, request.param)[0]
+        # below, across and above the tabulated range
+        s = np.geomspace(1e-3 * grid[0], 1e2 * grid[-1], 4001)
+        return fld, s, fld.parts(s)
+
+    def test_node_sets_equal_one_point_lookups(self, lookups):
+        fld, s, _ = lookups
+        x = s[:3990].reshape(-1, 15)
+        fr, fi = fld.parts(x)
+        assert fr.shape == fi.shape == x.shape
+        for j, v in enumerate(x.ravel()):
+            one_r, one_i = fld.parts(np.array([v]))
+            assert (one_r[0], one_i[0]) == (fr.flat[j], fi.flat[j])
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array])
+    def test_scalar_path_within_two_ulp(self, lookups, kind):
+        fld, s, (fr, fi) = lookups
+        got = np.array([fld.parts(kind(v)) for v in s.tolist()])
+        assert np.all(np.abs(got[:, 0] - fr) <= 2 * np.spacing(fr))
+        assert np.all(np.abs(got[:, 1] - fi) <= 2 * np.spacing(np.abs(fi)))
 
 
 ORACLE_REL = 1e-10
@@ -493,6 +523,105 @@ class TestThresholdFreeCache:
                 coverage_probability(q, BUD, DEP, SYS, ABILITIES["jsrs"])
             assert len(calls) == attempt
         assert _threshold_free_kernel.cache_info().currsize == 0
+
+
+class TestPinnedInversion:
+    """Raw jsrs kernels (value, error) against values recorded from the
+    code, compared with ==: speed work on the inversion must not move a
+    single bit of it.  They pin more digits than the golden tables and are
+    not clamped, as p_cm is.  A change meant to move them re-records these
+    literals."""
+
+    DEPLOYMENTS = {"default": (BUD, DEP), "sparse nodes": EDGES["sparse nodes"],
+                   "lossless": EDGES["lossless"]}
+    THRESHOLDS_DB = (None, -5.0, 10.0)  # None: y = 0, the threshold-free kernel
+
+    # (deployment, mode, r1): (value, error) at each of THRESHOLDS_DB
+    RECORDED = {
+        ("default", "theorem", 5.0): (
+            (-0.5000041253886368, 8.305702559405899e-08),
+            (0.49999904428998004, 8.71222535793783e-08),
+            (0.4999949861321992, 1.143809206864054e-07)),
+        ("default", "theorem", 20.0): (
+            (-0.5000171788014829, 8.758850034157335e-08),
+            (0.494483470858227, 1.4800767304575353e-07),
+            (0.38226321001100316, 4.9751448517156876e-08)),
+        ("default", "theorem", 38.0): (
+            (-0.5000181265044154, 1.1434987057289818e-07),
+            (-0.06746469929247792, 1.807581341609776e-08),
+            (-0.4598361602658309, 6.989330841870015e-08)),
+        ("default", "derivation", 5.0): (
+            (-0.49999092851642346, 2.459441131327865e-07),
+            (0.49999991771374136, 8.711880735478572e-08),
+            (0.4999967093152165, 1.1422482039714414e-07)),
+        ("default", "derivation", 20.0): (
+            (-0.5000065093686628, 5.052946469342358e-08),
+            (0.4999999057249578, 9.452012251504997e-08),
+            (0.49998876213808013, 7.733449137377828e-08)),
+        ("default", "derivation", 38.0): (
+            (-0.4999999097542736, 9.670843470855232e-08),
+            (0.5000000408540676, 5.948491128938149e-08),
+            (0.4999747616916977, 6.268420696040333e-08)),
+        ("sparse nodes", "theorem", 5.0): (
+            (-0.49999956317846406, 9.478913593489266e-08),
+            (0.4999997420311529, 8.711907140237597e-08),
+            (0.49999889453939067, 1.1423093310852069e-07)),
+        ("sparse nodes", "theorem", 20.0): (
+            (-0.5000030928137164, 9.160920201121918e-08),
+            (0.49946466308351406, 9.658457324866453e-08),
+            (0.4881939515392603, 9.115217203289693e-08)),
+        ("sparse nodes", "theorem", 38.0): (
+            (-0.5000035744570164, 7.017976012078703e-08),
+            (0.42545393290972455, 1.0892892905123132e-07),
+            (0.24429425829070017, 3.098761076106788e-08)),
+        ("sparse nodes", "derivation", 5.0): (
+            (-0.5000085942847805, 7.079963315971503e-08),
+            (0.4999999177154775, 8.711868898936199e-08),
+            (0.4999992415996143, 1.1421760304924519e-07)),
+        ("sparse nodes", "derivation", 20.0): (
+            (-0.500004562062671, 4.3398392036071957e-07),
+            (0.4999999057543119, 9.452188260636571e-08),
+            (0.49999759816905254, 7.735172014906335e-08)),
+        ("sparse nodes", "derivation", 38.0): (
+            (-0.4999999145090791, 9.68838262263391e-08),
+            (0.5000000409210936, 5.9491805659063176e-08),
+            (0.49999449725769696, 6.234436654234618e-08)),
+        ("lossless", "theorem", 5.0): (
+            (-0.4999999202927735, 9.696887793826745e-08),
+            (0.49999942507133877, 6.646082374009134e-08),
+            (0.4999846682091407, 3.1457217459239376e-09)),
+        ("lossless", "theorem", 20.0): (
+            (-0.4999999202927735, 9.696887793826745e-08),
+            (0.4999916479684181, 1.1157004404619393e-07),
+            (0.49987032046259966, 1.1222760339179924e-07)),
+        ("lossless", "theorem", 38.0): (
+            (-0.4999999202927735, 9.696887793826745e-08),
+            (0.4999739841662615, 8.819137714663567e-08),
+            (0.49976290237388654, 1.1618427692848939e-07)),
+        ("lossless", "derivation", 5.0): (
+            (-0.4999999218952416, 9.696904508234382e-08),
+            (0.4999999361786021, 6.646079263266912e-08),
+            (0.49998639008051193, 3.125663951832045e-09)),
+        ("lossless", "derivation", 20.0): (
+            (-0.4999999389905823, 9.697112286473465e-08),
+            (0.4999998916401276, 1.1156615342788304e-07),
+            (0.49989346766604775, 1.1207679834337356e-07)),
+        ("lossless", "derivation", 38.0): (
+            (-0.4999999691895368, 9.697520643155313e-08),
+            (0.4999999179654885, 8.813858516696712e-08),
+            (0.49982812401171683, 1.1582185794477723e-07)),
+    }
+
+    @pytest.mark.parametrize("key", sorted(RECORDED))
+    def test_kernels(self, key):
+        name, mode, r1 = key
+        budget, deploy = self.DEPLOYMENTS[name]
+        p_ms = beam_misalignment(deploy, scheme_ability("jsrs", SYS, deploy), SYS.tau).p_ms
+        args = (budget, deploy, sweep_weight(deploy, SYS, p_ms),
+                lower_bound_radius(mode, deploy, r1), effective_noise(budget, deploy, SYS, r1))
+        for db, want in zip(self.THRESHOLDS_DB, self.RECORDED[key]):
+            y = 0.0 if db is None else received_power(budget, r1) / 10.0 ** (db / 10.0)
+            assert tuple(map(float, coverage._kernel(*args, y))) == want
 
 
 class TestPchipCoefficients:

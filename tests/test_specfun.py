@@ -75,6 +75,16 @@ def euler_loop(partial_sums: np.ndarray):
     return last, abs(last - prev)
 
 
+def alternating(vals):
+    """Whether the nonzero values among the last 10 panel values mostly
+    alternate in sign, from that window rebuilt as a list."""
+    recent = [v for v in vals[-10:] if v != 0.0]
+    if len(recent) < 4:
+        return False
+    flips = sum(1 for u, w in zip(recent, recent[1:]) if u * w < 0.0)
+    return flips >= 0.6 * (len(recent) - 1)
+
+
 def _phase_scale_probe(phi):
     """Find an s where the phase is O(1); sets the first panel width."""
     for k in range(-18, 19):
@@ -106,13 +116,6 @@ def _oscillatory_single(envelope, phi, spec=specfun.DEFAULT_QUADRATURE,
         val = env * np.sin(p) / (np.pi * s_safe)
         return np.where(s == 0.0, 0.0, val)
 
-    def _alternating(vals):
-        recent = [v for v in vals[-10:] if v != 0.0]
-        if len(recent) < 4:
-            return False
-        flips = sum(1 for u, w in zip(recent, recent[1:]) if u * w < 0.0)
-        return flips >= 0.6 * (len(recent) - 1)
-
     h = max(_phase_scale_probe(phi) / 4.0, 1e-300)
     budget = [spec.max_subdivisions]
     a = 0.0
@@ -139,7 +142,7 @@ def _oscillatory_single(envelope, phi, spec=specfun.DEFAULT_QUADRATURE,
         vals.append(val)
         panels += 1
 
-        oscillating = _alternating(vals)
+        oscillating = alternating(vals)
         if oscillating and len(sums) >= 6:
             # alternating panel sums: accelerated tail estimate
             est, est_err = euler_loop(sums[-24:])
@@ -381,6 +384,23 @@ class TestOscillatory:
             integrate_oscillatory(_terms(env, phi), spec)
         assert math.isfinite(err.value.partial)
         assert math.isfinite(err.value.error_bound)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_alternation_counts_equal_window_rebuild(self, seed):
+        # panel values with zeros, both signs and neighbours whose product
+        # underflows to -0.0, against the window rebuilt as a list; the
+        # counts follow their definition, prefix by prefix
+        rng = np.random.default_rng(seed)
+        vals = (rng.choice([-1.0, 1.0], 120) * 10.0 ** rng.choice([0, -200, -300], 120)
+                * (rng.random(120) > 0.3)).tolist()
+        nonzero, flips = [], []
+        for j in range(len(vals) + 1):
+            seen = [v for v in vals[:j] if v != 0.0]
+            nonzero.append(len(seen))
+            flips.append(sum(u * w < 0.0 for u, w in zip(seen, seen[1:])))
+        for n in range(len(vals) + 1):
+            assert (specfun._alternating(vals[:n], nonzero[:n + 1], flips[:n + 1])
+                    == alternating(vals[:n]))
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_euler_closed_form_equals_loop(self, n):
