@@ -612,7 +612,7 @@ class TestPinnedInversion:
             (0.49982812401171683, 1.1582185794477723e-07)),
     }
 
-    @pytest.mark.parametrize("key", sorted(RECORDED))
+    @pytest.mark.parametrize("key", sorted(RECORDED), ids=lambda key: "-".join(map(str, key)))
     def test_kernels(self, key):
         name, mode, r1 = key
         budget, deploy = self.DEPLOYMENTS[name]

@@ -339,6 +339,11 @@ KERNELS = {
     "negative_margin": (_ONE, lambda s: 2e-10 * np.asarray(s, float),
                         lambda s: -3e-5 * np.asarray(s, float)),
     "ln_s_cubic": (lambda s: np.exp(-np.asarray(s, float)), _ZERO, _ln_s_cubic_phase),
+    # a wobbling phase slows the accelerated tail: the march stops after 111
+    # panels, its last tail estimates reading across the second doubling of
+    # its partial-sum buffer
+    "wobble": (lambda s: np.exp(-np.asarray(s, float) / 20.0), _ZERO,
+               lambda s: 2.0 * np.pi * np.asarray(s, float) + 0.5 * np.sin(np.asarray(s, float))),
 }
 
 
