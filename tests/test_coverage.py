@@ -321,8 +321,8 @@ class TestPinnedField:
 
 class TestTableWork:
     # Gauss-Kronrod panels of one cold default table per lower bound,
-    # recorded from the code: arithmetic changes to the table integrand
-    # must leave every member's panel march as it was
+    # recorded from the code: a rounding-level change to the integrand
+    # leaves them as they are; a change meant to move them re-records them
     PANELS = {2 * DEP.r_b: 50_170, 10.0: 38_256, 20.0: 35_108, 40.0: 26_258}
 
     def test_default_table_panels(self, monkeypatch):
