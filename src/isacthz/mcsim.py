@@ -5,41 +5,47 @@ estimated from Poisson point process draws and explicit corridor geometry
 rather than from the closed forms.  Estimators are deterministic in
 (seed, parameters, trials): work is cut into fixed-size batches, each on
 its own substream spawned from the master seed.  A link-estimator batch
-holds `_BATCH` trials, a coverage batch about `_NODE_BUDGET` near nodes.
+holds `_BATCH` trials, a coverage batch about `_NODE_BUDGET` drawn nodes,
+each trial's own arrays counted as `_TRIAL_NODES` of them.
 
 Blockage geometry: a link of length r is blocked when some obstacle
 centre falls inside the rectangle of width 2 r_b around the segment
 whose longitudinal extent is (r_b, r - r_b) (area 2 r_b (r - 2 r_b), the
 exact void-probability exponent of the analytic model).  One corridor
-test, `_blocked_bulk`, serves every estimator; an endpoint lies at
-longitudinal offset 0 or r and so never blocks its own link.
+test, `_blocked_frame`, serves every estimator: it reads obstacles in
+their link's frame, in which the link estimators draw them, and
+`_blocked_bulk` turns the coverage estimator's obstacles into that frame.
+An endpoint lies at longitudinal offset 0 or r and so never blocks its
+own link.
 
 Only what that test can see is sampled.  By the restriction property,
 a PPP's points in a region are Poisson(density * area) uniform draws
 independent of the rest of the plane: a link's obstacles are drawn in
 its frame box [0, r] x (-r_b, r_b), each link from its own field, as the
-analytic timeout multiplies the two links' void probabilities.  By
-independent thinning, a coverage trial holds Binomial(nodes, q_mark)
-marked nodes, and as its nodes are i.i.d. its first ones can stand for
-them; only trials holding one draw angles and a user/blocker disc around
-their corridors.  By the mapping theorem, pi lambda_b r^2 over the nodes
-is a unit-rate PPP on [0, inf), so a user's two nearest nodes are drawn
-exactly from two exponential partial sums: the link estimators truncate
-nothing to a window.  A misalignment trial reads both of its events, the
-sensing error and the timeout, off one such scene.
+analytic timeout multiplies the two links' void probabilities.  By the
+mapping theorem, pi lambda_b r^2 over the nodes is a unit-rate PPP on
+[0, inf), so a user's two nearest nodes are drawn exactly from two
+exponential partial sums: the link estimators truncate nothing to a
+window.  A misalignment trial reads both of its events, the sensing
+error and the timeout, off one such scene.
 
-A coverage trial's annulus is split at the absorption reach R (at most
-the window radius).  Its near nodes, inside R, are drawn with their
-radii; its far nodes only as a Poisson count with a Binomial count of
-marked ones.  As the weight e^(-k r) / r^2 does not rise with r, the
-interference lies between lo, the near absorption noise, and hi, which
-adds every marked near node unblocked and every far node at the weight
-of R.  A trial is a hit when aligned with hi below the margin and a miss
-when misaligned or lo reaches it; only the trials left open draw their
-far radii, angles, user/blocker discs and corridors.  The decision is
-the one the whole draw would make, so the estimate is exact in law.  At
-k = 0 the reach is 1400 m: a lossless trial holds far nodes only in a
-wider window.
+By independent thinning, a coverage trial's marked nodes (those whose
+sweep and orientation marks fire, q_mark of all) and its unmarked ones
+are independent PPPs.  Its marked nodes are drawn with their radii on
+the whole window; only trials holding one draw angles and a user/blocker
+disc around their corridors.  Its unmarked nodes are split at the radius
+R where the far ones' absorption bound, their expected count at the
+weight of R, falls to `_SPLIT_SLACK` of the margin (`_split_radius`;
+the lower-bound radius when the margin is not positive or without
+absorption).  The near ones, inside R, are drawn with their radii; the
+far ones only as a Poisson count.  As the weight e^(-k r) / r^2 does not
+rise with r, the interference lies between lo, the absorption noise of
+the drawn nodes, and hi, which adds every marked node unblocked and
+every far node at the weight of R.  A trial is a hit when aligned with
+hi below the margin and a miss when misaligned or lo reaches it; only
+the trials left open draw their far radii, angles, user/blocker discs
+and corridors.  The decision is the one the whole draw would make, so
+the estimate is exact in law; R sets only how many trials stay open.
 
 The model's inputs come from the modules that define them: the densities
 from `config`, the sweep weight (q_mark), re-radiation constant and
@@ -69,6 +75,12 @@ __all__ = ["McEstimate", "estimate_blockage", "estimate_timeout",
 
 _BATCH = 8192
 _NODE_BUDGET = 2_700_000  # expected nodes per estimate_coverage batch
+# a coverage trial holds about a dozen 8-byte arrays, a drawn node two
+_TRIAL_NODES = 6.0
+# far absorption bound, as a share of the margin; a looser split leaves
+# more trials open (0.5 opened 6889 of 1e5 at n_b = 8, 20 m, -10 dB
+# against 125, and ran 8x slower)
+_SPLIT_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -118,38 +130,44 @@ def _ppp_disc(rng, density: float, radius: float) -> np.ndarray:
     return np.column_stack([rr * np.cos(th), rr * np.sin(th)])
 
 
+def _blocked_frame(lon, lat, owner, r, r_b):
+    """Corridor test in the links' own frames, link i running from the
+    origin to (r[i], 0): obstacle j of link owner[j] sits at (lon[j],
+    lat[j]).  Returns a boolean 'blocked' per link."""
+    hit = (np.abs(lat) < r_b) & (lon > r_b) & (lon < (r - r_b)[owner])
+    return np.bincount(owner[hit], minlength=r.size) > 0
+
+
 def _blocked_bulk(obs_x, obs_y, counts, bs_x, bs_y, r_b):
     """Vectorised corridor test; one segment origin->(bs_x, bs_y) per link.
 
     obs_* are flattened obstacle coordinates grouped by link with sizes
-    `counts`; returns a boolean 'blocked' per link.
+    `counts`; each is turned into its link's frame for `_blocked_frame`.
     """
-    n_trials = bs_x.size
     r = np.hypot(bs_x, bs_y)
     with np.errstate(invalid="ignore", divide="ignore"):
         ux = np.where(r > 0, bs_x / np.maximum(r, 1e-300), 0.0)
         uy = np.where(r > 0, bs_y / np.maximum(r, 1e-300), 0.0)
-    idx = np.repeat(np.arange(n_trials), counts)
+    idx = np.repeat(np.arange(bs_x.size), counts)
     lon = obs_x * ux[idx] + obs_y * uy[idx]
     lat = -obs_x * uy[idx] + obs_y * ux[idx]
-    hit = (np.abs(lat) < r_b) & (lon > r_b) & (lon < r[idx] - r_b)
-    return np.bincount(idx[hit], minlength=n_trials) > 0
+    return _blocked_frame(lon, lat, idx, r, r_b)
 
 
 def _link_box(rng, density: float, r: np.ndarray, r_b: float):
     """PPP on each link's frame box [0, r] x (-r_b, r_b), the link running
-    from the origin to (r, 0); returns flat coords grouped by link + counts."""
-    counts = rng.poisson(density * 2.0 * r_b * r)
-    total = int(counts.sum())
-    lon = np.repeat(r, counts) * rng.random(total)
-    return lon, r_b * (2.0 * rng.random(total) - 1.0), counts
+    from the origin to (r, 0); returns flat (lon, lat) coords and the link
+    owning each."""
+    owner = np.repeat(np.arange(r.size), rng.poisson(density * 2.0 * r_b * r))
+    lon = r[owner] * rng.random(owner.size)
+    return lon, r_b * (2.0 * rng.random(owner.size) - 1.0), owner
 
 
 def _blocked_links(rng, deploy: Deployment, r: np.ndarray) -> np.ndarray:
     """Corridor test of links of lengths r, each against its own user and
     blocker field (density lambda_m + lambda_s) drawn in its box."""
-    return _blocked_bulk(*_link_box(rng, deploy.obstacle_density, r, deploy.r_b),
-                         r, np.zeros(r.size), deploy.r_b)
+    return _blocked_frame(*_link_box(rng, deploy.obstacle_density, r, deploy.r_b),
+                          r, deploy.r_b)
 
 
 def estimate_blockage(deploy: Deployment, r: float, trials: int,
@@ -177,7 +195,8 @@ def _nearest_two_batch(rng, deploy: Deployment, b: int) -> np.ndarray:
     """
     if not deploy.lambda_b > 0.0:
         raise ValueError("nearest-two distances need lambda_b > 0")
-    e = rng.standard_exponential((b, 2)).cumsum(axis=1)
+    e = rng.standard_exponential((b, 2))
+    e[:, 1] += e[:, 0]  # the partial sums; cumsum is slow along a short axis
     return np.sqrt(e / (math.pi * deploy.lambda_b))
 
 
@@ -237,7 +256,8 @@ def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
 
 def _absorption_reach(k_abs: float) -> float:
     """Radius past which absorption leaves a node's weight e^(-k r) / r^2
-    negligible: 14 absorption lengths, at least 60 m."""
+    negligible: 14 absorption lengths, at least 60 m.  It sizes the
+    default window only; the coverage split reads the margin instead."""
     return max(60.0, 14.0 / max(k_abs, 1e-2))
 
 
@@ -247,6 +267,34 @@ def default_window_radius(system: SystemParams, deploy: Deployment,
     los = 5.0 / max(2.0 * deploy.total_density * deploy.r_b, 1e-3)
     return max(min(max(_absorption_reach(system.k_abs), los), 1500.0),
                r1 + 20.0)
+
+
+def _split_radius(c_abs: float, lambda_b: float, k_abs: float, r_lo: float,
+                  r_win: float, margin: float) -> float:
+    """Smallest r in [r_lo, r_win] at which the far absorption bound
+    c_abs lambda_b pi (r_win^2 - r^2) e^(-k r) / r^2, the expected far node
+    count at the weight of r, is at most _SPLIT_SLACK * margin.
+
+    r_lo when that bound already holds there (c_abs = 0 included) or when
+    margin <= 0, where every trial misses.  The bound falls with r and is 0
+    at r_win, so bisection finds the radius to a relative 1e-10.
+    """
+    cap = _SPLIT_SLACK * margin
+
+    def fails(r):
+        return c_abs * lambda_b * math.pi * (r_win ** 2 - r ** 2) \
+            * math.exp(-k_abs * r) / r ** 2 > cap
+
+    if not margin > 0.0 or not fails(r_lo):
+        return r_lo
+    lo, hi = r_lo, r_win
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if fails(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _annulus_radii(rng, n: int, r_in: float, r_out: float) -> np.ndarray:
@@ -280,29 +328,33 @@ def _bound_decisions(lo, hi, aligned, margin):
     return hit, aligned & ~hit & (lo < margin)
 
 
+def _slices(counts: np.ndarray) -> np.ndarray:
+    """Start of each group of a flat array laid out in groups of `counts`."""
+    return np.cumsum(counts) - counts
+
+
 def _resolve(rng, deploy: Deployment, budget: LinkBudget, r1: float,
-             c_abs: float, lo, near, far, ring) -> np.ndarray:
+             c_abs: float, lo, near, marked, far, ring) -> np.ndarray:
     """Interference i_eff of open trials, each drawn whole.
 
-    lo holds their near absorption sums and near = (rad, starts, counts,
-    marks) their near nodes, slices of the flat radii rad whose first
-    `marks` are marked.  far = (counts, marks) of their far nodes, whose
-    radii are drawn here on the ring (r_near, r_win).  Each trial holding
-    a marked node then draws the angles of all its nodes and the user/
-    blocker disc around its marked nodes' corridors, in trial order.
+    lo holds their bounds' absorption sums, near = (rad, starts, counts)
+    and marked = (rad, starts, counts) the slices of their unmarked near
+    and their marked radii, far the counts of their unmarked far nodes,
+    whose radii are drawn here on the ring (r_near, r_win).  Each trial
+    holding a marked node then draws the angles of all its nodes and the
+    user/blocker disc around its marked nodes' corridors, in trial order.
     """
-    rad, starts, counts, marks = near
-    f_counts, f_marks = far
-    r_far = _annulus_radii(rng, int(f_counts.sum()), *ring)
-    i_eff = lo + c_abs * _grouped_sums(_weights(r_far, budget.k_abs), f_counts)
-    f_starts = np.cumsum(f_counts) - f_counts
-    for t in np.flatnonzero(marks + f_marks):
-        m, m_f = marks[t], f_marks[t]
-        r_n = rad[starts[t]:starts[t] + counts[t]]
-        r_f = r_far[f_starts[t]:f_starts[t] + f_counts[t]]
+    rad, starts, counts = near
+    r_m, m_starts, marks = marked
+    r_far = _annulus_radii(rng, int(far.sum()), *ring)
+    i_eff = lo + c_abs * _grouped_sums(_weights(r_far, budget.k_abs), far)
+    f_starts = _slices(far)
+    for t in np.flatnonzero(marks):
+        c = marks[t]
         # marked nodes first
-        r_t = np.concatenate([r_n[:m], r_f[:m_f], r_n[m:], r_f[m_f:]])
-        c = m + m_f
+        r_t = np.concatenate([r_m[m_starts[t]:m_starts[t] + c],
+                              rad[starts[t]:starts[t] + counts[t]],
+                              r_far[f_starts[t]:f_starts[t] + far[t]]])
         ang = 2.0 * math.pi * rng.random(r_t.size)
         x, y = r_t * np.cos(ang), r_t * np.sin(ang)
         others = _ppp_disc(rng, deploy.obstacle_density,
@@ -341,43 +393,44 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
              else window_radius)
     if not r_win > r_lo:  # NaN included
         raise ValueError("window_radius must exceed the lower-bound radius")
-    r_near = min(r_win, max(_absorption_reach(budget.k_abs), r1 + 20.0))
 
     p_ms = beam_misalignment(deploy, ability, system.tau).p_ms
     q_mark = sweep_weight(deploy, system, p_ms)
     c_abs = reradiation_constant(budget, deploy)
     margin = received_power(budget, r1) / threshold - \
         effective_noise(budget, deploy, system, r1)
+    r_near = _split_radius(c_abs, deploy.lambda_b, budget.k_abs, r_lo, r_win,
+                           margin)
 
-    near_mean = deploy.lambda_b * math.pi * (r_near ** 2 - r_lo ** 2)
-    far_mean = deploy.lambda_b * math.pi * (r_win ** 2 - r_near ** 2)
+    # expected unmarked near, unmarked far and marked nodes per trial
+    area = deploy.lambda_b * math.pi
+    near_mean = (1.0 - q_mark) * area * (r_near ** 2 - r_lo ** 2)
+    far_mean = (1.0 - q_mark) * area * (r_win ** 2 - r_near ** 2)
+    mark_mean = q_mark * area * (r_win ** 2 - r_lo ** 2)
     g_edge = math.exp(-budget.k_abs * r_near) / r_near ** 2  # far weight cap
-    size = max(1, int(_NODE_BUDGET // max(near_mean, 1.0)))
+    size = max(1, int(_NODE_BUDGET // (near_mean + mark_mean + _TRIAL_NODES)))
     hits = 0
     for rng, b in _batches(trials, seed, size):
         counts = rng.poisson(near_mean, size=b)
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        rad = _annulus_radii(rng, int(ends[-1]), r_lo, r_near)
-        g = _weights(rad, budget.k_abs)
-        lo = np.zeros(b)  # near absorption noise
-        busy = counts > 0  # reduceat cannot express an empty slice
-        lo[busy] = c_abs * np.add.reduceat(g, starts[busy])
-        # trial t's first m[t] near nodes are its marked ones, and it holds
-        # m_far[t] marked among far[t] far nodes
-        m = rng.binomial(counts, q_mark)
+        marks = rng.poisson(mark_mean, size=b)
         far = rng.poisson(far_mean, size=b)
-        m_far = rng.binomial(far, q_mark)
         aligned = rng.random(b) >= p_ms
-        # flat indices of the marked near nodes, grouped by trial
-        head = np.repeat(starts - np.cumsum(m) + m, m) + np.arange(m.sum())
-        marked = budget.a * _grouped_sums(g[head], m)
-        del g
-        hi = lo + marked + g_edge * (c_abs * far + budget.a * m_far)
+        starts = _slices(counts)
+        rad = _annulus_radii(rng, int(counts.sum()), r_lo, r_near)
+        r_m = _annulus_radii(rng, int(marks.sum()), r_lo, r_win)
+        g_m = _grouped_sums(_weights(r_m, budget.k_abs), marks)
+        lo = np.zeros(b)  # absorption noise of every drawn node
+        busy = counts > 0  # reduceat cannot express an empty slice
+        lo[busy] = np.add.reduceat(_weights(rad, budget.k_abs), starts[busy])
+        lo += g_m
+        lo *= c_abs
+        # every marked node unblocked, every far one at the weight of r_near
+        hi = lo + budget.a * g_m + g_edge * c_abs * far
         hit, open_ = _bound_decisions(lo, hi, aligned, margin)
         o = np.flatnonzero(open_)
         i_eff = _resolve(rng, deploy, budget, r1, c_abs, lo[o],
-                         (rad, starts[o], counts[o], m[o]), (far[o], m_far[o]),
+                         (rad, starts[o], counts[o]),
+                         (r_m, _slices(marks)[o], marks[o]), far[o],
                          (r_near, r_win))
         hits += int(hit.sum()) + int((i_eff < margin).sum())
     return McEstimate.from_hits(hits, trials)

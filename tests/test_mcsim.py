@@ -11,8 +11,10 @@ from isacthz.channel import (LinkBudget, effective_noise, lower_bound_radius,
                              sweep_weight)
 from isacthz.config import Deployment, SystemParams
 from isacthz.coverage import CoverageQuery, coverage_probability
-from isacthz.mcsim import (McEstimate, _batches, _blocked_bulk, _ppp_disc,
-                           default_window_radius, estimate_blockage,
+from isacthz.mcsim import (McEstimate, _batches, _blocked_bulk,
+                           _blocked_frame, _link_box, _ppp_disc,
+                           _split_radius, default_window_radius,
+                           estimate_blockage,
                            estimate_coverage, estimate_misalignment,
                            estimate_timeout, nearest_two_distances)
 from isacthz.misalignment import (beam_misalignment, beam_switch_density,
@@ -127,6 +129,45 @@ class TestCorridor:
                                 np.array([20.0, 20.0, 0.0]),
                                 np.array([0.0, 0.0, 20.0]), DEP.r_b)
         assert blocked.tolist() == [True, False, True]
+
+    @staticmethod
+    def _turned(lon, lat, owner, r, cos, sin):
+        """`_blocked_bulk` on frame boxes turned by per-link (cos, sin)."""
+        c, s = cos[owner], sin[owner]
+        return _blocked_bulk(lon * c - lat * s, lon * s + lat * c,
+                             np.bincount(owner, minlength=r.size), r * cos,
+                             r * sin, DEP.r_b)
+
+    def test_frame_test_matches_turned_boxes(self):
+        # the link estimators test their boxes in the link frame; the
+        # rotating test must agree on the same boxes at random angles
+        rng = np.random.default_rng(80)
+        r = rng.uniform(2.0 * DEP.r_b, 80.0, 4000)
+        lon, lat, owner = _link_box(rng, 0.03, r, DEP.r_b)
+        th = rng.uniform(0.0, 2.0 * math.pi, r.size)
+        frame = _blocked_frame(lon, lat, owner, r, DEP.r_b)
+        assert 0.2 < frame.mean() < 0.8
+        assert np.array_equal(
+            frame, self._turned(lon, lat, owner, r, np.cos(th), np.sin(th)))
+
+    def test_frame_test_edges(self):
+        # one obstacle per 20 m link, on each corridor edge and one ulp
+        # inside it; the edges are open.  Quarter turns rotate exactly, so
+        # the rotating test must see the same edges
+        r_b, r = DEP.r_b, 20.0
+        inside = np.nextafter
+        lon = np.array([10.0, 10.0, r_b, r - r_b,
+                        10.0, 10.0, inside(r_b, r), inside(r - r_b, 0.0)])
+        lat = np.array([r_b, -r_b, 0.0, 0.0,
+                        inside(r_b, 0.0), inside(-r_b, 0.0), 0.0, 0.0])
+        owner, length = np.arange(lon.size), np.full(lon.size, r)
+        expect = [False] * 4 + [True] * 4
+        frame = _blocked_frame(lon, lat, owner, length, r_b)
+        assert frame.tolist() == expect
+        for cos, sin in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)):
+            turned = self._turned(lon, lat, owner, length,
+                                  np.full(lon.size, cos), np.full(lon.size, sin))
+            assert turned.tolist() == expect
 
 
 class TestEstimators:
@@ -489,8 +530,13 @@ class TestWholeWindowOracle:
          "theorem", None, 20000),
         (DEP, replace(BUD, k_abs=0.0), "jsrs", 20.0, 5.0, "theorem", None,
          40000),
+        (DEP, BUD, "jsrs", 38.0, 5.0, "theorem", None, 20000),
+        (DEP, BUD, "5g", 20.0, 5.0, "theorem", None, 20000),
+        (DEP, BUD, "jsrs", 5.0, 15.0, "derivation", None, 20000),
+        (DEP, BUD, "jsrs", 38.0, 15.0, "theorem", None, 20000),
     ], ids=["urban", "derivation", "open_field", "narrow_beams", "dense",
-            "lossless"])
+            "lossless", "far_serving", "5g", "derivation_near",
+            "no_margin"])
     def test_agrees(self, dep, bud, scheme, r1, db, mode, window, trials):
         ability = scheme_ability(scheme, SYS, dep)
         thr = 10.0 ** (db / 10.0)
@@ -501,11 +547,62 @@ class TestWholeWindowOracle:
                                     window_radius=window)
         _agree(est, ref, 3.0)
 
-    def test_lossless_near_field_is_the_window(self):
-        # without absorption the near field reaches the default window, so
-        # no trial holds far nodes
-        assert mcsim._absorption_reach(0.0) >= default_window_radius(SYS, DEP,
-                                                                     20.0)
+
+def _split_inputs(dep, bud, scheme, r1, db, mode):
+    """`_split_radius`'s arguments as `estimate_coverage` forms them."""
+    p_ms = beam_misalignment(dep, scheme_ability(scheme, SYS, dep), SYS.tau).p_ms
+    margin = received_power(bud, r1) / 10.0 ** (db / 10.0) \
+        - effective_noise(bud, dep, SYS, r1)
+    return (reradiation_constant(bud, dep), dep.lambda_b, bud.k_abs,
+            lower_bound_radius(mode, dep, r1),
+            default_window_radius(SYS, dep, r1), margin)
+
+
+def _far_bound(c_abs, lambda_b, k_abs, r_lo, r_win, margin, r):
+    """The far absorption bound at split radius r over the margin."""
+    return c_abs * lambda_b * math.pi * (r_win ** 2 - r ** 2) \
+        * math.exp(-k_abs * r) / r ** 2 / margin
+
+
+class TestSplitRadius:
+    """The near/far split is the smallest radius whose far absorption
+    bound stays within a fixed share of the margin."""
+
+    @pytest.mark.parametrize("dep, bud, scheme, r1, db, mode", [
+        (DEP, BUD, "jsrs", 20.0, 5.0, "theorem"),
+        (DEP, BUD, "5g", 10.0, 0.0, "derivation"),
+        (DEP, BUD, "jsrs", 38.0, 5.0, "theorem"),
+        (DEP, BUD, "jsrs", 20.0, 42.0, "theorem"),
+        (DENSE, LinkBudget.from_params(SYS, DENSE), "jsrs", 20.0, 5.0,
+         "theorem"),
+    ], ids=["urban", "derivation", "far_serving", "thin_margin", "dense"])
+    def test_smallest_radius_within_the_bound(self, dep, bud, scheme, r1,
+                                              db, mode):
+        args = _split_inputs(dep, bud, scheme, r1, db, mode)
+        r_lo, r_win = args[3], args[4]
+        r = _split_radius(*args)
+        assert r_lo < r <= r_win
+        assert _far_bound(*args, r) <= mcsim._SPLIT_SLACK
+        assert _far_bound(*args, r * (1.0 - 1e-9)) > mcsim._SPLIT_SLACK
+
+    def test_lower_bound_without_margin(self):
+        c_abs, lambda_b, k_abs, r_lo, r_win, margin = _split_inputs(
+            DEP, BUD, "jsrs", 38.0, 15.0, "theorem")
+        assert margin < 0.0
+        for m in (margin, 0.0):
+            assert _split_radius(c_abs, lambda_b, k_abs, r_lo, r_win, m) == r_lo
+
+    def test_lower_bound_without_absorption(self):
+        # k = 0 leaves no absorption noise: every unmarked node is far
+        args = _split_inputs(DEP, replace(BUD, k_abs=0.0), "jsrs", 20.0, 5.0,
+                             "theorem")
+        assert args[0] == 0.0 and args[5] > 0.0
+        assert _split_radius(*args) == args[3]
+
+    def test_lower_bound_where_the_bound_holds(self):
+        args = _split_inputs(DEP, BUD, "jsrs", 20.0, -10.0, "derivation")
+        assert _far_bound(*args, args[3]) <= mcsim._SPLIT_SLACK
+        assert _split_radius(*args) == args[3]
 
 
 class TestDecisionRule:
@@ -571,27 +668,28 @@ class TestPinnedStream:
     """Estimates recorded at a fixed seed; the sampler's draw order is part
     of the contract, so a refactor must reproduce them exactly.  Recorded
     after the switch to box and thinned-mark sampling, the coverage ones
-    after the near/far split, the timeout and misalignment ones after the
+    after the near/far split came to read the margin and marked nodes were
+    drawn as their own field, the timeout and misalignment ones after the
     nearest-two draw stopped drawing angles and each misalignment trial
     read both events off one scene."""
 
     def test_coverage_urban(self):
         ability = scheme_ability("jsrs", SYS, DEP)
         est = estimate_coverage(DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000, 52)
-        assert est.mean == 0.85665
+        assert est.mean == 0.85355
 
     def test_coverage_derivation(self):
         ability = scheme_ability("5g", SYS, DEP)
         est = estimate_coverage(DEP, BUD, SYS, ability, 10.0, 1.0, 20000, 53,
                                 lower_bound_mode="derivation")
-        assert est.mean == 0.6265
+        assert est.mean == 0.6174
 
     def test_coverage_open_field(self):
         dep0 = replace(DEP, lambda_m=0.0, lambda_s=0.0)
         ability = scheme_ability("perfect", SYS, DEP)
         est = estimate_coverage(dep0, BUD, SYS, ability, 20.0, 10 ** 0.5, 2048, 4,
                                 window_radius=500.0)
-        assert est.mean == 0.93994140625
+        assert est.mean == 0.94921875
 
     def test_blockage(self):
         assert estimate_blockage(DEP, 52.0, 20000, 3).mean == 0.64165
