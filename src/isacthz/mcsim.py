@@ -74,8 +74,9 @@ __all__ = ["McEstimate", "estimate_blockage", "estimate_timeout",
            "nearest_two_distances", "default_window_radius"]
 
 _BATCH = 8192
-_NODE_BUDGET = 2_700_000  # expected nodes per estimate_coverage batch
-# a coverage trial holds about a dozen 8-byte arrays, a drawn node two
+# expected drawn nodes per estimate_coverage batch, a trial's own arrays
+# (about a dozen 8-byte ones, against a node's two) counted as 6 nodes
+_NODE_BUDGET = 2_700_000
 _TRIAL_NODES = 6.0
 # far absorption bound, as a share of the margin; a looser split leaves
 # more trials open (0.5 opened 6889 of 1e5 at n_b = 8, 20 m, -10 dB
@@ -148,10 +149,10 @@ def _blocked_bulk(obs_x, obs_y, counts, bs_x, bs_y, r_b):
     with np.errstate(invalid="ignore", divide="ignore"):
         ux = np.where(r > 0, bs_x / np.maximum(r, 1e-300), 0.0)
         uy = np.where(r > 0, bs_y / np.maximum(r, 1e-300), 0.0)
-    idx = np.repeat(np.arange(bs_x.size), counts)
-    lon = obs_x * ux[idx] + obs_y * uy[idx]
-    lat = -obs_x * uy[idx] + obs_y * ux[idx]
-    return _blocked_frame(lon, lat, idx, r, r_b)
+    owner = np.repeat(np.arange(bs_x.size), counts)
+    lon = obs_x * ux[owner] + obs_y * uy[owner]
+    lat = -obs_x * uy[owner] + obs_y * ux[owner]
+    return _blocked_frame(lon, lat, owner, r, r_b)
 
 
 def _link_box(rng, density: float, r: np.ndarray, r_b: float):
@@ -272,8 +273,9 @@ def default_window_radius(system: SystemParams, deploy: Deployment,
 def _split_radius(c_abs: float, lambda_b: float, k_abs: float, r_lo: float,
                   r_win: float, margin: float) -> float:
     """Smallest r in [r_lo, r_win] at which the far absorption bound
-    c_abs lambda_b pi (r_win^2 - r^2) e^(-k r) / r^2, the expected far node
-    count at the weight of r, is at most _SPLIT_SLACK * margin.
+    c_abs lambda_b pi (r_win^2 - r^2) e^(-k r) / r^2, the absorption of the
+    expected far node count at the weight of r, is at most
+    _SPLIT_SLACK * margin.
 
     r_lo when that bound already holds there (c_abs = 0 included) or when
     margin <= 0, where every trial misses.  The bound falls with r and is 0
