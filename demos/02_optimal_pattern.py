@@ -25,7 +25,7 @@ print(f"Closed form: U={pat.u}, V={pat.v}, alpha={pat.alpha:.4f} "
 print(f"Achieved: dd_b={ab.delta_db * 100:.2f} cm, dv={ab.delta_v:.2f} m/s, "
       f"d_max={ab.d_max:.1f} m, v_max={ab.v_max * 3.6:.0f} km/h")
 
-bf = brute_force_pattern(req, system, deploy.theta_b, grid_size=10000)
+bf = brute_force_pattern(req, system, deploy.theta_b)
 gap = (objective(bf.alpha, bf.u, bf.v, system, deploy.theta_b)
        - objective(pat.alpha, pat.u, pat.v, system, deploy.theta_b))
 print(f"Brute force: U={bf.u}, V={bf.v}, alpha={bf.alpha:.4f} "

@@ -149,8 +149,6 @@ def expected_interference(budget: LinkBudget, deploy: Deployment,
         return 0.0
     lam = deploy.total_density
     w_s = sweep_weight(deploy, system, p_ms)
-    if w_s == 0.0:
-        return 0.0
     arg = 2.0 * lam * deploy.r_b * r1 + budget.k_abs * r1
     return (2.0 * math.pi * deploy.lambda_b * w_s
             * math.exp(4.0 * lam * deploy.r_b ** 2) * budget.a

@@ -125,8 +125,8 @@ def _batches(trials: int, seed: int, size: int = _BATCH):
 def _ppp_disc(rng, density: float, radius: float) -> np.ndarray:
     """Homogeneous PPP on the disc r <= radius."""
     area = math.pi * radius ** 2
-    n = rng.poisson(density * area) if density > 0.0 and area > 0.0 else 0
-    rr = np.sqrt(rng.random(n) * radius ** 2)
+    n = rng.poisson(density * area)
+    rr = _annulus_radii(rng, n, 0.0, radius)
     th = 2.0 * math.pi * rng.random(n)
     return np.column_stack([rr * np.cos(th), rr * np.sin(th)])
 
@@ -140,15 +140,14 @@ def _blocked_frame(lon, lat, owner, r, r_b):
 
 
 def _blocked_bulk(obs_x, obs_y, counts, bs_x, bs_y, r_b):
-    """Vectorised corridor test; one segment origin->(bs_x, bs_y) per link.
+    """Vectorised corridor test; one segment origin->(bs_x, bs_y) per link,
+    every link of positive length.
 
     obs_* are flattened obstacle coordinates grouped by link with sizes
     `counts`; each is turned into its link's frame for `_blocked_frame`.
     """
     r = np.hypot(bs_x, bs_y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ux = np.where(r > 0, bs_x / np.maximum(r, 1e-300), 0.0)
-        uy = np.where(r > 0, bs_y / np.maximum(r, 1e-300), 0.0)
+    ux, uy = bs_x / r, bs_y / r
     owner = np.repeat(np.arange(bs_x.size), counts)
     lon = obs_x * ux[owner] + obs_y * uy[owner]
     lat = -obs_x * uy[owner] + obs_y * ux[owner]
@@ -255,19 +254,14 @@ def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
             "p_ms": McEstimate.from_hits(err + to, trials)}
 
 
-def _absorption_reach(k_abs: float) -> float:
-    """Radius past which absorption leaves a node's weight e^(-k r) / r^2
-    negligible: 14 absorption lengths, at least 60 m.  It sizes the
-    default window only; the coverage split reads the margin instead."""
-    return max(60.0, 14.0 / max(k_abs, 1e-2))
-
-
 def default_window_radius(system: SystemParams, deploy: Deployment,
                           r1: float) -> float:
-    """Simulation disc radius capturing the interference and noise tails."""
+    """Simulation disc radius capturing the interference and noise tails;
+    past `reach` (14 absorption lengths, at least 60 m) absorption leaves a
+    node's weight e^(-k r) / r^2 negligible."""
+    reach = max(60.0, 14.0 / max(system.k_abs, 1e-2))
     los = 5.0 / max(2.0 * deploy.total_density * deploy.r_b, 1e-3)
-    return max(min(max(_absorption_reach(system.k_abs), los), 1500.0),
-               r1 + 20.0)
+    return max(min(max(reach, los), 1500.0), r1 + 20.0)
 
 
 def _split_radius(c_abs: float, lambda_b: float, k_abs: float, r_lo: float,

@@ -98,8 +98,10 @@ def timeout_probability(deploy: Deployment) -> float:
 
     the scaled complementary error function keeping every factor finite.
     """
-    if deploy.lambda_b <= 0.0 or deploy.obstacle_density == 0.0:
+    if deploy.obstacle_density == 0.0:
         return 0.0
+    if deploy.lambda_b <= 0.0:
+        return 1.0  # both nearest nodes sit arbitrarily far away
     w1, beta, _ = _lemma_constants(deploy)
     root = math.sqrt(beta)
 

@@ -38,6 +38,8 @@ __all__ = [
 # hard caps on the brute-force search space (1 m range / 0.1 m/s speed floor)
 _BRUTE_DMAX_FLOOR = 1.0
 _BRUTE_VMAX_FLOOR = 0.1
+# alpha points the brute-force search tries
+_BRUTE_GRID = 10000
 
 
 class InfeasibleRequirementError(ValueError):
@@ -135,14 +137,12 @@ def optimal_pattern(req: PatternRequirement, system: SystemParams,
 
 
 def brute_force_pattern(req: PatternRequirement, system: SystemParams,
-                        theta_b: float, grid_size: int = 10000) -> SensingPattern:
+                        theta_b: float) -> SensingPattern:
     """Exhaustive argmin over a dense alpha grid and all feasible (U, V).
 
     Verification oracle for the closed form; ties break lexicographically
     on (objective, U, V, alpha) so the result is deterministic.
     """
-    if grid_size < 100:
-        raise ValueError("grid_size must be >= 100")
     u_lo, u_hi, v_hi = _spacings(req, system)
     u_cap = max(1, math.floor(C_LIGHT / (2.0 * system.f_scs * _BRUTE_DMAX_FLOOR)))
     v_cap = max(1, math.floor(C_LIGHT / (2.0 * system.f_c * system.t_sym * _BRUTE_VMAX_FLOOR)))
@@ -150,7 +150,7 @@ def brute_force_pattern(req: PatternRequirement, system: SystemParams,
     v_hi = min(v_hi, v_cap)
 
     lo, hi = alpha_bounds(system)
-    alphas = np.linspace(lo, hi, grid_size)
+    alphas = np.linspace(lo, hi, _BRUTE_GRID)
     best = None
     for u in range(u_lo, u_hi + 1):
         for v in range(1, v_hi + 1):

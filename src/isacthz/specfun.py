@@ -191,32 +191,33 @@ def _refine(f: Callable, pa, pb, owner, est, tols, budget, cell=None):
         est = _gk15_batch(f, pa, pb, own)
 
 
-def _open_tolerances(roots, live, total, outer, spec):
+def _open_tolerances(roots, live, total, marched, spec):
     """Tolerances (C, len(live), _ROOT_BLOCK) of the blocks just opened,
-    from their root estimates (C, len(live), _ROOT_BLOCK)."""
+    from their root estimates (C, len(live), _ROOT_BLOCK), after `marched`
+    root panels."""
     ahead = total[:, live, None] + np.cumsum(roots, axis=2) - roots
-    opening = outer[live] == 0
-    ahead[:, opening, 0] = roots[:, opening, 0]
+    if not marched:
+        ahead[:, :, 0] = roots[:, :, 0]
     return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(ahead)) * 0.25
 
 
-def _close_blocks(vals, errs, done, total, total_err, outer, streak, spec):
-    """Take the refined blocks (C, D, _ROOT_BLOCK) of the `done` members
-    panel by panel, updating their totals, panel counts and tail streaks
-    in place; returns (finished, error bounds (C, D))."""
+def _close_blocks(vals, errs, done, total, total_err, marched, streak, spec):
+    """Take the refined blocks (C, D, _ROOT_BLOCK) of the `done` members,
+    each after `marched` root panels, panel by panel, updating their
+    totals and tail streaks in place; returns (finished, error bounds
+    (C, D))."""
     order = np.arange(_ROOT_BLOCK)
     run = total[:, done, None] + np.cumsum(vals, axis=2)
     small = np.logical_and.reduce(
         np.abs(vals) < spec.tail_cutoff_envelope * np.maximum(np.abs(run), spec.abs_tol))
     last_big = np.maximum.accumulate(np.where(small, -1, order), axis=1)
     streaks = np.where(last_big >= 0, order - last_big, streak[done, None] + order + 1)
-    stop = small & (streaks >= 2) & (outer[done, None] + order >= 2)
+    stop = small & (streaks >= 2) & (marched + order >= 2)
     finished = stop.any(axis=1)
     pick = (slice(None), np.arange(done.size),
             np.where(finished, np.argmax(stop, axis=1), _ROOT_BLOCK - 1))
     total[:, done] = run[pick]
     total_err[:, done] += np.cumsum(errs, axis=2)[pick]
-    outer[done] += pick[2] + 1
     streak[done] = streaks[pick[1:]]
     return finished, total_err[:, done] + np.abs(vals[pick])
 
@@ -248,15 +249,16 @@ def integrate_semi_infinite_batch(f: Callable, lower,
     members = a.size
     if not members:
         raise ValueError("empty batch: no lower bound to integrate from")
-    first = np.ones(members)
+    # every member opens in round 0 and each round moves every open one
+    # by a block, so the root panel width and count are shared by all
+    first, marched = 1.0, 0
     budget = np.full(members, spec.max_subdivisions)
-    outer = np.zeros(members, dtype=int)
     streak = np.zeros(members, dtype=int)
     live = np.arange(members)
     total = total_err = None
     while True:
         # blocks of width first, 2 first, 4 first, ... from a
-        edges = a[live, None] + first[live, None] * _ROOT_EDGES
+        edges = a[live, None] + first * _ROOT_EDGES
         pa, pb = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         owner = np.repeat(live, _ROOT_BLOCK)
         est = _gk15_batch(f, pa, pb, owner)
@@ -264,12 +266,13 @@ def integrate_semi_infinite_batch(f: Callable, lower,
         if total is None:
             total, total_err = np.zeros((2, comps, members))
         roots = est[:comps].reshape(comps, live.size, _ROOT_BLOCK)
-        tols = _open_tolerances(roots, live, total, outer, spec)
+        tols = _open_tolerances(roots, live, total, marched, spec)
         vals, errs = _refine(f, pa, pb, owner, est, tols.reshape(comps, -1),
                              budget).reshape(2, comps, live.size, _ROOT_BLOCK)
         finished, bound = _close_blocks(vals, errs, live, total, total_err,
-                                        outer, streak, spec)
-        failed = (budget[live] <= 0) | (~finished & (outer[live] > 300))
+                                        marched, streak, spec)
+        marched += _ROOT_BLOCK
+        failed = (budget[live] <= 0) | (~finished & (marched > 300))
         if failed.any():
             j = int(np.argmax(failed))
             c = int(np.argmax(bound[:, j]))
@@ -279,8 +282,8 @@ def integrate_semi_infinite_batch(f: Callable, lower,
         live = live[~finished]
         if not live.size:
             return total
-        a[live] += first[live] * _ROOT_EDGES[-1]
-        first[live] *= 2.0 ** _ROOT_BLOCK
+        a[live] += first * _ROOT_EDGES[-1]
+        first *= 2.0 ** _ROOT_BLOCK
 
 
 def _one(f: Callable) -> Callable:

@@ -119,7 +119,7 @@ def test_criterion_2_pattern_oracle():
             pat = optimal_pattern(req, system, theta)
         except ValueError:
             continue
-        bf = brute_force_pattern(req, system, theta, grid_size=10_000)
+        bf = brute_force_pattern(req, system, theta)
         assert (bf.u, bf.v) == (pat.u, pat.v), \
             f"spacing mismatch at f_c={f_c:.3g}, n_b={n_b}, n_rs={n_rs}"
         worst_alpha = max(worst_alpha, abs(bf.alpha - pat.alpha))

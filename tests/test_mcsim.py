@@ -65,8 +65,18 @@ def joint_distance_gof(r1, r2, k):
 
 class TestSceneSampling:
     def test_no_nodes_without_density(self):
-        pts = _ppp_disc(np.random.default_rng(3), 0.0, 100.0)
+        rng = np.random.default_rng(3)
+        pts = _ppp_disc(rng, 0.0, 100.0)
         assert pts.shape == (0, 2)
+        # an empty draw consumes nothing of the stream
+        assert rng.random() == np.random.default_rng(3).random()
+        # radii sqrt(u R^2), u drawn after the count and before the angles
+        pts = _ppp_disc(np.random.default_rng(5), DEP.lambda_s, 100.0)
+        ref = np.random.default_rng(5)
+        u = ref.random(ref.poisson(DEP.lambda_s * (math.pi * 100.0 ** 2)))
+        rr, th = np.sqrt(u * 100.0 ** 2), 2.0 * math.pi * ref.random(u.size)
+        assert u.size > 0
+        assert np.array_equal(pts, np.column_stack([rr * np.cos(th), rr * np.sin(th)]))
 
     def test_seed_determinism(self):
         p1 = _ppp_disc(np.random.default_rng(17), DEP.lambda_s, 80.0)

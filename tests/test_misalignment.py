@@ -11,7 +11,8 @@ from isacthz.misalignment import (beam_misalignment, beam_switch_density,
                                   expected_closest_blockage,
                                   speed_underestimate_probability,
                                   timeout_probability)
-from isacthz.sensing import (SensingAbility, baseline_5g_ability,
+from isacthz.schemes import scheme_ability
+from isacthz.sensing import (SCHEMES, SensingAbility, baseline_5g_ability,
                              perfect_ability)
 from isacthz.specfun import (DEFAULT_QUADRATURE, QuadratureSpec,
                              integrate_semi_infinite)
@@ -128,6 +129,20 @@ class TestTimeoutProbability:
         p_to = timeout_probability(dep)
         assert p_to == pytest.approx(0.99995, abs=1e-5)
         assert p_to == pytest.approx(nested_timeout_probability(dep), rel=1e-12)
+
+    def test_certain_without_nodes(self):
+        # with no node, both nearest nodes sit arbitrarily far away and
+        # are blocked: the limit of p_to as lambda_b falls to zero
+        empty = replace(DEP, lambda_b=0.0)
+        assert timeout_probability(empty) == 1.0
+        sparse = timeout_probability(replace(DEP, lambda_b=1e-7))
+        assert abs(1.0 - sparse) < 2e-3
+        for scheme in SCHEMES:
+            ability = scheme_ability(scheme, SYS, empty)
+            got = beam_misalignment(empty, ability, SYS.tau)
+            assert (got.p_err, got.p_to, got.p_ms) == (0.0, 1.0, 1.0), scheme
+        # nothing blocks without obstacles, nodes or not
+        assert timeout_probability(replace(empty, lambda_m=0.0, lambda_s=0.0)) == 0.0
 
 
 class TestSpeedUnderestimate:

@@ -124,7 +124,7 @@ class TestBruteForce:
     def test_matches_closed_form(self):
         req = PatternRequirement(78.1, 19.44)
         pat = optimal_pattern(req, SYS, THETA)
-        bf = brute_force_pattern(req, SYS, THETA, grid_size=10000)
+        bf = brute_force_pattern(req, SYS, THETA)
         assert bf.u == pat.u
         assert bf.v == pat.v
         assert abs(bf.alpha - pat.alpha) < 1e-3
@@ -133,7 +133,7 @@ class TestBruteForce:
         req = PatternRequirement(30.0, 10.0)
         sys_req = replace(SYS, n_rs=2000)
         pat = optimal_pattern(req, sys_req, THETA)
-        bf = brute_force_pattern(req, sys_req, THETA, grid_size=3000)
+        bf = brute_force_pattern(req, sys_req, THETA)
         gap = (objective(bf.alpha, bf.u, bf.v, sys_req, THETA)
                - objective(pat.alpha, pat.u, pat.v, sys_req, THETA))
         assert gap >= -1e-12
@@ -162,8 +162,3 @@ class TestBruteForce:
             alpha_bounds(sys1)
         with pytest.raises(ValueError, match="n_rs must be >= 2"):
             optimal_alpha(1, 1, sys1, THETA)
-
-    def test_grid_size_floor(self):
-        with pytest.raises(ValueError):
-            brute_force_pattern(PatternRequirement(78.1, 19.44), SYS,
-                                THETA, grid_size=10)

@@ -253,28 +253,33 @@ class TestBatch:
 
     def test_members_closing_in_different_rounds(self, monkeypatch):
         # e^-x dies within the first block; (1 + x)^-3 still adds more than
-        # the tail cutoff beyond it and needs a second round
-        decays = (lambda x: np.exp(-x), lambda x: (1.0 + x) ** -3.0)
+        # the tail cutoff beyond it and needs a second round, (1 + x)^-2.5
+        # a third
+        decays = (lambda x: np.exp(-x), lambda x: (1.0 + x) ** -3.0,
+                  lambda x: (1.0 + x) ** -2.5)
 
         def f(x, owner):
-            return np.where(owner[:, None] == 0, decays[0](x), decays[1](x))[None]
+            return np.choose(owner[:, None], [g(x) for g in decays])[None]
 
-        closed = []
+        closed, marched = [], []
         close = specfun._close_blocks
 
-        def record(vals, errs, done, *args):
-            finished, bound = close(vals, errs, done, *args)
+        def record(vals, errs, done, total, total_err, at, *args):
+            finished, bound = close(vals, errs, done, total, total_err, at, *args)
             closed.append(done[finished].tolist())
+            marched.append(at)
             return finished, bound
 
         monkeypatch.setattr(specfun, "_close_blocks", record)
-        batch = integrate_semi_infinite_batch(f, np.zeros(2))
+        batch = integrate_semi_infinite_batch(f, np.zeros(3))
         monkeypatch.undo()
-        assert closed[0] == [0] and closed[-1] == [1] and len(closed) >= 2
+        assert closed == [[0], [1], [2]]
+        # every open member marches one block of root panels per round
+        assert marched == [0, specfun._ROOT_BLOCK, 2 * specfun._ROOT_BLOCK]
         for m, g in enumerate(decays):
             single = integrate_semi_infinite(g, 0.0)
             assert abs(batch[0, m] - single) <= 1e-15 * abs(single)
-        assert batch[0] == pytest.approx([1.0, 0.5], rel=1e-10)
+        assert batch[0] == pytest.approx([1.0, 0.5, 2.0 / 3.0], rel=1e-10)
 
     def test_components_on_leading_axis(self):
         # int_0^inf x^n e^-x = n! for each component, over shared panels
