@@ -20,10 +20,14 @@ own link.
 
 Only what that test can see is sampled.  By the restriction property,
 a PPP's points in a region are Poisson(density * area) uniform draws
-independent of the rest of the plane: a link's obstacles are drawn in
-its frame box [0, r] x (-r_b, r_b), each link from its own field, as the
-analytic timeout multiplies the two links' void probabilities.  By the
-mapping theorem, pi lambda_b r^2 over the nodes is a unit-rate PPP on
+independent of the rest of the plane, and by the colouring theorem one
+Poisson total over many boxes, each point given a uniform box, is an
+independent PPP in every box.  So a batch of links draws its obstacles
+as one field on the shared frame box [0, max r] x (-r_b, r_b), each
+point owned by a uniform link: each link sees its own field, as the
+analytic timeout multiplies the two links' void probabilities, and the
+corridor test ignores the points past a link's end.  By the mapping
+theorem, pi lambda_b r^2 over the nodes is a unit-rate PPP on
 [0, inf), so a user's two nearest nodes are drawn exactly from two
 exponential partial sums: the link estimators truncate nothing to a
 window.  A misalignment trial reads both of its events, the sensing
@@ -32,7 +36,8 @@ error and the timeout, off one such scene.
 By independent thinning, a coverage trial's marked nodes (those whose
 sweep and orientation marks fire, q_mark of all) and its unmarked ones
 are independent PPPs.  Its marked nodes are drawn with their radii on
-the whole window; only trials holding one draw angles and a user/blocker
+the whole window, their counts as one Poisson total per batch scattered
+over its trials; only trials holding one draw angles and a user/blocker
 disc around their corridors.  Its unmarked nodes are split at the radius
 R where the far ones' absorption bound, their expected count at the
 weight of R, falls to `_SPLIT_SLACK` of the margin (`_split_radius`;
@@ -155,17 +160,25 @@ def _blocked_bulk(obs_x, obs_y, counts, bs_x, bs_y, r_b):
 
 
 def _link_box(rng, density: float, r: np.ndarray, r_b: float):
-    """PPP on each link's frame box [0, r] x (-r_b, r_b), the link running
-    from the origin to (r, 0); returns flat (lon, lat) coords and the link
-    owning each."""
-    owner = np.repeat(np.arange(r.size), rng.poisson(density * 2.0 * r_b * r))
-    lon = r[owner] * rng.random(owner.size)
-    return lon, r_b * (2.0 * rng.random(owner.size) - 1.0), owner
+    """An independent PPP per link on the batch's shared frame box
+    [0, max r] x (-r_b, r_b), each link running from the origin to (r, 0);
+    returns flat (lon, lat) coords and the link owning each, in no order.
+
+    One Poisson total over all links with a uniform owner per point is the
+    same law as one Poisson count per link.  Points past a link's end stay:
+    `_blocked_frame` ignores lon >= r - r_b, so each link sees exactly a
+    PPP of the given density in its corridor.
+    """
+    top = r.max()
+    n = rng.poisson(density * 2.0 * r_b * top * r.size)
+    owner = rng.integers(0, r.size, n)
+    lon = top * rng.random(n)
+    return lon, r_b * (2.0 * rng.random(n) - 1.0), owner
 
 
 def _blocked_links(rng, deploy: Deployment, r: np.ndarray) -> np.ndarray:
     """Corridor test of links of lengths r, each against its own user and
-    blocker field (density lambda_m + lambda_s) drawn in its box."""
+    blocker field (density lambda_m + lambda_s) drawn on the shared box."""
     return _blocked_frame(*_link_box(rng, deploy.obstacle_density, r, deploy.r_b),
                           r, deploy.r_b)
 
@@ -311,9 +324,17 @@ def _weights(rad: np.ndarray, k_abs: float) -> np.ndarray:
 
 
 def _grouped_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of each group of a flat array laid out in groups of `counts`."""
-    return np.bincount(np.repeat(np.arange(counts.size), counts),
+    """Sum of each group of a flat array laid out in groups of `counts`,
+    always float64 (bincount of no weights is int64)."""
+    sums = np.bincount(np.repeat(np.arange(counts.size), counts),
                        weights=values, minlength=counts.size)
+    return sums.astype(float, copy=False)
+
+
+def _scattered_counts(rng, mean: float, b: int) -> np.ndarray:
+    """b independent Poisson(mean) counts, drawn as one Poisson(mean * b)
+    total whose points each fall in a uniform slot (the same law)."""
+    return np.bincount(rng.integers(0, b, rng.poisson(mean * b)), minlength=b)
 
 
 def _bound_decisions(lo, hi, aligned, margin):
@@ -408,7 +429,7 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
     hits = 0
     for rng, b in _batches(trials, seed, size):
         counts = rng.poisson(near_mean, size=b)
-        marks = rng.poisson(mark_mean, size=b)
+        marks = _scattered_counts(rng, mark_mean, b)
         far = rng.poisson(far_mean, size=b)
         aligned = rng.random(b) >= p_ms
         starts = _slices(counts)
