@@ -40,7 +40,14 @@ integrating every pending panel of every s-point in one call.  Each sweep
 weight then reads its own interpolants off that shared table, which is
 what lets one table serve every scheme and a whole (r1, threshold)
 sweep.  Each kernel reads its envelope and phase from one lookup of those
-interpolants per node set or panel edge.
+interpolants per node set or panel edge.  The cell-independent part of
+that lookup, the envelope e^{-2 pi lam_b f_r} and the phase -2 pi lam_b
+f_i at the probe points and at the nodes of the first panel's geometric
+head (which depend only on the first panel width), is looked up once per
+field view and kept in the view's memo; the cell's 2 pi s (y - P_n_eff)
+is added by the kernel.  The memo holds at most one entry per possible
+first width plus the probe and goes with its view, so clear_field_cache()
+drops it.
 
 Cost: a table build is almost all semi-infinite quadrature of the slow
 zones, two members per s-point, each usually closing within its first
@@ -163,6 +170,9 @@ class ShotNoiseField:
         self.c_abs = reradiation_constant(budget, deploy)
         self.c_int = budget.a + self.c_abs
         self._tables = None
+        # the inversion kernels' envelope and phase at their
+        # cell-independent nodes, kept by integrate_oscillatory
+        self.memo = {}
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -428,15 +438,15 @@ def _kernel(budget: LinkBudget, deploy: Deployment, w_s: float,
     """(value, error) of the Dirichlet kernel D(phi1 + 2 pi s y) on the
     field of (budget, deploy, w_s, lower_bound) at effective noise p_eff."""
     fld = _field_for(budget, deploy, w_s, lower_bound)
-    two_pi = 2.0 * math.pi
-    two_pi_lb = two_pi * deploy.lambda_b
+    two_pi_lb = 2.0 * math.pi * deploy.lambda_b
 
     def terms(s):
-        # envelope and phase phi1 + 2 pi s y from one field lookup
+        # envelope and the cell-independent phase -2 pi lam_b f_i from one
+        # field lookup; the cell's 2 pi s (y - p_eff) goes in as rates
         fr, fi = fld.parts(s)
-        two_pi_s = two_pi * s
-        return np.exp(-two_pi_lb * fr), -two_pi_lb * fi - two_pi_s * p_eff + two_pi_s * y
-    return integrate_oscillatory(terms, spec=DEFAULT_COVERAGE_QUADRATURE)
+        return np.exp(-two_pi_lb * fr), -two_pi_lb * fi
+    return integrate_oscillatory(terms, spec=DEFAULT_COVERAGE_QUADRATURE,
+                                 rates=(-p_eff, y), memo=fld.memo)
 
 
 # The threshold-free half D(phi1) of every cell: two floats per (scheme,

@@ -1,14 +1,19 @@
 """Quadrature primitives shared by the analytical modules.
 
-Everything here is pure and stateless: an adaptive Gauss-Kronrod
+Everything here is pure; the one state, the oscillatory integrator's
+memo, is a dict its caller owns.  There is an adaptive Gauss-Kronrod
 integrator for semi-infinite integrands with decaying tails, and a
 panel-marching integrator for one Dirichlet-type kernel
 
     D(phi) = int_0^inf envelope(s) sin(phi(s)) / (pi * s) ds,
 
-whose two terms come from one callable, so each node set costs one
-evaluation.  All integrand callables must accept numpy arrays (they are
-evaluated on batches of quadrature nodes).
+whose envelope and phase come from one callable, so each node set costs
+one evaluation.  The phase's part linear in s goes in as coefficients, so
+that the callable can be one function shared by a family of kernels; the
+memo keeps the callable's values at the nodes no coefficient moves: the
+probe points, and the head of the first panel per first panel width.
+All integrand callables must accept numpy arrays (they are evaluated on
+batches of quadrature nodes).
 
 The one batch integrator, `integrate_semi_infinite_batch`, marches a
 whole batch of tails in rounds of panel blocks; the scalar
@@ -311,6 +316,7 @@ def integrate_semi_infinite(f: Callable, lower: float,
 # s = 0, where the march starts, then the s-points probed for the phase
 # scale that sets the first panel width
 _PROBE_S = np.array([0.0] + [10.0 ** k for k in range(-18, 19)])
+_TWO_PI = 2.0 * math.pi
 # partial sums the tail estimate averages, and the weights C(m, k) / 2^m of
 # m averaging passes, m < _EULER_TERMS
 _EULER_TERMS = 24
@@ -322,10 +328,19 @@ _EULER_WEIGHTS = [np.array([math.comb(m, k) for k in range(m + 1)]) / 2.0 ** m
 # interpolated in ln s is, would otherwise bisect toward a one level per
 # refinement step.
 _HEAD_LEVELS = 32
+_HEAD_PIECES = _HEAD_LEVELS + 1
 _HEAD_SPLITS = 2.0 ** -np.arange(_HEAD_LEVELS, 0.0, -1.0)
 # Phase-paced panels the march lays out per block; a spare panel past the
-# stop costs one edge lookup and one node set.
-_PHASE_BLOCK = 16
+# stop costs one edge lookup and one node set, a second block a further
+# edge layout, evaluation and refinement.  A panel's tolerance reads the
+# estimates of the panels before it, refined or, within a block, not: the
+# block size moves a tolerance by far less than the tolerance itself, and
+# no pinned kernel by a bit (a test holds them at 16).  Measured stop
+# panels: 12-29 over the inversion benchmark's grid (jsrs, theorem mode,
+# r1 5-38 m, -5..15 dB), 90% within 24 and 99.6% within 28; 15-33 for the
+# default CLI tables.  At 16, nearly every kernel paid for a second block,
+# about 11 of whose panels lay past the stop.
+_PHASE_BLOCK = 28
 # the block cell of each laid-out panel: first block, then the others
 _HEAD_CELLS = np.concatenate((np.zeros(_HEAD_LEVELS, dtype=int),
                               np.arange(_PHASE_BLOCK)))
@@ -358,9 +373,20 @@ def _alternating(vals, nonzero, flips):
     return flips[n] - flips[first + 1] >= 0.6 * (count - 1)
 
 
-def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def _first_width(phi):
+    """The first panel width from the phase phi at _PROBE_S: a quarter of
+    the first probed s where |phi| > 1, else of the last."""
+    big = np.abs(phi[1:]) > 1.0
+    # as a float, it keeps the edges' scalar arithmetic off numpy scalars
+    return float(max(_PROBE_S[1 + np.argmax(big) if big.any() else -1] / 4.0, 1e-300))
+
+
+def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRATURE, *,
+                          rates: tuple = (), memo: dict | None = None):
     """D(phi) = int_0^inf envelope(s) sin(phi(s)) / (pi s) ds, one Dirichlet
-    kernel, with (envelope, phi) = terms(s) for s a float or an array.
+    kernel, with (envelope, theta) = terms(s) for s a float or an array and
+    phi(s) = theta(s) + 2 pi s rates[0] + 2 pi s rates[1] + ..., summed
+    left to right.
 
     phi must vanish at s = 0, which makes the kernel finite there.  Panels
     track the local half-period of phi, so their contributions alternate
@@ -377,25 +403,50 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
     tolerance, the integrand is dead or the envelope falls below
     spec.tail_cutoff_envelope.
 
+    memo, a dict, keeps terms across calls: at the probe points, and at the
+    nodes of the head pieces per first panel width, which are all that
+    those nodes depend on.  Pass one dict only to calls whose terms are one
+    and the same function of s; it then holds at most one entry per
+    possible width, plus the probe.  The kernel reads the same values
+    either way.
+
     Returns:
         (value, error_estimate)
 
     Raises:
         QuadratureError: when the panel budget runs out first.
     """
+    memo = {} if memo is None else memo
+
+    def phase(s, theta):
+        two_pi_s = _TWO_PI * s
+        for rate in rates:
+            theta = theta + two_pi_s * rate
+        return theta
+
+    def values(x, env, theta):
+        return (env * np.sin(phase(x, theta)) / (np.pi * x))[None]
 
     def integrand(x, owner):
-        env, phi = terms(x)
-        return (env * np.sin(phi) / (np.pi * x))[None]
+        return values(x, *terms(x))
+
+    def first_block(x, owner):
+        # the head pieces' nodes, the first rows of x, depend on h0 alone
+        head = memo.get(h0)
+        if head is None:
+            env, theta = terms(x)
+            memo[h0] = env[:_HEAD_PIECES].copy(), theta[:_HEAD_PIECES].copy()
+        else:
+            env, theta = terms(x[_HEAD_PIECES:])
+            env, theta = np.concatenate((head[0], env)), np.concatenate((head[1], theta))
+        return values(x, env, theta)
 
     a = 0.0
-    phi = terms(_PROBE_S)[1]
+    if "probe" not in memo:
+        memo["probe"] = terms(_PROBE_S)
+    phi = phase(_PROBE_S, memo["probe"][1])
     phi_a = float(phi[0])
-    # the first probed s where the phase is O(1) sets the first panel width;
-    # as a float, it keeps the edges' scalar arithmetic off numpy scalars
-    big = np.abs(phi[1:]) > 1.0
-    h = float(max(_PROBE_S[1 + np.argmax(big) if big.any() else -1] / 4.0, 1e-300))
-    env_ref = max(abs(float(terms(a + h)[0])), 1e-300)
+    h = h0 = _first_width(phi)
     budget = np.array([spec.max_subdivisions])
     owner = np.zeros(_PHASE_BLOCK, dtype=int)
     # partial sums in an array the tail estimate reads as a view, doubled
@@ -407,8 +458,8 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
         edges, envs, widths = [a], [], []
         for _ in range(_PHASE_BLOCK):
             b = a + h
-            env, phi_b = terms(b)
-            phi_b = float(phi_b)
+            env, theta_b = terms(b)
+            phi_b = float(phase(b, theta_b))
             edges.append(b)
             envs.append(abs(float(env)))
             widths.append(h)
@@ -419,11 +470,14 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
             else:
                 h = min(max(math.pi / slope, 0.25 * h), 4.0 * h)
             a, phi_a = b, phi_b
-        pts = np.array(edges)
+        pts, f = np.array(edges), integrand
         if cell is _HEAD_CELLS:
+            # the first edge past s = 0 is at the first panel width
+            env_ref = max(envs[0], 1e-300)
             pts = np.concatenate((pts[:1], edges[0] + widths[0] * _HEAD_SPLITS, pts[1:]))
+            f = first_block
         pa, pb = pts[:-1], pts[1:]
-        est = _gk15_batch(integrand, pa, pb, owner[cell])
+        est = _gk15_batch(f, pa, pb, owner[cell])
         roots = np.bincount(cell, weights=est[0], minlength=_PHASE_BLOCK)
         ahead = np.abs(partial + np.cumsum(roots) - roots)
         (panel_vals,), (panel_errs,) = _refine(

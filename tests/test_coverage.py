@@ -496,7 +496,8 @@ class TestBisectingLayoutOracle:
 class TestInversionWork:
     def test_first_panel_is_not_bisected(self, monkeypatch):
         # bisecting the first panel toward s = 0 took about 37 Gauss-Kronrod
-        # rounds per cell here, one per level; its geometric pieces take 10
+        # rounds per cell here, one per level; its geometric pieces, in one
+        # block of phase-paced panels, take at most 7
         p_ms = beam_misalignment(DEP, ABILITIES["jsrs"], SYS.tau).p_ms
         queries = _cells(["theorem"], (5.0, 20.0, 38.0), (-5.0, 5.0, 15.0))
         clear_field_cache()
@@ -510,7 +511,7 @@ class TestInversionWork:
             del calls[:]
             _cell(q, BUD, DEP, p_ms)
             per_cell.append(len(calls))
-        assert max(per_cell) <= 16
+        assert max(per_cell) <= 8
 
 
 class TestThresholdFreeCache:
@@ -563,8 +564,7 @@ class TestPinnedInversion:
     not clamped, as p_cm is.  A change meant to move them re-records these
     literals."""
 
-    DEPLOYMENTS = {"default": (BUD, DEP), "sparse nodes": EDGES["sparse nodes"],
-                   "lossless": EDGES["lossless"]}
+    DEPLOYMENTS = {"default": (BUD, DEP), **EDGES}
     THRESHOLDS_DB = (None, -5.0, 10.0)  # None: y = 0, the threshold-free kernel
 
     # (deployment, mode, r1): (value, error) at each of THRESHOLDS_DB
@@ -641,18 +641,164 @@ class TestPinnedInversion:
             (-0.4999999691895368, 9.697520643155313e-08),
             (0.4999999179654885, 8.813858516696712e-08),
             (0.49982812401171683, 1.1582185794477723e-07)),
+        ("dense nodes", "theorem", 5.0): (
+            (-0.499994575785846, 3.1730286287361816e-08),
+            (0.499993516861668, 8.71553659222009e-08),
+            (0.4999659013493953, 1.1591466222730583e-07)),
+        ("dense nodes", "theorem", 20.0): (
+            (-0.500006475469539, 2.0425516545472678e-11),
+            (0.4266302922343191, 7.25915541572348e-08),
+            (-0.34231026773341633, 6.154776821532093e-08)),
+        ("dense nodes", "theorem", 38.0): (
+            (-0.5000064798839043, 1.3802115415554595e-11),
+            (-0.5000016408251788, 8.01956616059183e-12),
+            (-0.5000064904281943, 4.121225673898353e-12)),
+        ("dense nodes", "derivation", 5.0): (
+            (-0.5000010538960626, 2.549113676194088e-07),
+            (0.4999999177008748, 8.711788057965538e-08),
+            (0.49997836643404087, 1.1439223116902991e-07)),
+        ("dense nodes", "derivation", 20.0): (
+            (-0.4999994469757322, 4.887412543812288e-07),
+            (0.49999990540166284, 9.449765017762696e-08),
+            (0.49994296266844696, 7.770838356167784e-08)),
+        ("dense nodes", "derivation", 38.0): (
+            (-0.4999998738159841, 9.568150273182423e-08),
+            (0.5000000404130374, 5.9402256265431545e-08),
+            (0.4999104014786463, 6.612942266050795e-08)),
+        ("narrow beams", "theorem", 5.0): (
+            (-0.49999772850881236, 8.490152139565455e-08),
+            (0.4999998404801373, 1.0562431613774246e-07),
+            (0.49999959048477444, 5.695511623875857e-08)),
+        ("narrow beams", "theorem", 20.0): (
+            (-0.5000177673921354, 7.82471338833917e-08),
+            (0.49999858414777903, 9.117811663480917e-08),
+            (0.4997461472623975, 1.4445021807142573e-07)),
+        ("narrow beams", "theorem", 38.0): (
+            (-0.5000199484860897, 1.3644291663173053e-07),
+            (0.38423943573900154, 8.561347553066689e-08),
+            (0.025560947484010294, 2.644878175978257e-08)),
+        ("narrow beams", "derivation", 5.0): (
+            (-0.4999969135818115, 3.942649120691527e-07),
+            (0.49999990391566856, 1.0562420600361842e-07),
+            (0.4999997155818497, 5.6953893938406485e-08)),
+        ("narrow beams", "derivation", 20.0): (
+            (-0.5000032188267813, 2.4499610852821864e-07),
+            (0.499999914008414, 9.082385327666263e-08),
+            (0.49999910772004724, 9.127568385542947e-08)),
+        ("narrow beams", "derivation", 38.0): (
+            (-0.49999993728211917, 8.630983445441294e-08),
+            (0.49999990066050626, 1.0402356709925104e-07),
+            (0.49999880523381474, 1.1175102122505066e-07)),
+        ("wide beams", "theorem", 5.0): (
+            (-0.5000030731277937, 1.0630708551489693e-07),
+            (0.4999157845266271, 1.4786847214185947e-08),
+            (0.47934413926926556, 1.813875201646081e-08)),
+        ("wide beams", "theorem", 20.0): (
+            (-0.5000092568454294, 6.022752674576914e-08),
+            (-0.020538782811176343, 1.6750745575851068e-08),
+            (-0.5000093165331558, 7.43355250839946e-08)),
+        ("wide beams", "theorem", 38.0): (
+            (-0.5000092599245447, 6.095180893650328e-08),
+            (-0.5000092608335798, 6.1165943756531e-08),
+            (-0.5000092599532663, 6.095857363629655e-08)),
+        ("wide beams", "derivation", 5.0): (
+            (-0.4999603915693318, 7.371605392923223e-08),
+            (0.49999996561575255, 4.855979613261843e-09),
+            (0.4996817588402983, 8.903771942375271e-08)),
+        ("wide beams", "derivation", 20.0): (
+            (-0.49999991613919603, 9.539833690766802e-08),
+            (0.4997620881753891, 1.0699223573256316e-07),
+            (-0.4999999517150859, 5.469770528356604e-08)),
+        ("wide beams", "derivation", 38.0): (
+            (-0.49999991259823695, 9.69989376707519e-08),
+            (-0.49999991235448016, 9.724206441171349e-08),
+            (-0.49999991259056975, 9.700658599716852e-08)),
     }
+
+    @classmethod
+    def kernels(cls, key):
+        """(value, error) of the kernels of one RECORDED key, as floats."""
+        name, mode, r1 = key
+        budget, deploy = cls.DEPLOYMENTS[name]
+        return tuple(tuple(map(float, coverage._kernel(*args, y)))
+                     for args, y in _jsrs_kernel_args(budget, deploy, mode, r1, cls.THRESHOLDS_DB))
 
     @pytest.mark.parametrize("key", sorted(RECORDED), ids=lambda key: "-".join(map(str, key)))
     def test_kernels(self, key):
-        name, mode, r1 = key
-        budget, deploy = self.DEPLOYMENTS[name]
-        p_ms = beam_misalignment(deploy, scheme_ability("jsrs", SYS, deploy), SYS.tau).p_ms
-        args = (budget, deploy, sweep_weight(deploy, SYS, p_ms),
-                lower_bound_radius(mode, deploy, r1), effective_noise(budget, deploy, SYS, r1))
-        for db, want in zip(self.THRESHOLDS_DB, self.RECORDED[key]):
-            y = 0.0 if db is None else received_power(budget, r1) / 10.0 ** (db / 10.0)
-            assert tuple(map(float, coverage._kernel(*args, y))) == want
+        assert self.kernels(key) == self.RECORDED[key]
+
+
+def _jsrs_kernel_args(budget, deploy, mode, r1, thresholds_db):
+    """(field arguments of coverage._kernel, y) of a jsrs cell per
+    threshold in dB; None stands for y = 0, the threshold-free kernel."""
+    p_ms = beam_misalignment(deploy, scheme_ability("jsrs", SYS, deploy), SYS.tau).p_ms
+    args = (budget, deploy, sweep_weight(deploy, SYS, p_ms),
+            lower_bound_radius(mode, deploy, r1), effective_noise(budget, deploy, SYS, r1))
+    return [(args, 0.0 if db is None else received_power(budget, r1) / 10.0 ** (db / 10.0))
+            for db in thresholds_db]
+
+
+class TestKernelMemo:
+    """The terms each field view keeps for its kernels (probe points and
+    head nodes per first panel width) and the phase block size move no
+    value."""
+
+    # the inversion benchmark's grid: r1 = 5..38 m, -5..15 dB
+    R1 = tuple(5.0 + 3.0 * i for i in range(12))
+    THRESHOLDS_DB = (None, *(float(db) for db in range(-5, 16)))
+
+    def _grid(self):
+        return [cell for r1 in self.R1
+                for cell in _jsrs_kernel_args(BUD, DEP, "theorem", r1, self.THRESHOLDS_DB)]
+
+    def test_warm_memo_equals_fresh_view(self, monkeypatch):
+        nodes = [0]
+        parts = ShotNoiseField.parts
+
+        def counted(view, s):
+            nodes[0] += np.size(s) if np.ndim(s) else 0
+            return parts(view, s)
+
+        monkeypatch.setattr(ShotNoiseField, "parts", counted)
+        grid = self._grid()
+        fresh = []
+        for args, y in grid:
+            # a new view over the cached split table, its memo empty
+            _field_for.cache_clear()
+            fresh.append(coverage._kernel(*args, y))
+        fresh_nodes = nodes[0]
+        for args, y in grid:
+            coverage._kernel(*args, y)
+        nodes[0] = 0
+        warm = [coverage._kernel(*args, y) for args, y in grid]
+        assert warm == fresh
+        # every warm kernel found the probe and its head nodes in the memo
+        saved = len(specfun._PROBE_S) + 15 * specfun._HEAD_PIECES
+        assert fresh_nodes - nodes[0] == len(grid) * saved
+
+    def test_one_probe_entry_and_one_entry_per_width(self, monkeypatch):
+        widths = set()
+        first_width = specfun._first_width
+        monkeypatch.setattr(specfun, "_first_width",
+                            lambda phi: widths.add(first_width(phi)) or first_width(phi))
+        grid = self._grid()
+        clear_field_cache()
+        for args, y in grid:
+            coverage._kernel(*args, y)
+        view = _field_for(*grid[0][0][:4])
+        assert set(view.memo) == {"probe"} | widths
+        assert len(view.memo) <= len(specfun._PROBE_S)
+        clear_field_cache()
+        assert _field_for(*grid[0][0][:4]).memo == {}
+
+    def test_block_of_sixteen_moves_no_pinned_value(self, monkeypatch):
+        cells = np.arange(16)
+        monkeypatch.setattr(specfun, "_PHASE_BLOCK", 16)
+        monkeypatch.setattr(specfun, "_PHASE_CELLS", cells)
+        monkeypatch.setattr(specfun, "_HEAD_CELLS", np.concatenate(
+            (np.zeros(specfun._HEAD_LEVELS, dtype=int), cells)))
+        for key, want in TestPinnedInversion.RECORDED.items():
+            assert TestPinnedInversion.kernels(key) == want, key
 
 
 class TestPchipCoefficients:
