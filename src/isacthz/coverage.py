@@ -34,20 +34,20 @@ corrections and the unit terms by closed-form areas, among them the
 line-of-sight area between the two radii.  Both parts are affine in the
 sweep weight w_s of the interferer probability, f = F0 + w_s F1, so the
 four weight-free components (F0_r, F1_r, F0_i, F1_i) are tabulated once
-per (budget, deployment, lower bound) on a log s-grid: the whole grid is
-evaluated in lockstep batches of _S_CHUNK s-points, each quadrature step
-integrating every pending panel of every s-point in one call.  Each sweep
-weight then reads its own interpolants off that shared table, which is
-what lets one table serve every scheme and a whole (r1, threshold)
-sweep.  Each kernel reads its envelope and phase from one lookup of those
-interpolants per node set or panel edge.  The cell-independent part of
-that lookup, the envelope e^{-2 pi lam_b f_r} and the phase -2 pi lam_b
-f_i at the probe points and at the nodes of the first panel's geometric
-head (which depend only on the first panel width), is looked up once per
-field view and kept in the view's memo; the cell's 2 pi s (y - P_n_eff)
-is added by the kernel.  The memo holds at most one entry per possible
-first width plus the probe and goes with its view, so clear_field_cache()
-drops it.
+per (budget, deployment, lower bound) on a log s-grid, in lockstep batches
+of _S_CHUNK s-points, each quadrature step integrating every pending panel
+of every s-point in one call; a batch is integrated only when a lookup
+first reaches it (see Cost).  Each sweep weight then reads its own
+interpolants off that shared table, which is what lets one table serve
+every scheme and a whole (r1, threshold) sweep.  Each kernel reads its
+envelope and phase from one lookup of those interpolants per node set or
+panel edge.  The cell-independent part of that lookup, the envelope
+e^{-2 pi lam_b f_r} and the phase -2 pi lam_b f_i at the probe points and
+at the nodes of the first panel's geometric head (which depend only on
+the first panel width), is looked up once per field view and kept in the
+view's memo; the cell's 2 pi s (y - P_n_eff) is added by the kernel.
+The memo holds at most one entry per possible first width plus the probe
+and goes with its view, so clear_field_cache() drops it.
 
 Cost: a table build is almost all semi-infinite quadrature of the slow
 zones, two members per s-point, each usually closing within its first
@@ -60,6 +60,20 @@ element and np.tan 2-3 ns, and the node weight r^-2 e^{-k r} divides by
 r * r, 1.1-1.6 ns an element against 3.3-4.5 ns for r ** -2.0.  The end
 of the grid is searched a few decades at a time, so few s-points past it
 are integrated only to be discarded.
+
+The grid runs on to where the envelope is 1e-12, but the kernels stop
+well short of that: the default `coverage` sweeps read no further than
+s = 7.6e12 of grids ending at 1e19-1e20.  So a table is integrated on
+demand (_SplitTable): the end search fixes its grid, and its _S_CHUNK
+chunks are then integrated in grid order, with the chunk boundaries of a
+whole-grid build, only when a lookup first needs one.  PCHIP slopes are
+local (Fritsch-Carlson), so the interpolant of an m-knot prefix of the
+grid has the whole grid's pieces 0..m-3, bit for bit; only its last piece
+carries the prefix's own end slope.  A view reads only those pieces and
+extends the table for a later one, so every lookup returns what a view of
+the whole table returns.  The default `coverage` and `coverage
+--lower-bound derivation` sweeps integrate 74,588 Gauss-Kronrod panels of
+their four tables, against 149,792 for the whole grids.
 """
 
 from __future__ import annotations
@@ -155,8 +169,10 @@ class ShotNoiseField:
 
     Both parts are affine in the weight, f = F0 + w_s F1, so the weight-free
     table (F0_r, F1_r, F0_i, F1_i) is tabulated once per (budget,
-    deployment, lower bound) and shared by every weight; this view builds
-    its interpolants from that table on first use."""
+    deployment, lower bound) and shared by every weight (_SplitTable); this
+    view builds its interpolants on the part of that table integrated so
+    far, from its first lookup on, and extends the table when a lookup
+    reaches past them."""
 
     def __init__(self, budget: LinkBudget, deploy: Deployment, w_s: float,
                  lower_bound: float):
@@ -169,6 +185,8 @@ class ShotNoiseField:
         self.k = budget.k_abs
         self.c_abs = reradiation_constant(budget, deploy)
         self.c_int = budget.a + self.c_abs
+        # (split table, s_lo, s_hi, knots, PCHIP coefficients, their flat
+        # copies, last piece held exactly) from the first lookup on
         self._tables = None
         # the inversion kernels' envelope and phase at their
         # cell-independent nodes, kept by integrate_oscillatory
@@ -292,33 +310,30 @@ class ShotNoiseField:
         return np.concatenate([self._split_chunk(s[i:i + _S_CHUNK])
                                for i in range(0, s.size, _S_CHUNK)], axis=1)
 
-    # -- tabulation ---------------------------------------------------------
+    # -- interpolation ------------------------------------------------------
 
-    def _tabulate(self):
-        """(s grid, (4, n) split values) of the weight-free table.
+    def _interpolate(self, piece: int) -> tuple:
+        """Build the interpolants on the split table, extended first so that
+        they hold the grid's piece `piece` exactly; returns the new tables.
 
-        The grid runs from where the interference phase at the lower bound
-        is 1e-3 to the first decade where e^{-2 pi lam_b f_r} falls below
-        1e-12 for every sweep weight, i.e. at both ends of the weight range
-        [0, orientation odds].  That decade is searched from 10^6 times the
-        start in rounds of _DECADE_ROUND decades, each round one batch,
-        stopping at the first round that reaches it; the search gives up at
-        10^66 times the start and ends the grid there."""
-        if self.deploy.lambda_b <= 0.0:
-            raise ValueError("shot-noise field needs lambda_b > 0")
-        s_lo = 1e-3 / (2.0 * math.pi * self.c_int * self._g(self.lower))
-        f_target = 27.7 / (2.0 * math.pi * self.deploy.lambda_b)
-        w_max = orientation_odds(self.deploy)
-        decades = s_lo * 10.0 ** np.arange(6, 66)
-        s_hi = s_lo * 1e66
-        for i in range(0, decades.size, _DECADE_ROUND):
-            f0, f1 = self._split_parts(decades[i:i + _DECADE_ROUND])[:2]
-            reached = np.minimum(f0, f0 + w_max * f1) >= f_target
-            if reached.any():
-                s_hi = decades[i + int(np.argmax(reached))]
-                break
-        grid = np.geomspace(s_lo, s_hi, max(36, int(28 * math.log10(s_hi / s_lo))))
-        return grid, self._split_parts(grid)
+        PCHIP slopes are local: on an m-knot prefix of the grid, pieces
+        0..m-3 are the whole grid's, bit for bit, and piece m-2 carries the
+        prefix's own end slope, so it is read only once m is the grid."""
+        table = (_split_table(self.budget, self.deploy, self.lower)
+                 if self._tables is None else self._tables[0])
+        split = table.extend(piece + 3)
+        m = split.shape[1]
+        fr = np.maximum(split[0] + self.w_s * split[1], 1e-300)
+        fi = split[2] + self.w_s * split[3]
+        # (4, 2, pieces): the log f_r and the f_i cubic of each piece
+        coef = _pchip_coefficients(table.knots[:m], np.stack((np.log(fr), fi)))
+        # the scalar path reads flat copies: 8 coefficients per piece, copied
+        # as bytes; element by element, a copy of 447 pieces took 0.3 ms on a
+        # 2-vCPU Xeon guest (6 us as bytes), most of a rebuild
+        self._tables = (table, table.s_lo, table.s_hi, table.knots, coef,
+                        table.flat_knots, array("d", coef.transpose(2, 1, 0).tobytes()),
+                        m - 2 if m == table.knots.size else m - 3)
+        return self._tables
 
     def parts(self, s):
         """Interpolated (f_r, f_i); quadratic/linear extensions below the
@@ -330,19 +345,12 @@ class ShotNoiseField:
         bisect and math; a float is not coerced to an array on the way.  An
         array s gathers the coefficients of its pieces with np.take, so
         that each of the cubic's terms reads one contiguous block rather
-        than a view strided across the table's pieces."""
+        than a view strided across the table's pieces.  A lookup that
+        reaches a piece past the view's interpolants, any s >= s_hi among
+        them, first extends the table and the interpolants to it."""
         if self._tables is None:
-            grid, split = _split_table(self.budget, self.deploy, self.lower)
-            fr = np.maximum(split[0] + self.w_s * split[1], 1e-300)
-            fi = split[2] + self.w_s * split[3]
-            ln_s = np.log(grid)
-            # (4, 2, pieces): the log f_r and the f_i cubic of each piece
-            coef = _pchip_coefficients(ln_s, np.stack((np.log(fr), fi)))
-            # the scalar path reads flat copies: 8 coefficients per piece
-            self._tables = (float(grid[0]), float(grid[-1]), ln_s, coef,
-                            array("d", ln_s),
-                            array("d", coef.transpose(2, 1, 0).ravel()))
-        s_lo, s_hi, knots, coef, flat_knots, flat_coef = self._tables
+            self._interpolate(0)
+        _, s_lo, s_hi, knots, coef, flat_knots, flat_coef, last = self._tables
         # piece i holds knots[i] <= ln s < knots[i + 1], the last one closed:
         # the count of inner knots at or below ln s
         if isinstance(s, float) or np.ndim(s) == 0:
@@ -350,6 +358,8 @@ class ShotNoiseField:
             ratio = min(s / s_lo, 1.0)
             ln = math.log(min(max(s, s_lo), s_hi))
             i = bisect.bisect_right(flat_knots, ln, 1, len(flat_knots) - 1) - 1
+            if i > last:
+                flat_coef = self._interpolate(i)[6]
             d = ln - flat_knots[i]
             return (math.exp(_cubic(flat_coef, d, 8 * i)) * (ratio * ratio),
                     _cubic(flat_coef, d, 8 * i + 4) * ratio)
@@ -357,6 +367,8 @@ class ShotNoiseField:
         ratio = np.minimum(s / s_lo, 1.0)
         ln = np.log(np.minimum(np.maximum(s, s_lo), s_hi))
         i = np.searchsorted(knots[1:-1], ln, side="right")
+        if (i > last).any():
+            coef = self._interpolate(int(i.max()))[4]
         log_fr, fi = _cubic(coef.take(i, axis=2), ln - knots[i])
         return np.exp(log_fr) * (ratio * ratio), fi * ratio
 
@@ -417,12 +429,61 @@ def _pchip_end(h0, h1, m0, m1):
     return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(turn, 3.0 * m0, d))
 
 
+class _SplitTable:
+    """The weight-free table (F0_r, F1_r, F0_i, F1_i) of one (budget,
+    deployment, lower bound) on its log s-grid, integrated on demand.
+
+    The grid runs from where the interference phase at the lower bound is
+    1e-3 to the first decade where e^{-2 pi lam_b f_r} falls below 1e-12
+    for every sweep weight, i.e. at both ends of the weight range [0,
+    orientation odds].  That decade is searched from 10^6 times the start
+    in rounds of _DECADE_ROUND decades, each round one batch, stopping at
+    the first round that reaches it; the search gives up at 10^66 times
+    the start and ends the grid there.  The grid is fixed when the table is
+    made; its values are integrated by extend()."""
+
+    def __init__(self, budget: LinkBudget, deploy: Deployment, lower_bound: float):
+        if deploy.lambda_b <= 0.0:
+            raise ValueError("shot-noise field needs lambda_b > 0")
+        # a weight-free field: the table reads only the geometry
+        self._field = fld = ShotNoiseField(budget, deploy, 0.0, lower_bound)
+        s_lo = 1e-3 / (2.0 * math.pi * fld.c_int * fld._g(fld.lower))
+        f_target = 27.7 / (2.0 * math.pi * deploy.lambda_b)
+        w_max = orientation_odds(deploy)
+        decades = s_lo * 10.0 ** np.arange(6, 66)
+        s_hi = s_lo * 1e66
+        for i in range(0, decades.size, _DECADE_ROUND):
+            f0, f1 = fld._split_parts(decades[i:i + _DECADE_ROUND])[:2]
+            reached = np.minimum(f0, f0 + w_max * f1) >= f_target
+            if reached.any():
+                s_hi = decades[i + int(np.argmax(reached))]
+                break
+        self.grid = np.geomspace(s_lo, s_hi, max(36, int(28 * math.log10(s_hi / s_lo))))
+        self.s_lo, self.s_hi = float(self.grid[0]), float(self.grid[-1])
+        self.knots = np.log(self.grid)
+        self.flat_knots = array("d", self.knots.tobytes())
+        # the integrated prefix of the grid, (4, m)
+        self.split = np.empty((4, 0))
+
+    def extend(self, knots: int) -> np.ndarray:
+        """The integrated prefix, first extended to at least the first
+        `knots` grid points (all of them, if fewer).  It grows by whole
+        _S_CHUNK chunks of the grid, in grid order, so every s-point is
+        integrated in the batch a whole-grid build puts it in; a chunk
+        whose quadrature raises is not kept, and the next call retries it."""
+        while self.split.shape[1] < min(knots, self.grid.size):
+            start = self.split.shape[1]
+            chunk = self._field._split_chunk(self.grid[start:start + _S_CHUNK])
+            self.split = np.concatenate((self.split, chunk), axis=1)
+        return self.split
+
+
 # A table is a few hundred s-points of four components, shared by every
 # sweep weight; a sweep touches one per lower bound.
 @functools.lru_cache(maxsize=16)
-def _split_table(budget: LinkBudget, deploy: Deployment, lower_bound: float):
-    # a weight-free field: the table reads only the geometry
-    return ShotNoiseField(budget, deploy, 0.0, lower_bound)._tabulate()
+def _split_table(budget: LinkBudget, deploy: Deployment,
+                 lower_bound: float) -> _SplitTable:
+    return _SplitTable(budget, deploy, lower_bound)
 
 
 # Per-weight views hold only their interpolants; the bound keeps
@@ -458,8 +519,10 @@ def _threshold_free_kernel(budget: LinkBudget, deploy: Deployment, w_s: float,
 
 
 def clear_field_cache():
-    """Empty the split tables, the per-weight views built from them and the
-    threshold-free kernels integrated on those views."""
+    """Empty the split tables, each with the part of its grid integrated so
+    far, the per-weight views built from them and the threshold-free
+    kernels integrated on those views; the next lookup starts a table from
+    its end search again."""
     _split_table.cache_clear()
     _field_for.cache_clear()
     _threshold_free_kernel.cache_clear()

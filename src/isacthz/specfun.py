@@ -374,8 +374,9 @@ def _alternating(vals, nonzero, flips):
 
 
 def _first_width(phi):
-    """The first panel width from the phase phi at _PROBE_S: a quarter of
-    the first probed s where |phi| > 1, else of the last."""
+    """The first panel width from the phase phi at _PROBE_S, or at its
+    first len(phi) points: a quarter of the first probed s where
+    |phi| > 1, else of the last."""
     big = np.abs(phi[1:]) > 1.0
     # as a float, it keeps the edges' scalar arithmetic off numpy scalars
     return float(max(_PROBE_S[1 + np.argmax(big) if big.any() else -1] / 4.0, 1e-300))
@@ -403,7 +404,8 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
     tolerance, the integrand is dead or the envelope falls below
     spec.tail_cutoff_envelope.
 
-    memo, a dict, keeps terms across calls: at the probe points, and at the
+    memo, a dict, keeps terms across calls: theta at the probe points read
+    so far (the probe stops at the first |phi| > 1), and the terms at the
     nodes of the head pieces per first panel width, which are all that
     those nodes depend on.  Pass one dict only to calls whose terms are one
     and the same function of s; it then holds at most one entry per
@@ -442,11 +444,20 @@ def integrate_oscillatory(terms: Callable, spec: QuadratureSpec = DEFAULT_QUADRA
         return values(x, env, theta)
 
     a = 0.0
-    if "probe" not in memo:
-        memo["probe"] = terms(_PROBE_S)
-    phi = phase(_PROBE_S, memo["probe"][1])
+    # phi at the probe points in order, up to the first |phi| > 1 past
+    # s = 0, as far as _first_width reads: terms may cost more the further
+    # out s is (a table integrated on demand), so theta is looked up one
+    # probe at a time, and the memo keeps it at the probes read so far
+    probe = memo.setdefault("probe", [])
+    phi = []
+    for k, s in enumerate(_PROBE_S.tolist()):
+        if k == len(probe):
+            probe.append(terms(s)[1])
+        phi.append(phase(s, probe[k]))
+        if k and abs(phi[k]) > 1.0:
+            break
     phi_a = float(phi[0])
-    h = h0 = _first_width(phi)
+    h = h0 = _first_width(np.array(phi))
     budget = np.array([spec.max_subdivisions])
     owner = np.zeros(_PHASE_BLOCK, dtype=int)
     # partial sums in an array the tail estimate reads as a view, doubled

@@ -12,6 +12,7 @@ from isacthz import coverage, specfun
 from isacthz.channel import (LinkBudget, effective_noise,
                              interference_probability, lower_bound_radius,
                              received_power, sweep_weight)
+from isacthz.cli import COVERAGE_GRID
 from isacthz.config import Deployment, SystemParams
 from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET,
                               DEFAULT_COVERAGE_QUADRATURE, LOWER_BOUND_MODES,
@@ -125,6 +126,13 @@ def direct_shot_noise(fld, s):
     return f_r, f_i
 
 
+def _whole_table(budget, deploy, lower):
+    """(s grid, (4, n) split values) of the cached split table, integrated
+    over its whole grid."""
+    table = _split_table(budget, deploy, lower)
+    return table.grid, table.extend(table.grid.size)
+
+
 def _direct(fld, s):
     """The library's (f_r(s), f_i(s)) at the field's weight, evaluated
     directly by the batched split rather than interpolated."""
@@ -195,7 +203,7 @@ class TestPartsPaths:
     def lookups(self, request):
         p_ms = beam_misalignment(DEP, scheme_ability("jsrs", SYS, DEP), SYS.tau).p_ms
         fld = ShotNoiseField(BUD, DEP, sweep_weight(DEP, SYS, p_ms), request.param)
-        grid = _split_table(BUD, DEP, request.param)[0]
+        grid = _whole_table(BUD, DEP, request.param)[0]
         # below, across and above the tabulated range
         s = np.geomspace(1e-3 * grid[0], 1e2 * grid[-1], 4001)
         return fld, s, fld.parts(s)
@@ -232,7 +240,7 @@ def _oracle_deviation(budget, deploy, weights, lower):
     """Worst relative deviation of the shared split table from
     direct_shot_noise at every 5th grid point: f_r against itself, f_i
     against max(|f_r|, |f_i|), since f_i crosses zero."""
-    grid, split = _split_table(budget, deploy, lower)
+    grid, split = _whole_table(budget, deploy, lower)
     worst = 0.0
     for w in weights:
         fld = ShotNoiseField(budget, deploy, w, lower)
@@ -312,7 +320,7 @@ class TestPinnedField:
     def test_default_table(self, lower):
         size, s_hi, entries = self.RECORDED[lower]
         clear_field_cache()
-        grid, split = _split_table(BUD, DEP, lower)
+        grid, split = _whole_table(BUD, DEP, lower)
         assert grid.size == size
         assert grid[-1] == pytest.approx(s_hi, rel=1e-13)
         for j, c, value in entries:
@@ -345,7 +353,7 @@ class TestTableWork:
         for lower in self.PANELS:
             panels.clear()
             clear_field_cache()
-            _split_table(BUD, DEP, lower)
+            _whole_table(BUD, DEP, lower)
             counts[lower] = sum(panels)
         assert counts == self.PANELS
         # 16 root panels per member and a 32-decade end search made the
@@ -353,6 +361,101 @@ class TestTableWork:
         assert counts[2 * DEP.r_b] <= 51_000
         # every member of every batch closes in its first root block
         assert rounds and all(rounds)
+
+
+class TestOnDemandTable:
+    """A view over a split table integrated on demand against a view over
+    the whole table: every lookup, on either path and in any read order,
+    returns the same floats, and a chunk that fails is integrated again."""
+
+    @pytest.fixture(params=[2 * DEP.r_b, 40.0], scope="class")
+    def whole(self, request):
+        lower = request.param
+        p_ms = beam_misalignment(DEP, ABILITIES["jsrs"], SYS.tau).p_ms
+        w_s = sweep_weight(DEP, SYS, p_ms)
+        clear_field_cache()
+        grid = _whole_table(BUD, DEP, lower)[0]
+        view = ShotNoiseField(BUD, DEP, w_s, lower)
+        view.parts(grid[0])  # builds its interpolants on the whole table
+        clear_field_cache()
+        # below s_lo, at and between the knots, at s_hi and above it
+        s = np.concatenate(([0.0, 1e-3 * grid[0], 0.5 * grid[0]], grid,
+                            np.sqrt(grid[:-1] * grid[1:]),
+                            [2.0 * grid[-1], 1e3 * grid[-1]]))
+        return lower, w_s, view, s
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array, "array"])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_lookups_equal_whole_table(self, whole, order, kind):
+        lower, w_s, full, s = whole
+        s = {"ascending": np.sort(s), "descending": np.sort(s)[::-1],
+             "shuffled": np.random.default_rng(7).permutation(s)}[order]
+        clear_field_cache()
+        lazy = ShotNoiseField(BUD, DEP, w_s, lower)
+        table = _split_table(BUD, DEP, lower)
+        extents = []
+        if kind == "array":
+            for block in np.array_split(s, 64):
+                got, want = lazy.parts(block), full.parts(block)
+                assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+                extents.append(table.split.shape[1])
+        else:
+            for v in s.tolist():
+                assert lazy.parts(kind(v)) == full.parts(kind(v))
+                extents.append(table.split.shape[1])
+        assert extents[-1] == table.grid.size
+        if order == "ascending":
+            # one chunk at a time
+            assert len(set(extents)) == math.ceil(table.grid.size / coverage._S_CHUNK)
+
+    def test_failed_chunk_is_not_kept(self, whole, monkeypatch):
+        lower, w_s, full, _ = whole
+        clear_field_cache()
+        lazy = ShotNoiseField(BUD, DEP, w_s, lower)
+        table = _split_table(BUD, DEP, lower)
+        grid, chunk = table.grid, coverage._S_CHUNK
+        inside = float(grid[5])
+        assert lazy.parts(inside) == full.parts(inside)
+        assert table.split.shape[1] == chunk
+        split_chunk = ShotNoiseField._split_chunk
+
+        def fail_second(fld, s):
+            if s[0] == grid[chunk]:
+                raise QuadratureError("forced", 0.0, 1.0)
+            return split_chunk(fld, s)
+
+        monkeypatch.setattr(ShotNoiseField, "_split_chunk", fail_second)
+        # the piece after knot chunk + 8 needs the second chunk
+        past = float(np.sqrt(grid[chunk + 8] * grid[chunk + 9]))
+        for lookup in (past, np.array([inside, past])):
+            with pytest.raises(QuadratureError):
+                lazy.parts(lookup)
+            assert table.split.shape[1] == chunk
+        assert lazy.parts(inside) == full.parts(inside)
+        monkeypatch.undo()
+        assert lazy.parts(past) == full.parts(past)
+        assert table.split.shape[1] == 2 * chunk
+
+
+class TestTableExtent:
+    # (s-points integrated, grid size) of each table after the default
+    # `coverage` and `coverage --lower-bound derivation` sweeps, recorded
+    # from the code: the kernels read no piece past these prefixes
+    EXTENT = {2 * DEP.r_b: (448, 616), 10.0: (288, 504), 20.0: (288, 476),
+              40.0: (192, 392)}
+
+    def test_default_sweeps(self):
+        r1s, dbs = COVERAGE_GRID
+        clear_field_cache()
+        for mode in LOWER_BOUND_MODES:
+            coverage_sweep(r1s, [10.0 ** (db / 10.0) for db in dbs], SCHEMES,
+                           BUD, DEP, SYS, mode)
+        assert _split_table.cache_info().misses == len(self.EXTENT)
+        extent = {}
+        for lower in self.EXTENT:
+            table = _split_table(BUD, DEP, lower)
+            extent[lower] = (table.split.shape[1], table.grid.size)
+        assert extent == self.EXTENT
 
 
 class TestHalfAngleBrackets:
@@ -501,7 +604,9 @@ class TestInversionWork:
         p_ms = beam_misalignment(DEP, ABILITIES["jsrs"], SYS.tau).p_ms
         queries = _cells(["theorem"], (5.0, 20.0, 38.0), (-5.0, 5.0, 15.0))
         clear_field_cache()
-        _cell(queries[0], BUD, DEP, p_ms)  # builds the table
+        # the whole table first, so that no cell below integrates a chunk
+        _whole_table(BUD, DEP, 2 * DEP.r_b)
+        _cell(queries[0], BUD, DEP, p_ms)
         calls = []
         gk15 = specfun._gk15_batch
         monkeypatch.setattr(specfun, "_gk15_batch",
@@ -756,25 +861,28 @@ class TestKernelMemo:
         parts = ShotNoiseField.parts
 
         def counted(view, s):
-            nodes[0] += np.size(s) if np.ndim(s) else 0
+            nodes[0] += np.size(s)
             return parts(view, s)
 
         monkeypatch.setattr(ShotNoiseField, "parts", counted)
         grid = self._grid()
-        fresh = []
+        fresh, probed = [], 0
         for args, y in grid:
             # a new view over the cached split table, its memo empty
             _field_for.cache_clear()
             fresh.append(coverage._kernel(*args, y))
+            # the probe points this kernel read, up to its first |phi| > 1
+            probed += len(_field_for(*args[:4]).memo["probe"])
         fresh_nodes = nodes[0]
         for args, y in grid:
             coverage._kernel(*args, y)
         nodes[0] = 0
         warm = [coverage._kernel(*args, y) for args, y in grid]
         assert warm == fresh
-        # every warm kernel found the probe and its head nodes in the memo
-        saved = len(specfun._PROBE_S) + 15 * specfun._HEAD_PIECES
-        assert fresh_nodes - nodes[0] == len(grid) * saved
+        # every warm kernel found its probe points and head nodes in the
+        # memo; a fresh view's probe read 23-32 of the 38 points here
+        assert probed == 7_285
+        assert fresh_nodes - nodes[0] == probed + len(grid) * 15 * specfun._HEAD_PIECES
 
     def test_one_probe_entry_and_one_entry_per_width(self, monkeypatch):
         widths = set()
@@ -877,7 +985,7 @@ class TestLineOfSightArea:
         fld = _field(deploy=deploy)
         lam = deploy.lambda_b + deploy.lambda_m + deploy.lambda_s
         two_rb = 2 * deploy.r_b
-        grid, _ = _split_table(BUD, deploy, fld.lower)
+        grid, _ = _whole_table(BUD, deploy, fld.lower)
         checked = 0
         for s in grid[::10]:
             a = float(fld._phase_radius(s, fld.c_abs, _PHASE_BUDGET))
