@@ -12,11 +12,13 @@ Blockage geometry: a link of length r is blocked when some obstacle
 centre falls inside the rectangle of width 2 r_b around the segment
 whose longitudinal extent is (r_b, r - r_b) (area 2 r_b (r - 2 r_b), the
 exact void-probability exponent of the analytic model).  One corridor
-test, `_blocked_frame`, serves every estimator: it reads obstacles in
-their link's frame, in which the link estimators draw them, and
-`_blocked_bulk` turns the coverage estimator's obstacles into that frame.
-An endpoint lies at longitudinal offset 0 or r and so never blocks its
-own link.
+test, `_blocked_frame`, serves every estimator: it reads obstacles by
+their longitudinal offset in their link's frame, every one of them
+already inside the corridor's width.  The link estimators draw their
+obstacles in that frame and that width; `_blocked_bulk` turns the
+coverage estimator's obstacles into the frame and drops those at
+|lateral offset| >= r_b.  An endpoint lies at longitudinal offset 0 or
+r and so never blocks its own link.
 
 Only what that test can see is sampled.  By the restriction property,
 a PPP's points in a region are Poisson(density * area) uniform draws
@@ -26,12 +28,16 @@ independent PPP in every box.  So a batch of links draws its obstacles
 as one field on the shared frame box [0, max r] x (-r_b, r_b), each
 point owned by a uniform link: each link sees its own field, as the
 analytic timeout multiplies the two links' void probabilities, and the
-corridor test ignores the points past a link's end.  By the mapping
-theorem, pi lambda_b r^2 over the nodes is a unit-rate PPP on
-[0, inf), so a user's two nearest nodes are drawn exactly from two
-exponential partial sums: the link estimators truncate nothing to a
-window.  A misalignment trial reads both of its events, the sensing
-error and the timeout, off one such scene.
+corridor test ignores the points past a link's end.  The box is as wide
+as the corridor, so a point's lateral offset never decides a verdict
+and is not drawn.  By the mapping theorem, pi lambda_b r^2 over the
+nodes is a unit-rate PPP on [0, inf), so a user's two nearest nodes are
+drawn exactly from two exponential partial sums: the link estimators
+truncate nothing to a window.  A timeout needs both links blocked and a
+sensing error an open nearest link, so the second link's field, which
+is independent of the nearest one's, is drawn only behind a blocked
+nearest link.  A misalignment trial reads both of its events, the
+sensing error and the timeout, off one such scene.
 
 By independent thinning, a coverage trial's marked nodes (those whose
 sweep and orientation marks fire, q_mark of all) and its unmarked ones
@@ -136,11 +142,12 @@ def _ppp_disc(rng, density: float, radius: float) -> np.ndarray:
     return np.column_stack([rr * np.cos(th), rr * np.sin(th)])
 
 
-def _blocked_frame(lon, lat, owner, r, r_b):
+def _blocked_frame(lon, owner, r, r_b):
     """Corridor test in the links' own frames, link i running from the
-    origin to (r[i], 0): obstacle j of link owner[j] sits at (lon[j],
-    lat[j]).  Returns a boolean 'blocked' per link."""
-    hit = (np.abs(lat) < r_b) & (lon > r_b) & (lon < (r - r_b)[owner])
+    origin to (r[i], 0): obstacle j of link owner[j] sits at longitudinal
+    offset lon[j], inside the corridor's width.  Returns a boolean
+    'blocked' per link."""
+    hit = (lon > r_b) & (lon < (r - r_b)[owner])
     return np.bincount(owner[hit], minlength=r.size) > 0
 
 
@@ -149,31 +156,35 @@ def _blocked_bulk(obs_x, obs_y, counts, bs_x, bs_y, r_b):
     every link of positive length.
 
     obs_* are flattened obstacle coordinates grouped by link with sizes
-    `counts`; each is turned into its link's frame for `_blocked_frame`.
+    `counts`; each is turned into its link's frame, and those inside the
+    corridor's width go to `_blocked_frame`.
     """
     r = np.hypot(bs_x, bs_y)
     ux, uy = bs_x / r, bs_y / r
     owner = np.repeat(np.arange(bs_x.size), counts)
-    lon = obs_x * ux[owner] + obs_y * uy[owner]
     lat = -obs_x * uy[owner] + obs_y * ux[owner]
-    return _blocked_frame(lon, lat, owner, r, r_b)
+    inside = np.abs(lat) < r_b
+    owner = owner[inside]
+    lon = obs_x[inside] * ux[owner] + obs_y[inside] * uy[owner]
+    return _blocked_frame(lon, owner, r, r_b)
 
 
 def _link_box(rng, density: float, r: np.ndarray, r_b: float):
     """An independent PPP per link on the batch's shared frame box
     [0, max r] x (-r_b, r_b), each link running from the origin to (r, 0);
-    returns flat (lon, lat) coords and the link owning each, in no order.
+    returns the flat longitudinal offsets and the link owning each point,
+    in no order.
 
     One Poisson total over all links with a uniform owner per point is the
-    same law as one Poisson count per link.  Points past a link's end stay:
+    same law as one Poisson count per link.  The box is the corridor's
+    width, so no lateral offset is drawn.  Points past a link's end stay:
     `_blocked_frame` ignores lon >= r - r_b, so each link sees exactly a
     PPP of the given density in its corridor.
     """
     top = r.max()
     n = rng.poisson(density * 2.0 * r_b * top * r.size)
     owner = rng.integers(0, r.size, n)
-    lon = top * rng.random(n)
-    return lon, r_b * (2.0 * rng.random(n) - 1.0), owner
+    return top * rng.random(n), owner
 
 
 def _blocked_links(rng, deploy: Deployment, r: np.ndarray) -> np.ndarray:
@@ -221,11 +232,17 @@ def nearest_two_distances(deploy: Deployment, samples: int, seed: int):
 
 
 def _nearest_links_blocked(rng, deploy: Deployment, b: int) -> tuple:
-    """Corridor verdicts (nearest, second) of the links to the two nearest
-    nodes in b scenes, each link against its own obstacle field."""
+    """Corridor verdicts (nearest blocked, both blocked) of the links to
+    the two nearest nodes in b scenes, each link against its own obstacle
+    field.  The second link's field is drawn only for the scenes whose
+    nearest link is blocked: no other verdict reads it."""
     r12 = _nearest_two_batch(rng, deploy, b)
-    return (_blocked_links(rng, deploy, r12[:, 0]),
-            _blocked_links(rng, deploy, r12[:, 1]))
+    near = _blocked_links(rng, deploy, r12[:, 0])
+    both = near.copy()
+    behind = np.flatnonzero(near)
+    if behind.size:
+        both[behind] = _blocked_links(rng, deploy, r12[behind, 1])
+    return near, both
 
 
 def estimate_timeout(deploy: Deployment, trials: int, seed: int) -> McEstimate:
@@ -235,8 +252,7 @@ def estimate_timeout(deploy: Deployment, trials: int, seed: int) -> McEstimate:
         raise ValueError("estimate_timeout needs at least 1e3 trials")
     hits = 0
     for rng, b in _batches(trials, seed):
-        near, second = _nearest_links_blocked(rng, deploy, b)
-        hits += int((near & second).sum())
+        hits += int(_nearest_links_blocked(rng, deploy, b)[1].sum())
     return McEstimate.from_hits(hits, trials)
 
 
@@ -258,10 +274,10 @@ def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
     lo, hi = crossing_miss_window(deploy, ability, tau)
     err = to = 0
     for rng, b in _batches(trials, seed):
-        near, second = _nearest_links_blocked(rng, deploy, b)
+        near, both = _nearest_links_blocked(rng, deploy, b)
         d_b = rng.exponential(1.0 / mu_g, size=b)
         err += int(((d_b > lo) & (d_b < hi) & ~near).sum())
-        to += int((near & second).sum())
+        to += int(both.sum())
     return {"p_err": McEstimate.from_hits(err, trials),
             "p_to": McEstimate.from_hits(to, trials),
             "p_ms": McEstimate.from_hits(err + to, trials)}

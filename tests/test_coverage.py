@@ -1,4 +1,5 @@
 import math
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -435,6 +436,30 @@ class TestOnDemandTable:
         monkeypatch.undo()
         assert lazy.parts(past) == full.parts(past)
         assert table.split.shape[1] == 2 * chunk
+
+    def test_extended_interpolants_equal_one_build(self, whole):
+        # an extension keeps the exact pieces and recomputes only the rest;
+        # after every step the interpolants must be the one-shot build on
+        # the integrated prefix
+        lower, w_s, _, _ = whole
+        clear_field_cache()
+        lazy = ShotNoiseField(BUD, DEP, w_s, lower)
+        table = _split_table(BUD, DEP, lower)
+        prefixes = set()
+        for v in np.sqrt(table.grid[:-1] * table.grid[1:]).tolist():
+            lazy.parts(v)
+            coef, flat = lazy._tables[4], lazy._tables[6]
+            m = coef.shape[2] + 1
+            split = table.split[:, :m]
+            fr = np.maximum(split[0] + w_s * split[1], 1e-300)
+            fi = split[2] + w_s * split[3]
+            ref = _pchip_coefficients(table.knots[:m],
+                                      np.stack((np.log(fr), fi)))
+            assert np.array_equal(coef, ref)
+            assert flat == array("d", ref.transpose(2, 1, 0).tobytes())
+            prefixes.add(m)
+        assert len(prefixes) == math.ceil(table.grid.size / coverage._S_CHUNK)
+        assert max(prefixes) == table.grid.size
 
 
 class TestTableExtent:

@@ -1,0 +1,115 @@
+"""Agreement of the Monte-Carlo estimators between two source trees.
+
+    python3 tools/mc_agreement.py PARENT_TREE CHANGE_TREE [--seed 2026]
+
+Each tree's estimators run in an interpreter of their own that imports
+``isacthz`` from that tree's ``src/`` and nowhere else, one after the other,
+at one seed and fixed sizes: ``estimate_blockage`` (52 m links),
+``estimate_timeout`` and ``estimate_misalignment`` (jsrs) at 1e6 trials, and
+``estimate_coverage`` at two cells, 2e5 trials each.  Every point is an
+independent estimate on each side, so a sampler change that keeps the law
+should leave them within a few combined standard errors.
+
+Prints one JSON object.  Per point: [mean, std_error] of each side, the
+analytic value from the change tree (coverage: ``coverage_probability``'s
+p_cvp), ``combined_sigmas`` = (change - parent) / hypot(std errors), and
+each side's distance from the analytic value in its own standard errors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+LINK_TRIALS = 1_000_000
+COVERAGE_TRIALS = 200_000
+LINK_M = 52.0
+# (scheme, r1 m, threshold dB, lower-bound mode) per coverage cell
+COVERAGE_CELLS = {"coverage_urban": ("jsrs", 20.0, 5.0, "theorem"),
+                  "coverage_derivation": ("5g", 10.0, 0.0, "derivation")}
+
+
+def _measure(src: Path, seed: int) -> dict:
+    """Estimates and analytic values of every point, on the package in src."""
+    sys.path.insert(0, str(src))
+    import isacthz
+    if Path(isacthz.__file__).resolve().parent.parent != src.resolve():
+        raise SystemExit(f"isacthz imported from {isacthz.__file__}, not {src}")
+    from isacthz import mcsim
+    from isacthz.channel import LinkBudget
+    from isacthz.config import Deployment, SystemParams
+    from isacthz.coverage import CoverageQuery, coverage_probability
+    from isacthz.misalignment import (beam_misalignment, blockage_probability,
+                                      timeout_probability)
+    from isacthz.schemes import scheme_ability
+
+    system, deploy = SystemParams(), Deployment()
+    budget = LinkBudget.from_params(system, deploy)
+    jsrs = scheme_ability("jsrs", system, deploy)
+    est = {"blockage_52m": mcsim.estimate_blockage(deploy, LINK_M, LINK_TRIALS,
+                                                   seed),
+           "timeout": mcsim.estimate_timeout(deploy, LINK_TRIALS, seed)}
+    ms = mcsim.estimate_misalignment(deploy, jsrs, system.tau, LINK_TRIALS,
+                                     seed)
+    est.update({f"misalignment_{k}": v for k, v in ms.items()})
+    breakdown = beam_misalignment(deploy, jsrs, system.tau)
+    analytic = {"blockage_52m": blockage_probability(deploy, LINK_M),
+                "timeout": timeout_probability(deploy),
+                "misalignment_p_err": breakdown.p_err,
+                "misalignment_p_to": breakdown.p_to,
+                "misalignment_p_ms": breakdown.p_ms}
+    for name, (scheme, r1, db, mode) in COVERAGE_CELLS.items():
+        ability = scheme_ability(scheme, system, deploy)
+        thr = 10.0 ** (db / 10.0)
+        est[name] = mcsim.estimate_coverage(deploy, budget, system, ability,
+                                            r1, thr, COVERAGE_TRIALS, seed,
+                                            lower_bound_mode=mode)
+        analytic[name] = coverage_probability(
+            CoverageQuery(r1, thr, mode), budget, deploy, system, ability).p_cvp
+    return {"estimates": {k: [e.mean, e.std_error] for k, e in est.items()},
+            "analytic": analytic}
+
+
+def _run(tree: Path, seed: int) -> dict:
+    """_measure on tree's src/ in a fresh interpreter."""
+    out = subprocess.run([sys.executable, __file__, "--measure",
+                          str(tree / "src"), "--seed", str(seed)],
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("trees", nargs="*", type=Path,
+                    help="the parent's and the change's source trees")
+    ap.add_argument("--seed", type=int, default=2026)
+    ap.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.measure is not None:
+        print(json.dumps(_measure(args.measure, args.seed)))
+        return
+    if len(args.trees) != 2:
+        ap.error("give the parent's and the change's source trees")
+    parent, change = (_run(tree, args.seed) for tree in args.trees)
+    points = {}
+    for name, ref in change["analytic"].items():
+        (m0, s0), (m1, s1) = (side["estimates"][name]
+                              for side in (parent, change))
+        points[name] = {"parent": [m0, s0], "change": [m1, s1],
+                        "analytic": ref,
+                        "combined_sigmas": (m1 - m0) / math.hypot(s0, s1),
+                        "parent_sigmas_vs_analytic": (m0 - ref) / s0,
+                        "change_sigmas_vs_analytic": (m1 - ref) / s1}
+    print(json.dumps({"seed": args.seed, "link_trials": LINK_TRIALS,
+                      "coverage_trials": COVERAGE_TRIALS,
+                      "trees": {"parent": str(args.trees[0]),
+                                "change": str(args.trees[1])},
+                      "points": points}, indent=1))
+
+
+if __name__ == "__main__":
+    main()
