@@ -31,32 +31,37 @@ analytic timeout multiplies the two links' void probabilities, and the
 corridor test ignores the points past a link's end.  The box is as wide
 as the corridor, so a point's lateral offset never decides a verdict
 and is not drawn.  By the mapping theorem, pi lambda_b r^2 over the
-nodes is a unit-rate PPP on [0, inf), so a user's two nearest nodes are
-drawn exactly from two exponential partial sums: the link estimators
-truncate nothing to a window.  A timeout needs both links blocked and a
-sensing error an open nearest link, so the second link's field, which
-is independent of the nearest one's, is drawn only behind a blocked
-nearest link.  A misalignment trial reads both of its events, the
-sensing error and the timeout, off one such scene.
+nodes is a unit-rate PPP on [0, inf), so a user's nearest node is drawn
+exactly from one unit exponential and the second from that plus another:
+the link estimators truncate nothing to a window.  A timeout needs both
+links blocked and a sensing error an open nearest link, so the second
+node, its increment and its link's field, which is independent of the
+nearest one's, are drawn only behind a blocked nearest link.  A
+misalignment trial reads both of its events, the sensing error and the
+timeout, off one such scene.
 
 By independent thinning, a coverage trial's marked nodes (those whose
 sweep and orientation marks fire, q_mark of all) and its unmarked ones
-are independent PPPs.  Its marked nodes are drawn with their radii on
-the whole window, their counts as one Poisson total per batch scattered
-over its trials; only trials holding one draw angles and a user/blocker
-disc around their corridors.  Its unmarked nodes are split at the radius
-R where the far ones' absorption bound, their expected count at the
-weight of R, falls to `_SPLIT_SLACK` of the margin (`_split_radius`;
-the lower-bound radius when the margin is not positive or without
-absorption).  The near ones, inside R, are drawn with their radii; the
-far ones only as a Poisson count.  As the weight e^(-k r) / r^2 does not
-rise with r, the interference lies between lo, the absorption noise of
-the drawn nodes, and hi, which adds every marked node unblocked and
-every far node at the weight of R.  A trial is a hit when aligned with
-hi below the margin and a miss when misaligned or lo reaches it; only
-the trials left open draw their far radii, angles, user/blocker discs
-and corridors.  The decision is the one the whole draw would make, so
-the estimate is exact in law; R sets only how many trials stay open.
+are independent PPPs.  Each drawn field is one Poisson total per batch
+whose points each fall in a uniform trial, as a link batch's obstacles
+do: a point carries its radius and its owning trial, a trial's weight
+sum is one weighted bincount over the owners, and only the trials left
+open gather the radii they own (a stable sort by owner).  Its marked
+nodes are drawn so on the whole window; only trials holding one draw
+angles and a user/blocker disc around their corridors.  Its unmarked
+nodes are split at the radius R where the far ones' absorption bound,
+their expected count at the weight of R, falls to `_SPLIT_SLACK` of the
+margin (`_split_radius`; the lower-bound radius when the margin is not
+positive or without absorption).  The near ones, inside R, are drawn so
+with their radii; the far ones only as a Poisson count per trial.  As
+the weight e^(-k r) / r^2 does not rise with r, the interference lies
+between lo, the absorption noise of the drawn nodes, and hi, which adds
+every marked node unblocked and every far node at the weight of R.  A
+trial is a hit when aligned with hi below the margin and a miss when
+misaligned or lo reaches it; only the trials left open draw their far
+radii, angles, user/blocker discs and corridors.  The decision is the
+one the whole draw would make, so the estimate is exact in law; R sets
+only how many trials stay open.
 
 The model's inputs come from the modules that define them: the densities
 from `config`, the sweep weight (q_mark), re-radiation constant and
@@ -86,7 +91,8 @@ __all__ = ["McEstimate", "estimate_blockage", "estimate_timeout",
 
 _BATCH = 8192
 # expected drawn nodes per estimate_coverage batch, a trial's own arrays
-# (about a dozen 8-byte ones, against a node's two) counted as 6 nodes
+# (about ten 8-byte ones, against a node's three: its radius, its weight
+# and its owning trial) counted as 6 nodes
 _NODE_BUDGET = 2_700_000
 _TRIAL_NODES = 6.0
 # far absorption bound, as a share of the margin; a looser split leaves
@@ -209,39 +215,48 @@ def estimate_blockage(deploy: Deployment, r: float, trials: int,
     return McEstimate.from_hits(hits, trials)
 
 
-def _nearest_two_batch(rng, deploy: Deployment, b: int) -> np.ndarray:
-    """Radii, shape (b, 2), of the two nearest nodes to the origin for b
-    trials, nearest first.
+def _nearest_distances(rng, deploy: Deployment, b: int) -> tuple:
+    """Distance of the nearest node to the origin in b scenes, and a
+    function that returns the second nearest node's distance in the scenes
+    given to it by index, drawing its exponential increment only then.
 
     pi lambda_b r^2 maps the node PPP onto a unit-rate PPP on [0, inf), so
-    the two smallest values are the first two partial sums of unit
+    the k-th nearest node's pi lambda_b r^2 is the k-th partial sum of unit
     exponentials.
     """
     if not deploy.lambda_b > 0.0:
         raise ValueError("nearest-two distances need lambda_b > 0")
-    e = rng.standard_exponential((b, 2))
-    e[:, 1] += e[:, 0]  # the partial sums; cumsum is slow along a short axis
-    return np.sqrt(e / (math.pi * deploy.lambda_b))
+    scale = math.pi * deploy.lambda_b
+    e1 = rng.standard_exponential(b)
+
+    def second(idx):
+        return np.sqrt((e1[idx] + rng.standard_exponential(idx.size)) / scale)
+
+    return np.sqrt(e1 / scale), second
 
 
 def nearest_two_distances(deploy: Deployment, samples: int, seed: int):
-    """Sampled (r1, r2) distances of the two nearest nodes to the origin."""
-    out = np.concatenate([_nearest_two_batch(rng, deploy, b)
-                          for rng, b in _batches(samples, seed)])
-    return out[:, 0], out[:, 1]
+    """Sampled (r1, r2) distances of the two nearest nodes to the origin,
+    drawn as the link estimators draw them."""
+    r1, r2 = [], []
+    for rng, b in _batches(samples, seed):
+        near, second = _nearest_distances(rng, deploy, b)
+        r1.append(near)
+        r2.append(second(np.arange(b)))
+    return np.concatenate(r1), np.concatenate(r2)
 
 
 def _nearest_links_blocked(rng, deploy: Deployment, b: int) -> tuple:
     """Corridor verdicts (nearest blocked, both blocked) of the links to
     the two nearest nodes in b scenes, each link against its own obstacle
-    field.  The second link's field is drawn only for the scenes whose
-    nearest link is blocked: no other verdict reads it."""
-    r12 = _nearest_two_batch(rng, deploy, b)
-    near = _blocked_links(rng, deploy, r12[:, 0])
+    field.  The second node and its link's field are drawn only for the
+    scenes whose nearest link is blocked: no other verdict reads them."""
+    r1, second = _nearest_distances(rng, deploy, b)
+    near = _blocked_links(rng, deploy, r1)
     both = near.copy()
     behind = np.flatnonzero(near)
     if behind.size:
-        both[behind] = _blocked_links(rng, deploy, r12[behind, 1])
+        both[behind] = _blocked_links(rng, deploy, second(behind))
     return near, both
 
 
@@ -339,18 +354,33 @@ def _weights(rad: np.ndarray, k_abs: float) -> np.ndarray:
     return g
 
 
-def _grouped_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of each group of a flat array laid out in groups of `counts`,
-    always float64 (bincount of no weights is int64)."""
-    sums = np.bincount(np.repeat(np.arange(counts.size), counts),
-                       weights=values, minlength=counts.size)
+def _grouped_sums(values: np.ndarray, owner: np.ndarray,
+                  size: int) -> np.ndarray:
+    """Sum of the values each of `size` slots owns, always float64 (bincount
+    of no values is int64)."""
+    sums = np.bincount(owner, weights=values, minlength=size)
     return sums.astype(float, copy=False)
 
 
-def _scattered_counts(rng, mean: float, b: int) -> np.ndarray:
-    """b independent Poisson(mean) counts, drawn as one Poisson(mean * b)
-    total whose points each fall in a uniform slot (the same law)."""
-    return np.bincount(rng.integers(0, b, rng.poisson(mean * b)), minlength=b)
+def _scattered_field(rng, mean: float, b: int, r_in: float,
+                     r_out: float) -> tuple:
+    """Radii of b independent PPPs of Poisson(mean) points on the annulus
+    r_in <= r <= r_out, and the slot owning each, in draw order: one
+    Poisson(mean * b) total whose points each fall in a uniform slot (the
+    same law, by the colouring theorem)."""
+    owner = rng.integers(0, b, rng.poisson(mean * b))
+    return _annulus_radii(rng, owner.size, r_in, r_out), owner
+
+
+def _per_trial(rad: np.ndarray, owner: np.ndarray, open_) -> list:
+    """The radii each open trial owns (open_ a mask over the batch), one
+    array per open trial in trial order, each in draw order."""
+    sel = np.flatnonzero(open_[owner])
+    sel = sel[np.argsort(owner[sel], kind="stable")]
+    own, rad = owner[sel], rad[sel]
+    o = np.flatnonzero(open_)
+    return [rad[i:j] for i, j in zip(np.searchsorted(own, o),
+                                     np.searchsorted(own, o, "right"))]
 
 
 def _bound_decisions(lo, hi, aligned, margin):
@@ -361,43 +391,38 @@ def _bound_decisions(lo, hi, aligned, margin):
     return hit, aligned & ~hit & (lo < margin)
 
 
-def _slices(counts: np.ndarray) -> np.ndarray:
-    """Start of each group of a flat array laid out in groups of `counts`."""
-    return np.cumsum(counts) - counts
-
-
 def _resolve(rng, deploy: Deployment, budget: LinkBudget, r1: float,
              c_abs: float, lo, near, marked, far, ring) -> np.ndarray:
     """Interference i_eff of open trials, each drawn whole.
 
-    lo holds their bounds' absorption sums, near = (rad, starts, counts)
-    and marked = (rad, starts, counts) the slices of their unmarked near
-    and their marked radii, far the counts of their unmarked far nodes,
-    whose radii are drawn here on the ring (r_near, r_win).  Each trial
-    holding a marked node then draws the angles of all its nodes and the
-    user/blocker disc around its marked nodes' corridors, in trial order.
+    lo holds their bounds' absorption sums, near and marked one array per
+    trial of their unmarked near and of their marked radii, far the counts
+    of their unmarked far nodes, whose radii are drawn here on the ring
+    (r_near, r_win).  Each trial holding a marked node then draws the
+    angles of all its nodes and the user/blocker disc around its marked
+    nodes' corridors, in trial order.
     """
-    rad, starts, counts = near
-    r_m, m_starts, marks = marked
     r_far = _annulus_radii(rng, int(far.sum()), *ring)
-    i_eff = lo + c_abs * _grouped_sums(_weights(r_far, budget.k_abs), far)
-    f_starts = _slices(far)
-    for t in np.flatnonzero(marks):
-        c = marks[t]
+    i_eff = lo + c_abs * _grouped_sums(_weights(r_far, budget.k_abs),
+                                       np.repeat(np.arange(far.size), far),
+                                       far.size)
+    r_far = np.split(r_far, np.cumsum(far)[:-1])
+    for t, r_m in enumerate(marked):
+        c = r_m.size
+        if not c:
+            continue
         # marked nodes first
-        r_t = np.concatenate([r_m[m_starts[t]:m_starts[t] + c],
-                              rad[starts[t]:starts[t] + counts[t]],
-                              r_far[f_starts[t]:f_starts[t] + far[t]]])
+        r_t = np.concatenate([r_m, near[t], r_far[t]])
         ang = 2.0 * math.pi * rng.random(r_t.size)
         x, y = r_t * np.cos(ang), r_t * np.sin(ang)
         others = _ppp_disc(rng, deploy.obstacle_density,
-                           r_t[:c].max() + deploy.r_b)
+                           r_m.max() + deploy.r_b)
         obs_x = np.concatenate([x, [r1], others[:, 0]])
         obs_y = np.concatenate([y, [0.0], others[:, 1]])
         blocked = _blocked_bulk(np.tile(obs_x, c), np.tile(obs_y, c),
                                 np.full(c, obs_x.size), x[:c], y[:c],
                                 deploy.r_b)
-        i_eff[t] += budget.a * _weights(r_t[:c][~blocked], budget.k_abs).sum()
+        i_eff[t] += budget.a * _weights(r_m[~blocked], budget.k_abs).sum()
     return i_eff
 
 
@@ -444,26 +469,22 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
     size = max(1, int(_NODE_BUDGET // (near_mean + mark_mean + _TRIAL_NODES)))
     hits = 0
     for rng, b in _batches(trials, seed, size):
-        counts = rng.poisson(near_mean, size=b)
-        marks = _scattered_counts(rng, mark_mean, b)
+        rad, owner = _scattered_field(rng, near_mean, b, r_lo, r_near)
+        r_m, m_owner = _scattered_field(rng, mark_mean, b, r_lo, r_win)
         far = rng.poisson(far_mean, size=b)
         aligned = rng.random(b) >= p_ms
-        starts = _slices(counts)
-        rad = _annulus_radii(rng, int(counts.sum()), r_lo, r_near)
-        r_m = _annulus_radii(rng, int(marks.sum()), r_lo, r_win)
-        g_m = _grouped_sums(_weights(r_m, budget.k_abs), marks)
-        lo = np.zeros(b)  # absorption noise of every drawn node
-        busy = counts > 0  # reduceat cannot express an empty slice
-        lo[busy] = np.add.reduceat(_weights(rad, budget.k_abs), starts[busy])
+        g_m = _grouped_sums(_weights(r_m, budget.k_abs), m_owner, b)
+        # absorption noise of every drawn node
+        lo = _grouped_sums(_weights(rad, budget.k_abs), owner, b)
         lo += g_m
         lo *= c_abs
         # every marked node unblocked, every far one at the weight of r_near
         hi = lo + budget.a * g_m + g_edge * c_abs * far
         hit, open_ = _bound_decisions(lo, hi, aligned, margin)
-        o = np.flatnonzero(open_)
-        i_eff = _resolve(rng, deploy, budget, r1, c_abs, lo[o],
-                         (rad, starts[o], counts[o]),
-                         (r_m, _slices(marks)[o], marks[o]), far[o],
+        i_eff = _resolve(rng, deploy, budget, r1, c_abs, lo[open_],
+                         _per_trial(rad, owner, open_),
+                         _per_trial(r_m, m_owner, open_), far[open_],
                          (r_near, r_win))
         hits += int(hit.sum()) + int((i_eff < margin).sum())
+        del rad, owner  # else they live on while the next batch draws its own
     return McEstimate.from_hits(hits, trials)

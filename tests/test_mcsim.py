@@ -13,7 +13,7 @@ from isacthz.config import Deployment, SystemParams
 from isacthz.coverage import CoverageQuery, coverage_probability
 from isacthz.mcsim import (McEstimate, _batches, _blocked_bulk,
                            _blocked_frame, _grouped_sums, _link_box,
-                           _ppp_disc, _scattered_counts, _split_radius,
+                           _ppp_disc, _scattered_field, _split_radius,
                            default_window_radius,
                            estimate_blockage,
                            estimate_coverage, estimate_misalignment,
@@ -256,39 +256,70 @@ class TestLinkBox:
         assert not _blocked_frame(lon, owner, r, r_b).any()
 
 
+class _CountingRng:
+    """A generator that counts the unit exponentials drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.exponentials = rng, 0
+
+    def standard_exponential(self, size):
+        self.exponentials += int(np.prod(size))
+        return self.rng.standard_exponential(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 class TestNearestLinks:
     """A timeout needs both nearest links blocked and a sensing error an
-    open nearest link, so the second link's field is drawn only behind a
-    blocked nearest link, independent of the nearest link's field."""
+    open nearest link, so the second node and its link's field are drawn
+    only behind a blocked nearest link, independent of the nearest link's
+    field."""
 
     def test_second_field_only_behind_a_blocked_link(self, monkeypatch):
-        drawn, boxes = [], []
-        nearest_two, link_box = mcsim._nearest_two_batch, mcsim._link_box
+        drawn, asked, boxes = [], [], []
+        nearest_distances, link_box = mcsim._nearest_distances, mcsim._link_box
 
         def nearest(rng, deploy, b):
-            drawn.append(nearest_two(rng, deploy, b))
-            return drawn[-1]
+            r1, second = nearest_distances(rng, deploy, b)
+
+            def spy(idx):
+                asked.append((idx.copy(), second(idx)))
+                return asked[-1][1]
+
+            drawn.append(r1)
+            return r1, spy
 
         def box(rng, density, r, r_b):
             boxes.append(r.copy())
             return link_box(rng, density, r, r_b)
 
-        monkeypatch.setattr(mcsim, "_nearest_two_batch", nearest)
+        monkeypatch.setattr(mcsim, "_nearest_distances", nearest)
         monkeypatch.setattr(mcsim, "_link_box", box)
+        rngs = [(_CountingRng(rng), b) for rng, b in _batches(100000, 94)]
         verdicts = [mcsim._nearest_links_blocked(rng, DEP, b)
-                    for rng, b in _batches(100000, 94)]
+                    for rng, b in rngs]
         # one box per link batch: the nearest links, then the second links
-        # of the blocked ones
-        assert len(boxes) == 2 * len(drawn)
-        r2, second = [], []
-        for k, (r12, (near, both)) in enumerate(zip(drawn, verdicts)):
-            assert np.array_equal(boxes[2 * k], r12[:, 0])
-            assert np.array_equal(boxes[2 * k + 1], r12[near, 1])
+        # of the blocked ones, whose second node alone is drawn
+        assert len(boxes) == 2 * len(drawn) == 2 * len(asked)
+        increments, r2, second = [], [], []
+        for k, (r1, (near, both), (rng, b)) in enumerate(zip(drawn, verdicts,
+                                                             rngs)):
+            idx, r2_k = asked[k]
+            assert np.array_equal(idx, np.flatnonzero(near))
+            assert rng.exponentials == b + idx.size
+            assert np.array_equal(boxes[2 * k], r1)
+            assert np.array_equal(boxes[2 * k + 1], r2_k)
             assert not (both & ~near).any()
-            r2.append(r12[near, 1])
+            increments.append(DEP.lambda_b * math.pi
+                              * (r2_k ** 2 - r1[idx] ** 2))
+            r2.append(r2_k)
             second.append(both[near])
         r2, second = np.concatenate(r2), np.concatenate(second)
         assert 0.15 < r2.size / 100000 < 0.21
+        # the second node lies a unit exponential of pi lambda_b r^2 past
+        # the nearest one
+        assert stats.kstest(np.concatenate(increments), "expon").pvalue > 0.01
         # the second link sees its own field: blocked at its own length's
         # rate, whatever blocked the nearest one
         for part in np.array_split(np.argsort(r2), 8):
@@ -315,7 +346,9 @@ class TestNearestLinks:
 class TestScatteredCounts:
     @pytest.mark.parametrize("mean", [0.004, 0.5])
     def test_poisson_counts(self, mean):
-        counts = _scattered_counts(np.random.default_rng(93), mean, 200000)
+        _, owner = _scattered_field(np.random.default_rng(93), mean, 200000,
+                                    0.0, 1.0)
+        counts = np.bincount(owner, minlength=200000)
         assert counts.shape == (200000,)
         n = counts.size
         assert _count_gof(counts, lambda k: n * stats.poisson.pmf(k, mean)) \
@@ -330,13 +363,14 @@ class TestScatteredCounts:
 
 class TestGroupedSums:
     def test_float_without_values(self):
-        sums = _grouped_sums(np.array([]), np.array([0, 0, 0]))
+        sums = _grouped_sums(np.array([]), np.array([], dtype=int), 3)
         sums *= 0.5  # an int64 result cannot take a float update
         assert sums.dtype == np.float64 and sums.tolist() == [0.0] * 3
 
     def test_sums_per_group(self):
-        sums = _grouped_sums(np.array([1.0, 2.0, 4.0]), np.array([2, 0, 1]))
-        assert sums.tolist() == [3.0, 0.0, 4.0]
+        sums = _grouped_sums(np.array([1.0, 2.0, 4.0]), np.array([0, 2, 0]),
+                             3)
+        assert sums.tolist() == [5.0, 0.0, 2.0]
 
 
 class TestEstimators:
@@ -774,6 +808,95 @@ class TestSplitRadius:
         assert _split_radius(*args) == args[3]
 
 
+class TestScatteredFields:
+    """A coverage batch draws its unmarked near and its marked nodes each as
+    one Poisson total whose points fall in uniform trials, and hands each
+    open trial exactly the radii it owns."""
+
+    def test_near_field_law(self, monkeypatch):
+        fields = []
+
+        def spy(rng, mean, b, r_in, r_out):
+            fields.append((mean, b, r_in, r_out)
+                          + scattered(rng, mean, b, r_in, r_out))
+            return fields[-1][4:]
+
+        scattered = mcsim._scattered_field
+        monkeypatch.setattr(mcsim, "_scattered_field", spy)
+        # batches of a few trials, so that a trial no point can fall in shows
+        monkeypatch.setattr(mcsim, "_NODE_BUDGET", 60)
+        ability = scheme_ability("jsrs", SYS, DEP)
+        estimate_coverage(DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000, 97)
+        args = _split_inputs(DEP, BUD, "jsrs", 20.0, 5.0, "theorem")
+        r_lo, r_win, r_near = args[3], args[4], _split_radius(*args)
+        q_mark = sweep_weight(DEP, SYS,
+                              beam_misalignment(DEP, ability, SYS.tau).p_ms)
+        mean = (1.0 - q_mark) * DEP.lambda_b * math.pi \
+            * (r_near ** 2 - r_lo ** 2)
+        near, marked = fields[0::2], fields[1::2]  # near first in a batch
+        assert max(f[1] for f in near) <= 8
+        assert sum(f[1] for f in near) == 20000
+        for f in near:
+            assert f[0] == pytest.approx(mean, rel=1e-12)
+            assert f[2:4] == (r_lo, r_near)
+        assert all(f[2:4] == (r_lo, r_win) for f in marked)
+        counts = np.concatenate([np.bincount(f[5], minlength=f[1])
+                                 for f in near])
+        assert _count_gof(counts, lambda k: counts.size
+                          * stats.poisson.pmf(k, mean)) > 1e-3
+        # r^2 is uniform on [r_lo^2, r_near^2]
+        r2 = np.concatenate([f[4] for f in near]) ** 2
+        assert stats.kstest(r2, "uniform", args=(
+            r_lo ** 2, r_near ** 2 - r_lo ** 2)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("dep, bud, db, window, trials", [
+        (BUSY, BUSY_BUD, 20.0, 150.0, 8000),
+        (DEP8, BUD8, -10.0, None, 20000),
+    ], ids=["busy", "narrow_beams"])
+    def test_open_trials_get_their_own_radii(self, monkeypatch, dep, bud, db,
+                                             window, trials):
+        fields, opened, handed = [], [], []
+
+        def field(rng, mean, b, r_in, r_out):
+            fields.append(scattered(rng, mean, b, r_in, r_out))
+            return fields[-1]
+
+        def decide(lo, hi, aligned, margin):
+            hit, open_ = decisions(lo, hi, aligned, margin)
+            opened.append(open_)
+            return hit, open_
+
+        def resolve(rng, deploy, budget, r1, c_abs, lo, near, marked, *rest):
+            handed.append((near, marked))
+            return resolve_whole(rng, deploy, budget, r1, c_abs, lo, near,
+                                 marked, *rest)
+
+        scattered, decisions = mcsim._scattered_field, mcsim._bound_decisions
+        resolve_whole = mcsim._resolve
+        monkeypatch.setattr(mcsim, "_scattered_field", field)
+        monkeypatch.setattr(mcsim, "_bound_decisions", decide)
+        monkeypatch.setattr(mcsim, "_resolve", resolve)
+        estimate_coverage(dep, bud, SYS, scheme_ability("jsrs", SYS, dep),
+                          20.0, 10.0 ** (db / 10.0), trials, 98,
+                          window_radius=window)
+        n_open = n_near = n_marked = 0
+        for k, (open_, (near, marked)) in enumerate(zip(opened, handed)):
+            o = np.flatnonzero(open_)
+            assert len(near) == len(marked) == o.size
+            for (rad, owner), got in ((fields[2 * k], near),
+                                      (fields[2 * k + 1], marked)):
+                for t, r_t in zip(o, got):
+                    assert np.array_equal(r_t, rad[owner == t])
+            n_open += o.size
+            n_near += sum(r.size for r in near)
+            n_marked += sum(r.size for r in marked)
+        assert n_marked > 0
+        if dep is BUSY:
+            assert n_open > 0.15 * trials
+        else:  # BUSY is lossless, so it draws no near node
+            assert n_near > 0
+
+
 class TestDecisionRule:
     """Trials are decided from interference bounds before their far field
     and corridors are drawn; only the open ones are drawn whole."""
@@ -848,42 +971,51 @@ class TestPinnedStream:
     behind a blocked nearest link (timeout 0.05135 -> 0.0523, p_err
     0.0394 -> 0.0407, window oracle 0.0517 -> 0.05395 and 0.04085 ->
     0.0429; the blockage one stayed, as the lateral offset was its
-    batch's last draw)."""
+    batch's last draw); the coverage, timeout and misalignment ones again
+    after a coverage batch drew its unmarked near and its marked nodes
+    each as one Poisson total scattered over its trials and the second
+    nearest node came to be drawn only behind a blocked nearest link
+    (coverage urban 0.8533 -> 0.85465, derivation 0.63315 -> 0.62805, open
+    field 0.94873046875 -> 0.93408203125, timeout 0.0523 -> 0.0521, p_err
+    0.0407 -> 0.0404; the blockage one stayed, and so did the window-oracle
+    ones, whose draw the seam replaces whole and in the same order)."""
 
     def test_coverage_urban(self):
         ability = scheme_ability("jsrs", SYS, DEP)
         est = estimate_coverage(DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000, 52)
-        assert est.mean == 0.8533
+        assert est.mean == 0.85465
 
     def test_coverage_derivation(self):
         ability = scheme_ability("5g", SYS, DEP)
         est = estimate_coverage(DEP, BUD, SYS, ability, 10.0, 1.0, 20000, 53,
                                 lower_bound_mode="derivation")
-        assert est.mean == 0.63315
+        assert est.mean == 0.62805
 
     def test_coverage_open_field(self):
         dep0 = replace(DEP, lambda_m=0.0, lambda_s=0.0)
         ability = scheme_ability("perfect", SYS, DEP)
         est = estimate_coverage(dep0, BUD, SYS, ability, 20.0, 10 ** 0.5, 2048, 4,
                                 window_radius=500.0)
-        assert est.mean == 0.94873046875
+        assert est.mean == 0.93408203125
 
     def test_blockage(self):
         assert estimate_blockage(DEP, 52.0, 20000, 3).mean == 0.63435
 
     def test_timeout(self):
-        assert estimate_timeout(DEP, 20000, 9).mean == 0.0523
+        assert estimate_timeout(DEP, 20000, 9).mean == 0.0521
 
     def test_misalignment(self):
         ests = estimate_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
                                      SYS.tau, 20000, 14)
-        assert ests["p_err"].mean == 0.0407
+        assert ests["p_err"].mean == 0.0404
 
     def test_window_oracle_stream(self, monkeypatch):
         # the window oracle is the nearest-two draw these were recorded with
-        monkeypatch.setattr(mcsim, "_nearest_two_batch",
-                            lambda rng, deploy, b:
-                            _nearest_two_window(rng, deploy, b)[0])
+        def window(rng, deploy, b):
+            r12 = _nearest_two_window(rng, deploy, b)[0]
+            return r12[:, 0], lambda idx: r12[idx, 1]
+
+        monkeypatch.setattr(mcsim, "_nearest_distances", window)
         assert estimate_timeout(DEP, 20000, 9).mean == 0.05395
         ests = estimate_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
                                      SYS.tau, 20000, 14)

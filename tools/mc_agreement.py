@@ -6,9 +6,11 @@ Each tree's estimators run in an interpreter of their own that imports
 ``isacthz`` from that tree's ``src/`` and nowhere else, one after the other,
 at one seed and fixed sizes: ``estimate_blockage`` (52 m links),
 ``estimate_timeout`` and ``estimate_misalignment`` (jsrs) at 1e6 trials, and
-``estimate_coverage`` at two cells, 2e5 trials each.  Every point is an
-independent estimate on each side, so a sampler change that keeps the law
-should leave them within a few combined standard errors.
+``estimate_coverage`` at four cells, 2e5 trials each: the urban point, a
+derivation-mode cell, the blocker-free open field on a 500 m window and
+narrow beams (n_b = n_m = 8), where many trials are left open.  Every point
+is an independent estimate on each side, so a sampler change that keeps the
+law should leave them within a few combined standard errors.
 
 Prints one JSON object.  Per point: [mean, std_error] of each side, the
 analytic value from the change tree (coverage: ``coverage_probability``'s
@@ -23,14 +25,22 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 LINK_TRIALS = 1_000_000
 COVERAGE_TRIALS = 200_000
 LINK_M = 52.0
-# (scheme, r1 m, threshold dB, lower-bound mode) per coverage cell
-COVERAGE_CELLS = {"coverage_urban": ("jsrs", 20.0, 5.0, "theorem"),
-                  "coverage_derivation": ("5g", 10.0, 0.0, "derivation")}
+# (scheme, r1 m, threshold dB, lower-bound mode, Deployment overrides,
+# window radius m or None for the default) per coverage cell
+COVERAGE_CELLS = {
+    "coverage_urban": ("jsrs", 20.0, 5.0, "theorem", {}, None),
+    "coverage_derivation": ("5g", 10.0, 0.0, "derivation", {}, None),
+    "coverage_open": ("perfect", 20.0, 5.0, "theorem",
+                      {"lambda_m": 0.0, "lambda_s": 0.0}, 500.0),
+    "coverage_narrow": ("jsrs", 20.0, -10.0, "theorem",
+                        {"n_b": 8, "n_m": 8}, None),
+}
 
 
 def _measure(src: Path, seed: int) -> dict:
@@ -48,7 +58,6 @@ def _measure(src: Path, seed: int) -> dict:
     from isacthz.schemes import scheme_ability
 
     system, deploy = SystemParams(), Deployment()
-    budget = LinkBudget.from_params(system, deploy)
     jsrs = scheme_ability("jsrs", system, deploy)
     est = {"blockage_52m": mcsim.estimate_blockage(deploy, LINK_M, LINK_TRIALS,
                                                    seed),
@@ -62,14 +71,18 @@ def _measure(src: Path, seed: int) -> dict:
                 "misalignment_p_err": breakdown.p_err,
                 "misalignment_p_to": breakdown.p_to,
                 "misalignment_p_ms": breakdown.p_ms}
-    for name, (scheme, r1, db, mode) in COVERAGE_CELLS.items():
-        ability = scheme_ability(scheme, system, deploy)
+    for name, (scheme, r1, db, mode, overrides, window) in \
+            COVERAGE_CELLS.items():
+        dep = replace(deploy, **overrides)
+        bud = LinkBudget.from_params(system, dep)
+        ability = scheme_ability(scheme, system, dep)
         thr = 10.0 ** (db / 10.0)
-        est[name] = mcsim.estimate_coverage(deploy, budget, system, ability,
-                                            r1, thr, COVERAGE_TRIALS, seed,
-                                            lower_bound_mode=mode)
+        est[name] = mcsim.estimate_coverage(dep, bud, system, ability, r1,
+                                            thr, COVERAGE_TRIALS, seed,
+                                            lower_bound_mode=mode,
+                                            window_radius=window)
         analytic[name] = coverage_probability(
-            CoverageQuery(r1, thr, mode), budget, deploy, system, ability).p_cvp
+            CoverageQuery(r1, thr, mode), bud, dep, system, ability).p_cvp
     return {"estimates": {k: [e.mean, e.std_error] for k, e in est.items()},
             "analytic": analytic}
 
