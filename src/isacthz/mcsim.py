@@ -44,23 +44,31 @@ By independent thinning, a coverage trial's marked nodes (those whose
 sweep and orientation marks fire, q_mark of all) and its unmarked ones
 are independent PPPs.  Each drawn field is one Poisson total per batch
 whose points each fall in a uniform trial, as a link batch's obstacles
-do: a point carries its radius and its owning trial, a trial's weight
-sum is one weighted bincount over the owners, and only the trials left
-open gather the radii they own (a stable sort by owner).  Its marked
-nodes are drawn so on the whole window; only trials holding one draw
-angles and a user/blocker disc around their corridors.  Its unmarked
-nodes are split at the radius R where the far ones' absorption bound,
-their expected count at the weight of R, falls to `_SPLIT_SLACK` of the
-margin (`_split_radius`; the lower-bound radius when the margin is not
-positive or without absorption).  The near ones, inside R, are drawn so
-with their radii; the far ones only as a Poisson count per trial.  As
-the weight e^(-k r) / r^2 does not rise with r, the interference lies
-between lo, the absorption noise of the drawn nodes, and hi, which adds
-every marked node unblocked and every far node at the weight of R.  A
-trial is a hit when aligned with hi below the margin and a miss when
-misaligned or lo reaches it; only the trials left open draw their far
-radii, angles, user/blocker discs and corridors.  The decision is the
-one the whole draw would make, so the estimate is exact in law; R sets
+do: a point carries its owning trial and, once drawn, its radius, a
+trial's count or weight sum is one (weighted) bincount over the owners,
+and only the trials left open gather the radii they own (a stable sort
+by owner).  Its marked nodes are drawn so on the whole window; only
+trials holding one draw angles and a user/blocker disc around their
+corridors.  Its unmarked nodes fall into three zones, split at the
+radius R where the far ones' absorption bound, their expected count at
+the weight of R, falls to `_SPLIT_SLACK` of the margin, and inside it at
+the radius R_in where the mid ones' bound falls to `_MID_SLACK` of it
+(`_split_radius`; both the lower-bound radius when the margin is not
+positive or without absorption).  Inner nodes, inside R_in, are drawn
+with their radii; mid ones, between R_in and R, as owners alone; far
+ones, past R, not at all.  As the weight e^(-k r) / r^2 does not rise
+with r, the interference lies between lo, the absorption noise of the
+nodes drawn with radii, and hi, which adds every marked node unblocked,
+every mid node at the weight of R_in and `_far_cap` far nodes at the
+weight of R.  A trial is a hit when aligned with hi below the margin and
+a miss when misaligned or lo reaches it.  The trials these first bounds
+leave open draw their mid radii and their Poisson far count, and are
+decided again: lo now holds the mid nodes' noise and hi every far node
+at the weight of R.  Only the trials still open draw their far radii,
+angles, user/blocker discs and corridors.  Each decision is the one the
+whole draw would make, except when a first-stage hit's far count
+exceeds `_far_cap`, an event of probability below 2^-64 per trial; so
+the estimate is exact in law but for that event, and R_in and R set
 only how many trials stay open.
 
 The model's inputs come from the modules that define them: the densities
@@ -90,15 +98,20 @@ __all__ = ["McEstimate", "estimate_blockage", "estimate_timeout",
            "nearest_two_distances", "default_window_radius"]
 
 _BATCH = 8192
-# expected drawn nodes per estimate_coverage batch, a trial's own arrays
-# (about ten 8-byte ones, against a node's three: its radius, its weight
-# and its owning trial) counted as 6 nodes
+# expected drawn nodes per estimate_coverage batch, each inner or marked
+# node three 8-byte arrays (its radius, its weight and its owning trial),
+# a mid node its owner alone, a third of one, and a trial's own arrays
+# (about ten 8-byte ones) 6; far nodes are drawn only for open trials
 _NODE_BUDGET = 2_700_000
 _TRIAL_NODES = 6.0
 # far absorption bound, as a share of the margin; a looser split leaves
 # more trials open (0.5 opened 6889 of 1e5 at n_b = 8, 20 m, -10 dB
 # against 125, and ran 8x slower)
 _SPLIT_SLACK = 1e-3
+# mid absorption bound, as a share of the margin; from 0.01 to 0.2 the
+# urban call (1e5 trials) ran within 7% of its best, at 0.05, where the
+# first bounds left about 199 of 1e5 trials open (45 at 0.01, 893 at 0.2)
+_MID_SLACK = 0.05
 
 
 @dataclass(frozen=True)
@@ -309,25 +322,25 @@ def default_window_radius(system: SystemParams, deploy: Deployment,
 
 
 def _split_radius(c_abs: float, lambda_b: float, k_abs: float, r_lo: float,
-                  r_win: float, margin: float) -> float:
-    """Smallest r in [r_lo, r_win] at which the far absorption bound
-    c_abs lambda_b pi (r_win^2 - r^2) e^(-k r) / r^2, the absorption of the
-    expected far node count at the weight of r, is at most
-    _SPLIT_SLACK * margin.
+                  r_out: float, margin: float,
+                  share: float = _SPLIT_SLACK) -> float:
+    """Smallest r in [r_lo, r_out] at which the absorption bound of the ring
+    (r, r_out), c_abs lambda_b pi (r_out^2 - r^2) e^(-k r) / r^2, its
+    expected node count at the weight of r, is at most share * margin.
 
     r_lo when that bound already holds there (c_abs = 0 included) or when
     margin <= 0, where every trial misses.  The bound falls with r and is 0
-    at r_win, so bisection finds the radius to a relative 1e-10.
+    at r_out, so bisection finds the radius to a relative 1e-10.
     """
-    cap = _SPLIT_SLACK * margin
+    cap = share * margin
 
     def fails(r):
-        return c_abs * lambda_b * math.pi * (r_win ** 2 - r ** 2) \
+        return c_abs * lambda_b * math.pi * (r_out ** 2 - r ** 2) \
             * math.exp(-k_abs * r) / r ** 2 > cap
 
     if not margin > 0.0 or not fails(r_lo):
         return r_lo
-    lo, hi = r_lo, r_win
+    lo, hi = r_lo, r_out
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if fails(mid):
@@ -335,6 +348,30 @@ def _split_radius(c_abs: float, lambda_b: float, k_abs: float, r_lo: float,
         else:
             hi = mid
     return hi
+
+
+def _far_cap(mean: float) -> int:
+    """Smallest count F whose Poisson(mean) upper tail P(N > F) the Chernoff
+    bound P(N >= n) <= e^(n - mean) (mean / n)^n, n > mean, puts below
+    2^-64.  The bound falls with n past the mean, so F is found by doubling
+    and bisection."""
+    if not mean > 0.0:
+        return 0
+    target = -64.0 * math.log(2.0)
+
+    def holds(n):
+        return n > mean and n - mean + n * math.log(mean / n) < target
+
+    lo, hi = 0, 1
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi - 1
 
 
 def _annulus_radii(rng, n: int, r_in: float, r_out: float) -> np.ndarray:
@@ -362,13 +399,29 @@ def _grouped_sums(values: np.ndarray, owner: np.ndarray,
     return sums.astype(float, copy=False)
 
 
+def _scattered_owners(rng, mean: float, b: int) -> np.ndarray:
+    """The slot owning each point of b independent Poisson(mean) counts, in
+    draw order: one Poisson(mean * b) total whose points each fall in a
+    uniform slot (the same law, by the colouring theorem)."""
+    return rng.integers(0, b, rng.poisson(mean * b))
+
+
 def _scattered_field(rng, mean: float, b: int, r_in: float,
                      r_out: float) -> tuple:
     """Radii of b independent PPPs of Poisson(mean) points on the annulus
-    r_in <= r <= r_out, and the slot owning each, in draw order: one
-    Poisson(mean * b) total whose points each fall in a uniform slot (the
-    same law, by the colouring theorem)."""
-    owner = rng.integers(0, b, rng.poisson(mean * b))
+    r_in <= r <= r_out, and the slot owning each, in draw order."""
+    owner = _scattered_owners(rng, mean, b)
+    return _annulus_radii(rng, owner.size, r_in, r_out), owner
+
+
+def _open_radii(rng, owner: np.ndarray, open_, r_in: float,
+                r_out: float) -> tuple:
+    """Radii on the annulus r_in <= r <= r_out, drawn now, of the points of
+    a scattered field (`owner` from `_scattered_owners`) that open trials
+    own (open_ a mask over the batch), and their owners, in draw order.
+    A point's radius is independent of its owner and of every other
+    point, so drawing it late leaves the field's law as it is."""
+    owner = owner[open_[owner]]
     return _annulus_radii(rng, owner.size, r_in, r_out), owner
 
 
@@ -396,11 +449,11 @@ def _resolve(rng, deploy: Deployment, budget: LinkBudget, r1: float,
     """Interference i_eff of open trials, each drawn whole.
 
     lo holds their bounds' absorption sums, near and marked one array per
-    trial of their unmarked near and of their marked radii, far the counts
-    of their unmarked far nodes, whose radii are drawn here on the ring
-    (r_near, r_win).  Each trial holding a marked node then draws the
-    angles of all its nodes and the user/blocker disc around its marked
-    nodes' corridors, in trial order.
+    trial of their unmarked inner and mid and of their marked radii, far
+    the counts of their unmarked far nodes, whose radii are drawn here on
+    the ring (r_near, r_win).  Each trial holding a marked node then draws
+    the angles of all its nodes and the user/blocker disc around its
+    marked nodes' corridors, in trial order.
     """
     r_far = _annulus_radii(rng, int(far.sum()), *ring)
     i_eff = lo + c_abs * _grouped_sums(_weights(r_far, budget.k_abs),
@@ -459,32 +512,57 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
         effective_noise(budget, deploy, system, r1)
     r_near = _split_radius(c_abs, deploy.lambda_b, budget.k_abs, r_lo, r_win,
                            margin)
+    r_in = _split_radius(c_abs, deploy.lambda_b, budget.k_abs, r_lo, r_near,
+                         margin, _MID_SLACK)
 
-    # expected unmarked near, unmarked far and marked nodes per trial
+    # expected unmarked inner, mid and far and marked nodes per trial
     area = deploy.lambda_b * math.pi
-    near_mean = (1.0 - q_mark) * area * (r_near ** 2 - r_lo ** 2)
-    far_mean = (1.0 - q_mark) * area * (r_win ** 2 - r_near ** 2)
+    unmarked = (1.0 - q_mark) * area
+    inner_mean = unmarked * (r_in ** 2 - r_lo ** 2)
+    mid_mean = unmarked * (r_near ** 2 - r_in ** 2)
+    far_mean = unmarked * (r_win ** 2 - r_near ** 2)
     mark_mean = q_mark * area * (r_win ** 2 - r_lo ** 2)
-    g_edge = math.exp(-budget.k_abs * r_near) / r_near ** 2  # far weight cap
-    size = max(1, int(_NODE_BUDGET // (near_mean + mark_mean + _TRIAL_NODES)))
+    g_in, g_near = (math.exp(-budget.k_abs * r) / r ** 2
+                    for r in (r_in, r_near))
+    far_hi = c_abs * g_near * _far_cap(far_mean)
+    size = max(1, int(_NODE_BUDGET // (inner_mean + mid_mean / 3.0 + mark_mean
+                                       + _TRIAL_NODES)))
     hits = 0
     for rng, b in _batches(trials, seed, size):
-        rad, owner = _scattered_field(rng, near_mean, b, r_lo, r_near)
+        rad, owner = _scattered_field(rng, inner_mean, b, r_lo, r_in)
+        mid = _scattered_owners(rng, mid_mean, b)
         r_m, m_owner = _scattered_field(rng, mark_mean, b, r_lo, r_win)
-        far = rng.poisson(far_mean, size=b)
         aligned = rng.random(b) >= p_ms
         g_m = _grouped_sums(_weights(r_m, budget.k_abs), m_owner, b)
-        # absorption noise of every drawn node
+        # absorption noise of every node drawn with its radius
         lo = _grouped_sums(_weights(rad, budget.k_abs), owner, b)
         lo += g_m
         lo *= c_abs
-        # every marked node unblocked, every far one at the weight of r_near
-        hi = lo + budget.a * g_m + g_edge * c_abs * far
+        # every marked node unblocked, every mid one at the weight of r_in
+        # and _far_cap far ones at the weight of r_near
+        hi = np.bincount(mid, minlength=b) * (c_abs * g_in)
+        hi += far_hi
+        hi += lo
+        hi += budget.a * g_m
         hit, open_ = _bound_decisions(lo, hi, aligned, margin)
-        i_eff = _resolve(rng, deploy, budget, r1, c_abs, lo[open_],
-                         _per_trial(rad, owner, open_),
-                         _per_trial(r_m, m_owner, open_), far[open_],
+        hits += int(hit.sum())
+        # the open trials draw their mid radii and far counts, and are
+        # decided again with every unmarked node past r_near at its weight
+        o = np.flatnonzero(open_)
+        r_mid, mid = _open_radii(rng, mid, open_, r_in, r_near)
+        far = rng.poisson(far_mean, size=o.size)
+        lo = lo[o] + c_abs * _grouped_sums(_weights(r_mid, budget.k_abs),
+                                           np.searchsorted(o, mid), o.size)
+        hi = lo + budget.a * g_m[o] + g_near * c_abs * far
+        hit, still = _bound_decisions(lo, hi, aligned[o], margin)
+        hits += int(hit.sum())
+        left = np.zeros(b, dtype=bool)
+        left[o[still]] = True
+        near = [np.concatenate(radii) for radii in zip(
+            _per_trial(rad, owner, left), _per_trial(r_mid, mid, left))]
+        i_eff = _resolve(rng, deploy, budget, r1, c_abs, lo[still], near,
+                         _per_trial(r_m, m_owner, left), far[still],
                          (r_near, r_win))
-        hits += int(hit.sum()) + int((i_eff < margin).sum())
+        hits += int((i_eff < margin).sum())
         del rad, owner  # else they live on while the next batch draws its own
     return McEstimate.from_hits(hits, trials)

@@ -8,7 +8,7 @@ Component pieces:
   1 - exp(-(lambda_m + lambda_s)(r - 2 r_b) 2 r_b).
 * timeout_probability -- both nearest nodes blocked, an integral over the
   joint nearest-two distance density whose inner part has an erfcx
-  closed form; cached per deployment.
+  closed form; cached on the three deployment values it reads.
 * speed_underestimate_probability -- the tracked speed falls short of the
   beam-crossing rate: the beam length, exponential with density
   mu_g = n_b sqrt(lambda_b) / pi, falls in crossing_miss_window.
@@ -76,16 +76,19 @@ def blockage_probability(deploy: Deployment, r):
     return float(out) if out.ndim == 0 else out
 
 
-def _lemma_constants(deploy: Deployment):
-    w1 = deploy.obstacle_density * 2.0 * deploy.r_b
-    beta = deploy.lambda_b * math.pi
-    w2 = 2.0 * deploy.r_b * math.sqrt(beta) + w1 / (2.0 * math.sqrt(beta))
+def _lemma_inputs(deploy: Deployment) -> tuple:
+    """The deployment values the nearest-node laws read: lambda_b, the
+    obstacle density lambda_m + lambda_s and r_b."""
+    return deploy.lambda_b, deploy.obstacle_density, deploy.r_b
+
+
+def _lemma_constants(lambda_b: float, density: float, r_b: float):
+    w1 = density * 2.0 * r_b
+    beta = lambda_b * math.pi
+    w2 = 2.0 * r_b * math.sqrt(beta) + w1 / (2.0 * math.sqrt(beta))
     return w1, beta, w2
 
 
-# p_to reads the deployment only, while its callers ask for it once per
-# scheme and sweep point; the bound keeps long-lived processes small.
-@functools.lru_cache(maxsize=256)
 def timeout_probability(deploy: Deployment) -> float:
     """Probability that the two nearest nodes are both corridor-blocked.
 
@@ -97,17 +100,26 @@ def timeout_probability(deploy: Deployment) -> float:
           + b w1 sqrt(pi)/(4 beta^{3/2}) erfcx(sqrt(beta) r1 + w1/(2 sqrt(beta)))],
 
     the scaled complementary error function keeping every factor finite.
+    Cached on the three values it reads (`_lemma_inputs`).
     """
-    if deploy.obstacle_density == 0.0:
+    return _timeout(*_lemma_inputs(deploy))
+
+
+# its callers ask for p_to once per scheme and sweep point, and a sweep of
+# n_b or the pilot budget leaves all three values as they are; the bound
+# keeps long-lived processes small
+@functools.lru_cache(maxsize=256)
+def _timeout(lambda_b: float, density: float, r_b: float) -> float:
+    if density == 0.0:
         return 0.0
-    if deploy.lambda_b <= 0.0:
+    if lambda_b <= 0.0:
         return 1.0  # both nearest nodes sit arbitrarily far away
-    w1, beta, _ = _lemma_constants(deploy)
+    w1, beta, _ = _lemma_constants(lambda_b, density, r_b)
     root = math.sqrt(beta)
 
     def outer(r1):
         r1 = np.asarray(r1, dtype=float)
-        exponent = log_void_probability(deploy.obstacle_density, deploy.r_b, r1)
+        exponent = log_void_probability(density, r_b, r1)
         b = np.exp(exponent)
         p_block = -np.expm1(exponent)
         g = np.exp(-beta * r1 ** 2) * (
@@ -116,8 +128,15 @@ def timeout_probability(deploy: Deployment) -> float:
             * sp.erfcx(root * r1 + w1 / (2.0 * root)))
         return r1 * p_block * g
 
-    integral = integrate_semi_infinite(outer, 2.0 * deploy.r_b)
-    return (2.0 * deploy.lambda_b * math.pi) ** 2 * integral
+    integral = integrate_semi_infinite(outer, 2.0 * r_b)
+    return (2.0 * lambda_b * math.pi) ** 2 * integral
+
+
+# the cache's handles, on the public name
+timeout_probability.cache_clear = _timeout.cache_clear
+timeout_probability.cache_info = _timeout.cache_info
+timeout_probability.__wrapped__ = \
+    lambda deploy: _timeout.__wrapped__(*_lemma_inputs(deploy))
 
 
 def crossing_miss_window(deploy: Deployment, ability: SensingAbility,
@@ -157,7 +176,7 @@ def expected_closest_blockage(deploy: Deployment) -> float:
         return 0.0
     if deploy.lambda_b <= 0.0:
         return 1.0  # the nearest node sits arbitrarily far away
-    w1, beta, w2 = _lemma_constants(deploy)
+    w1, beta, w2 = _lemma_constants(*_lemma_inputs(deploy))
     scaled = float(sp.erfcx(w2))  # erfc(w2) * exp(w2^2)
     inner = 1.0 - w1 / (2.0 * math.sqrt(deploy.lambda_b)) * scaled
     return 1.0 - math.exp(-4.0 * beta * deploy.r_b ** 2) * inner

@@ -103,12 +103,14 @@ class TestMisalign:
 
     @pytest.mark.parametrize("sweep", ["n_b", "n_rs"])
     def test_one_timeout_per_deployment(self, sweep):
-        # every scheme and pilot budget of a deployment shares its p_to
+        # every deployment with the same (lambda_b, lambda_m + lambda_s,
+        # r_b) shares its p_to, whatever its schemes, beams and pilots
         points = _sweep_deployments(SYS, DEP, sweep)
         timeout_probability.cache_clear()
         rows = misalign_sweep_rows(SYS, DEP, sweep)
         assert (timeout_probability.cache_info().misses
-                == len({deploy for _, _, _, deploy in points}))
+                == len({(d.lambda_b, d.obstacle_density, d.r_b)
+                        for _, _, _, d in points}))
         deploy_of = {value: deploy for _, value, _, deploy in points}
         for _, value, _, _, p_to, _ in rows:
             assert p_to == timeout_probability.__wrapped__(deploy_of[value])

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from isacthz import mcsim
 from isacthz.channel import (LinkBudget, effective_noise, lower_bound_radius,
@@ -761,15 +761,24 @@ def _split_inputs(dep, bud, scheme, r1, db, mode):
             default_window_radius(SYS, dep, r1), margin)
 
 
-def _far_bound(c_abs, lambda_b, k_abs, r_lo, r_win, margin, r):
-    """The far absorption bound at split radius r over the margin."""
-    return c_abs * lambda_b * math.pi * (r_win ** 2 - r ** 2) \
+def _far_bound(c_abs, lambda_b, k_abs, r_lo, r_out, margin, r):
+    """The absorption bound of the ring (r, r_out) over the margin."""
+    return c_abs * lambda_b * math.pi * (r_out ** 2 - r ** 2) \
         * math.exp(-k_abs * r) / r ** 2 / margin
+
+
+def _zone_radii(*args):
+    """(r_in, r_near) as `estimate_coverage` splits its unmarked nodes."""
+    c_abs, lambda_b, k_abs, r_lo, r_win, margin = args
+    r_near = _split_radius(*args)
+    return _split_radius(c_abs, lambda_b, k_abs, r_lo, r_near, margin,
+                         mcsim._MID_SLACK), r_near
 
 
 class TestSplitRadius:
     """The near/far split is the smallest radius whose far absorption
-    bound stays within a fixed share of the margin."""
+    bound stays within a fixed share of the margin, and the inner/mid
+    split the smallest one whose mid bound does."""
 
     @pytest.mark.parametrize("dep, bud, scheme, r1, db, mode", [
         (DEP, BUD, "jsrs", 20.0, 5.0, "theorem"),
@@ -787,6 +796,12 @@ class TestSplitRadius:
         assert r_lo < r <= r_win
         assert _far_bound(*args, r) <= mcsim._SPLIT_SLACK
         assert _far_bound(*args, r * (1.0 - 1e-9)) > mcsim._SPLIT_SLACK
+        r_in, r_near = _zone_radii(*args)
+        assert r_near == r and r_lo <= r_in <= r_near
+        mid = args[:4] + (r_near, args[5])
+        assert _far_bound(*mid, r_in) <= mcsim._MID_SLACK
+        if r_in > r_lo:
+            assert _far_bound(*mid, r_in * (1.0 - 1e-9)) > mcsim._MID_SLACK
 
     def test_lower_bound_without_margin(self):
         c_abs, lambda_b, k_abs, r_lo, r_win, margin = _split_inputs(
@@ -794,6 +809,8 @@ class TestSplitRadius:
         assert margin < 0.0
         for m in (margin, 0.0):
             assert _split_radius(c_abs, lambda_b, k_abs, r_lo, r_win, m) == r_lo
+            assert _zone_radii(c_abs, lambda_b, k_abs, r_lo, r_win, m) \
+                == (r_lo, r_lo)
 
     def test_lower_bound_without_absorption(self):
         # k = 0 leaves no absorption noise: every unmarked node is far
@@ -801,6 +818,7 @@ class TestSplitRadius:
                              "theorem")
         assert args[0] == 0.0 and args[5] > 0.0
         assert _split_radius(*args) == args[3]
+        assert _zone_radii(*args) == (args[3], args[3])
 
     def test_lower_bound_where_the_bound_holds(self):
         args = _split_inputs(DEP, BUD, "jsrs", 20.0, -10.0, "derivation")
@@ -808,46 +826,117 @@ class TestSplitRadius:
         assert _split_radius(*args) == args[3]
 
 
+class TestFarCap:
+    """A first-stage trial bounds its undrawn far count by `_far_cap`; the
+    count exceeds it with probability below 2^-64."""
+
+    @pytest.mark.parametrize("mean", np.logspace(-2.0, 5.0, 15))
+    def test_tail_below_two_to_the_minus_64(self, mean):
+        cap = mcsim._far_cap(mean)
+        assert cap >= mean
+        assert special.pdtrc(cap, mean) < 2.0 ** -64
+
+    def test_no_far_nodes(self):
+        assert mcsim._far_cap(0.0) == 0
+
+
+def _urban_zones():
+    """(r_lo, r_in, r_near, r_win) and the expected unmarked inner and mid
+    nodes per trial at the urban point (jsrs, 20 m, 5 dB)."""
+    args = _split_inputs(DEP, BUD, "jsrs", 20.0, 5.0, "theorem")
+    r_lo, r_win = args[3], args[4]
+    r_in, r_near = _zone_radii(*args)
+    p_ms = beam_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
+                             SYS.tau).p_ms
+    unmarked = (1.0 - sweep_weight(DEP, SYS, p_ms)) * DEP.lambda_b * math.pi
+    return ((r_lo, r_in, r_near, r_win), unmarked * (r_in ** 2 - r_lo ** 2),
+            unmarked * (r_near ** 2 - r_in ** 2))
+
+
 class TestScatteredFields:
-    """A coverage batch draws its unmarked near and its marked nodes each as
-    one Poisson total whose points fall in uniform trials, and hands each
-    open trial exactly the radii it owns."""
+    """A coverage batch draws its unmarked inner and its marked nodes each as
+    one Poisson total whose points fall in uniform trials, its mid nodes as
+    such a total of owners alone, whose radii only the trials the first
+    bounds leave open draw, and hands each trial still open exactly the
+    radii it owns."""
 
     def test_near_field_law(self, monkeypatch):
-        fields = []
+        fields, owners = [], []
 
-        def spy(rng, mean, b, r_in, r_out):
+        def field(rng, mean, b, r_in, r_out):
             fields.append((mean, b, r_in, r_out)
                           + scattered(rng, mean, b, r_in, r_out))
             return fields[-1][4:]
 
-        scattered = mcsim._scattered_field
-        monkeypatch.setattr(mcsim, "_scattered_field", spy)
+        def scattered_owners(rng, mean, b):
+            owners.append((mean, b, draw_owners(rng, mean, b)))
+            return owners[-1][2]
+
+        scattered, draw_owners = mcsim._scattered_field, mcsim._scattered_owners
+        monkeypatch.setattr(mcsim, "_scattered_field", field)
+        monkeypatch.setattr(mcsim, "_scattered_owners", scattered_owners)
         # batches of a few trials, so that a trial no point can fall in shows
         monkeypatch.setattr(mcsim, "_NODE_BUDGET", 60)
         ability = scheme_ability("jsrs", SYS, DEP)
         estimate_coverage(DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000, 97)
-        args = _split_inputs(DEP, BUD, "jsrs", 20.0, 5.0, "theorem")
-        r_lo, r_win, r_near = args[3], args[4], _split_radius(*args)
-        q_mark = sweep_weight(DEP, SYS,
-                              beam_misalignment(DEP, ability, SYS.tau).p_ms)
-        mean = (1.0 - q_mark) * DEP.lambda_b * math.pi \
-            * (r_near ** 2 - r_lo ** 2)
-        near, marked = fields[0::2], fields[1::2]  # near first in a batch
-        assert max(f[1] for f in near) <= 8
-        assert sum(f[1] for f in near) == 20000
-        for f in near:
-            assert f[0] == pytest.approx(mean, rel=1e-12)
-            assert f[2:4] == (r_lo, r_near)
+        (r_lo, r_in, r_near, r_win), inner_mean, mid_mean = _urban_zones()
+        assert r_lo < r_in < r_near
+        # a batch draws its inner, mid and marked owners in that order
+        inner, marked, mid = fields[0::2], fields[1::2], owners[1::3]
+        # the budget counts an inner or marked node whole, a mid node (its
+        # owner alone) as a third and a trial's own arrays as 6 nodes:
+        # 60 // (0.55 + 4.04 / 3 + 0.004 + 6) = 7 trials a batch
+        assert max(f[1] for f in inner) == 7
+        assert sum(f[1] for f in inner) == sum(f[1] for f in mid) == 20000
+        for f in inner:
+            assert f[0] == pytest.approx(inner_mean, rel=1e-12)
+            assert f[2:4] == (r_lo, r_in)
         assert all(f[2:4] == (r_lo, r_win) for f in marked)
-        counts = np.concatenate([np.bincount(f[5], minlength=f[1])
-                                 for f in near])
-        assert _count_gof(counts, lambda k: counts.size
-                          * stats.poisson.pmf(k, mean)) > 1e-3
-        # r^2 is uniform on [r_lo^2, r_near^2]
-        r2 = np.concatenate([f[4] for f in near]) ** 2
+        for f in mid:
+            assert f[0] == pytest.approx(mid_mean, rel=1e-12)
+        for zone, mean in ((inner, inner_mean), (mid, mid_mean)):
+            counts = np.concatenate([np.bincount(f[-1], minlength=f[1])
+                                     for f in zone])
+            assert _count_gof(counts, lambda k: counts.size
+                              * stats.poisson.pmf(k, mean)) > 1e-3
+        # r^2 is uniform on [r_lo^2, r_in^2]
+        r2 = np.concatenate([f[4] for f in inner]) ** 2
         assert stats.kstest(r2, "uniform", args=(
-            r_lo ** 2, r_near ** 2 - r_lo ** 2)).pvalue > 1e-3
+            r_lo ** 2, r_in ** 2 - r_lo ** 2)).pvalue > 1e-3
+
+    def test_mid_radii_drawn_late(self, monkeypatch):
+        # the first bounds open every aligned trial, so that the mid nodes
+        # of all of them draw their radii
+        calls, late = [], []
+
+        def decide(lo, hi, aligned, margin):
+            calls.append(lo.size)
+            hit, open_ = decisions(lo, hi, aligned, margin)
+            return (np.zeros_like(hit), aligned) if len(calls) % 2 \
+                else (hit, open_)
+
+        def radii(rng, owner, open_, r_in, r_out):
+            late.append((owner, open_, r_in, r_out)
+                        + open_radii(rng, owner, open_, r_in, r_out))
+            return late[-1][4:]
+
+        decisions, open_radii = mcsim._bound_decisions, mcsim._open_radii
+        monkeypatch.setattr(mcsim, "_bound_decisions", decide)
+        monkeypatch.setattr(mcsim, "_open_radii", radii)
+        estimate_coverage(DEP, BUD, SYS, scheme_ability("jsrs", SYS, DEP),
+                          20.0, 10 ** 0.5, 20000, 99)
+        (r_lo, r_in, r_near, r_win), _, mid_mean = _urban_zones()
+        n_open = 0
+        for owner, open_, lo, hi, rad, own in late:
+            assert (lo, hi) == (r_in, r_near)
+            assert np.array_equal(own, owner[open_[owner]])
+            n_open += int(open_.sum())
+        assert n_open == sum(calls[1::2]) > 0.9 * 20000
+        # r^2 is uniform on [r_in^2, r_near^2]
+        r2 = np.concatenate([f[4] for f in late]) ** 2
+        assert r2.size > 0.9 * mid_mean * n_open
+        assert stats.kstest(r2, "uniform", args=(
+            r_in ** 2, r_near ** 2 - r_in ** 2)).pvalue > 1e-3
 
     @pytest.mark.parametrize("dep, bud, db, window, trials", [
         (BUSY, BUSY_BUD, 20.0, 150.0, 8000),
@@ -855,11 +944,15 @@ class TestScatteredFields:
     ], ids=["busy", "narrow_beams"])
     def test_open_trials_get_their_own_radii(self, monkeypatch, dep, bud, db,
                                              window, trials):
-        fields, opened, handed = [], [], []
+        fields, late, opened, handed = [], [], [], []
 
         def field(rng, mean, b, r_in, r_out):
             fields.append(scattered(rng, mean, b, r_in, r_out))
             return fields[-1]
+
+        def radii(rng, owner, open_, r_in, r_out):
+            late.append(open_radii(rng, owner, open_, r_in, r_out))
+            return late[-1]
 
         def decide(lo, hi, aligned, margin):
             hit, open_ = decisions(lo, hi, aligned, margin)
@@ -872,29 +965,34 @@ class TestScatteredFields:
                                  marked, *rest)
 
         scattered, decisions = mcsim._scattered_field, mcsim._bound_decisions
-        resolve_whole = mcsim._resolve
+        open_radii, resolve_whole = mcsim._open_radii, mcsim._resolve
         monkeypatch.setattr(mcsim, "_scattered_field", field)
+        monkeypatch.setattr(mcsim, "_open_radii", radii)
         monkeypatch.setattr(mcsim, "_bound_decisions", decide)
         monkeypatch.setattr(mcsim, "_resolve", resolve)
         estimate_coverage(dep, bud, SYS, scheme_ability("jsrs", SYS, dep),
                           20.0, 10.0 ** (db / 10.0), trials, 98,
                           window_radius=window)
-        n_open = n_near = n_marked = 0
-        for k, (open_, (near, marked)) in enumerate(zip(opened, handed)):
-            o = np.flatnonzero(open_)
+        n_open = n_inner = n_mid = n_marked = 0
+        for k, (near, marked) in enumerate(handed):
+            # the trials the first bounds opened and the second left open
+            o = np.flatnonzero(opened[2 * k])[opened[2 * k + 1]]
             assert len(near) == len(marked) == o.size
-            for (rad, owner), got in ((fields[2 * k], near),
-                                      (fields[2 * k + 1], marked)):
-                for t, r_t in zip(o, got):
-                    assert np.array_equal(r_t, rad[owner == t])
+            (rad, owner), (r_m, m_owner) = fields[2 * k], fields[2 * k + 1]
+            r_mid, mid = late[k]
+            for t, near_t, marked_t in zip(o, near, marked):
+                inner_t, mid_t = rad[owner == t], r_mid[mid == t]
+                assert np.array_equal(near_t, np.concatenate([inner_t, mid_t]))
+                assert np.array_equal(marked_t, r_m[m_owner == t])
+                n_inner += inner_t.size
+                n_mid += mid_t.size
+                n_marked += marked_t.size
             n_open += o.size
-            n_near += sum(r.size for r in near)
-            n_marked += sum(r.size for r in marked)
         assert n_marked > 0
         if dep is BUSY:
             assert n_open > 0.15 * trials
-        else:  # BUSY is lossless, so it draws no near node
-            assert n_near > 0
+        else:  # BUSY is lossless, so it draws no inner or mid node
+            assert n_inner > 0 and n_mid > 0
 
 
 class TestDecisionRule:
@@ -919,8 +1017,9 @@ class TestDecisionRule:
         _agree(est, ref, 3.0)
 
     def test_bounds_decide_as_the_full_draw(self, monkeypatch):
-        # every aligned trial is drawn whole; the ones the bounds decided
-        # must come out the same, each between its bounds
+        # every aligned trial is opened by both stages and drawn whole; the
+        # ones either stage's bounds decided must come out the same, each
+        # between that stage's bounds
         decided, resolved, corridors = [], [], []
 
         def decide(lo, hi, aligned, margin):
@@ -943,17 +1042,26 @@ class TestDecisionRule:
         monkeypatch.setattr(mcsim, "_blocked_bulk", blocked)
         estimate_coverage(DEP8, BUD8, SYS, scheme_ability("jsrs", SYS, DEP8),
                           20.0, 0.1, 4000, 74)
-        hits = misses = 0
-        for (lo, hi, hit, open_, margin), i_eff in zip(decided, resolved):
-            assert np.all(lo <= i_eff)
-            assert np.all(i_eff <= hi * (1.0 + 1e-12))
-            assert np.all(i_eff[hit] < margin)
-            missed = ~hit & ~open_
-            assert np.all(i_eff[missed] >= margin)
-            hits += int(hit.sum())
-            misses += int(missed.sum())
-        # each kind of decision is exercised, and so are the corridors
-        assert hits > 100 and misses > 100 and sum(corridors) > 500
+        assert len(decided) == 2 * len(resolved)
+        counts = []
+        for stage in (0, 1):  # the first bounds, then the second
+            hits = misses = 0
+            for (lo, hi, hit, open_, margin), i_eff in zip(decided[stage::2],
+                                                           resolved):
+                assert lo.size == i_eff.size
+                assert np.all(lo <= i_eff)
+                assert np.all(i_eff <= hi * (1.0 + 1e-12))
+                assert np.all(i_eff[hit] < margin)
+                missed = ~hit & ~open_
+                assert np.all(i_eff[missed] >= margin)
+                hits += int(hit.sum())
+                misses += int(missed.sum())
+            counts.append((hits, misses))
+        # each kind of decision is exercised in each stage, and so are the
+        # corridors; the second bounds decide more than the first
+        assert all(h > 100 and m > 100 for h, m in counts)
+        assert counts[1][0] > counts[0][0] and counts[1][1] >= counts[0][1]
+        assert sum(corridors) > 500
 
 
 class TestPinnedStream:
@@ -978,25 +1086,30 @@ class TestPinnedStream:
     (coverage urban 0.8533 -> 0.85465, derivation 0.63315 -> 0.62805, open
     field 0.94873046875 -> 0.93408203125, timeout 0.0523 -> 0.0521, p_err
     0.0407 -> 0.0404; the blockage one stayed, and so did the window-oracle
-    ones, whose draw the seam replaces whole and in the same order)."""
+    ones, whose draw the seam replaces whole and in the same order); the
+    coverage ones again after a coverage batch split its unmarked nodes
+    into inner ones drawn with radii, mid ones drawn as owners alone and
+    far ones drawn only for the trials the first bounds leave open
+    (urban 0.85465 -> 0.8592, derivation 0.62805 -> 0.6301, open field
+    0.93408203125 -> 0.93603515625)."""
 
     def test_coverage_urban(self):
         ability = scheme_ability("jsrs", SYS, DEP)
         est = estimate_coverage(DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000, 52)
-        assert est.mean == 0.85465
+        assert est.mean == 0.8592
 
     def test_coverage_derivation(self):
         ability = scheme_ability("5g", SYS, DEP)
         est = estimate_coverage(DEP, BUD, SYS, ability, 10.0, 1.0, 20000, 53,
                                 lower_bound_mode="derivation")
-        assert est.mean == 0.62805
+        assert est.mean == 0.6301
 
     def test_coverage_open_field(self):
         dep0 = replace(DEP, lambda_m=0.0, lambda_s=0.0)
         ability = scheme_ability("perfect", SYS, DEP)
         est = estimate_coverage(dep0, BUD, SYS, ability, 20.0, 10 ** 0.5, 2048, 4,
                                 window_radius=500.0)
-        assert est.mean == 0.93408203125
+        assert est.mean == 0.93603515625
 
     def test_blockage(self):
         assert estimate_blockage(DEP, 52.0, 20000, 3).mean == 0.63435

@@ -1,21 +1,26 @@
 """Agreement of the Monte-Carlo estimators between two source trees.
 
     python3 tools/mc_agreement.py PARENT_TREE CHANGE_TREE [--seed 2026]
+        [--seeds N]
 
 Each tree's estimators run in an interpreter of their own that imports
 ``isacthz`` from that tree's ``src/`` and nowhere else, one after the other,
-at one seed and fixed sizes: ``estimate_blockage`` (52 m links),
-``estimate_timeout`` and ``estimate_misalignment`` (jsrs) at 1e6 trials, and
-``estimate_coverage`` at four cells, 2e5 trials each: the urban point, a
-derivation-mode cell, the blocker-free open field on a 500 m window and
-narrow beams (n_b = n_m = 8), where many trials are left open.  Every point
-is an independent estimate on each side, so a sampler change that keeps the
-law should leave them within a few combined standard errors.
+at seeds seed ... seed + N - 1 (N = 1 by default) and fixed sizes:
+``estimate_blockage`` (52 m links), ``estimate_timeout`` and
+``estimate_misalignment`` (jsrs) at 1e6 trials, and ``estimate_coverage``
+at four cells, 2e5 trials each: the urban point, a derivation-mode cell,
+the blocker-free open field on a 500 m window and narrow beams
+(n_b = n_m = 8), where many trials are left open.  Every point is an
+independent estimate on each side, so a sampler change that keeps the law
+should leave them within a few combined standard errors.
 
-Prints one JSON object.  Per point: [mean, std_error] of each side, the
-analytic value from the change tree (coverage: ``coverage_probability``'s
-p_cvp), ``combined_sigmas`` = (change - parent) / hypot(std errors), and
-each side's distance from the analytic value in its own standard errors.
+Prints one JSON object.  Per point: [mean, std_error] of each side, pooled
+over the seeds (hits over trials), the analytic value from the change tree
+(coverage: ``coverage_probability``'s p_cvp), ``combined_sigmas`` =
+(change - parent) / hypot(std errors), and each side's distance from the
+analytic value in its own standard errors.  Per estimator call, each side's
+wall seconds at every seed (``wall_s``; the misalignment call serves its
+three points).
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import json
 import math
 import subprocess
 import sys
+import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 LINK_TRIALS = 1_000_000
@@ -43,8 +50,9 @@ COVERAGE_CELLS = {
 }
 
 
-def _measure(src: Path, seed: int) -> dict:
-    """Estimates and analytic values of every point, on the package in src."""
+def _measure(src: Path, seeds: range) -> dict:
+    """Pooled estimates, analytic values and per-seed wall seconds of every
+    point, on the package in src."""
     sys.path.insert(0, str(src))
     import isacthz
     if Path(isacthz.__file__).resolve().parent.parent != src.resolve():
@@ -59,12 +67,13 @@ def _measure(src: Path, seed: int) -> dict:
 
     system, deploy = SystemParams(), Deployment()
     jsrs = scheme_ability("jsrs", system, deploy)
-    est = {"blockage_52m": mcsim.estimate_blockage(deploy, LINK_M, LINK_TRIALS,
-                                                   seed),
-           "timeout": mcsim.estimate_timeout(deploy, LINK_TRIALS, seed)}
-    ms = mcsim.estimate_misalignment(deploy, jsrs, system.tau, LINK_TRIALS,
-                                     seed)
-    est.update({f"misalignment_{k}": v for k, v in ms.items()})
+    # estimator calls by name, each taking the seed last; the misalignment
+    # one returns a dict of its three points
+    calls = {"blockage_52m": partial(mcsim.estimate_blockage, deploy, LINK_M,
+                                     LINK_TRIALS),
+             "timeout": partial(mcsim.estimate_timeout, deploy, LINK_TRIALS),
+             "misalignment": partial(mcsim.estimate_misalignment, deploy, jsrs,
+                                     system.tau, LINK_TRIALS)}
     breakdown = beam_misalignment(deploy, jsrs, system.tau)
     analytic = {"blockage_52m": blockage_probability(deploy, LINK_M),
                 "timeout": timeout_probability(deploy),
@@ -77,20 +86,33 @@ def _measure(src: Path, seed: int) -> dict:
         bud = LinkBudget.from_params(system, dep)
         ability = scheme_ability(scheme, system, dep)
         thr = 10.0 ** (db / 10.0)
-        est[name] = mcsim.estimate_coverage(dep, bud, system, ability, r1,
-                                            thr, COVERAGE_TRIALS, seed,
-                                            lower_bound_mode=mode,
-                                            window_radius=window)
+        calls[name] = partial(mcsim.estimate_coverage, dep, bud, system,
+                              ability, r1, thr, COVERAGE_TRIALS,
+                              lower_bound_mode=mode, window_radius=window)
         analytic[name] = coverage_probability(
             CoverageQuery(r1, thr, mode), bud, dep, system, ability).p_cvp
-    return {"estimates": {k: [e.mean, e.std_error] for k, e in est.items()},
-            "analytic": analytic}
+    hits, trials = {}, {}
+    wall_s = {call: [] for call in calls}
+    for seed in seeds:
+        for call, estimate in calls.items():
+            t0 = time.perf_counter()
+            out = estimate(seed)
+            wall_s[call].append(time.perf_counter() - t0)
+            out = ({call: out} if isinstance(out, mcsim.McEstimate)
+                   else {f"{call}_{k}": e for k, e in out.items()})
+            for k, e in out.items():
+                hits[k] = hits.get(k, 0) + round(e.mean * e.trials)
+                trials[k] = trials.get(k, 0) + e.trials
+    pooled = {k: mcsim.McEstimate.from_hits(hits[k], trials[k]) for k in hits}
+    return {"estimates": {k: [e.mean, e.std_error] for k, e in pooled.items()},
+            "analytic": analytic, "wall_s": wall_s}
 
 
-def _run(tree: Path, seed: int) -> dict:
+def _run(tree: Path, seed: int, seeds: int) -> dict:
     """_measure on tree's src/ in a fresh interpreter."""
     out = subprocess.run([sys.executable, __file__, "--measure",
-                          str(tree / "src"), "--seed", str(seed)],
+                          str(tree / "src"), "--seed", str(seed),
+                          "--seeds", str(seeds)],
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -100,14 +122,19 @@ def main(argv=None) -> None:
     ap.add_argument("trees", nargs="*", type=Path,
                     help="the parent's and the change's source trees")
     ap.add_argument("--seed", type=int, default=2026)
+    ap.add_argument("--seeds", type=int, default=1,
+                    help="seeds pooled per side, from --seed on")
     ap.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.seeds < 1:
+        ap.error("--seeds must be >= 1")
     if args.measure is not None:
-        print(json.dumps(_measure(args.measure, args.seed)))
+        seeds = range(args.seed, args.seed + args.seeds)
+        print(json.dumps(_measure(args.measure, seeds)))
         return
     if len(args.trees) != 2:
         ap.error("give the parent's and the change's source trees")
-    parent, change = (_run(tree, args.seed) for tree in args.trees)
+    parent, change = (_run(tree, args.seed, args.seeds) for tree in args.trees)
     points = {}
     for name, ref in change["analytic"].items():
         (m0, s0), (m1, s1) = (side["estimates"][name]
@@ -117,11 +144,14 @@ def main(argv=None) -> None:
                         "combined_sigmas": (m1 - m0) / math.hypot(s0, s1),
                         "parent_sigmas_vs_analytic": (m0 - ref) / s0,
                         "change_sigmas_vs_analytic": (m1 - ref) / s1}
-    print(json.dumps({"seed": args.seed, "link_trials": LINK_TRIALS,
+    print(json.dumps({"seed": args.seed, "seeds": args.seeds,
+                      "link_trials": LINK_TRIALS,
                       "coverage_trials": COVERAGE_TRIALS,
                       "trees": {"parent": str(args.trees[0]),
                                 "change": str(args.trees[1])},
-                      "points": points}, indent=1))
+                      "points": points,
+                      "wall_s": {"parent": parent["wall_s"],
+                                 "change": change["wall_s"]}}, indent=1))
 
 
 if __name__ == "__main__":
