@@ -242,7 +242,7 @@ class ShotNoiseField:
         return self._p_los(a) * (-a * np.expm1(-x) / c + gammainc(2.0, x) / c ** 2)
 
     def _split_chunk(self, s: np.ndarray) -> np.ndarray:
-        """(F0_r, F1_r, F0_i, F1_i) at the s-points, shape (4, len(s)).
+        """(F0_r, F1_r, F0_i, F1_i) at the s-points s > 0, shape (4, len(s)).
 
         The brackets are split by source, p = w_s p_los: f_r's is
         (1-p) 2 sin^2(ph_a/2) + p 2 sin^2(ph_i/2) and f_i's
@@ -299,16 +299,6 @@ class ShotNoiseField:
                 out[0, fast[absorb]] -= cos_a
                 out[2, fast[absorb]] += sin_a
         return out
-
-    def _split_parts(self, s) -> np.ndarray:
-        """(F0_r, F1_r, F0_i, F1_i) at the s-points, shape (4, len(s)), with
-        f_r = F0_r + w_s F1_r and f_i = F0_i + w_s F1_i; batched over at most
-        _S_CHUNK s-points at a time.  Reads no weight."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s <= 0.0):
-            raise ValueError("shot-noise parts need s > 0")
-        return np.concatenate([self._split_chunk(s[i:i + _S_CHUNK])
-                               for i in range(0, s.size, _S_CHUNK)], axis=1)
 
     # -- interpolation ------------------------------------------------------
 
@@ -466,7 +456,7 @@ class _SplitTable:
         decades = s_lo * 10.0 ** np.arange(6, 66)
         s_hi = s_lo * 1e66
         for i in range(0, decades.size, _DECADE_ROUND):
-            f0, f1 = fld._split_parts(decades[i:i + _DECADE_ROUND])[:2]
+            f0, f1 = fld._split_chunk(decades[i:i + _DECADE_ROUND])[:2]
             reached = np.minimum(f0, f0 + w_max * f1) >= f_target
             if reached.any():
                 s_hi = decades[i + int(np.argmax(reached))]

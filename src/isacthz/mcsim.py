@@ -60,23 +60,22 @@ ones, past R, not at all.  As the weight e^(-k r) / r^2 does not rise
 with r, the interference lies between lo, the absorption noise of the
 nodes drawn with radii, and hi, which adds every marked node unblocked,
 every mid node at the weight of R_in and `_far_cap` far nodes at the
-weight of R.  A trial is a hit when aligned with hi below the margin and
-a miss when misaligned or lo reaches it.  The trials these first bounds
-leave open draw their mid radii and their Poisson far count, and are
-decided again: lo now holds the mid nodes' noise and hi every far node
-at the weight of R.  Only the trials still open draw their far radii,
-angles, user/blocker discs and corridors.  Each decision is the one the
-whole draw would make, except when a first-stage hit's far count
-exceeds `_far_cap`, an event of probability below 2^-64 per trial; so
-the estimate is exact in law but for that event, and R_in and R set
-only how many trials stay open.
+weight of R.  A trial is a hit when hi lies below the margin and a miss
+when lo reaches it.  The trials these first bounds leave open draw their
+mid radii and their Poisson far count, and are decided again: lo now
+holds the mid nodes' noise and hi every far node at the weight of R.
+Only the trials still open draw their far radii, angles, user/blocker
+discs and corridors.  Each decision is the one the whole draw would
+make, except when a first-stage hit's far count exceeds `_far_cap`, an
+event of probability below 2^-64 per trial; so the estimate is exact in
+law but for that event, and R_in and R set only how many stay open.
 
 The model's inputs come from the modules that define them: the densities
 from `config`, the sweep weight (q_mark), re-radiation constant and
 lower-bound radius from `channel`, the beam-crossing miss window from
 `misalignment`.  Every blockage, timeout and interference event is drawn
-from corridor geometry; only a coverage trial's alignment takes the
-analytic misalignment probability.
+from corridor geometry.  No alignment is drawn: `estimate_coverage`
+scales its SINR frequency by the analytic 1 - p_ms instead.
 """
 
 from __future__ import annotations
@@ -194,16 +193,13 @@ def _link_box(rng, density: float, r: np.ndarray, r_b: float):
     returns the flat longitudinal offsets and the link owning each point,
     in no order.
 
-    One Poisson total over all links with a uniform owner per point is the
-    same law as one Poisson count per link.  The box is the corridor's
-    width, so no lateral offset is drawn.  Points past a link's end stay:
-    `_blocked_frame` ignores lon >= r - r_b, so each link sees exactly a
-    PPP of the given density in its corridor.
+    The box is the corridor's width, so no lateral offset is drawn.  Points
+    past a link's end stay: `_blocked_frame` ignores lon >= r - r_b, so
+    each link sees exactly a PPP of the given density in its corridor.
     """
     top = r.max()
-    n = rng.poisson(density * 2.0 * r_b * top * r.size)
-    owner = rng.integers(0, r.size, n)
-    return top * rng.random(n), owner
+    owner = _scattered_owners(rng, density * 2.0 * r_b * top, r.size)
+    return top * rng.random(owner.size), owner
 
 
 def _blocked_links(rng, deploy: Deployment, r: np.ndarray) -> np.ndarray:
@@ -436,12 +432,11 @@ def _per_trial(rad: np.ndarray, owner: np.ndarray, open_) -> list:
                                      np.searchsorted(own, o, "right"))]
 
 
-def _bound_decisions(lo, hi, aligned, margin):
+def _bound_decisions(lo, hi, margin):
     """(hit, open) masks of trials whose interference lies in [lo, hi]: a
-    hit when aligned and hi < margin, open when aligned and lo < margin <=
-    hi, a miss otherwise."""
-    hit = aligned & (hi < margin)
-    return hit, aligned & ~hit & (lo < margin)
+    hit when hi < margin, open when lo < margin <= hi, a miss otherwise."""
+    hit = hi < margin
+    return hit, ~hit & (lo < margin)
 
 
 def _resolve(rng, deploy: Deployment, budget: LinkBudget, r1: float,
@@ -484,7 +479,7 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
                       r1: float, threshold: float, trials: int, seed: int,
                       lower_bound_mode: str = "theorem",
                       window_radius: float | None = None) -> McEstimate:
-    """Fraction of trials with aligned beams and SINR above the threshold.
+    """Fraction of trials with SINR above the threshold, times 1 - p_ms.
 
     The serving node is pinned at distance r1; interfering nodes are a PPP
     on the annulus between the lower-bound radius (2 r_b in theorem mode,
@@ -492,9 +487,23 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
     absorption noise; a node interferes at full power when its sweep/
     misalignment and orientation marks fire and its corridor to the origin
     is geometrically unblocked (other nodes, users and blockers all count
-    as obstacles).  Alignment is an independent Bernoulli with the
-    analytic misalignment probability for the given ability.
+    as obstacles).  Alignment is independent of the scene and not drawn:
+    the frequency and its standard error are scaled by the analytic 1 -
+    p_ms for the given ability (Rao-Blackwell: no more variance).
     """
+    hits, p_ms = _cm_hits(deploy, budget, system, ability, r1, threshold,
+                          trials, seed, lower_bound_mode, window_radius)
+    cm, aligned = McEstimate.from_hits(hits, trials), 1.0 - p_ms
+    return McEstimate(aligned * cm.mean, aligned * cm.std_error, trials)
+
+
+def _cm_hits(deploy: Deployment, budget: LinkBudget, system: SystemParams,
+             ability: SensingAbility, r1: float, threshold: float,
+             trials: int, seed: int, lower_bound_mode: str,
+             window_radius: float | None) -> tuple:
+    """(hits, p_ms) of `estimate_coverage`'s trials: how many have SINR
+    above the threshold, each decided by its geometry alone, and the
+    analytic misalignment probability, which sets the sweep weight."""
     if r1 < 2.0 * deploy.r_b:
         raise ValueError("estimate_coverage requires r1 >= 2 r_b")
     if not threshold > 0.0:
@@ -532,7 +541,6 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
         rad, owner = _scattered_field(rng, inner_mean, b, r_lo, r_in)
         mid = _scattered_owners(rng, mid_mean, b)
         r_m, m_owner = _scattered_field(rng, mark_mean, b, r_lo, r_win)
-        aligned = rng.random(b) >= p_ms
         g_m = _grouped_sums(_weights(r_m, budget.k_abs), m_owner, b)
         # absorption noise of every node drawn with its radius
         lo = _grouped_sums(_weights(rad, budget.k_abs), owner, b)
@@ -544,7 +552,7 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
         hi += far_hi
         hi += lo
         hi += budget.a * g_m
-        hit, open_ = _bound_decisions(lo, hi, aligned, margin)
+        hit, open_ = _bound_decisions(lo, hi, margin)
         hits += int(hit.sum())
         # the open trials draw their mid radii and far counts, and are
         # decided again with every unmarked node past r_near at its weight
@@ -554,7 +562,7 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
         lo = lo[o] + c_abs * _grouped_sums(_weights(r_mid, budget.k_abs),
                                            np.searchsorted(o, mid), o.size)
         hi = lo + budget.a * g_m[o] + g_near * c_abs * far
-        hit, still = _bound_decisions(lo, hi, aligned[o], margin)
+        hit, still = _bound_decisions(lo, hi, margin)
         hits += int(hit.sum())
         left = np.zeros(b, dtype=bool)
         left[o[still]] = True
@@ -565,4 +573,4 @@ def estimate_coverage(deploy: Deployment, budget: LinkBudget,
                          (r_near, r_win))
         hits += int((i_eff < margin).sum())
         del rad, owner  # else they live on while the next batch draws its own
-    return McEstimate.from_hits(hits, trials)
+    return hits, p_ms

@@ -148,6 +148,22 @@ class TestSimulate:
         assert body["quantity"] == "blockage"
         assert abs(float(body["sigmas_off"])) < 4.0
 
+    def test_coverage_every_trial_covered(self, tmp_path):
+        # every trial's SINR clears the threshold here, so the estimate is
+        # the analytic 1 - p_ms with no spread: sigmas_off is unbounded and
+        # printed as an empty cell, and --strict passes as the estimate
+        # lies within 0.02 of the analytic value
+        out = tmp_path / "c.csv"
+        code = main(["simulate", "--what", "coverage", "--scheme", "5g",
+                     "--lower-bound", "derivation", "--r1-m", "10",
+                     "--threshold-db", "0", "--strict", "--out", str(out)])
+        assert code == 0
+        rows = _read_csv(out)
+        body = dict(zip(rows[0], rows[1]))
+        assert (body["mean"], body["std_error"], body["trials"],
+                body["sigmas_off"]) == ("0.629428", "0", "100000", "")
+        assert abs(float(body["analytic_value"]) - 0.629428) <= 0.02
+
     def test_window_must_be_positive(self, tmp_path):
         code = main(["simulate", "--what", "coverage", "--trials", "100",
                      "--window-m", "0", "--out", str(tmp_path / "w.csv")])

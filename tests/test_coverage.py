@@ -137,7 +137,7 @@ def _whole_table(budget, deploy, lower):
 def _direct(fld, s):
     """The library's (f_r(s), f_i(s)) at the field's weight, evaluated
     directly by the batched split rather than interpolated."""
-    f0_r, f1_r, f0_i, f1_i = fld._split_parts([s])[:, 0]
+    f0_r, f1_r, f0_i, f1_i = fld._split_chunk(np.array([s]))[:, 0]
     return f0_r + fld.w_s * f1_r, f0_i + fld.w_s * f1_i
 
 

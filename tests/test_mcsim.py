@@ -477,6 +477,20 @@ class TestCoverageEstimator:
             assert est.mean == (1.0 if margin > 0.0 else 0.0)
             assert est.std_error == 0.0
 
+    def test_scaled_sinr_frequency(self):
+        # alignment is not drawn: the estimate is the SINR frequency p_cm
+        # and its binomial standard error, each times the analytic 1 - p_ms
+        ability = scheme_ability("jsrs", SYS, DEP)
+        args = (DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000, 52)
+        hits, p_ms = mcsim._cm_hits(*args, "theorem", None)
+        assert p_ms == beam_misalignment(DEP, ability, SYS.tau).p_ms > 0.0
+        p = hits / 20000
+        assert 0.0 < p < 1.0
+        est = estimate_coverage(*args)
+        assert est.mean == (1.0 - p_ms) * p
+        assert est.std_error == (1.0 - p_ms) * math.sqrt(p * (1 - p) / 20000)
+        assert est.trials == 20000
+
     def test_determinism(self):
         ability = scheme_ability("jsrs", SYS, DEP)
         a = estimate_coverage(DEP, BUD, SYS, ability, 20.0, 10.0, 5000, 52)
@@ -905,14 +919,14 @@ class TestScatteredFields:
             r_lo ** 2, r_in ** 2 - r_lo ** 2)).pvalue > 1e-3
 
     def test_mid_radii_drawn_late(self, monkeypatch):
-        # the first bounds open every aligned trial, so that the mid nodes
-        # of all of them draw their radii
+        # the first bounds open every trial, so that the mid nodes of all
+        # of them draw their radii
         calls, late = [], []
 
-        def decide(lo, hi, aligned, margin):
+        def decide(lo, hi, margin):
             calls.append(lo.size)
-            hit, open_ = decisions(lo, hi, aligned, margin)
-            return (np.zeros_like(hit), aligned) if len(calls) % 2 \
+            hit, open_ = decisions(lo, hi, margin)
+            return (np.zeros_like(hit), np.ones_like(hit)) if len(calls) % 2 \
                 else (hit, open_)
 
         def radii(rng, owner, open_, r_in, r_out):
@@ -954,8 +968,8 @@ class TestScatteredFields:
             late.append(open_radii(rng, owner, open_, r_in, r_out))
             return late[-1]
 
-        def decide(lo, hi, aligned, margin):
-            hit, open_ = decisions(lo, hi, aligned, margin)
+        def decide(lo, hi, margin):
+            hit, open_ = decisions(lo, hi, margin)
             opened.append(open_)
             return hit, open_
 
@@ -1017,16 +1031,15 @@ class TestDecisionRule:
         _agree(est, ref, 3.0)
 
     def test_bounds_decide_as_the_full_draw(self, monkeypatch):
-        # every aligned trial is opened by both stages and drawn whole; the
-        # ones either stage's bounds decided must come out the same, each
-        # between that stage's bounds
+        # every trial is opened by both stages and drawn whole; the ones
+        # either stage's bounds decided must come out the same, each between
+        # that stage's bounds
         decided, resolved, corridors = [], [], []
 
-        def decide(lo, hi, aligned, margin):
-            hit, open_ = bound_decisions(lo, hi, aligned, margin)
-            decided.append((lo[aligned], hi[aligned], hit[aligned],
-                            open_[aligned], margin))
-            return np.zeros_like(hit), aligned
+        def decide(lo, hi, margin):
+            hit, open_ = bound_decisions(lo, hi, margin)
+            decided.append((lo, hi, hit, open_, margin))
+            return np.zeros_like(hit), np.ones_like(hit)
 
         def resolve(*args):
             resolved.append(resolve_whole(*args))
@@ -1091,18 +1104,27 @@ class TestPinnedStream:
     into inner ones drawn with radii, mid ones drawn as owners alone and
     far ones drawn only for the trials the first bounds leave open
     (urban 0.85465 -> 0.8592, derivation 0.62805 -> 0.6301, open field
-    0.93408203125 -> 0.93603515625)."""
+    0.93408203125 -> 0.93603515625); the urban and derivation ones again
+    after a coverage trial stopped drawing its alignment, now pinned as the
+    SINR frequency p_cm that `_cm_hits` counts rather than as p_cvp (p_cvp
+    urban 0.8592 -> p_cm 0.94435, derivation 0.6301 -> 1.0; the open-field
+    one stayed, as p_ms is 0 there and the six trials its first bounds
+    leave open, whose later draws moved, hit either way).  Every
+    derivation trial clears the threshold, so that pin holds the miss
+    count at 0 rather than the draw order, which only its alignment draw
+    used to show."""
 
     def test_coverage_urban(self):
         ability = scheme_ability("jsrs", SYS, DEP)
-        est = estimate_coverage(DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000, 52)
-        assert est.mean == 0.8592
+        hits = mcsim._cm_hits(DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000,
+                              52, "theorem", None)[0]
+        assert hits / 20000 == 0.94435
 
     def test_coverage_derivation(self):
         ability = scheme_ability("5g", SYS, DEP)
-        est = estimate_coverage(DEP, BUD, SYS, ability, 10.0, 1.0, 20000, 53,
-                                lower_bound_mode="derivation")
-        assert est.mean == 0.6301
+        hits = mcsim._cm_hits(DEP, BUD, SYS, ability, 10.0, 1.0, 20000, 53,
+                              "derivation", None)[0]
+        assert hits / 20000 == 1.0
 
     def test_coverage_open_field(self):
         dep0 = replace(DEP, lambda_m=0.0, lambda_s=0.0)

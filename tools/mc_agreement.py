@@ -8,19 +8,23 @@ Each tree's estimators run in an interpreter of their own that imports
 at seeds seed ... seed + N - 1 (N = 1 by default) and fixed sizes:
 ``estimate_blockage`` (52 m links), ``estimate_timeout`` and
 ``estimate_misalignment`` (jsrs) at 1e6 trials, and ``estimate_coverage``
-at four cells, 2e5 trials each: the urban point, a derivation-mode cell,
-the blocker-free open field on a 500 m window and narrow beams
-(n_b = n_m = 8), where many trials are left open.  Every point is an
-independent estimate on each side, so a sampler change that keeps the law
-should leave them within a few combined standard errors.
+at seven cells, 2e5 trials each: the urban point, a derivation-mode cell,
+the blocker-free open field on a 500 m window, narrow beams
+(n_b = n_m = 8), where many trials are left open, and three
+derivation-mode tail cells (jsrs 10 m 10 dB, jsrs 12 m 5 dB, 5g 10 m
+10 dB), where the Monte-Carlo and analytic coverage differ most.  Every
+point is an independent estimate on each side, so a sampler change that
+keeps the law should leave them within a few combined standard errors.
 
 Prints one JSON object.  Per point: [mean, std_error] of each side, pooled
-over the seeds (hits over trials), the analytic value from the change tree
-(coverage: ``coverage_probability``'s p_cvp), ``combined_sigmas`` =
+over the seeds (the trial-weighted mean, its standard error combined in
+quadrature), the analytic value from the change tree (coverage:
+``coverage_probability``'s p_cvp), ``combined_sigmas`` =
 (change - parent) / hypot(std errors), and each side's distance from the
-analytic value in its own standard errors.  Per estimator call, each side's
-wall seconds at every seed (``wall_s``; the misalignment call serves its
-three points).
+analytic value in its own standard errors (null where that error is 0,
+as when every trial of a coverage cell clears the threshold).  Per
+estimator call, each side's wall seconds at every seed (``wall_s``; the
+misalignment call serves its three points).
 """
 
 from __future__ import annotations
@@ -47,7 +51,16 @@ COVERAGE_CELLS = {
                       {"lambda_m": 0.0, "lambda_s": 0.0}, 500.0),
     "coverage_narrow": ("jsrs", 20.0, -10.0, "theorem",
                         {"n_b": 8, "n_m": 8}, None),
+    "coverage_tail_jsrs_10m_10db": ("jsrs", 10.0, 10.0, "derivation", {},
+                                    None),
+    "coverage_tail_jsrs_12m_5db": ("jsrs", 12.0, 5.0, "derivation", {}, None),
+    "coverage_tail_5g_10m_10db": ("5g", 10.0, 10.0, "derivation", {}, None),
 }
+
+
+def _in_sigmas(diff: float, sigma: float):
+    """diff in units of sigma; None (JSON null) when sigma is 0."""
+    return diff / sigma if sigma > 0.0 else None
 
 
 def _measure(src: Path, seeds: range) -> dict:
@@ -91,7 +104,7 @@ def _measure(src: Path, seeds: range) -> dict:
                               lower_bound_mode=mode, window_radius=window)
         analytic[name] = coverage_probability(
             CoverageQuery(r1, thr, mode), bud, dep, system, ability).p_cvp
-    hits, trials = {}, {}
+    pooled = {}  # point -> [sum of trials * mean, of (trials * se)^2, trials]
     wall_s = {call: [] for call in calls}
     for seed in seeds:
         for call, estimate in calls.items():
@@ -101,10 +114,12 @@ def _measure(src: Path, seeds: range) -> dict:
             out = ({call: out} if isinstance(out, mcsim.McEstimate)
                    else {f"{call}_{k}": e for k, e in out.items()})
             for k, e in out.items():
-                hits[k] = hits.get(k, 0) + round(e.mean * e.trials)
-                trials[k] = trials.get(k, 0) + e.trials
-    pooled = {k: mcsim.McEstimate.from_hits(hits[k], trials[k]) for k in hits}
-    return {"estimates": {k: [e.mean, e.std_error] for k, e in pooled.items()},
+                sums = pooled.setdefault(k, [0.0, 0.0, 0])
+                sums[0] += e.trials * e.mean
+                sums[1] += (e.trials * e.std_error) ** 2
+                sums[2] += e.trials
+    return {"estimates": {k: [m / n, math.sqrt(v) / n]
+                          for k, (m, v, n) in pooled.items()},
             "analytic": analytic, "wall_s": wall_s}
 
 
@@ -141,9 +156,10 @@ def main(argv=None) -> None:
                               for side in (parent, change))
         points[name] = {"parent": [m0, s0], "change": [m1, s1],
                         "analytic": ref,
-                        "combined_sigmas": (m1 - m0) / math.hypot(s0, s1),
-                        "parent_sigmas_vs_analytic": (m0 - ref) / s0,
-                        "change_sigmas_vs_analytic": (m1 - ref) / s1}
+                        "combined_sigmas": _in_sigmas(m1 - m0,
+                                                      math.hypot(s0, s1)),
+                        "parent_sigmas_vs_analytic": _in_sigmas(m0 - ref, s0),
+                        "change_sigmas_vs_analytic": _in_sigmas(m1 - ref, s1)}
     print(json.dumps({"seed": args.seed, "seeds": args.seeds,
                       "link_trials": LINK_TRIALS,
                       "coverage_trials": COVERAGE_TRIALS,
