@@ -55,20 +55,25 @@ the weight of R, falls to `_SPLIT_SLACK` of the margin, and inside it at
 the radius R_in where the mid ones' bound falls to `_MID_SLACK` of it
 (`_split_radius`; both the lower-bound radius when the margin is not
 positive or without absorption).  Inner nodes, inside R_in, are drawn
-with their radii; mid ones, between R_in and R, as owners alone; far
-ones, past R, not at all.  As the weight e^(-k r) / r^2 does not rise
-with r, the interference lies between lo, the absorption noise of the
-nodes drawn with radii, and hi, which adds every marked node unblocked,
-every mid node at the weight of R_in and `_far_cap` far nodes at the
-weight of R.  A trial is a hit when hi lies below the margin and a miss
-when lo reaches it.  The trials these first bounds leave open draw their
-mid radii and their Poisson far count, and are decided again: lo now
-holds the mid nodes' noise and hi every far node at the weight of R.
-Only the trials still open draw their far radii, angles, user/blocker
-discs and corridors.  Each decision is the one the whole draw would
-make, except when a first-stage hit's far count exceeds `_far_cap`, an
-event of probability below 2^-64 per trial; so the estimate is exact in
-law but for that event, and R_in and R set only how many stay open.
+with their radii; mid ones, between R_in and R, as owners alone and only
+for the trials the first bounds leave open; far ones, past R, not at
+all.  As the weight e^(-k r) / r^2 does not rise with r, the
+interference lies between lo, the absorption noise of the nodes drawn
+with radii, and hi, which adds every marked node unblocked, `_far_cap`
+mid nodes at the weight of R_in and `_far_cap` far ones at the weight of
+R.  A trial is a hit when hi lies below the margin and a miss when lo
+reaches it.  Disjoint rings of a PPP are independent, so the trials these
+first bounds leave open draw their mid owners only now and are decided
+again, hi holding every mid node at the weight of R_in; those still open
+draw their mid radii and their Poisson far count and are decided a third
+time: lo now holds the mid nodes' noise and hi every far node at the
+weight of R.  Only the trials still open draw their far radii, angles,
+user/blocker discs and corridors.  Each decision is the one the whole
+draw would make, except when a trial found a hit on capped counts holds
+more nodes than the cap: mid ones for a hit on the first bounds, far
+ones for a hit on the first or second, two events each of probability
+below 2^-64 per trial.  So the estimate is exact in law but for them,
+and R_in and R set only how many stay open.
 
 The model's inputs come from the modules that define them: the densities
 from `config`, the sweep weight (q_mark), re-radiation constant and
@@ -98,18 +103,23 @@ __all__ = ["McEstimate", "estimate_blockage", "estimate_timeout",
 
 _BATCH = 8192
 # expected drawn nodes per estimate_coverage batch, each inner or marked
-# node three 8-byte arrays (its radius, its weight and its owning trial),
-# a mid node its owner alone, a third of one, and a trial's own arrays
-# (about ten 8-byte ones) 6; far nodes are drawn only for open trials
-_NODE_BUDGET = 2_700_000
-_TRIAL_NODES = 6.0
+# node 24 bytes (its radius, its weight and its owning trial), a trial's own
+# arrays (three 8-byte ones and four masks, about 28 bytes) 1.2; mid and far
+# nodes are drawn only for open trials, a few in a hundred.  A batch's
+# arrays then peak at about 0.7-0.8 MB (tracemalloc), inside the 2 MB
+# per-core L2 and small enough that glibc keeps the freed heap: repeated
+# 1e5-trial calls take no page faults, where a budget of 38_000 took 600-800
+# and 2.7e6, with the mid owners of every trial, about 2100 a call
+_NODE_BUDGET = 30_000
+_TRIAL_NODES = 1.2
 # far absorption bound, as a share of the margin; a looser split leaves
 # more trials open (0.5 opened 6889 of 1e5 at n_b = 8, 20 m, -10 dB
 # against 125, and ran 8x slower)
 _SPLIT_SLACK = 1e-3
 # mid absorption bound, as a share of the margin; from 0.01 to 0.2 the
 # urban call (1e5 trials) ran within 7% of its best, at 0.05, where the
-# first bounds left about 199 of 1e5 trials open (45 at 0.01, 893 at 0.2)
+# bounds holding the mid counts left about 199 of 1e5 trials open (45 at
+# 0.01, 893 at 0.2), measured before the capped first bounds came in
 _MID_SLACK = 0.05
 
 
@@ -414,7 +424,8 @@ def _open_radii(rng, owner: np.ndarray, open_, r_in: float,
                 r_out: float) -> tuple:
     """Radii on the annulus r_in <= r <= r_out, drawn now, of the points of
     a scattered field (`owner` from `_scattered_owners`) that open trials
-    own (open_ a mask over the batch), and their owners, in draw order.
+    own (open_ a mask over the field's slots), and their owners, in draw
+    order.
     A point's radius is independent of its owner and of every other
     point, so drawing it late leaves the field's law as it is."""
     owner = owner[open_[owner]]
@@ -422,8 +433,8 @@ def _open_radii(rng, owner: np.ndarray, open_, r_in: float,
 
 
 def _per_trial(rad: np.ndarray, owner: np.ndarray, open_) -> list:
-    """The radii each open trial owns (open_ a mask over the batch), one
-    array per open trial in trial order, each in draw order."""
+    """The radii each open trial owns (open_ a mask over the owners'
+    slots), one array per open trial in trial order, each in draw order."""
     sel = np.flatnonzero(open_[owner])
     sel = sel[np.argsort(owner[sel], kind="stable")]
     own, rad = owner[sel], rad[sel]
@@ -533,41 +544,53 @@ def _cm_hits(deploy: Deployment, budget: LinkBudget, system: SystemParams,
     mark_mean = q_mark * area * (r_win ** 2 - r_lo ** 2)
     g_in, g_near = (math.exp(-budget.k_abs * r) / r ** 2
                     for r in (r_in, r_near))
+    mid_hi = c_abs * g_in * _far_cap(mid_mean)
     far_hi = c_abs * g_near * _far_cap(far_mean)
-    size = max(1, int(_NODE_BUDGET // (inner_mean + mid_mean / 3.0 + mark_mean
-                                       + _TRIAL_NODES)))
+    size = max(1, int(_NODE_BUDGET // (inner_mean + mark_mean + _TRIAL_NODES)))
     hits = 0
     for rng, b in _batches(trials, seed, size):
         rad, owner = _scattered_field(rng, inner_mean, b, r_lo, r_in)
-        mid = _scattered_owners(rng, mid_mean, b)
         r_m, m_owner = _scattered_field(rng, mark_mean, b, r_lo, r_win)
         g_m = _grouped_sums(_weights(r_m, budget.k_abs), m_owner, b)
         # absorption noise of every node drawn with its radius
         lo = _grouped_sums(_weights(rad, budget.k_abs), owner, b)
         lo += g_m
         lo *= c_abs
-        # every marked node unblocked, every mid one at the weight of r_in
-        # and _far_cap far ones at the weight of r_near
-        hi = np.bincount(mid, minlength=b) * (c_abs * g_in)
+        # every marked node unblocked, _far_cap mid ones at the weight of
+        # r_in and _far_cap far ones at the weight of r_near
+        hi = budget.a * g_m
+        hi += lo
+        hi += mid_hi + far_hi
+        hit, open_ = _bound_decisions(lo, hi, margin)
+        hits += int(hit.sum())
+        # the open trials draw their mid owners, and are decided again with
+        # every mid node at the weight of r_in
+        o = np.flatnonzero(open_)
+        mid = _scattered_owners(rng, mid_mean, o.size)
+        lo, g_m = lo[o], g_m[o]
+        hi = np.bincount(mid, minlength=o.size) * (c_abs * g_in)
         hi += far_hi
         hi += lo
         hi += budget.a * g_m
         hit, open_ = _bound_decisions(lo, hi, margin)
         hits += int(hit.sum())
-        # the open trials draw their mid radii and far counts, and are
+        # those still open draw their mid radii and far counts, and are
         # decided again with every unmarked node past r_near at its weight
-        o = np.flatnonzero(open_)
+        p = np.flatnonzero(open_)
         r_mid, mid = _open_radii(rng, mid, open_, r_in, r_near)
-        far = rng.poisson(far_mean, size=o.size)
-        lo = lo[o] + c_abs * _grouped_sums(_weights(r_mid, budget.k_abs),
-                                           np.searchsorted(o, mid), o.size)
-        hi = lo + budget.a * g_m[o] + g_near * c_abs * far
+        far = rng.poisson(far_mean, size=p.size)
+        lo = lo[p] + c_abs * _grouped_sums(_weights(r_mid, budget.k_abs),
+                                           np.searchsorted(p, mid), p.size)
+        hi = lo + budget.a * g_m[p] + g_near * c_abs * far
         hit, still = _bound_decisions(lo, hi, margin)
         hits += int(hit.sum())
+        # the trials left, as masks over the batch and over o
         left = np.zeros(b, dtype=bool)
-        left[o[still]] = True
+        left[o[p[still]]] = True
+        left_o = np.zeros(o.size, dtype=bool)
+        left_o[p[still]] = True
         near = [np.concatenate(radii) for radii in zip(
-            _per_trial(rad, owner, left), _per_trial(r_mid, mid, left))]
+            _per_trial(rad, owner, left), _per_trial(r_mid, mid, left_o))]
         i_eff = _resolve(rng, deploy, budget, r1, c_abs, lo[still], near,
                          _per_trial(r_m, m_owner, left), far[still],
                          (r_near, r_win))

@@ -3,18 +3,22 @@
     python3 tools/mc_agreement.py PARENT_TREE CHANGE_TREE [--seed 2026]
         [--seeds N]
 
-Each tree's estimators run in an interpreter of their own that imports
-``isacthz`` from that tree's ``src/`` and nowhere else, one after the other,
-at seeds seed ... seed + N - 1 (N = 1 by default) and fixed sizes:
-``estimate_blockage`` (52 m links), ``estimate_timeout`` and
-``estimate_misalignment`` (jsrs) at 1e6 trials, and ``estimate_coverage``
-at seven cells, 2e5 trials each: the urban point, a derivation-mode cell,
-the blocker-free open field on a 500 m window, narrow beams
-(n_b = n_m = 8), where many trials are left open, and three
-derivation-mode tail cells (jsrs 10 m 10 dB, jsrs 12 m 5 dB, 5g 10 m
-10 dB), where the Monte-Carlo and analytic coverage differ most.  Every
-point is an independent estimate on each side, so a sampler change that
-keeps the law should leave them within a few combined standard errors.
+Each tree's estimators run in interpreters of their own that import
+``isacthz`` from that tree's ``src/`` and nowhere else, one interpreter per
+seed, at seeds seed ... seed + N - 1 (N = 1 by default).  The two trees
+alternate seed by seed (the parent first at even offsets, the change first
+at odd ones), so that a drift in the host's speed lands on both sides
+alike.  Fixed sizes: ``estimate_blockage`` (52 m links),
+``estimate_timeout`` and ``estimate_misalignment`` (jsrs) at 1e6 trials,
+and ``estimate_coverage`` at eight cells, 2e5 trials each: the urban
+point, a derivation-mode cell, the blocker-free open field on a 500 m
+window, narrow beams (n_b = n_m = 8), where many trials are left open,
+three derivation-mode tail cells (jsrs 10 m 10 dB, jsrs 12 m 5 dB, 5g
+10 m 10 dB), where the Monte-Carlo and analytic coverage differ most, and
+a cell where every trial misses (5g 38 m 15 dB, whose noise alone
+exceeds the threshold).  Every point is an independent estimate on each
+side, so a sampler change that keeps the law should leave them within a
+few combined standard errors.
 
 Prints one JSON object.  Per point: [mean, std_error] of each side, pooled
 over the seeds (the trial-weighted mean, its standard error combined in
@@ -22,9 +26,11 @@ quadrature), the analytic value from the change tree (coverage:
 ``coverage_probability``'s p_cvp), ``combined_sigmas`` =
 (change - parent) / hypot(std errors), and each side's distance from the
 analytic value in its own standard errors (null where that error is 0,
-as when every trial of a coverage cell clears the threshold).  Per
-estimator call, each side's wall seconds at every seed (``wall_s``; the
-misalignment call serves its three points).
+as when every trial of a coverage cell clears the threshold or none
+does).  Per estimator call, each side's wall seconds at every seed
+(``wall_s``; the misalignment call serves its three points) and the
+median over the seeds of the change/parent ratio of the two
+interpreters' seconds at the same seed (``wall_ratio``).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import subprocess
 import sys
 import time
@@ -55,6 +62,7 @@ COVERAGE_CELLS = {
                                     None),
     "coverage_tail_jsrs_12m_5db": ("jsrs", 12.0, 5.0, "derivation", {}, None),
     "coverage_tail_5g_10m_10db": ("5g", 10.0, 10.0, "derivation", {}, None),
+    "coverage_every_miss": ("5g", 38.0, 15.0, "theorem", {}, None),
 }
 
 
@@ -63,9 +71,9 @@ def _in_sigmas(diff: float, sigma: float):
     return diff / sigma if sigma > 0.0 else None
 
 
-def _measure(src: Path, seeds: range) -> dict:
-    """Pooled estimates, analytic values and per-seed wall seconds of every
-    point, on the package in src."""
+def _measure(src: Path, seed: int) -> dict:
+    """Estimates [mean, std_error, trials], analytic values and wall
+    seconds of every point at one seed, on the package in src."""
     sys.path.insert(0, str(src))
     import isacthz
     if Path(isacthz.__file__).resolve().parent.parent != src.resolve():
@@ -104,32 +112,36 @@ def _measure(src: Path, seeds: range) -> dict:
                               lower_bound_mode=mode, window_radius=window)
         analytic[name] = coverage_probability(
             CoverageQuery(r1, thr, mode), bud, dep, system, ability).p_cvp
-    pooled = {}  # point -> [sum of trials * mean, of (trials * se)^2, trials]
-    wall_s = {call: [] for call in calls}
-    for seed in seeds:
-        for call, estimate in calls.items():
-            t0 = time.perf_counter()
-            out = estimate(seed)
-            wall_s[call].append(time.perf_counter() - t0)
-            out = ({call: out} if isinstance(out, mcsim.McEstimate)
-                   else {f"{call}_{k}": e for k, e in out.items()})
-            for k, e in out.items():
-                sums = pooled.setdefault(k, [0.0, 0.0, 0])
-                sums[0] += e.trials * e.mean
-                sums[1] += (e.trials * e.std_error) ** 2
-                sums[2] += e.trials
-    return {"estimates": {k: [m / n, math.sqrt(v) / n]
-                          for k, (m, v, n) in pooled.items()},
-            "analytic": analytic, "wall_s": wall_s}
+    estimates, wall_s = {}, {}
+    for call, estimate in calls.items():
+        t0 = time.perf_counter()
+        out = estimate(seed)
+        wall_s[call] = time.perf_counter() - t0
+        out = ({call: out} if isinstance(out, mcsim.McEstimate)
+               else {f"{call}_{k}": e for k, e in out.items()})
+        for k, e in out.items():
+            estimates[k] = [e.mean, e.std_error, e.trials]
+    return {"estimates": estimates, "analytic": analytic, "wall_s": wall_s}
 
 
-def _run(tree: Path, seed: int, seeds: int) -> dict:
+def _run(tree: Path, seed: int) -> dict:
     """_measure on tree's src/ in a fresh interpreter."""
     out = subprocess.run([sys.executable, __file__, "--measure",
-                          str(tree / "src"), "--seed", str(seed),
-                          "--seeds", str(seeds)],
+                          str(tree / "src"), "--seed", str(seed)],
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def _pooled(runs: list) -> dict:
+    """Per point, [mean, std_error] pooled over one side's runs: the
+    trial-weighted mean, its standard error combined in quadrature."""
+    pooled = {}
+    for name in runs[0]["estimates"]:
+        est = [run["estimates"][name] for run in runs]
+        n = sum(t for _, _, t in est)
+        pooled[name] = [sum(t * m for m, _, t in est) / n,
+                        math.sqrt(sum((t * s) ** 2 for _, s, t in est)) / n]
+    return pooled
 
 
 def main(argv=None) -> None:
@@ -144,30 +156,39 @@ def main(argv=None) -> None:
     if args.seeds < 1:
         ap.error("--seeds must be >= 1")
     if args.measure is not None:
-        seeds = range(args.seed, args.seed + args.seeds)
-        print(json.dumps(_measure(args.measure, seeds)))
+        print(json.dumps(_measure(args.measure, args.seed)))
         return
     if len(args.trees) != 2:
         ap.error("give the parent's and the change's source trees")
-    parent, change = (_run(tree, args.seed, args.seeds) for tree in args.trees)
+    runs = {"parent": [], "change": []}
+    for k in range(args.seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            tree = args.trees[0] if side == "parent" else args.trees[1]
+            runs[side].append(_run(tree, args.seed + k))
+    parent, change = _pooled(runs["parent"]), _pooled(runs["change"])
     points = {}
-    for name, ref in change["analytic"].items():
-        (m0, s0), (m1, s1) = (side["estimates"][name]
-                              for side in (parent, change))
+    for name, ref in runs["change"][0]["analytic"].items():
+        (m0, s0), (m1, s1) = parent[name], change[name]
         points[name] = {"parent": [m0, s0], "change": [m1, s1],
                         "analytic": ref,
                         "combined_sigmas": _in_sigmas(m1 - m0,
                                                       math.hypot(s0, s1)),
                         "parent_sigmas_vs_analytic": _in_sigmas(m0 - ref, s0),
                         "change_sigmas_vs_analytic": _in_sigmas(m1 - ref, s1)}
+    wall_s = {side: {call: [run["wall_s"][call] for run in side_runs]
+                     for call in side_runs[0]["wall_s"]}
+              for side, side_runs in runs.items()}
+    wall_ratio = {call: statistics.median(
+        c / p for p, c in zip(wall_s["parent"][call], wall_s["change"][call]))
+        for call in wall_s["parent"]}
     print(json.dumps({"seed": args.seed, "seeds": args.seeds,
                       "link_trials": LINK_TRIALS,
                       "coverage_trials": COVERAGE_TRIALS,
                       "trees": {"parent": str(args.trees[0]),
                                 "change": str(args.trees[1])},
-                      "points": points,
-                      "wall_s": {"parent": parent["wall_s"],
-                                 "change": change["wall_s"]}}, indent=1))
+                      "points": points, "wall_s": wall_s,
+                      "wall_ratio": wall_ratio}, indent=1))
 
 
 if __name__ == "__main__":
