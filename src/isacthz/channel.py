@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .config import C_LIGHT, Deployment, SystemParams
+from .specfun import exp1
 
 __all__ = [
     "LOWER_BOUND_MODES",

@@ -26,12 +26,13 @@ half is cached integrates only its own threshold's kernel.
 Numerics: for large s the distance integrands oscillate rapidly near the
 lower bound.  The evaluation splits each bracket by source, absorption
 and interference, and each source at the radius where its phase drops
-below a fixed budget (a Lambert-W closed form).  Beyond that radius the
-source is integrated with adaptive panels, both sources of every s-point
-as members of one batch of semi-infinite tails.  Nearer in, the trig
-terms are replaced by their first integration-by-parts endpoint
-corrections and the unit terms by closed-form areas, among them the
-line-of-sight area between the two radii.  Both parts are affine in the
+below a fixed budget (a Lambert-W closed form, with the in-house W0 of
+specfun.lambert_w0).  Beyond that radius the source is integrated with
+adaptive panels, both sources of every s-point as members of one batch of
+semi-infinite tails.  Nearer in, the trig terms are replaced by their
+first integration-by-parts endpoint corrections and the unit terms by
+closed-form areas, among them the line-of-sight area between the two
+radii.  Both parts are affine in the
 sweep weight w_s of the interferer probability, f = F0 + w_s F1, so the
 four weight-free components (F0_r, F1_r, F0_i, F1_i) are tabulated once
 per (budget, deployment, lower bound) on a log s-grid, in lockstep batches
@@ -85,7 +86,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, lambertw
 
 from .channel import (LOWER_BOUND_MODES, LinkBudget, effective_noise,
                       log_void_probability, lower_bound_radius,
@@ -95,8 +95,9 @@ from .config import Deployment, SystemParams
 from .misalignment import beam_misalignment
 from .schemes import scheme_ability
 from .sensing import SensingAbility
-from .specfun import (QuadratureError, QuadratureSpec, integrate_oscillatory,
-                      integrate_semi_infinite_batch)
+from .specfun import (QuadratureError, QuadratureSpec, gammainc2,
+                      integrate_oscillatory, integrate_semi_infinite_batch,
+                      lambert_w0)
 
 __all__ = [
     "CoverageQuery",
@@ -204,15 +205,15 @@ class ShotNoiseField:
         return np.exp(log_void_probability(self.deploy.total_density,
                                            self.deploy.r_b, r))
 
-    def _phase_radius(self, s, c_x: float, target: float):
+    def _phase_radius(self, s, c_x, target: float):
         """Radius where the phase 2 pi s c_x r^-2 e^{-k r} falls to `target`,
         clamped to the lower bound: with x = 2 pi s c_x / target the phase
-        equation r^2 e^{k r} = x gives r = (2/k) W0(k sqrt(x) / 2)."""
+        equation r^2 e^{k r} = x gives r = (2/k) W0(k sqrt(x) / 2).  A
+        column c_x of shape (m, 1) gives m rows of radii from one W0 call."""
         root = np.sqrt(2.0 * math.pi * np.asarray(s, dtype=float) * c_x / target)
         if self.k == 0.0:
             return np.maximum(self.lower, root)
-        return np.maximum(self.lower,
-                          2.0 / self.k * lambertw(0.5 * self.k * root).real)
+        return np.maximum(self.lower, 2.0 / self.k * lambert_w0(0.5 * self.k * root))
 
     # -- split evaluation ---------------------------------------------------
 
@@ -239,7 +240,7 @@ class ShotNoiseField:
         incomplete gamma) keep every term positive, free of cancellation."""
         c = 2.0 * self.deploy.r_b * self.deploy.total_density
         x = c * (b - a)
-        return self._p_los(a) * (-a * np.expm1(-x) / c + gammainc(2.0, x) / c ** 2)
+        return self._p_los(a) * (-a * np.expm1(-x) / c + gammainc2(x) / c ** 2)
 
     def _split_chunk(self, s: np.ndarray) -> np.ndarray:
         """(F0_r, F1_r, F0_i, F1_i) at the s-points s > 0, shape (4, len(s)).
@@ -258,8 +259,8 @@ class ShotNoiseField:
         line-of-sight area w_s int r p_los dr on [r_abs, r_split].
         """
         lower, n = self.lower, s.size
-        r_abs = self._phase_radius(s, self.c_abs, _PHASE_BUDGET)
-        r_split = self._phase_radius(s, self.c_int, _PHASE_BUDGET)  # c_int >= c_abs
+        r_abs, r_split = self._phase_radius(  # c_int >= c_abs
+            s, np.array([[self.c_abs], [self.c_int]]), _PHASE_BUDGET)
         # members 0..n-1 absorb, n..2n-1 interfere
         rate = 2.0 * math.pi * np.concatenate((s * self.c_abs, s * self.c_int))
         weight = np.repeat([-1.0, 1.0], n)

@@ -28,12 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sp
 
 from .channel import log_void_probability
 from .config import Deployment
 from .sensing import SensingAbility
-from .specfun import integrate_semi_infinite
+from .specfun import erfcx, integrate_semi_infinite
 
 __all__ = [
     "MisalignmentBreakdown",
@@ -125,7 +124,7 @@ def _timeout(lambda_b: float, density: float, r_b: float) -> float:
         g = np.exp(-beta * r1 ** 2) * (
             p_block / (2.0 * beta)
             + b * w1 * math.sqrt(math.pi) / (4.0 * beta * root)
-            * sp.erfcx(root * r1 + w1 / (2.0 * root)))
+            * erfcx(root * r1 + w1 / (2.0 * root)))
         return r1 * p_block * g
 
     integral = integrate_semi_infinite(outer, 2.0 * r_b)
@@ -177,7 +176,7 @@ def expected_closest_blockage(deploy: Deployment) -> float:
     if deploy.lambda_b <= 0.0:
         return 1.0  # the nearest node sits arbitrarily far away
     w1, beta, w2 = _lemma_constants(*_lemma_inputs(deploy))
-    scaled = float(sp.erfcx(w2))  # erfc(w2) * exp(w2^2)
+    scaled = float(erfcx(w2))  # erfc(w2) * exp(w2^2)
     inner = 1.0 - w1 / (2.0 * math.sqrt(deploy.lambda_b)) * scaled
     return 1.0 - math.exp(-4.0 * beta * deploy.r_b ** 2) * inner
 

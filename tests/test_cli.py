@@ -1,10 +1,15 @@
 import argparse
 import csv
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import isacthz
 from isacthz.cli import (_sweep_deployments, ability_reference_rows,
                          build_parser, main, misalign_sweep_rows)
 from isacthz.config import Deployment, SystemParams
@@ -342,3 +347,27 @@ class TestGoldenTables:
     def test_stdout(self, capsys, name):
         assert main(self.COMMANDS[name]) == 0
         assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_runtime_loads_no_scipy():
+    """The runtime needs numpy alone: an interpreter that runs the analytic
+    commands and a Monte-Carlo coverage estimate through main() holds no
+    scipy module afterwards.  It is a child interpreter, as this process
+    imports scipy for the tests' oracles."""
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from isacthz.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["coverage", "--r1-grid", "10", "--threshold-db-grid", "0"],
+                         ["misalign"], ["compare"],
+                         ["simulate", "--what", "coverage", "--trials", "20000"]):
+                assert main(argv) == 0, argv
+        print(sorted(name for name in sys.modules
+                     if name == "scipy" or name.startswith("scipy.")))
+    """)
+    src = Path(isacthz.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

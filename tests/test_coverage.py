@@ -709,7 +709,7 @@ class TestPinnedInversion:
             (0.38226321001100305, 4.9751448517156876e-08)),
         ("default", "theorem", 38.0): (
             (-0.5000181265044154, 1.1434987057289818e-07),
-            (-0.06746469929247789, 1.807581341609776e-08),
+            (-0.06746469929247792, 1.807581341609776e-08),
             (-0.4598361602658309, 6.989330841870015e-08)),
         ("default", "derivation", 5.0): (
             (-0.49999092851642346, 2.459441131327865e-07),
@@ -728,13 +728,13 @@ class TestPinnedInversion:
             (0.4999997420311529, 8.711907140237597e-08),
             (0.49999889453939067, 1.1423093310852069e-07)),
         ("sparse nodes", "theorem", 20.0): (
-            (-0.5000030928137164, 9.160920201121318e-08),
+            (-0.5000030928137164, 9.160920201121918e-08),
             (0.49946466308351406, 9.658457324866453e-08),
             (0.4881939515392603, 9.115217203289693e-08)),
         ("sparse nodes", "theorem", 38.0): (
             (-0.5000035744570164, 7.017976012078703e-08),
             (0.42545393290972455, 1.0892892905123132e-07),
-            (0.24429425829070023, 3.0987610761067706e-08)),
+            (0.24429425829070017, 3.098761081657886e-08)),
         ("sparse nodes", "derivation", 5.0): (
             (-0.5000085942847804, 7.079963315971503e-08),
             (0.4999999177154775, 8.711868898936199e-08),
@@ -776,13 +776,13 @@ class TestPinnedInversion:
             (0.499993516861668, 8.71553659222009e-08),
             (0.4999659013493953, 1.1591466222730583e-07)),
         ("dense nodes", "theorem", 20.0): (
-            (-0.500006475469539, 2.0425516545472678e-11),
+            (-0.500006475469539, 2.042551654547266e-11),
             (0.4266302922343191, 7.25915541572348e-08),
             (-0.34231026773341633, 6.154776821532093e-08)),
         ("dense nodes", "theorem", 38.0): (
             (-0.5000064798839043, 1.3802115415554595e-11),
-            (-0.5000016408251788, 8.01956616059183e-12),
-            (-0.5000064904281943, 4.121225673898353e-12)),
+            (-0.5000016408251788, 8.019566160591794e-12),
+            (-0.5000064904281943, 4.1212256738983515e-12)),
         ("dense nodes", "derivation", 5.0): (
             (-0.5000010538960626, 2.549113676194088e-07),
             (0.4999999177008748, 8.711788057965538e-08),
@@ -796,7 +796,7 @@ class TestPinnedInversion:
             (0.5000000404130374, 5.9402256265431545e-08),
             (0.4999104014786463, 6.612942266050795e-08)),
         ("narrow beams", "theorem", 5.0): (
-            (-0.49999772850881236, 8.490152139565455e-08),
+            (-0.4999977285088124, 8.49015214511657e-08),
             (0.4999998404801373, 1.0562431613774246e-07),
             (0.49999959048477444, 5.695511623875857e-08)),
         ("narrow beams", "theorem", 20.0): (
@@ -805,14 +805,14 @@ class TestPinnedInversion:
             (0.4997461472623975, 1.4445021807142573e-07)),
         ("narrow beams", "theorem", 38.0): (
             (-0.5000199484860897, 1.3644291663173053e-07),
-            (0.38423943573900154, 8.561347553066689e-08),
-            (0.025560947484010294, 2.644878175978257e-08)),
+            (0.3842394357390017, 8.561347553066689e-08),
+            (0.025560947484010253, 2.644878175978257e-08)),
         ("narrow beams", "derivation", 5.0): (
             (-0.4999969135818115, 3.942649120691527e-07),
             (0.49999990391566856, 1.0562420600361842e-07),
             (0.4999997155818497, 5.6953893938406485e-08)),
         ("narrow beams", "derivation", 20.0): (
-            (-0.5000032188267813, 2.4499610852821864e-07),
+            (-0.5000032188267813, 2.44996108528217e-07),
             (0.499999914008414, 9.082385327666263e-08),
             (0.49999910772004724, 9.127568385542947e-08)),
         ("narrow beams", "derivation", 38.0): (
@@ -825,12 +825,12 @@ class TestPinnedInversion:
             (0.47934413926926556, 1.813875201646081e-08)),
         ("wide beams", "theorem", 20.0): (
             (-0.5000092568454294, 6.022752674576914e-08),
-            (-0.020538782811176343, 1.6750745575851068e-08),
+            (-0.02053878281117633, 1.6750745575851068e-08),
             (-0.5000093165331558, 7.43355250839946e-08)),
         ("wide beams", "theorem", 38.0): (
             (-0.5000092599245447, 6.095180893650328e-08),
-            (-0.5000092608335798, 6.1165943756531e-08),
-            (-0.5000092599532663, 6.095857363629655e-08)),
+            (-0.5000092608335799, 6.1165943756531e-08),
+            (-0.5000092599532663, 6.09585736362971e-08)),
         ("wide beams", "derivation", 5.0): (
             (-0.4999603915693318, 7.371605392923223e-08),
             (0.49999996561575255, 4.855979613261843e-09),

@@ -5,10 +5,13 @@ import pytest
 import scipy.special as sp
 from scipy.interpolate import PchipInterpolator
 
-from isacthz import specfun
-from isacthz.specfun import (QuadratureError, QuadratureSpec,
-                             integrate_oscillatory, integrate_semi_infinite,
-                             integrate_semi_infinite_batch)
+from isacthz import coverage, specfun
+from isacthz.channel import LinkBudget
+from isacthz.config import Deployment, SystemParams
+from isacthz.specfun import (QuadratureError, QuadratureSpec, erfcx, exp1,
+                             gammainc2, integrate_oscillatory,
+                             integrate_semi_infinite,
+                             integrate_semi_infinite_batch, lambert_w0)
 
 
 # -----------------------------------------------------------------------------
@@ -437,3 +440,88 @@ class TestQuadratureSpec:
                       "max_subdivisions"):
             with pytest.raises(ValueError):
                 QuadratureSpec(**{field: math.nan})
+
+
+# -----------------------------------------------------------------------------
+# The special functions against scipy.special, their oracle
+# -----------------------------------------------------------------------------
+
+def _either_side(x):
+    """The doubles just below x, x itself and just above."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+def _end_search_z(budget, deploy, lower):
+    """W0's largest argument in a shot-noise table: the interference phase
+    radius (c_int >= c_abs) at the end search's cap, s_lo times 1e66, as
+    _SplitTable and ShotNoiseField._phase_radius form it."""
+    fld = coverage.ShotNoiseField(budget, deploy, 0.0, lower)
+    s_lo = 1e-3 / (2.0 * math.pi * fld.c_int * fld._g(fld.lower))
+    root = math.sqrt(2.0 * math.pi * s_lo * 1e66 * fld.c_int / coverage._PHASE_BUDGET)
+    return 0.5 * fld.k * root
+
+
+class TestSpecialFunctions:
+    """exp1, erfcx, lambert_w0 and gammainc2 match scipy.special to 1e-14
+    relative over the arguments the package reaches, as arrays of any shape
+    and as scalars, which come back as floats equal to the array's values."""
+
+    REL = 1e-14
+
+    def _matches(self, f, oracle, x):
+        x = np.asarray(x, dtype=float)
+        got = f(x)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == x.shape and got.dtype == np.float64
+        np.testing.assert_allclose(got, oracle(x), rtol=self.REL, atol=0.0)
+        grid = f(x.reshape(-1, 1))
+        assert grid.shape == (x.size, 1)
+        assert np.array_equal(grid[:, 0], got)
+        for v, want in zip(x.tolist(), got.tolist()):
+            one = f(v)
+            assert isinstance(one, float)
+            assert one == want
+
+    def test_exp1(self):
+        # series up to 1, continued fraction above; channel's arguments are
+        # (2 lambda r_b + K) r1
+        x = np.concatenate((np.geomspace(1e-6, 700.0, 200), _either_side(1.0),
+                            np.linspace(0.9, 1.1, 21)))
+        self._matches(exp1, sp.exp1, x)
+
+    def test_erfcx(self):
+        # the timeout integrand reaches 0.2 to a few hundred
+        x = np.concatenate(([0.0], np.geomspace(1e-8, 1e4, 200),
+                            _either_side(specfun._ERFCX_CUT),
+                            np.linspace(3.9, 4.1, 21), [1e8, 1e150, 1e300]))
+        self._matches(erfcx, sp.erfcx, x)
+
+    def test_lambert_w0(self):
+        z_max = max(_end_search_z(budget, deploy, lower)
+                    for budget, deploy in (
+                        (LinkBudget.from_params(SystemParams(), Deployment()), Deployment()),
+                        (LinkBudget(a=1e-4, k_abs=3.0), Deployment()))
+                    for lower in (1.0, 40.0))
+        assert z_max > 1e20
+        z = np.concatenate(([1e-300, 1e-30], np.geomspace(1e-12, z_max, 300),
+                            _either_side(1.0), np.linspace(0.9, 1.1, 21), [z_max]))
+        self._matches(lambert_w0, lambda z: sp.lambertw(z).real, z)
+        assert lambert_w0(0.0) == 0.0
+        assert np.array_equal(lambert_w0(np.array([0.0, 1e-300])), [0.0, 1e-300])
+
+    def test_gammainc2(self):
+        # _los_area reaches about 3e-4 to 0.65
+        x = np.concatenate((np.geomspace(1e-8, 50.0, 200),
+                            _either_side(specfun._P2_CUT),
+                            np.linspace(0.15, 0.25, 21)))
+        self._matches(gammainc2, lambda x: sp.gammainc(2.0, x), x)
+
+    def test_gammainc2_small_and_large(self):
+        # as x -> 0, P(2, x) = x^2/2 - x^3/3 + ...: the series keeps every
+        # digit where -expm1(-x) - x e^-x cancels to nothing
+        tiny = np.array([1e-150, 1e-100, 1e-30, 1e-12, 1e-9])
+        np.testing.assert_allclose(gammainc2(tiny),
+                                   tiny * tiny / 2.0 * (1.0 - 2.0 * tiny / 3.0),
+                                   rtol=1e-15, atol=0.0)
+        assert gammainc2(0.0) == 0.0
+        assert np.array_equal(gammainc2(np.array([50.0, 100.0, 800.0, 1e5])), np.ones(4))
