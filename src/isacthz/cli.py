@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
+import functools
 import io
 import math
 import sys as _sys
@@ -78,6 +78,10 @@ def _write(path, text: str) -> None:
 
 
 def _params_hash(*parts) -> str:
+    # imported here, as only simulate hashes: hashlib loads OpenSSL, about
+    # 3.5 MB and 3 ms of every process that imports it
+    import hashlib
+
     text = "|".join(repr(p) for p in parts)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -390,8 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`'s tree, built at the first `main` call of a process
+    and kept: a parse leaves it as it was and returns a namespace of its
+    own."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         system, deploy = load_config(args.config)
         code = args.run(args, system, deploy)

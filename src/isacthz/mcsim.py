@@ -24,9 +24,15 @@ Only what that test can see is sampled.  By the restriction property,
 a PPP's points in a region are Poisson(density * area) uniform draws
 independent of the rest of the plane, and by the colouring theorem one
 Poisson total over many boxes, each point given a uniform box, is an
-independent PPP in every box.  So a batch of links draws its obstacles
-as one field on the shared frame box [0, max r] x (-r_b, r_b), each
-point owned by a uniform link: each link sees its own field, as the
+independent PPP in every box.  A point's box and its place in it come
+from one uniform U (`_scattered_points`): over b boxes, with u = b U, the
+box is floor(u) and u - floor(u) is the uniform of its place.  For b a
+power of two (every full batch of links) the two are exactly independent
+and uniform, the place on the lattice of spacing b 2^-53; otherwise the
+one rounding of b U moves a box's probability by about b 2^-53 relative,
+and the box is at most b - 1 for every b.  So a batch of links draws its
+obstacles as one field on the shared frame box [0, max r] x (-r_b, r_b),
+each point owned by a uniform link: each link sees its own field, as the
 analytic timeout multiplies the two links' void probabilities, and the
 corridor test ignores the points past a link's end.  The box is as wide
 as the corridor, so a point's lateral offset never decides a verdict
@@ -44,7 +50,8 @@ By independent thinning, a coverage trial's marked nodes (those whose
 sweep and orientation marks fire, q_mark of all) and its unmarked ones
 are independent PPPs.  Each drawn field is one Poisson total per batch
 whose points each fall in a uniform trial, as a link batch's obstacles
-do: a point carries its owning trial and, once drawn, its radius, a
+do: a point carries its owning trial and, once drawn, its radius (from the
+same uniform as its owner where both are drawn at once), a
 trial's count or weight sum is one (weighted) bincount over the owners,
 and only the trials left open gather the radii they own (a stable sort
 by owner).  Its marked nodes are drawn so on the whole window; only
@@ -176,7 +183,9 @@ def _blocked_frame(lon, owner, r, r_b):
     offset lon[j], inside the corridor's width.  Returns a boolean
     'blocked' per link."""
     hit = (lon > r_b) & (lon < (r - r_b)[owner])
-    return np.bincount(owner[hit], minlength=r.size) > 0
+    blocked = np.zeros(r.size, dtype=bool)
+    blocked[owner[hit]] = True
+    return blocked
 
 
 def _blocked_bulk(obs_x, obs_y, counts, bs_x, bs_y, r_b):
@@ -201,15 +210,17 @@ def _link_box(rng, density: float, r: np.ndarray, r_b: float):
     """An independent PPP per link on the batch's shared frame box
     [0, max r] x (-r_b, r_b), each link running from the origin to (r, 0);
     returns the flat longitudinal offsets and the link owning each point,
-    in no order.
+    in no order.  A point's link and its offset come from one uniform
+    (`_scattered_points`), the offset its position uniform times max r.
 
     The box is the corridor's width, so no lateral offset is drawn.  Points
     past a link's end stay: `_blocked_frame` ignores lon >= r - r_b, so
     each link sees exactly a PPP of the given density in its corridor.
     """
     top = r.max()
-    owner = _scattered_owners(rng, density * 2.0 * r_b * top, r.size)
-    return top * rng.random(owner.size), owner
+    owner, lon = _scattered_points(rng, density * 2.0 * r_b * top, r.size)
+    lon *= top
+    return lon, owner
 
 
 def _blocked_links(rng, deploy: Deployment, r: np.ndarray) -> np.ndarray:
@@ -297,7 +308,8 @@ def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
 
     A trial draws the corridor verdicts of its two nearest links as
     estimate_timeout does, so 'p_to' equals estimate_timeout at the same
-    seed, and then the beam-coverage length from its exponential law.
+    seed, and then the beam-coverage length from its exponential law, as a
+    unit exponential against the miss window scaled by mu_g.
     'p_err' counts a missed crossing with the nearest link open, 'p_to'
     both links blocked.  The two events are disjoint, so 'p_ms' is the
     frequency of their union and its hits are the sum of theirs.
@@ -306,11 +318,12 @@ def estimate_misalignment(deploy: Deployment, ability: SensingAbility,
         raise ValueError("estimate_misalignment needs at least 1e3 trials")
     mu_g = beam_switch_density(deploy)
     lo, hi = crossing_miss_window(deploy, ability, tau)
+    lo_g, hi_g = lo * mu_g, hi * mu_g
     err = to = 0
     for rng, b in _batches(trials, seed):
         near, both = _nearest_links_blocked(rng, deploy, b)
-        d_b = rng.exponential(1.0 / mu_g, size=b)
-        err += int(((d_b > lo) & (d_b < hi) & ~near).sum())
+        d_b = rng.standard_exponential(b)  # beam length times mu_g
+        err += int(((d_b > lo_g) & (d_b < hi_g) & ~near).sum())
         to += int(both.sum())
     return {"p_err": McEstimate.from_hits(err, trials),
             "p_to": McEstimate.from_hits(to, trials),
@@ -382,10 +395,15 @@ def _far_cap(mean: float) -> int:
 
 def _annulus_radii(rng, n: int, r_in: float, r_out: float) -> np.ndarray:
     """Radii of n points drawn uniformly on the annulus r_in <= r <= r_out."""
-    rad = rng.random(n)
-    rad *= r_out ** 2 - r_in ** 2
-    rad += r_in ** 2
-    return np.sqrt(rad, out=rad)
+    return _annulus_map(rng.random(n), r_in, r_out)
+
+
+def _annulus_map(u: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
+    """Radii on the annulus r_in <= r <= r_out of uniforms u on [0, 1),
+    r^2 linear in u, computed in u's array."""
+    u *= r_out ** 2 - r_in ** 2
+    u += r_in ** 2
+    return np.sqrt(u, out=u)
 
 
 def _weights(rad: np.ndarray, k_abs: float) -> np.ndarray:
@@ -412,12 +430,33 @@ def _scattered_owners(rng, mean: float, b: int) -> np.ndarray:
     return rng.integers(0, b, rng.poisson(mean * b))
 
 
+def _scattered_points(rng, mean: float, b: int) -> tuple:
+    """The slot owning each point of b independent Poisson(mean) counts and
+    a uniform on [0, 1) for its position, in draw order, both from one
+    uniform per point: with u = b U, the owner is floor(u) and the
+    position's uniform u - floor(u).
+
+    For b a power of two, b U is exact, so the owner is uniform on
+    0 .. b - 1 and the position uniform on the lattice of spacing b 2^-53,
+    independent of each other.  Otherwise b U is rounded once, which moves
+    a slot's probability by about b 2^-53 relative; as U <= 1 - 2^-53 and
+    b (1 - 2^-53) rounds below b, the owner is at most b - 1 for every b.
+    """
+    u = rng.random(rng.poisson(mean * b))
+    u *= b
+    owner = u.astype(np.intp)
+    u -= owner
+    return owner, u
+
+
 def _scattered_field(rng, mean: float, b: int, r_in: float,
                      r_out: float) -> tuple:
     """Radii of b independent PPPs of Poisson(mean) points on the annulus
-    r_in <= r <= r_out, and the slot owning each, in draw order."""
-    owner = _scattered_owners(rng, mean, b)
-    return _annulus_radii(rng, owner.size, r_in, r_out), owner
+    r_in <= r <= r_out, and the slot owning each, in draw order: a point's
+    slot and radius come from one uniform (`_scattered_points`), the radius
+    its position uniform mapped onto the annulus."""
+    owner, u = _scattered_points(rng, mean, b)
+    return _annulus_map(u, r_in, r_out), owner
 
 
 def _open_radii(rng, owner: np.ndarray, open_, r_in: float,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import isacthz
+from isacthz import cli
 from isacthz.cli import (_sweep_deployments, ability_reference_rows,
                          build_parser, main, misalign_sweep_rows)
 from isacthz.config import Deployment, SystemParams
@@ -352,16 +353,18 @@ class TestGoldenTables:
 def test_runtime_loads_no_scipy():
     """The runtime needs numpy alone: an interpreter that runs the analytic
     commands and a Monte-Carlo coverage estimate through main() holds no
-    scipy module afterwards.  It is a child interpreter, as this process
-    imports scipy for the tests' oracles."""
+    scipy module afterwards, and none of hashlib's OpenSSL until simulate,
+    the one command that hashes, has run.  It is a child interpreter, as
+    this process imports scipy for the tests' oracles."""
     code = textwrap.dedent("""
         import contextlib, io, sys
         from isacthz.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in (["coverage", "--r1-grid", "10", "--threshold-db-grid", "0"],
-                         ["misalign"], ["compare"],
-                         ["simulate", "--what", "coverage", "--trials", "20000"]):
+                         ["misalign"], ["compare"]):
                 assert main(argv) == 0, argv
+            assert "_hashlib" not in sys.modules
+            assert main(["simulate", "--what", "coverage", "--trials", "20000"]) == 0
         print(sorted(name for name in sys.modules
                      if name == "scipy" or name.startswith("scipy.")))
     """)
@@ -371,3 +374,30 @@ def test_runtime_loads_no_scipy():
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_one_parser_per_process(monkeypatch, capsys):
+    """main() builds its parser once and keeps it: a run of commands on the
+    kept parser prints what each command prints on a parser of its own."""
+    runs = (["misalign"],
+            ["coverage", "--r1-grid", "10", "--threshold-db-grid", "0"],
+            ["compare"],
+            ["simulate", "--what", "timeout", "--trials", "2000"],
+            ["misalign"])
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        assert main(argv) == 0
+        fresh.append(capsys.readouterr().out)
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv, out in zip(runs, fresh):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out, argv
+    assert len(built) == 1

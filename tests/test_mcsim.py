@@ -13,13 +13,16 @@ from isacthz.config import Deployment, SystemParams
 from isacthz.coverage import CoverageQuery, coverage_probability
 from isacthz.mcsim import (McEstimate, _batches, _blocked_bulk,
                            _blocked_frame, _grouped_sums, _link_box,
-                           _ppp_disc, _scattered_field, _split_radius,
+                           _ppp_disc, _scattered_field, _scattered_points,
+                           _split_radius,
                            default_window_radius,
                            estimate_blockage,
                            estimate_coverage, estimate_misalignment,
                            estimate_timeout, nearest_two_distances)
 from isacthz.misalignment import (beam_misalignment, beam_switch_density,
-                                  blockage_probability, timeout_probability)
+                                  blockage_probability,
+                                  speed_underestimate_probability,
+                                  timeout_probability)
 from isacthz.sensing import baseline_5g_ability
 from isacthz.schemes import scheme_ability
 
@@ -361,6 +364,55 @@ class TestScatteredCounts:
         assert stats.chi2_contingency(table).pvalue > 1e-3
 
 
+class _TopRng:
+    """A generator whose Poisson totals are `n` and whose every uniform is
+    the largest one numpy's random() returns, 1 - 2^-53."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def poisson(self, mean):
+        return self.n
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+class TestScatteredPoints:
+    """`_scattered_points` splits one uniform U per point into its owner,
+    floor(b U), and its position's uniform, b U - floor(b U): owners uniform
+    on 0 .. b - 1, positions uniform on [0, 1), the two independent, and
+    each slot's count Poisson(mean)."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 5, 1469, 8191, 8192, 17094])
+    def test_largest_uniform_stays_in_the_last_slot(self, b):
+        owner, u = _scattered_points(_TopRng(4), 1.0, b)
+        assert owner.tolist() == [b - 1] * 4
+        assert np.all((u >= 0.0) & (u < 1.0))
+
+    @pytest.mark.parametrize("b, seed", [(37, 100), (8192, 101)])
+    def test_owner_and_position_uniform_and_independent(self, b, seed):
+        owner, u = _scattered_points(np.random.default_rng(seed),
+                                     200000 / b, b)
+        assert owner.dtype.kind == "i" and owner.size > 190000
+        assert np.all((owner >= 0) & (owner < b))
+        assert np.all((u >= 0.0) & (u < 1.0))
+        assert stats.chisquare(np.bincount(owner, minlength=b)).pvalue > 1e-3
+        assert stats.kstest(u, "uniform").pvalue > 1e-3
+        # 8 owner classes (slot mod 8) against 8 position bins
+        table, _, _ = np.histogram2d(owner % 8, u, bins=8,
+                                     range=[[0, 8], [0, 1]])
+        assert stats.chi2_contingency(table).pvalue > 1e-3
+
+    @pytest.mark.parametrize("mean, b", [(0.5, 8192), (3.0, 9250)])
+    def test_poisson_counts_per_slot(self, mean, b):
+        owner, _ = _scattered_points(np.random.default_rng(102), mean, b)
+        counts = np.bincount(owner, minlength=b)
+        assert counts.shape == (b,)
+        assert _count_gof(counts, lambda k: b * stats.poisson.pmf(k, mean)) \
+            > 1e-3
+
+
 class TestGroupedSums:
     def test_float_without_values(self):
         sums = _grouped_sums(np.array([]), np.array([], dtype=int), 3)
@@ -402,11 +454,21 @@ class TestEstimators:
         assert ratio == pytest.approx(2.0, rel=0.2)
 
     def test_misalignment_estimates(self):
-        ests = estimate_misalignment(DEP, baseline_5g_ability(), SYS.tau,
-                                     40000, 14)
-        ref = beam_misalignment(DEP, baseline_5g_ability(), SYS.tau)
-        assert abs(ests["p_err"].mean - ref.p_err) <= 3.0 * ests["p_err"].std_error
-        assert abs(ests["p_ms"].mean - ref.p_ms) <= 3.0 * ests["p_ms"].std_error
+        """The Monte-Carlo corridor never blocks a nearest link shorter than
+        2 r_b, which the analytic p_err counts as blocked, so the estimator
+        reads p_err + p_ve (1 - exp(-4 pi lambda_b r_b^2)), and p_ms with
+        it; the gap (0.00244 for 5g, about 1 sigma here) is added to the
+        analytic values until one rule for such links serves both sides
+        (ROADMAP item 7), when it goes."""
+        ability = baseline_5g_ability()
+        ests = estimate_misalignment(DEP, ability, SYS.tau, 40000, 14)
+        ref = beam_misalignment(DEP, ability, SYS.tau)
+        p_ve = speed_underestimate_probability(DEP, ability, SYS.tau)
+        gap = -p_ve * math.expm1(-4.0 * math.pi * DEP.lambda_b * DEP.r_b ** 2)
+        assert abs(ests["p_err"].mean - (ref.p_err + gap)) \
+            <= 3.0 * ests["p_err"].std_error
+        assert abs(ests["p_ms"].mean - (ref.p_ms + gap)) \
+            <= 3.0 * ests["p_ms"].std_error
 
     def test_misalignment_reads_one_scene(self):
         # p_to is the timeout draw itself, and p_ms the union of two
@@ -901,9 +963,9 @@ class TestScatteredFields:
         estimate_coverage(DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000, 97)
         (r_lo, r_in, r_near, r_win), inner_mean, mid_mean = _urban_zones()
         assert r_lo < r_in < r_near
-        # a batch draws its inner and marked owners, then the mid owners of
+        # a batch draws its inner and marked nodes, then the mid owners of
         # the trials its first bounds leave open
-        inner, marked, mid = fields[0::2], fields[1::2], owners[2::3]
+        inner, marked, mid = fields[0::2], fields[1::2], owners
         assert len(inner) == len(marked) == len(mid)
         # the budget counts an inner or marked node whole and a trial's own
         # arrays as _TRIAL_NODES of them, and no mid node:
@@ -947,7 +1009,7 @@ class TestScatteredFields:
         step = reradiation_constant(BUD, DEP) * math.exp(-BUD.k_abs * r_in) \
             / r_in ** 2
         cap = mcsim._far_cap(mid_mean)
-        first, second, mid = decided[0::3], decided[1::3], owners[2::3]
+        first, second, mid = decided[0::3], decided[1::3], owners
         assert len(first) == len(second) == len(mid) > 0
         counts = []
         for (lo, hi, _, open_), (lo_2, hi_2, _, _), (mean, b, own) in zip(
@@ -1145,6 +1207,11 @@ class TestEdgeCells:
         every stage of bounds) of one `_cm_hits` call."""
         owners, opened = [], []
 
+        def scattered_points(rng, mean, b):
+            drawn = draw_points(rng, mean, b)
+            owners.append((mean, b, drawn[0]))
+            return drawn
+
         def scattered_owners(rng, mean, b):
             owners.append((mean, b, draw_owners(rng, mean, b)))
             return owners[-1][2]
@@ -1155,6 +1222,8 @@ class TestEdgeCells:
             return hit, open_
 
         decisions, draw_owners = mcsim._bound_decisions, mcsim._scattered_owners
+        draw_points = mcsim._scattered_points
+        monkeypatch.setattr(mcsim, "_scattered_points", scattered_points)
         monkeypatch.setattr(mcsim, "_scattered_owners", scattered_owners)
         monkeypatch.setattr(mcsim, "_bound_decisions", decide)
         hits = mcsim._cm_hits(*args, **kwargs)[0]
@@ -1199,6 +1268,8 @@ class TestEdgeCells:
         for mean, b in ((0.0, 0), (4.0, 0), (0.0, 100)):
             own = mcsim._scattered_owners(rng, mean, b)
             assert own.size == 0 and own.dtype.kind == "i"
+            own, u = _scattered_points(rng, mean, b)
+            assert own.size == u.size == 0 and own.dtype.kind == "i"
 
 
 class TestPinnedStream:
@@ -1239,7 +1310,12 @@ class TestPinnedStream:
     shrank to about 30,000 drawn nodes (p_cm 0.94435 -> 0.9427; the
     derivation one stayed, every derivation trial being a hit on those
     bounds, and the open-field one came out the same on the new draw
-    order).  Every
+    order); all but the derivation one again after each scattered point's
+    owner and position came from one uniform, in the link boxes and in the
+    coverage inner and marked fields (coverage urban p_cm 0.9427 ->
+    0.94745, open field 0.93603515625 -> 0.94091796875, blockage 0.63435 ->
+    0.63665, timeout 0.0521 -> 0.053, p_err 0.0404 -> 0.04215, window
+    oracle 0.05395 -> 0.05175 and 0.0429 -> 0.0409).  Every
     derivation trial clears the threshold, so that pin holds the miss
     count at 0 rather than the draw order, which only its alignment draw
     used to show."""
@@ -1248,7 +1324,7 @@ class TestPinnedStream:
         ability = scheme_ability("jsrs", SYS, DEP)
         hits = mcsim._cm_hits(DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000,
                               52, "theorem", None)[0]
-        assert hits / 20000 == 0.9427
+        assert hits / 20000 == 0.94745
 
     def test_coverage_derivation(self):
         ability = scheme_ability("5g", SYS, DEP)
@@ -1261,18 +1337,18 @@ class TestPinnedStream:
         ability = scheme_ability("perfect", SYS, DEP)
         est = estimate_coverage(dep0, BUD, SYS, ability, 20.0, 10 ** 0.5, 2048, 4,
                                 window_radius=500.0)
-        assert est.mean == 0.93603515625
+        assert est.mean == 0.94091796875
 
     def test_blockage(self):
-        assert estimate_blockage(DEP, 52.0, 20000, 3).mean == 0.63435
+        assert estimate_blockage(DEP, 52.0, 20000, 3).mean == 0.63665
 
     def test_timeout(self):
-        assert estimate_timeout(DEP, 20000, 9).mean == 0.0521
+        assert estimate_timeout(DEP, 20000, 9).mean == 0.053
 
     def test_misalignment(self):
         ests = estimate_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
                                      SYS.tau, 20000, 14)
-        assert ests["p_err"].mean == 0.0404
+        assert ests["p_err"].mean == 0.04215
 
     def test_window_oracle_stream(self, monkeypatch):
         # the window oracle is the nearest-two draw these were recorded with
@@ -1281,7 +1357,7 @@ class TestPinnedStream:
             return r12[:, 0], lambda idx: r12[idx, 1]
 
         monkeypatch.setattr(mcsim, "_nearest_distances", window)
-        assert estimate_timeout(DEP, 20000, 9).mean == 0.05395
+        assert estimate_timeout(DEP, 20000, 9).mean == 0.05175
         ests = estimate_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
                                      SYS.tau, 20000, 14)
-        assert ests["p_err"].mean == 0.0429
+        assert ests["p_err"].mean == 0.0409
