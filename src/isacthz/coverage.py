@@ -51,16 +51,28 @@ The memo holds at most one entry per possible first width plus the probe
 and goes with its view, so clear_field_cache() drops it.
 
 Cost: a table build is almost all semi-infinite quadrature of the slow
-zones, two members per s-point, each usually closing within its first
-block of root panels (specfun._ROOT_BLOCK).  One batched integrand writes
-the four components at the 15 Gauss-Kronrod nodes of every pending panel
-into one array.  Its two trig brackets, 2 sin^2(ph/2) and sin ph, both
-come from one tan(ph/4) (_half_angle_brackets): on a 2-vCPU Xeon guest
-with numpy 2.4.6, float64 np.sin at phases of 0-60 rad costs 17-25 ns an
-element and np.tan 2-3 ns, and the node weight r^-2 e^{-k r} divides by
-r * r, 1.1-1.6 ns an element against 3.3-4.5 ns for r ** -2.0.  The end
-of the grid is searched a few decades at a time, so few s-points past it
-are integrated only to be discarded.
+zones, two members per s-point.  Each member starts with its phase at the
+budget, 60 rad, about 19 half-periods: root panels of width 1, 2, 4, ...
+would hold many of them and be bisected round after round.  So the band
+is laid on lead panels between the radii where the phase falls to the
+levels 60 - j pi, down to about 3.5 rad (_PHASE_LEVELS, each a Lambert-W
+closed form), integrating the oscillation between successive phase levels
+as Longman's method does (Proc. Camb. Phil. Soc. 52, 1956); a lead panel
+wider than the root panel at its place would be is not laid, as for the
+far s-points of a lossless field, whose bands are hundreds of metres
+wide.  The lead panels are integrated in the first round of the march,
+with the first block of root panels, which starts at the last lead edge
+(specfun._ROOT_BLOCK); nearly every member closes within that block.  The
+default 2 r_b table takes 31,963 panels in 34 Gauss-Kronrod calls,
+against 50,170 in 96 with root panels alone.  One batched integrand
+writes the four components at the 15 Gauss-Kronrod nodes of every pending
+panel into one array.  Its two trig brackets, 2 sin^2(ph/2) and sin ph,
+both come from one tan(ph/4) (_half_angle_brackets): on a 2-vCPU Xeon
+guest with numpy 2.4.6, float64 np.sin at phases of 0-60 rad costs 17-25
+ns an element and np.tan 2-3 ns, and the node weight r^-2 e^{-k r}
+divides by r * r, 1.1-1.6 ns an element against 3.3-4.5 ns for r ** -2.0.
+The end of the grid is searched a few decades at a time, so few s-points
+past it are integrated only to be discarded.
 
 The grid runs on to where the envelope is 1e-12, but the kernels stop
 well short of that: the default `coverage` sweeps read no further than
@@ -73,8 +85,8 @@ grid has the whole grid's pieces 0..m-3, bit for bit; only its last piece
 carries the prefix's own end slope.  A view reads only those pieces and
 extends the table for a later one, so every lookup returns what a view of
 the whole table returns.  The default `coverage` and `coverage
---lower-bound derivation` sweeps integrate 74,588 Gauss-Kronrod panels of
-their four tables, against 149,792 for the whole grids.
+--lower-bound derivation` sweeps integrate 51,498 Gauss-Kronrod panels of
+their four tables, against 96,730 for the whole grids.
 """
 
 from __future__ import annotations
@@ -111,6 +123,17 @@ __all__ = [
 # phase budget separating the numerically-resolved slow zone from the
 # endpoint-corrected fast zone of the distance integrals
 _PHASE_BUDGET = 60.0
+# Phase levels of the slow zones: each member starts where its phase falls
+# to the budget (or at the lower bound) and lays lead panels up to where it
+# falls to the budget less pi, 2 pi, ..., the last level at least
+# _LEAD_STOP rad (60 - 18 pi, about 3.5 rad); its root panels start at its
+# last lead edge.  On the default 2 r_b table, a stop at 1-2 rad took the
+# fewest Gauss-Kronrod calls: 31,963 panels in 34 calls, against 36,337 in
+# 64 at 0.2 rad (one level more) and 35,115 in 48 at 4 rad; steps of
+# 1.5 pi took 31,566 panels in 46 calls, steps of 2 pi 41,085 in 63.
+_LEAD_STOP = 1.0
+_PHASE_LEVELS = _PHASE_BUDGET - math.pi * np.arange(
+    int((_PHASE_BUDGET - _LEAD_STOP) / math.pi) + 1)
 
 DEFAULT_COVERAGE_QUADRATURE = QuadratureSpec(
     abs_tol=1e-7, rel_tol=1e-6, max_subdivisions=60000,
@@ -120,6 +143,10 @@ DEFAULT_COVERAGE_QUADRATURE = QuadratureSpec(
 # members march on their own, so the batch size moves no value; larger
 # batches were no faster and hold more node sets at once.
 _S_CHUNK = 32
+
+# decades the table's end search may run past its start
+_DECADE_LIMIT = 66
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # decades per round of the table's end search.  A round integrates all of
 # its decades, so a round of 8 integrates at most 7 past the envelope
@@ -217,21 +244,20 @@ class ShotNoiseField:
 
     # -- split evaluation ---------------------------------------------------
 
-    def _fast_zone_endpoint(self, s, c_x, a, b, weighted: bool):
-        """First-order endpoint values of int_a^b r h(r) trig(phase) dr over
-        the rapidly-oscillating zone, as (cos part, sin part); h is the
-        line-of-sight odds when weighted, else 1."""
-
-        def term(r):
-            phase = 2.0 * math.pi * s * c_x * self._g(r)
-            scale = r / (-phase * (2.0 / r + self.k))
-            if weighted:
-                scale = scale * self._p_los(r)
-            return scale * np.sin(phase), -scale * np.cos(phase)
-
-        cos_b, sin_b = term(b)
-        cos_a, sin_a = term(a)
-        return cos_b - cos_a, sin_b - sin_a
+    def _fast_zone_endpoints(self, s, ends, c_x):
+        """First-order endpoint values of int_lower^b r h(r) trig(phase) dr
+        over the rapidly-oscillating zones, as (cos part, sin part) shaped
+        as ends: row 0 the interference zone [lower, ends[0]] (constant
+        c_x[0], h the line-of-sight odds), row 1, if given, the absorption
+        zone [lower, ends[1]] (c_x[1], h = 1).  The ends and the lower
+        bound share one evaluation."""
+        rows = len(ends)
+        r = np.concatenate((ends, np.full_like(ends, self.lower)))
+        phase = 2.0 * math.pi * s * np.concatenate((c_x, c_x)) * self._g(r)
+        scale = r / (-phase * (2.0 / r + self.k))
+        scale[::rows] *= self._p_los(r[::rows])
+        cos, sin = scale * np.sin(phase), -scale * np.cos(phase)
+        return cos[:rows] - cos[rows:], sin[:rows] - sin[rows:]
 
     def _los_area(self, a, b):
         """int_a^b r p_los(r) dr in closed form: with c = 2 r_b lambda_total and
@@ -257,13 +283,37 @@ class ShotNoiseField:
         weight p_los, and the unit terms take closed forms: both sources'
         together the area on [lower, r_abs], the interference one the
         line-of-sight area w_s int r p_los dr on [r_abs, r_split].
+
+        Each member's oscillating band goes to the march as lead edges: the
+        radii where its phase falls to _PHASE_LEVELS below its start, from
+        the one W0 call that gives r_abs and r_split.  A member clamped to
+        the lower bound starts below the budget, so its levels above its
+        start land on the lower bound and lay empty panels, which the march
+        drops, as it drops those of a lossless absorption member, whose
+        rate, hence phase, is zero (c_abs = 0 puts every radius at sqrt(0),
+        with no division by it).  Levels above the highest phase any member
+        has at the lower bound would lay only such panels, so W0 is not
+        asked for them.  The lead edges stop at the first panel wider than
+        the distance from the start plus one, the width of the root panel
+        there: past it root panels are as fine.
         """
         lower, n = self.lower, s.size
-        r_abs, r_split = self._phase_radius(  # c_int >= c_abs
-            s, np.array([[self.c_abs], [self.c_int]]), _PHASE_BUDGET)
-        # members 0..n-1 absorb, n..2n-1 interfere
+        # the start level and those below the highest phase at the lower bound
+        top = 2.0 * math.pi * s.max() * self.c_int * math.exp(-self.k * lower) / (lower * lower)
+        levels = _PHASE_LEVELS[(_PHASE_LEVELS < top) | (_PHASE_LEVELS == _PHASE_BUDGET)]
+        # radii (2, n, levels) where each source's phase falls to each level:
+        # members 0..n-1 absorb, n..2n-1 interfere, each with its start and
+        # lead edges in a row
+        edges = self._phase_radius(  # c_int >= c_abs
+            s[:, None], np.array([[[self.c_abs]], [[self.c_int]]]), levels)
+        r_abs, r_split = edges[:, :, 0]
+        edges = edges.reshape(2 * n, -1)
         rate = 2.0 * math.pi * np.concatenate((s * self.c_abs, s * self.c_int))
         weight = np.repeat([-1.0, 1.0], n)
+        # lead panels up to the first one wider than its root panel would be
+        width = np.diff(edges, axis=1)
+        finer = np.logical_and.accumulate(width <= edges[:, :-1] - edges[:, :1] + 1.0, axis=1)
+        lead = np.where(finer, edges[:, 1:], np.nan)
 
         def source(r, owner):
             out = np.empty((4, *r.shape))
@@ -278,27 +328,26 @@ class ShotNoiseField:
             out[0::2, owner >= n] = 0.0
             return out
 
-        both = integrate_semi_infinite_batch(source, np.concatenate((r_abs, r_split)),
-                                             _INNER_QUAD)
+        both = integrate_semi_infinite_batch(source, edges[:, 0], _INNER_QUAD, lead)
         out = both[:, :n] + both[:, n:]
-        fast = np.flatnonzero(r_split > lower)
-        if fast.size:
-            # c_int > c_abs, so r_abs < r_split here
-            sf, rs, ra = s[fast], r_split[fast], r_abs[fast]
-            out[0, fast] += 0.5 * (ra ** 2 - lower ** 2)
-            out[1, fast] += self._los_area(ra, rs)
-            # interference trig terms: fast on the whole zone
-            cos_i, sin_i = self._fast_zone_endpoint(sf, self.c_int, lower, rs, True)
-            out[1, fast] -= cos_i
-            out[3, fast] += sin_i
-            absorb = ra > lower
-            if absorb.any():
-                # absorption fast zone; the (1 - p_I) weight is within
-                # ~1e-4 of one and is dropped from the endpoint term
-                cos_a, sin_a = self._fast_zone_endpoint(
-                    sf[absorb], self.c_abs, lower, ra[absorb], False)
-                out[0, fast[absorb]] -= cos_a
-                out[2, fast[absorb]] += sin_a
+        # the fast zones, c_int > c_abs, so r_abs <= r_split; a zone that is
+        # empty (its radius at the lower bound) adds exactly zero, so a
+        # chunk with none skips them.  Trig terms: interference on
+        # [lower, r_split], absorption on [lower, r_abs], its (1 - p_I)
+        # weight within ~1e-4 of one and dropped from the endpoint term; a
+        # lossless one is never laid, as its phase is zero
+        if r_split.max() <= lower:
+            return out
+        out[0] += 0.5 * (r_abs ** 2 - lower ** 2)
+        out[1] += self._los_area(r_abs, r_split)
+        rows = 2 if self.c_abs > 0.0 else 1
+        cos, sin = self._fast_zone_endpoints(
+            s, np.stack((r_split, r_abs)[:rows]), np.array([[self.c_int], [self.c_abs]])[:rows])
+        out[1] -= cos[0]
+        out[3] += sin[0]
+        if rows == 2:
+            out[0] -= cos[1]
+            out[2] += sin[1]
         return out
 
     # -- interpolation ------------------------------------------------------
@@ -442,26 +491,41 @@ class _SplitTable:
     for every sweep weight, i.e. at both ends of the weight range [0,
     orientation odds].  That decade is searched from 10^6 times the start
     in rounds of _DECADE_ROUND decades, each round one batch, stopping at
-    the first round that reaches it; the search gives up at 10^66 times
-    the start and ends the grid there.  The grid is fixed when the table is
-    made; its values are integrated by extend()."""
+    the first round that reaches it; the search gives up at
+    10^_DECADE_LIMIT times the start and ends the grid there.  Only the
+    decades that are finite floats are searched: a lower bound so far out
+    that none of them reaches the target raises QuadratureError.  The grid
+    is fixed when the table is made; its values are integrated by
+    extend()."""
 
     def __init__(self, budget: LinkBudget, deploy: Deployment, lower_bound: float):
         if deploy.lambda_b <= 0.0:
             raise ValueError("shot-noise field needs lambda_b > 0")
         # a weight-free field: the table reads only the geometry
         self._field = fld = ShotNoiseField(budget, deploy, 0.0, lower_bound)
-        s_lo = 1e-3 / (2.0 * math.pi * fld.c_int * fld._g(fld.lower))
+        # the decades past the start that are finite floats, counted in
+        # logs: far enough out in an absorbing medium g(lower) =
+        # e^{-k lower} / lower^2 all but underflows, and s_lo nears the
+        # largest float
+        lower = fld.lower
+        log_lo = (math.log(1e-3 / (2.0 * math.pi * fld.c_int)) + fld.k * lower
+                  + 2.0 * math.log(lower))
+        limit = min(_DECADE_LIMIT, math.floor((_LOG_FLOAT_MAX - log_lo) / math.log(10.0) - 1e-9))
+        s_lo = 1e-3 / (2.0 * math.pi * fld.c_int * fld._g(lower)) if limit > 6 else math.inf
         f_target = 27.7 / (2.0 * math.pi * deploy.lambda_b)
         w_max = orientation_odds(deploy)
-        decades = s_lo * 10.0 ** np.arange(6, 66)
-        s_hi = s_lo * 1e66
+        decades = s_lo * 10.0 ** np.arange(6, limit)
+        s_hi = s_lo * 10.0 ** limit if limit == _DECADE_LIMIT else math.inf
         for i in range(0, decades.size, _DECADE_ROUND):
             f0, f1 = fld._split_chunk(decades[i:i + _DECADE_ROUND])[:2]
             reached = np.minimum(f0, f0 + w_max * f1) >= f_target
             if reached.any():
                 s_hi = decades[i + int(np.argmax(reached))]
                 break
+        if s_hi == math.inf:
+            raise QuadratureError(
+                f"shot-noise table: at lower bound {lower:g} m no s-point below the "
+                "largest float reaches the envelope target", 0.0, math.inf)
         self.grid = np.geomspace(s_lo, s_hi, max(36, int(28 * math.log10(s_hi / s_lo))))
         self.s_lo, self.s_hi = float(self.grid[0]), float(self.grid[-1])
         self.knots = np.log(self.grid)

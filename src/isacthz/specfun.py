@@ -139,11 +139,22 @@ def _gk15_batch(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     integrals over the C error estimates."""
     width = b - a
     x = a[:, None] + width[:, None] * _GK_UNIT
-    both = (np.asarray(f(x, owner), dtype=float) @ _GK_WEIGHTS) * width[:, None]
-    ik = both[..., 0]
-    err = (200.0 * np.abs(ik - both[..., 1])) ** 1.5
+    both = np.asarray(f(x, owner), dtype=float) @ _GK_WEIGHTS
+    comps = both.shape[0]
+    # each rule scaled along the panels into one array, the error built in
+    # place: a (C, P, 2) * (P, 1) broadcast and a concatenation cost more
+    # than the products
+    out = np.empty((2 * comps, width.size))
+    ik, err = out[:comps], out[comps:]
+    np.multiply(both[..., 0], width, out=ik)
+    np.multiply(both[..., 1], width, out=err)
+    err -= ik
+    np.abs(err, out=err)
+    err *= 200.0
+    err **= 1.5
     # never report less than float roundoff on the panel
-    return np.concatenate((ik, np.maximum(err, np.abs(ik) * 1e-15)))
+    np.maximum(err, np.abs(ik) * 1e-15, out=err)
+    return out
 
 
 # Root panels a semi-infinite member marches per block, of width 1, 2, 4,
@@ -152,12 +163,13 @@ def _gk15_batch(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
 # stops, so the block size moves no value of a member that stops within
 # it; spare panels lie in the dead tail and cost one node set each.
 # Measured root panels per member: 9 for every member of the default
-# shot-noise tables and for the default timeout_probability; 11-12 for
-# the table at a tenth of the default absorption and 12 for the timeout
-# at lambda_b = 1e-5; 7-8 at three times the default absorption; 3-13 for
-# the lossless table, of which 327 of 3816 members need 13.  Twelve closes
-# all but those last members in one round, without sizing the block to
-# the default deployment alone.
+# shot-noise tables, whose root blocks start past their lead panels, and
+# for the default timeout_probability; 11-12 for the table at a tenth of
+# the default absorption and 12 for the timeout at lambda_b = 1e-5; 7 at
+# three times the default absorption; 3-13 for the lossless table, of
+# which 327 of 3816 members need 13.  Twelve closes all but those last
+# members in one round, without sizing the block to the default
+# deployment alone.
 _ROOT_BLOCK = 12
 _ROOT_EDGES = 2.0 ** np.arange(_ROOT_BLOCK + 1) - 1.0
 
@@ -192,9 +204,8 @@ def _refine(f: Callable, pa, pb, owner, est, tols, budget, cell=None):
             done_cells.append(cell)
             done_est.append(est)
             # rows 0..C-1 sum each panel's value, C..2C-1 its error
-            index = np.arange(2 * comps)[:, None] * cells + np.concatenate(done_cells)
-            return np.bincount(index.ravel(), weights=np.concatenate(done_est, axis=1).ravel(),
-                               minlength=2 * comps * cells).reshape(2, comps, cells)
+            return _member_sums(np.concatenate(done_est, axis=1), np.concatenate(done_cells),
+                                cells).reshape(2, comps, cells)
         keep = ~want
         done_cells.append(cell[keep])
         done_est.append(est[:, keep])
@@ -206,40 +217,62 @@ def _refine(f: Callable, pa, pb, owner, est, tols, budget, cell=None):
         est = _gk15_batch(f, pa, pb, own)
 
 
-def _open_tolerances(roots, live, total, marched, spec):
-    """Tolerances (C, len(live), _ROOT_BLOCK) of the blocks just opened,
-    from their root estimates (C, len(live), _ROOT_BLOCK), after `marched`
-    root panels."""
-    ahead = total[:, live, None] + np.cumsum(roots, axis=2) - roots
-    if not marched:
-        ahead[:, :, 0] = roots[:, :, 0]
+def _open_tolerances(roots, before, fresh, spec):
+    """Tolerances (C, L, _ROOT_BLOCK) of the blocks just opened, from their
+    root estimates (C, L, _ROOT_BLOCK) and the running totals before them
+    (C, L); the blocks that `fresh` picks (an index, or None for none) open
+    with their member's very first panel, which is referenced to its own
+    estimate."""
+    ahead = before[:, :, None] + np.cumsum(roots, axis=2) - roots
+    if fresh is not None:
+        ahead[:, fresh, 0] = roots[:, fresh, 0]
     return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(ahead)) * 0.25
 
 
-def _close_blocks(vals, errs, done, total, total_err, marched, streak, spec):
+def _member_sums(values, owner, members):
+    """(R, members) sums of the (R, P) panel values by owner."""
+    rows = values.shape[0]
+    index = np.arange(rows)[:, None] * members + owner
+    return np.bincount(index.ravel(), weights=values.ravel(),
+                       minlength=rows * members).reshape(rows, members)
+
+
+def _lead_panels(a, lead):
+    """(starts, ends, owners) of the nonempty lead panels of the members
+    starting at a, and each member's last lead edge.  A row of lead holds
+    a member's edges; NaN, or an edge below the one before it, adds no
+    panel."""
+    edges = np.fmax.accumulate(np.concatenate((a[:, None], np.reshape(lead, (a.size, -1))), axis=1),
+                               axis=1)
+    la, lb = edges[:, :-1], edges[:, 1:]
+    use = lb > la
+    return la[use], lb[use], np.nonzero(use)[0], edges[:, -1]
+
+
+def _close_blocks(vals, errs, done, total, total_err, marched, last_small, spec):
     """Take the refined blocks (C, D, _ROOT_BLOCK) of the `done` members,
-    each after `marched` root panels, panel by panel, updating their
-    totals and tail streaks in place; returns (finished, error bounds
-    (C, D))."""
-    order = np.arange(_ROOT_BLOCK)
-    run = total[:, done, None] + np.cumsum(vals, axis=2)
+    each after `marched` root panels, panel by panel, updating in place
+    their totals and whether their last panel was small; returns
+    (finished, error bounds (C, D))."""
+    run = np.cumsum(vals, axis=2)
+    run += total[:, done, None]
     small = np.logical_and.reduce(
         np.abs(vals) < spec.tail_cutoff_envelope * np.maximum(np.abs(run), spec.abs_tol))
-    last_big = np.maximum.accumulate(np.where(small, -1, order), axis=1)
-    streaks = np.where(last_big >= 0, order - last_big, streak[done, None] + order + 1)
-    stop = small & (streaks >= 2) & (marched + order >= 2)
+    # a small panel after a small one stops its member, three panels in
+    stop = small & np.concatenate((last_small[done, None], small[:, :-1]), axis=1)
+    stop[:, :max(2 - marched, 0)] = False
     finished = stop.any(axis=1)
     pick = (slice(None), np.arange(done.size),
             np.where(finished, np.argmax(stop, axis=1), _ROOT_BLOCK - 1))
     total[:, done] = run[pick]
     total_err[:, done] += np.cumsum(errs, axis=2)[pick]
-    streak[done] = streaks[pick[1:]]
+    last_small[done] = small[:, -1]
     return finished, total_err[:, done] + np.abs(vals[pick])
 
 
 def integrate_semi_infinite_batch(f: Callable, lower,
-                                  spec: QuadratureSpec = DEFAULT_QUADRATURE
-                                  ) -> np.ndarray:
+                                  spec: QuadratureSpec = DEFAULT_QUADRATURE,
+                                  lead=None) -> np.ndarray:
     """Batched integrals of f over [lower_m, inf), m < M, for decaying
     integrands; f follows the batched integrand contract of the module
     docstring.
@@ -251,14 +284,30 @@ def integrate_semi_infinite_batch(f: Callable, lower,
     max(abs_tol, rel_tol |reference|) / 4 per component, the reference
     being the running total up to it with the panels before it in its
     block at their estimates (for the very first panel, its own estimate).
-    A member stops at the first panel that makes two consecutive, three
-    panels at least, below spec.tail_cutoff_envelope times the running
-    total in every component.
+    A member stops at the first root panel that makes two consecutive,
+    three root panels at least, below spec.tail_cutoff_envelope times the
+    running total in every component.
+
+    lead, (M, J), lays each member's first stretch on panels of its own
+    ahead of the root panels: member m integrates [lower_m, lead[m, 0]],
+    [lead[m, 0], lead[m, 1]], ... and its root block starts at its last
+    lead edge.  A row ascends; NaN pads it past the member's last edge,
+    and a member with no nonempty lead panel marches as without lead.
+    With edges where an oscillating integrand's phase has fallen by pi,
+    2 pi, ..., the lead panels take the oscillation that root panels would
+    bisect round after round (Longman, Proc. Camb. Phil. Soc. 52, 1956).
+    They are evaluated and refined in the first round, with the first root
+    block, each to max(abs_tol, rel_tol |the member's lead estimate|) / 4,
+    the lead estimate being the sum of its lead panels' estimates.  That
+    estimate opens the running total the first root panel is referenced
+    to; the refined lead sum replaces it before the stop rule, which reads
+    root panels only, takes the block.  A call without lead is the march
+    without them, bit for bit.
 
     Returns the (C, M) integrals.  Raises ValueError for an empty batch and
     QuadratureError for the first member of a round that has spent its
-    budget or passed 300 panels without stopping, with its partial value in
-    the component with the largest error bound.
+    budget or passed 300 root panels without stopping, with its partial
+    value in the component with the largest error bound.
     """
     a = np.array(lower, dtype=float).ravel()  # a copy: marched in place
     members = a.size
@@ -268,24 +317,46 @@ def integrate_semi_infinite_batch(f: Callable, lower,
     # by a block, so the root panel width and count are shared by all
     first, marched = 1.0, 0
     budget = np.full(members, spec.max_subdivisions)
-    streak = np.zeros(members, dtype=int)
+    last_small = np.zeros(members, dtype=bool)
     live = np.arange(members)
+    # the blocks that open with their member's very first panel
+    lead_n, fresh = 0, slice(None)
+    if lead is not None:
+        lead_a, lead_b, lead_owner, a = _lead_panels(a, lead)
+        lead_n = lead_a.size
+        if lead_n:
+            fresh = np.bincount(lead_owner, minlength=members) == 0
     total = total_err = None
     while True:
-        # blocks of width first, 2 first, 4 first, ... from a
+        # blocks of width first, 2 first, 4 first, ... from a, after the
+        # lead panels in round 0
         edges = a[live, None] + first * _ROOT_EDGES
         pa, pb = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         owner = np.repeat(live, _ROOT_BLOCK)
+        if lead_n:
+            pa, pb, owner = (np.concatenate(pair) for pair in (
+                (lead_a, pa), (lead_b, pb), (lead_owner, owner)))
         est = _gk15_batch(f, pa, pb, owner)
         comps = est.shape[0] // 2
         if total is None:
             total, total_err = np.zeros((2, comps, members))
-        roots = est[:comps].reshape(comps, live.size, _ROOT_BLOCK)
-        tols = _open_tolerances(roots, live, total, marched, spec)
-        vals, errs = _refine(f, pa, pb, owner, est, tols.reshape(comps, -1),
-                             budget).reshape(2, comps, live.size, _ROOT_BLOCK)
+        # in round 0 the lead estimates open the running totals
+        before = (_member_sums(est[:comps, :lead_n], lead_owner, members) if lead_n
+                  else total[:, live])
+        roots = est[:comps, lead_n:].reshape(comps, live.size, _ROOT_BLOCK)
+        tols = _open_tolerances(roots, before, fresh, spec).reshape(comps, -1)
+        if lead_n:
+            lead_tols = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(before[:, lead_owner]))
+            tols = np.concatenate((lead_tols * 0.25, tols), axis=1)
+        found = _refine(f, pa, pb, owner, est, tols, budget)
+        if lead_n:
+            total[:], total_err[:] = _member_sums(
+                found[..., :lead_n].reshape(2 * comps, -1), lead_owner,
+                members).reshape(2, comps, members)
+        vals, errs = found[..., lead_n:].reshape(2, comps, live.size, _ROOT_BLOCK)
+        lead_n, fresh = 0, None
         finished, bound = _close_blocks(vals, errs, live, total, total_err,
-                                        marched, streak, spec)
+                                        marched, last_small, spec)
         marched += _ROOT_BLOCK
         failed = (budget[live] <= 0) | (~finished & (marched > 300))
         if failed.any():

@@ -142,6 +142,43 @@ class TestCoverage:
         assert body["scheme"] == "perfect"
         assert 0.0 <= float(body["p_cvp"]) <= 1.0
 
+    @staticmethod
+    def _far_derivation(r1):
+        src = Path(isacthz.__file__).resolve().parents[1]
+        return subprocess.run(
+            [sys.executable, "-m", "isacthz.cli", "coverage", "--r1-grid", r1,
+             "--lower-bound", "derivation", "--schemes", "jsrs"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, timeout=120)
+
+    @pytest.mark.parametrize("r1", ["1600", "1900"])
+    def test_far_derivation_lower_bound_rows(self, r1):
+        # from about 1570 m on, the end search's last decades pass the
+        # largest float, but the envelope target is reached 8 decades in:
+        # the rows are those the search printed when it leaked overflow
+        # warnings for the decades it never reached
+        run = self._far_derivation(r1)
+        assert run.returncode == 0 and run.stderr == ""
+        assert run.stdout.splitlines() == [
+            "scheme,r1_m,threshold_db,p_ms,p_cm,p_cvp,abs_err",
+            *(f"jsrs,{r1},{t},0.0940937,0,0,1.94e-07" for t in (0, 5, 10))]
+
+    @pytest.mark.parametrize("r1", ["1950", "2000"])
+    def test_far_derivation_lower_bound_exit_code(self, r1):
+        # no finite decade reaches the envelope target: the search used to
+        # integrate s = inf and fail with partial=nan
+        run = self._far_derivation(r1)
+        assert run.returncode == 3
+        assert f"lower bound {r1} m" in run.stderr
+        assert "RuntimeWarning" not in run.stderr and "nan" not in run.stderr
+        assert run.stdout == ""
+
+    def test_far_theorem_row(self, capsys):
+        # theorem mode keeps the field at 2 r_b: p_cm is 0 at 2000 m
+        assert main(["coverage", "--r1-grid", "2000", "--schemes", "jsrs"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 3 and all(float(row["p_cm"]) == 0.0 for row in rows)
+
 
 class TestSimulate:
     def test_blockage(self, tmp_path):

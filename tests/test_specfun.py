@@ -314,6 +314,68 @@ class TestBatch:
             integrate_semi_infinite_batch(f, [])
 
 
+class TestLeadPanels:
+    """Lead panels at the phase levels of e^-x trig(omega e^-x), against
+    the closed forms int_a^inf e^-x sin(omega e^-x) dx = (1 - cos U) / omega
+    and int_a^inf e^-x 2 sin^2(omega e^-x / 2) dx = (U - sin U) / omega,
+    U = omega e^-a the phase at the lower end, up to 60 rad as in the
+    shot-noise table's slow zones."""
+
+    SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=4000,
+                          tail_cutoff_envelope=1e-13)
+    # (omega, a) per member: U = 60, 60, 25, 60 and 40 rad
+    OMEGA = np.array([60.0, 600.0, 25.0, 60.0 * math.e, 40.0])
+    LOWER = np.array([0.0, math.log(10.0), 0.0, 1.0, 0.0])
+
+    @classmethod
+    def _integrand(cls, omega):
+        def f(x, owner):
+            ph = omega[owner][:, None] * np.exp(-x)
+            return np.exp(-x) * np.stack((np.sin(ph), 2.0 * np.sin(0.5 * ph) ** 2))
+        return f
+
+    @classmethod
+    def _levels(cls, omega, a, levels=18):
+        """Edges where the phase has fallen by pi, 2 pi, ... from U, while it
+        is at least 1 rad there; NaN past the last."""
+        start = omega * math.exp(-a)
+        phase = start - math.pi * np.arange(1, levels + 1)
+        return np.where(phase >= 1.0, np.log(omega / np.maximum(phase, 1.0)), np.nan)
+
+    @classmethod
+    def _exact(cls, omega, a):
+        u = omega * math.exp(-a)
+        return np.array([(1.0 - math.cos(u)) / omega, (u - math.sin(u)) / omega])
+
+    def test_members_with_without_and_empty(self, monkeypatch):
+        omega, lower = self.OMEGA, self.LOWER
+        lead = np.array([self._levels(w, a) for w, a in zip(omega, lower)])
+        lead[3] = np.nan      # without lead edges
+        lead[4] = lower[4]    # every lead panel empty
+        assert np.isnan(lead[2, 7:]).all() and not np.isnan(lead[2, :7]).any()
+        panels = []
+        gk15 = specfun._gk15_batch
+
+        def count(f, a, b, owner):
+            panels.append(a.size)
+            return gk15(f, a, b, owner)
+
+        monkeypatch.setattr(specfun, "_gk15_batch", count)
+        got = integrate_semi_infinite_batch(self._integrand(omega), lower, self.SPEC, lead)
+        first = panels[0]
+        monkeypatch.undo()
+        # the first call holds the 18 + 18 + 7 lead panels and every root block
+        assert first == 43 + omega.size * specfun._ROOT_BLOCK
+        for m, (w, a) in enumerate(zip(omega, lower)):
+            want = self._exact(w, a)
+            assert np.all(np.abs(got[:, m] - want)
+                          <= self.SPEC.rel_tol * np.abs(want) + self.SPEC.abs_tol), m
+        for m in (3, 4):
+            alone = integrate_semi_infinite_batch(
+                self._integrand(omega[m:m + 1]), lower[m:m + 1], self.SPEC)
+            assert (got[:, m] == alone[:, 0]).all(), m
+
+
 def _terms(envelope, phi):
     """The two terms of a Dirichlet kernel as one callable."""
     def terms(s):
