@@ -48,39 +48,35 @@ timeout, off one such scene.
 
 By independent thinning, a coverage trial's marked nodes (those whose
 sweep and orientation marks fire, q_mark of all) and its unmarked ones
-are independent PPPs.  Each drawn field is one Poisson total per batch
-whose points each fall in a uniform trial, as a link batch's obstacles
-do: a point carries its owning trial and, once drawn, its radius (from the
-same uniform as its owner where both are drawn at once), a
-trial's count or weight sum is one (weighted) bincount over the owners,
-and only the trials left open gather the radii they own (a stable sort
-by owner).  Its marked nodes are drawn so on the whole window; only
-trials holding one draw angles and a user/blocker disc around their
-corridors.  Its unmarked nodes fall into three zones, split at the
-radius R where the far ones' absorption bound, their expected count at
-the weight of R, falls to `_SPLIT_SLACK` of the margin, and inside it at
-the radius R_in where the mid ones' bound falls to `_MID_SLACK` of it
-(`_split_radius`; both the lower-bound radius when the margin is not
-positive or without absorption).  Inner nodes, inside R_in, are drawn
-with their radii; mid ones, between R_in and R, as owners alone and only
-for the trials the first bounds leave open; far ones, past R, not at
-all.  As the weight e^(-k r) / r^2 does not rise with r, the
-interference lies between lo, the absorption noise of the nodes drawn
-with radii, and hi, which adds every marked node unblocked, `_far_cap`
-mid nodes at the weight of R_in and `_far_cap` far ones at the weight of
-R.  A trial is a hit when hi lies below the margin and a miss when lo
-reaches it.  Disjoint rings of a PPP are independent, so the trials these
-first bounds leave open draw their mid owners only now and are decided
-again, hi holding every mid node at the weight of R_in; those still open
-draw their mid radii and their Poisson far count and are decided a third
-time: lo now holds the mid nodes' noise and hi every far node at the
-weight of R.  Only the trials still open draw their far radii, angles,
-user/blocker discs and corridors.  Each decision is the one the whole
-draw would make, except when a trial found a hit on capped counts holds
-more nodes than the cap: mid ones for a hit on the first bounds, far
-ones for a hit on the first or second, two events each of probability
-below 2^-64 per trial.  So the estimate is exact in law but for them,
-and R_in and R set only how many stay open.
+are independent PPPs.  Its marked nodes, on the whole window, and its
+unmarked inner ones, inside R_in, are each drawn as one Poisson total
+per batch whose points each fall in a uniform trial, as a link batch's
+obstacles do: a point's owning trial and its radius come from one
+uniform, a trial's count or weight sum is one (weighted) bincount over
+the owners, and only the trials left open gather the radii they own (a
+stable sort by owner).  The unmarked nodes past R_in fall into two
+rings, mid (R_in, R) and far (R, window edge): R is the radius where the
+far ring's absorption bound, its expected count at the weight of R,
+falls to `_SPLIT_SLACK` of the margin, and R_in the one inside it where
+the mid ring's bound falls to `_MID_SLACK` of it (`_split_radius`; both
+the lower-bound radius when the margin is not positive or without
+absorption).  As the weight e^(-k r) / r^2 does not rise with r, a
+trial's interference lies between lo, the absorption noise of the nodes
+drawn with radii, and hi, which adds every marked node unblocked and
+each ring's nodes at the weight of its inner radius.  A trial is a hit
+when hi lies below the margin and a miss when lo reaches it.  The bounds
+are taken three times, s = 0, 1, 2: the rings before ring s - 1 are in
+lo with their radii, ring s - 1 is counted, and the rings past it stand
+at `_far_cap` nodes.  After each decision the trials left open draw ring
+s - 1's radii, in trial order, and ring s's per-trial Poisson counts;
+disjoint rings of a PPP are independent, so drawing a ring late leaves
+the law as it is.  Only the trials the third bounds leave open and that
+hold a marked node draw angles and a user/blocker disc around their
+corridors.  Each decision is the one the whole draw would make, except
+when a trial found a hit on a capped count holds more nodes than the
+cap, an event of probability below 2^-64 per ring and trial.  So the
+estimate is exact in law but for them, and R_in and R set only how many
+stay open.
 
 The model's inputs come from the modules that define them: the densities
 from `config`, the sweep weight (q_mark), re-radiation constant and
@@ -106,7 +102,7 @@ from .sensing import SensingAbility
 
 __all__ = ["McEstimate", "estimate_blockage", "estimate_timeout",
            "estimate_misalignment", "estimate_coverage",
-           "nearest_two_distances", "default_window_radius"]
+           "default_window_radius"]
 
 _BATCH = 8192
 # expected drawn nodes per estimate_coverage batch, each inner or marked
@@ -265,17 +261,6 @@ def _nearest_distances(rng, deploy: Deployment, b: int) -> tuple:
     return np.sqrt(e1 / scale), second
 
 
-def nearest_two_distances(deploy: Deployment, samples: int, seed: int):
-    """Sampled (r1, r2) distances of the two nearest nodes to the origin,
-    drawn as the link estimators draw them."""
-    r1, r2 = [], []
-    for rng, b in _batches(samples, seed):
-        near, second = _nearest_distances(rng, deploy, b)
-        r1.append(near)
-        r2.append(second(np.arange(b)))
-    return np.concatenate(r1), np.concatenate(r2)
-
-
 def _nearest_links_blocked(rng, deploy: Deployment, b: int) -> tuple:
     """Corridor verdicts (nearest blocked, both blocked) of the links to
     the two nearest nodes in b scenes, each link against its own obstacle
@@ -423,13 +408,6 @@ def _grouped_sums(values: np.ndarray, owner: np.ndarray,
     return sums.astype(float, copy=False)
 
 
-def _scattered_owners(rng, mean: float, b: int) -> np.ndarray:
-    """The slot owning each point of b independent Poisson(mean) counts, in
-    draw order: one Poisson(mean * b) total whose points each fall in a
-    uniform slot (the same law, by the colouring theorem)."""
-    return rng.integers(0, b, rng.poisson(mean * b))
-
-
 def _scattered_points(rng, mean: float, b: int) -> tuple:
     """The slot owning each point of b independent Poisson(mean) counts and
     a uniform on [0, 1) for its position, in draw order, both from one
@@ -459,18 +437,6 @@ def _scattered_field(rng, mean: float, b: int, r_in: float,
     return _annulus_map(u, r_in, r_out), owner
 
 
-def _open_radii(rng, owner: np.ndarray, open_, r_in: float,
-                r_out: float) -> tuple:
-    """Radii on the annulus r_in <= r <= r_out, drawn now, of the points of
-    a scattered field (`owner` from `_scattered_owners`) that open trials
-    own (open_ a mask over the field's slots), and their owners, in draw
-    order.
-    A point's radius is independent of its owner and of every other
-    point, so drawing it late leaves the field's law as it is."""
-    owner = owner[open_[owner]]
-    return _annulus_radii(rng, owner.size, r_in, r_out), owner
-
-
 def _per_trial(rad: np.ndarray, owner: np.ndarray, open_) -> list:
     """The radii each open trial owns (open_ a mask over the owners'
     slots), one array per open trial in trial order, each in draw order."""
@@ -489,28 +455,23 @@ def _bound_decisions(lo, hi, margin):
     return hit, ~hit & (lo < margin)
 
 
-def _resolve(rng, deploy: Deployment, budget: LinkBudget, r1: float,
-             c_abs: float, lo, near, marked, far, ring) -> np.ndarray:
+def _resolve(rng, deploy: Deployment, budget: LinkBudget, r1: float, lo,
+             unmarked, marked) -> np.ndarray:
     """Interference i_eff of open trials, each drawn whole.
 
-    lo holds their bounds' absorption sums, near and marked one array per
-    trial of their unmarked inner and mid and of their marked radii, far
-    the counts of their unmarked far nodes, whose radii are drawn here on
-    the ring (r_near, r_win).  Each trial holding a marked node then draws
-    the angles of all its nodes and the user/blocker disc around its
-    marked nodes' corridors, in trial order.
+    lo holds their absorption noise, every node's radius being drawn;
+    unmarked and marked hold one array per trial of its unmarked and of its
+    marked radii.  Each trial holding a marked node draws the angles of all
+    its nodes and the user/blocker disc around its marked nodes' corridors,
+    in trial order.
     """
-    r_far = _annulus_radii(rng, int(far.sum()), *ring)
-    i_eff = lo + c_abs * _grouped_sums(_weights(r_far, budget.k_abs),
-                                       np.repeat(np.arange(far.size), far),
-                                       far.size)
-    r_far = np.split(r_far, np.cumsum(far)[:-1])
+    i_eff = lo.copy()
     for t, r_m in enumerate(marked):
         c = r_m.size
         if not c:
             continue
         # marked nodes first
-        r_t = np.concatenate([r_m, near[t], r_far[t]])
+        r_t = np.concatenate([r_m, unmarked[t]])
         ang = 2.0 * math.pi * rng.random(r_t.size)
         x, y = r_t * np.cos(ang), r_t * np.sin(ang)
         others = _ppp_disc(rng, deploy.obstacle_density,
@@ -574,17 +535,17 @@ def _cm_hits(deploy: Deployment, budget: LinkBudget, system: SystemParams,
     r_in = _split_radius(c_abs, deploy.lambda_b, budget.k_abs, r_lo, r_near,
                          margin, _MID_SLACK)
 
-    # expected unmarked inner, mid and far and marked nodes per trial
+    # expected unmarked inner and marked nodes per trial, and per unmarked
+    # ring past the inner one its radii, its expected nodes per trial and
+    # c_abs times the weight of its inner radius
     area = deploy.lambda_b * math.pi
     unmarked = (1.0 - q_mark) * area
     inner_mean = unmarked * (r_in ** 2 - r_lo ** 2)
-    mid_mean = unmarked * (r_near ** 2 - r_in ** 2)
-    far_mean = unmarked * (r_win ** 2 - r_near ** 2)
     mark_mean = q_mark * area * (r_win ** 2 - r_lo ** 2)
-    g_in, g_near = (math.exp(-budget.k_abs * r) / r ** 2
-                    for r in (r_in, r_near))
-    mid_hi = c_abs * g_in * _far_cap(mid_mean)
-    far_hi = c_abs * g_near * _far_cap(far_mean)
+    rings = [(r_a, r_b, unmarked * (r_b ** 2 - r_a ** 2),
+              c_abs * (math.exp(-budget.k_abs * r_a) / r_a ** 2))
+             for r_a, r_b in ((r_in, r_near), (r_near, r_win))]
+    caps = [w * _far_cap(mean) for _, _, mean, w in rings]
     size = max(1, int(_NODE_BUDGET // (inner_mean + mark_mean + _TRIAL_NODES)))
     hits = 0
     for rng, b in _batches(trials, seed, size):
@@ -595,44 +556,33 @@ def _cm_hits(deploy: Deployment, budget: LinkBudget, system: SystemParams,
         lo = _grouped_sums(_weights(rad, budget.k_abs), owner, b)
         lo += g_m
         lo *= c_abs
-        # every marked node unblocked, _far_cap mid ones at the weight of
-        # r_in and _far_cap far ones at the weight of r_near
-        hi = budget.a * g_m
-        hi += lo
-        hi += mid_hi + far_hi
-        hit, open_ = _bound_decisions(lo, hi, margin)
-        hits += int(hit.sum())
-        # the open trials draw their mid owners, and are decided again with
-        # every mid node at the weight of r_in
-        o = np.flatnonzero(open_)
-        mid = _scattered_owners(rng, mid_mean, o.size)
-        lo, g_m = lo[o], g_m[o]
-        hi = np.bincount(mid, minlength=o.size) * (c_abs * g_in)
-        hi += far_hi
-        hi += lo
-        hi += budget.a * g_m
-        hit, open_ = _bound_decisions(lo, hi, margin)
-        hits += int(hit.sum())
-        # those still open draw their mid radii and far counts, and are
-        # decided again with every unmarked node past r_near at its weight
-        p = np.flatnonzero(open_)
-        r_mid, mid = _open_radii(rng, mid, open_, r_in, r_near)
-        far = rng.poisson(far_mean, size=p.size)
-        lo = lo[p] + c_abs * _grouped_sums(_weights(r_mid, budget.k_abs),
-                                           np.searchsorted(p, mid), p.size)
-        hi = lo + budget.a * g_m[p] + g_near * c_abs * far
-        hit, still = _bound_decisions(lo, hi, margin)
-        hits += int(hit.sum())
-        # the trials left, as masks over the batch and over o
+        g_m *= budget.a  # every marked node unblocked
+        counted, drawn = 0.0, []
+        for s in range(len(rings) + 1):
+            # ring s - 1 counted, and the rings past it at their _far_cap
+            hi = g_m + lo
+            hi += counted + sum(caps[s:])
+            hit, open_ = _bound_decisions(lo, hi, margin)
+            hits += int(hit.sum())
+            keep = np.flatnonzero(open_)
+            idx = idx[keep] if s else keep  # the open trials in the batch
+            lo, g_m = lo[keep], g_m[keep]
+            if s:  # the open trials draw ring s - 1's radii
+                r_a, r_b, _, _ = rings[s - 1]
+                at = np.repeat(np.arange(keep.size), count[keep])
+                r = _annulus_radii(rng, at.size, r_a, r_b)
+                lo += c_abs * _grouped_sums(_weights(r, budget.k_abs), at,
+                                            keep.size)
+                drawn.append((r, idx[at]))
+            if s < len(rings):  # and ring s's counts
+                count = rng.poisson(rings[s][2], size=keep.size)
+                counted = count * rings[s][3]
         left = np.zeros(b, dtype=bool)
-        left[o[p[still]]] = True
-        left_o = np.zeros(o.size, dtype=bool)
-        left_o[p[still]] = True
-        near = [np.concatenate(radii) for radii in zip(
-            _per_trial(rad, owner, left), _per_trial(r_mid, mid, left_o))]
-        i_eff = _resolve(rng, deploy, budget, r1, c_abs, lo[still], near,
-                         _per_trial(r_m, m_owner, left), far[still],
-                         (r_near, r_win))
+        left[idx] = True
+        unmarked_t = [np.concatenate(radii) for radii in zip(
+            *(_per_trial(r, at, left) for r, at in [(rad, owner)] + drawn))]
+        i_eff = _resolve(rng, deploy, budget, r1, lo, unmarked_t,
+                         _per_trial(r_m, m_owner, left))
         hits += int((i_eff < margin).sum())
         del rad, owner  # else they live on while the next batch draws its own
     return hits, p_ms

@@ -18,7 +18,7 @@ from isacthz.mcsim import (McEstimate, _batches, _blocked_bulk,
                            default_window_radius,
                            estimate_blockage,
                            estimate_coverage, estimate_misalignment,
-                           estimate_timeout, nearest_two_distances)
+                           estimate_timeout)
 from isacthz.misalignment import (beam_misalignment, beam_switch_density,
                                   blockage_probability,
                                   speed_underestimate_probability,
@@ -49,7 +49,7 @@ def _nearest_two_window(rng, deploy, b):
 
 
 def window_distances(samples, seed):
-    """`nearest_two_distances` drawn by the window oracle."""
+    """The two nearest nodes' distances, drawn by the window oracle."""
     out = np.concatenate([_nearest_two_window(rng, DEP, b)[0]
                           for rng, b in _batches(samples, seed)])
     return out[:, 0], out[:, 1]
@@ -487,9 +487,20 @@ class TestEstimators:
             estimate_misalignment(DEP, ability, SYS.tau, 999, 16)
 
 
+def nearest_two(deploy, samples, seed):
+    """(r1, r2) of the two nearest nodes as the link estimators draw them,
+    `_nearest_distances` over `_batches`."""
+    r1, r2 = [], []
+    for rng, b in _batches(samples, seed):
+        near, second = mcsim._nearest_distances(rng, deploy, b)
+        r1.append(near)
+        r2.append(second(np.arange(b)))
+    return np.concatenate(r1), np.concatenate(r2)
+
+
 class TestNearestTwo:
     def test_ordering(self):
-        r1, r2 = nearest_two_distances(DEP, 5000, 40)
+        r1, r2 = nearest_two(DEP, 5000, 40)
         assert np.all(r1 <= r2)
 
     def test_joint_density(self):
@@ -498,7 +509,7 @@ class TestNearestTwo:
 
     def test_matches_window_oracle(self):
         # two-sample KS of the exact sampler against the window draw
-        r1, r2 = nearest_two_distances(DEP, 40000, 42)
+        r1, r2 = nearest_two(DEP, 40000, 42)
         w1, w2 = window_distances(40000, 43)
         for a, b in ((r1, w1), (r2, w2), (r2 ** 2 - r1 ** 2, w2 ** 2 - w1 ** 2)):
             assert stats.ks_2samp(a, b).pvalue > 0.01
@@ -507,7 +518,7 @@ class TestNearestTwo:
         # used to divide by zero; the exponential draw would return inf
         dep0 = replace(DEP, lambda_b=0.0)
         with pytest.raises(ValueError, match="lambda_b > 0"):
-            nearest_two_distances(dep0, 100, 44)
+            nearest_two(dep0, 100, 44)
         with pytest.raises(ValueError, match="lambda_b > 0"):
             estimate_timeout(dep0, 1000, 44)
 
@@ -517,7 +528,7 @@ class TestNearestTwo:
             with pytest.raises(ValueError, match="trials must be >= 1"):
                 list(_batches(trials, 45))
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            nearest_two_distances(DEP, 0, 45)
+            nearest_two(DEP, 0, 45)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             estimate_blockage(DEP, 52.0, 0, 45)
 
@@ -923,52 +934,101 @@ class TestFarCap:
 
 
 def _urban_zones():
-    """(r_lo, r_in, r_near, r_win) and the expected unmarked inner and mid
-    nodes per trial at the urban point (jsrs, 20 m, 5 dB)."""
+    """(r_lo, r_in, r_near, r_win) and the expected unmarked inner, mid and
+    far nodes per trial at the urban point (jsrs, 20 m, 5 dB)."""
     args = _split_inputs(DEP, BUD, "jsrs", 20.0, 5.0, "theorem")
-    r_lo, r_win = args[3], args[4]
-    r_in, r_near = _zone_radii(*args)
+    radii = (args[3],) + _zone_radii(*args) + (args[4],)
     p_ms = beam_misalignment(DEP, scheme_ability("jsrs", SYS, DEP),
                              SYS.tau).p_ms
     unmarked = (1.0 - sweep_weight(DEP, SYS, p_ms)) * DEP.lambda_b * math.pi
-    return ((r_lo, r_in, r_near, r_win), unmarked * (r_in ** 2 - r_lo ** 2),
-            unmarked * (r_near ** 2 - r_in ** 2))
+    return radii, tuple(unmarked * (r_out ** 2 - r_in ** 2)
+                        for r_in, r_out in zip(radii, radii[1:]))
+
+
+class _RingCountRng:
+    """A generator that records each per-trial Poisson draw (a `poisson`
+    call with a size, as `_cm_hits` draws its ring counts) as (mean,
+    counts) in `drawn`."""
+
+    def __init__(self, rng, drawn):
+        self.rng, self.drawn = rng, drawn
+
+    def poisson(self, lam, size=None):
+        out = self.rng.poisson(lam, size=size)
+        if size is not None:
+            self.drawn.append((lam, out))
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _spy_rings(monkeypatch):
+    """Lists that `_cm_hits` fills, in draw order, with (mean, counts) of
+    every ring count draw and (r_in, r_out, radii) of every ring radii
+    draw; `_ppp_disc`'s radii (r_in = 0) are left out."""
+    counts, radii = [], []
+    batches, annulus_radii = mcsim._batches, mcsim._annulus_radii
+
+    def spied_batches(*args):
+        for rng, b in batches(*args):
+            yield _RingCountRng(rng, counts), b
+
+    def ring_radii(rng, n, r_in, r_out):
+        r = annulus_radii(rng, n, r_in, r_out)
+        if r_in > 0.0:
+            radii.append((r_in, r_out, r))
+        return r
+
+    monkeypatch.setattr(mcsim, "_batches", spied_batches)
+    monkeypatch.setattr(mcsim, "_annulus_radii", ring_radii)
+    return counts, radii
+
+
+def _poisson_gof(counts, mean, cells=8):
+    """Chi-square p-value of counts against Poisson(mean), in cells cut at
+    the law's quantiles."""
+    edges = np.unique(stats.poisson.ppf(np.linspace(0, 1, cells + 1)[1:-1],
+                                        mean))
+    obs = np.bincount(np.searchsorted(edges, counts), minlength=edges.size + 1)
+    cdf = np.concatenate([[0.0], stats.poisson.cdf(edges, mean), [1.0]])
+    return stats.chisquare(obs, np.diff(cdf) * counts.size).pvalue
 
 
 class TestScatteredFields:
     """A coverage batch draws its unmarked inner and its marked nodes each as
-    one Poisson total whose points fall in uniform trials; only the trials
-    the first bounds leave open draw their mid nodes, as such a total of
-    owners alone, and only those the second bounds leave open their mid
-    radii; each trial still open is handed exactly the radii it owns."""
+    one Poisson total whose points fall in uniform trials.  The unmarked
+    rings past the inner one, mid then far, are drawn for open trials only:
+    the trials bounds s leave open draw ring s's per-trial Poisson counts
+    and ring s - 1's radii, in trial order; each trial still open is handed
+    exactly the radii it owns."""
 
     def test_near_field_law(self, monkeypatch):
-        fields, owners = [], []
+        fields = []
 
         def field(rng, mean, b, r_in, r_out):
             fields.append((mean, b, r_in, r_out)
                           + scattered(rng, mean, b, r_in, r_out))
             return fields[-1][4:]
 
-        def scattered_owners(rng, mean, b):
-            owners.append((mean, b, draw_owners(rng, mean, b)))
-            return owners[-1][2]
-
-        scattered, draw_owners = mcsim._scattered_field, mcsim._scattered_owners
+        scattered = mcsim._scattered_field
         monkeypatch.setattr(mcsim, "_scattered_field", field)
-        monkeypatch.setattr(mcsim, "_scattered_owners", scattered_owners)
+        counts, _ = _spy_rings(monkeypatch)
         # batches of a few trials, so that a trial no point can fall in shows
         monkeypatch.setattr(mcsim, "_NODE_BUDGET", 60)
         ability = scheme_ability("jsrs", SYS, DEP)
         estimate_coverage(DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000, 97)
-        (r_lo, r_in, r_near, r_win), inner_mean, mid_mean = _urban_zones()
+        (r_lo, r_in, r_near, r_win), (inner_mean, mid_mean, far_mean) = \
+            _urban_zones()
         assert r_lo < r_in < r_near
-        # a batch draws its inner and marked nodes, then the mid owners of
-        # the trials its first bounds leave open
-        inner, marked, mid = fields[0::2], fields[1::2], owners
-        assert len(inner) == len(marked) == len(mid)
+        # a batch draws its inner and marked nodes, then the mid counts of
+        # the trials its first bounds leave open and the far counts of those
+        # its second bounds leave open
+        inner, marked = fields[0::2], fields[1::2]
+        mid, far = counts[0::2], counts[1::2]
+        assert len(inner) == len(marked) == len(mid) == len(far)
         # the budget counts an inner or marked node whole and a trial's own
-        # arrays as _TRIAL_NODES of them, and no mid node:
+        # arrays as _TRIAL_NODES of them, and no ring node:
         # 60 // (0.55 + 0.004 + 1.2) = 34 trials a batch
         assert max(f[1] for f in inner) == 34
         assert sum(f[1] for f in inner) == 20000
@@ -976,93 +1036,109 @@ class TestScatteredFields:
             assert f[0] == pytest.approx(inner_mean, rel=1e-12)
             assert f[2:4] == (r_lo, r_in)
         assert all(f[2:4] == (r_lo, r_win) for f in marked)
-        for f, g in zip(mid, inner):
-            assert f[0] == pytest.approx(mid_mean, rel=1e-12)
-            assert f[1] <= g[1]
-        counts = np.concatenate([np.bincount(f[-1], minlength=f[1])
-                                 for f in inner])
-        assert _count_gof(counts, lambda k: counts.size
+        for (m_mid, c_mid), (m_far, c_far), g in zip(mid, far, inner):
+            assert m_mid == pytest.approx(mid_mean, rel=1e-12)
+            assert m_far == pytest.approx(far_mean, rel=1e-12)
+            assert c_far.size <= c_mid.size <= g[1]
+        n = np.concatenate([np.bincount(f[-1], minlength=f[1])
+                            for f in inner])
+        assert _count_gof(n, lambda k: n.size
                           * stats.poisson.pmf(k, inner_mean)) > 1e-3
         # r^2 is uniform on [r_lo^2, r_in^2]
         r2 = np.concatenate([f[4] for f in inner]) ** 2
         assert stats.kstest(r2, "uniform", args=(
             r_lo ** 2, r_in ** 2 - r_lo ** 2)).pvalue > 1e-3
 
-    def test_mid_owners_only_for_open_trials(self, monkeypatch):
-        decided, owners = [], []
+    def test_ring_counts_only_for_open_trials(self, monkeypatch):
+        decided = []
 
         def decide(lo, hi, margin):
             decided.append((lo, hi) + decisions(lo, hi, margin))
             return decided[-1][2:]
 
-        def scattered_owners(rng, mean, b):
-            owners.append((mean, b, draw_owners(rng, mean, b)))
-            return owners[-1][2]
-
-        decisions, draw_owners = mcsim._bound_decisions, mcsim._scattered_owners
+        decisions = mcsim._bound_decisions
         monkeypatch.setattr(mcsim, "_bound_decisions", decide)
-        monkeypatch.setattr(mcsim, "_scattered_owners", scattered_owners)
+        counts, _ = _spy_rings(monkeypatch)
         estimate_coverage(DEP, BUD, SYS, scheme_ability("jsrs", SYS, DEP),
                           20.0, 10 ** 0.5, 100000, 95)
-        (_, r_in, _, _), _, mid_mean = _urban_zones()
-        # one mid node at the weight of r_in, and the first bounds' cap
-        step = reradiation_constant(BUD, DEP) * math.exp(-BUD.k_abs * r_in) \
-            / r_in ** 2
-        cap = mcsim._far_cap(mid_mean)
-        first, second, mid = decided[0::3], decided[1::3], owners
-        assert len(first) == len(second) == len(mid) > 0
-        counts = []
-        for (lo, hi, _, open_), (lo_2, hi_2, _, _), (mean, b, own) in zip(
-                first, second, mid):
-            # drawn for the open trials alone, which the second bounds read
-            assert mean == pytest.approx(mid_mean, rel=1e-12)
-            assert b == int(open_.sum()) == lo_2.size
+        (_, r_in, r_near, _), (_, mid_mean, far_mean) = _urban_zones()
+        # one node of a ring at the weight of its inner radius, and the
+        # first bounds' cap of its count
+        step_mid, step_far = (reradiation_constant(BUD, DEP)
+                              * math.exp(-BUD.k_abs * r) / r ** 2
+                              for r in (r_in, r_near))
+        cap_mid, cap_far = mcsim._far_cap(mid_mean), mcsim._far_cap(far_mean)
+        assert 3 * len(counts) == 2 * len(decided) > 0
+        mids = []
+        for k in range(len(counts) // 2):
+            (lo, hi, _, open_), (lo_2, hi_2, _, open_2), (lo_3, hi_3, _, _) = \
+                decided[3 * k:3 * k + 3]
+            (m_mid, mid), (m_far, far) = counts[2 * k:2 * k + 2]
+            assert m_mid == pytest.approx(mid_mean, rel=1e-12)
+            assert m_far == pytest.approx(far_mean, rel=1e-12)
+            # drawn for the open trials alone, which the next bounds read
+            assert mid.size == int(open_.sum()) == lo_2.size
+            assert far.size == int(open_2.sum()) == lo_3.size
             assert np.array_equal(lo_2, lo[open_])
-            count = np.bincount(own, minlength=b)
-            # each open trial's second bound holds its own mid count where
-            # the first held the cap
+            # each open trial's next bounds hold its own count of the ring
+            # where the last held the cap, and the third no mid count, its
+            # mid nodes being in lo with their radii
             np.testing.assert_allclose(
-                hi_2, lo_2 + (hi - lo)[open_] + (count - cap) * step,
+                hi_2 - lo_2, (hi - lo)[open_] + (mid - cap_mid) * step_mid,
                 rtol=1e-9)
-            counts.append(count)
-        counts = np.concatenate(counts)
-        assert 1000 < counts.size < 0.1 * 100000
-        assert _count_gof(counts, lambda k: counts.size
+            np.testing.assert_allclose(
+                hi_3 - lo_3, (hi_2 - lo_2)[open_2] - mid[open_2] * step_mid
+                + (far - cap_far) * step_far, rtol=1e-9)
+            mids.append(mid)
+        mids = np.concatenate(mids)
+        assert 1000 < mids.size < 0.1 * 100000
+        assert _count_gof(mids, lambda k: mids.size
                           * stats.poisson.pmf(k, mid_mean)) > 1e-3
 
-    def test_mid_radii_drawn_late(self, monkeypatch):
-        # the first and second bounds open every trial, so that the mid
-        # nodes of all of them draw their radii
-        calls, late = [], []
+    def test_ring_radii_drawn_late(self, monkeypatch):
+        # the first and second bounds open every trial, so that all of them
+        # draw their mid counts, mid radii and far counts; the third opens
+        # every 50th trial besides those it leaves open, which draw their
+        # far radii
+        calls = []
 
         def decide(lo, hi, margin):
-            calls.append(lo.size)
-            hit, open_ = decisions(lo, hi, margin)
-            return (np.zeros_like(hit), np.ones_like(hit)) if len(calls) % 3 \
-                else (hit, open_)
+            calls.append((lo.size,) + decisions(lo, hi, margin))
+            if len(calls) % 3:
+                return np.zeros(lo.size, bool), np.ones(lo.size, bool)
+            hit, open_ = calls[-1][1:]
+            hit[::50], open_[::50] = False, True
+            return hit, open_
 
-        def radii(rng, owner, open_, r_in, r_out):
-            late.append((owner, open_, r_in, r_out)
-                        + open_radii(rng, owner, open_, r_in, r_out))
-            return late[-1][4:]
-
-        decisions, open_radii = mcsim._bound_decisions, mcsim._open_radii
+        decisions = mcsim._bound_decisions
         monkeypatch.setattr(mcsim, "_bound_decisions", decide)
-        monkeypatch.setattr(mcsim, "_open_radii", radii)
+        counts, radii = _spy_rings(monkeypatch)
         estimate_coverage(DEP, BUD, SYS, scheme_ability("jsrs", SYS, DEP),
                           20.0, 10 ** 0.5, 20000, 99)
-        (r_lo, r_in, r_near, r_win), _, mid_mean = _urban_zones()
-        n_open = 0
-        for owner, open_, lo, hi, rad, own in late:
-            assert (lo, hi) == (r_in, r_near)
-            assert np.array_equal(own, owner[open_[owner]])
-            n_open += int(open_.sum())
-        assert n_open == sum(calls[1::3]) == sum(calls[2::3]) > 0.9 * 20000
-        # r^2 is uniform on [r_in^2, r_near^2]
-        r2 = np.concatenate([f[4] for f in late]) ** 2
-        assert r2.size > 0.9 * mid_mean * n_open
-        assert stats.kstest(r2, "uniform", args=(
-            r_in ** 2, r_near ** 2 - r_in ** 2)).pvalue > 1e-3
+        (_, r_in, r_near, r_win), (_, mid_mean, far_mean) = _urban_zones()
+        assert len(radii) == len(counts) == 2 * len(calls) // 3
+        assert sum(c[0] for c in calls[1::3]) \
+            == sum(c[0] for c in calls[2::3]) == 20000
+        for k in range(len(calls) // 3):
+            (_, mid), (_, far) = counts[2 * k:2 * k + 2]
+            (*ring_mid, r_mid), (*ring_far, r_far) = radii[2 * k:2 * k + 2]
+            assert ring_mid == [r_in, r_near] and ring_far == [r_near, r_win]
+            # the radii of every trial's mid nodes, once they are counted,
+            # and the far ones of the trials the third bounds leave open
+            assert mid.size == far.size == calls[3 * k + 2][0]
+            assert r_mid.size == mid.sum()
+            assert r_far.size == far[calls[3 * k + 2][2]].sum()
+        mid, far = (np.concatenate([c for _, c in counts[j::2]])
+                    for j in (0, 1))
+        assert mid.sum() > 0.9 * mid_mean * 20000
+        assert _poisson_gof(far, far_mean) > 1e-3
+        # r^2 is uniform on each ring
+        for (r_a, r_b), drawn in (((r_in, r_near), radii[0::2]),
+                                  ((r_near, r_win), radii[1::2])):
+            r2 = np.concatenate([r for _, _, r in drawn]) ** 2
+            assert r2.size > 10000
+            assert stats.kstest(r2, "uniform", args=(
+                r_a ** 2, r_b ** 2 - r_a ** 2)).pvalue > 1e-3
 
     @pytest.mark.parametrize("dep, bud, db, window, trials", [
         (BUSY, BUSY_BUD, 20.0, 150.0, 8000),
@@ -1070,52 +1146,54 @@ class TestScatteredFields:
     ], ids=["busy", "narrow_beams"])
     def test_open_trials_get_their_own_radii(self, monkeypatch, dep, bud, db,
                                              window, trials):
-        fields, late, opened, handed = [], [], [], []
+        fields, opened, handed = [], [], []
 
         def field(rng, mean, b, r_in, r_out):
             fields.append(scattered(rng, mean, b, r_in, r_out))
             return fields[-1]
-
-        def radii(rng, owner, open_, r_in, r_out):
-            late.append(open_radii(rng, owner, open_, r_in, r_out))
-            return late[-1]
 
         def decide(lo, hi, margin):
             hit, open_ = decisions(lo, hi, margin)
             opened.append(open_)
             return hit, open_
 
-        def resolve(rng, deploy, budget, r1, c_abs, lo, near, marked, *rest):
-            handed.append((near, marked))
-            return resolve_whole(rng, deploy, budget, r1, c_abs, lo, near,
-                                 marked, *rest)
+        def resolve(rng, deploy, budget, r1, lo, unmarked, marked):
+            handed.append((unmarked, marked))
+            return resolve_whole(rng, deploy, budget, r1, lo, unmarked, marked)
 
         scattered, decisions = mcsim._scattered_field, mcsim._bound_decisions
-        open_radii, resolve_whole = mcsim._open_radii, mcsim._resolve
+        resolve_whole = mcsim._resolve
         monkeypatch.setattr(mcsim, "_scattered_field", field)
-        monkeypatch.setattr(mcsim, "_open_radii", radii)
         monkeypatch.setattr(mcsim, "_bound_decisions", decide)
         monkeypatch.setattr(mcsim, "_resolve", resolve)
+        counts, radii = _spy_rings(monkeypatch)
         estimate_coverage(dep, bud, SYS, scheme_ability("jsrs", SYS, dep),
                           20.0, 10.0 ** (db / 10.0), trials, 98,
                           window_radius=window)
         n_open = n_inner = n_mid = n_marked = 0
-        for k, (near, marked) in enumerate(handed):
-            # the trials the first bounds opened, which own the mid nodes by
-            # their place among them, and of those the ones the second and
-            # third left open
+        for k, (unmarked, marked) in enumerate(handed):
+            # the trials each stage of bounds left open, as batch indices
             first = np.flatnonzero(opened[3 * k])
-            o = first[opened[3 * k + 1]][opened[3 * k + 2]]
-            assert len(near) == len(marked) == o.size
+            second = first[opened[3 * k + 1]]
+            o = second[opened[3 * k + 2]]
+            assert len(unmarked) == len(marked) == o.size
             (rad, owner), (r_m, m_owner) = fields[2 * k], fields[2 * k + 1]
-            r_mid, mid = late[k]
-            for t, near_t, marked_t in zip(o, near, marked):
+            # a ring's radii are drawn in trial order, each open trial's as
+            # many as it counted
+            (_, mid), (_, far) = counts[2 * k:2 * k + 2]
+            mid, far = mid[opened[3 * k + 1]], far[opened[3 * k + 2]]
+            r_mid, r_far = radii[2 * k][2], radii[2 * k + 1][2]
+            assert r_mid.size == mid.sum() and r_far.size == far.sum()
+            mid_t = dict(zip(second, np.split(r_mid, np.cumsum(mid)[:-1])))
+            far_t = np.split(r_far, np.cumsum(far)[:-1])
+            for t, far_r, unmarked_t, marked_t in zip(o, far_t, unmarked,
+                                                      marked):
                 inner_t = rad[owner == t]
-                mid_t = r_mid[mid == np.searchsorted(first, t)]
-                assert np.array_equal(near_t, np.concatenate([inner_t, mid_t]))
+                assert np.array_equal(unmarked_t, np.concatenate(
+                    [inner_t, mid_t[t], far_r]))
                 assert np.array_equal(marked_t, r_m[m_owner == t])
                 n_inner += inner_t.size
-                n_mid += mid_t.size
+                n_mid += mid_t[t].size
                 n_marked += marked_t.size
             n_open += o.size
         assert n_marked > 0
@@ -1132,9 +1210,9 @@ class TestDecisionRule:
     def test_open_trials_resolve_as_the_oracle(self, monkeypatch):
         opened = []
 
-        def spy(rng, deploy, budget, r1, c_abs, lo, *rest):
+        def spy(rng, deploy, budget, r1, lo, *rest):
             opened.append(lo.size)
-            return resolve(rng, deploy, budget, r1, c_abs, lo, *rest)
+            return resolve(rng, deploy, budget, r1, lo, *rest)
 
         resolve = mcsim._resolve
         monkeypatch.setattr(mcsim, "_resolve", spy)
@@ -1197,14 +1275,15 @@ class TestDecisionRule:
 
 
 class TestEdgeCells:
-    """Cells where a zone is empty: without a margin every unmarked node is
+    """Cells where a ring is empty: without a margin every unmarked node is
     far and every trial misses on its first bounds; without absorption no
     node adds noise and every unmarked node is far again.  Draws of no
     points, or over no trials, come back empty."""
 
     def _spied(self, monkeypatch, *args, **kwargs):
-        """(hits, [(mean, b, owners)] of every scattered draw, [open mask] of
-        every stage of bounds) of one `_cm_hits` call."""
+        """(hits, [(mean, b, owners)] of every scattered draw, [(mean,
+        counts)] of every ring count draw, [open mask] of every stage of
+        bounds) of one `_cm_hits` call."""
         owners, opened = [], []
 
         def scattered_points(rng, mean, b):
@@ -1212,119 +1291,84 @@ class TestEdgeCells:
             owners.append((mean, b, drawn[0]))
             return drawn
 
-        def scattered_owners(rng, mean, b):
-            owners.append((mean, b, draw_owners(rng, mean, b)))
-            return owners[-1][2]
-
         def decide(lo, hi, margin):
             hit, open_ = decisions(lo, hi, margin)
             opened.append(open_)
             return hit, open_
 
-        decisions, draw_owners = mcsim._bound_decisions, mcsim._scattered_owners
-        draw_points = mcsim._scattered_points
+        decisions, draw_points = mcsim._bound_decisions, mcsim._scattered_points
         monkeypatch.setattr(mcsim, "_scattered_points", scattered_points)
-        monkeypatch.setattr(mcsim, "_scattered_owners", scattered_owners)
         monkeypatch.setattr(mcsim, "_bound_decisions", decide)
+        counts, radii = _spy_rings(monkeypatch)
         hits = mcsim._cm_hits(*args, **kwargs)[0]
         for mean, b, own in owners:
             if mean == 0.0 or b == 0:
                 assert own.size == 0 and own.dtype.kind == "i"
-        return hits, owners, opened
+        for mean, c in counts:
+            assert c.dtype.kind == "i" and (mean > 0.0 or not c.any())
+        assert len(radii) == len(counts)
+        for (_, c), (_, _, r) in zip(counts, radii):
+            assert r.size <= c.sum()
+        return hits, owners, counts, opened
 
     def test_every_trial_misses(self, monkeypatch):
         args = _split_inputs(DEP, BUD, "5g", 38.0, 15.0, "theorem")
         assert args[5] <= 0.0 and _zone_radii(*args) == (args[3], args[3])
-        hits, owners, opened = self._spied(
+        hits, owners, counts, opened = self._spied(
             monkeypatch, DEP, BUD, SYS, scheme_ability("5g", SYS, DEP), 38.0,
             10.0 ** 1.5, 20000, 41, "theorem", None)
         assert hits == 0
-        # the first bounds open nothing, so no mid owner is drawn
+        # the first bounds open nothing, so no ring count is drawn
         assert not any(o.any() for o in opened[0::3])
-        assert [b for _, b, _ in owners[2::3]] == [0] * len(opened[0::3])
+        assert [c.size for _, c in counts] == [0] * 2 * len(opened[0::3])
 
     def test_lossless(self, monkeypatch):
         bud = replace(BUD, k_abs=0.0)
         ability = scheme_ability("jsrs", SYS, DEP)
-        hits, owners, opened = self._spied(
+        hits, owners, counts, opened = self._spied(
             monkeypatch, DEP, bud, SYS, ability, 20.0, 10 ** 0.5, 20000, 42,
             "theorem", None)
         # no inner or mid node: only the marked draw holds points, and the
         # first bounds open only trials holding a marked node, as every other
         # one sees no interference at all and is a hit
-        inner, marked, mid = owners[0::3], owners[1::3], owners[2::3]
-        assert all(m == 0.0 for m, _, _ in inner + mid)
+        inner, marked, mid = owners[0::2], owners[1::2], counts[0::2]
+        assert all(m == 0.0 for m, _, _ in inner)
+        assert all(m == 0.0 for m, _ in mid)
         n_marked = 0
-        for (_, b, own), (_, n_open, _), open_ in zip(marked, mid,
-                                                       opened[0::3]):
+        for (_, b, own), (_, c), open_ in zip(marked, mid, opened[0::3]):
             holding = np.bincount(own, minlength=b) > 0
-            assert n_open == open_.sum() and not (open_ & ~holding).any()
+            assert c.size == open_.sum() and not (open_ & ~holding).any()
             n_marked += int(holding.sum())
-        assert sum(b for _, b, _ in mid) > 0
+        assert sum(c.size for _, c in mid) > 0
         assert 20000 - n_marked <= hits < 20000
 
     def test_empty_draws(self):
         rng = np.random.default_rng(5)
         for mean, b in ((0.0, 0), (4.0, 0), (0.0, 100)):
-            own = mcsim._scattered_owners(rng, mean, b)
-            assert own.size == 0 and own.dtype.kind == "i"
+            counts = rng.poisson(mean, size=b)
+            assert counts.shape == (b,) and counts.dtype.kind == "i"
+            assert not counts.any()
             own, u = _scattered_points(rng, mean, b)
             assert own.size == u.size == 0 and own.dtype.kind == "i"
+        for r_in, r_out in ((10.0, 20.0), (10.0, 10.0)):
+            rad = mcsim._annulus_radii(rng, 0, r_in, r_out)
+            assert rad.shape == (0,) and rad.dtype == np.float64
 
 
 class TestPinnedStream:
     """Estimates recorded at a fixed seed; the sampler's draw order is part
-    of the contract, so a refactor must reproduce them exactly.  Recorded
-    after the switch to box and thinned-mark sampling, the coverage ones
-    after the near/far split came to read the margin and marked nodes were
-    drawn as their own field, the timeout and misalignment ones after the
-    nearest-two draw stopped drawing angles and each misalignment trial
-    read both events off one scene; all of them again after each link
-    batch drew its obstacles as one field on a shared box and the marked
-    counts became one scattered total; the timeout, misalignment and
-    window-oracle ones again after the link boxes stopped drawing a
-    lateral offset and the second link's field came to be drawn only
-    behind a blocked nearest link (timeout 0.05135 -> 0.0523, p_err
-    0.0394 -> 0.0407, window oracle 0.0517 -> 0.05395 and 0.04085 ->
-    0.0429; the blockage one stayed, as the lateral offset was its
-    batch's last draw); the coverage, timeout and misalignment ones again
-    after a coverage batch drew its unmarked near and its marked nodes
-    each as one Poisson total scattered over its trials and the second
-    nearest node came to be drawn only behind a blocked nearest link
-    (coverage urban 0.8533 -> 0.85465, derivation 0.63315 -> 0.62805, open
-    field 0.94873046875 -> 0.93408203125, timeout 0.0523 -> 0.0521, p_err
-    0.0407 -> 0.0404; the blockage one stayed, and so did the window-oracle
-    ones, whose draw the seam replaces whole and in the same order); the
-    coverage ones again after a coverage batch split its unmarked nodes
-    into inner ones drawn with radii, mid ones drawn as owners alone and
-    far ones drawn only for the trials the first bounds leave open
-    (urban 0.85465 -> 0.8592, derivation 0.62805 -> 0.6301, open field
-    0.93408203125 -> 0.93603515625); the urban and derivation ones again
-    after a coverage trial stopped drawing its alignment, now pinned as the
-    SINR frequency p_cm that `_cm_hits` counts rather than as p_cvp (p_cvp
-    urban 0.8592 -> p_cm 0.94435, derivation 0.6301 -> 1.0; the open-field
-    one stayed, as p_ms is 0 there and the six trials its first bounds
-    leave open, whose later draws moved, hit either way); the urban one
-    again after a coverage trial came to draw its mid owners only when
-    bounds with capped mid and far counts leave it open, and batches
-    shrank to about 30,000 drawn nodes (p_cm 0.94435 -> 0.9427; the
-    derivation one stayed, every derivation trial being a hit on those
-    bounds, and the open-field one came out the same on the new draw
-    order); all but the derivation one again after each scattered point's
-    owner and position came from one uniform, in the link boxes and in the
-    coverage inner and marked fields (coverage urban p_cm 0.9427 ->
-    0.94745, open field 0.93603515625 -> 0.94091796875, blockage 0.63435 ->
-    0.63665, timeout 0.0521 -> 0.053, p_err 0.0404 -> 0.04215, window
-    oracle 0.05395 -> 0.05175 and 0.0429 -> 0.0409).  Every
-    derivation trial clears the threshold, so that pin holds the miss
-    count at 0 rather than the draw order, which only its alignment draw
-    used to show."""
+    of the contract, so a refactor must reproduce them exactly.  A change
+    that moves the draw order re-records the pins it moves, beside a
+    two-tree agreement record (`tools/mc_agreement.py`) showing the law
+    unchanged; CHANGES.md keeps each pin's history.  Every derivation trial
+    clears the threshold, so that pin holds the miss count at 0 rather than
+    the draw order."""
 
     def test_coverage_urban(self):
         ability = scheme_ability("jsrs", SYS, DEP)
         hits = mcsim._cm_hits(DEP, BUD, SYS, ability, 20.0, 10 ** 0.5, 20000,
                               52, "theorem", None)[0]
-        assert hits / 20000 == 0.94745
+        assert hits / 20000 == 0.9477
 
     def test_coverage_derivation(self):
         ability = scheme_ability("5g", SYS, DEP)
