@@ -55,12 +55,12 @@ zones, two members per s-point.  Each member starts with its phase at the
 budget, 60 rad, about 19 half-periods: root panels of width 1, 2, 4, ...
 would hold many of them and be bisected round after round.  So the band
 is laid on lead panels between the radii where the phase falls to the
-levels 60 - j pi, down to about 3.5 rad (_PHASE_LEVELS, each a Lambert-W
-closed form), integrating the oscillation between successive phase levels
-as Longman's method does (Proc. Camb. Phil. Soc. 52, 1956); a lead panel
-wider than the root panel at its place would be is not laid, as for the
-far s-points of a lossless field, whose bands are hundreds of metres
-wide.  The lead panels are integrated in the first round of the march,
+levels 60 - j pi, down to about 3.5 rad (each a Lambert-W closed form),
+integrating the oscillation between successive phase levels as Longman's
+method does (Proc. Camb. Phil. Soc. 52, 1956); a lead panel wider than
+the root panel at its place would be is not laid, as for the far
+s-points of a lossless field, whose bands are hundreds of metres wide.
+The lead panels are integrated in the first round of the march,
 with the first block of root panels, which starts at the last lead edge
 (specfun._ROOT_BLOCK); nearly every member closes within that block.  The
 default 2 r_b table takes 31,963 panels in 34 Gauss-Kronrod calls,
@@ -82,11 +82,11 @@ chunks are then integrated in grid order, with the chunk boundaries of a
 whole-grid build, only when a lookup first needs one.  PCHIP slopes are
 local (Fritsch-Carlson), so the interpolant of an m-knot prefix of the
 grid has the whole grid's pieces 0..m-3, bit for bit; only its last piece
-carries the prefix's own end slope.  A view reads only those pieces and
-extends the table for a later one, so every lookup returns what a view of
-the whole table returns.  The default `coverage` and `coverage
---lower-bound derivation` sweeps integrate 51,498 Gauss-Kronrod panels of
-their four tables, against 96,730 for the whole grids.
+carries the prefix's own end slope.  A view reads only those pieces,
+rebuilt whole whenever a lookup extends the table, so every lookup returns
+what a view of the whole table returns.  The default `coverage` and
+`coverage --lower-bound derivation` sweeps integrate 51,498 Gauss-Kronrod
+panels of their four tables, against 96,730 for the whole grids.
 """
 
 from __future__ import annotations
@@ -132,8 +132,6 @@ _PHASE_BUDGET = 60.0
 # 64 at 0.2 rad (one level more) and 35,115 in 48 at 4 rad; steps of
 # 1.5 pi took 31,566 panels in 46 calls, steps of 2 pi 41,085 in 63.
 _LEAD_STOP = 1.0
-_PHASE_LEVELS = _PHASE_BUDGET - math.pi * np.arange(
-    int((_PHASE_BUDGET - _LEAD_STOP) / math.pi) + 1)
 
 DEFAULT_COVERAGE_QUADRATURE = QuadratureSpec(
     abs_tol=1e-7, rel_tol=1e-6, max_subdivisions=60000,
@@ -199,8 +197,8 @@ class ShotNoiseField:
     table (F0_r, F1_r, F0_i, F1_i) is tabulated once per (budget,
     deployment, lower bound) and shared by every weight (_SplitTable); this
     view builds its interpolants on the part of that table integrated so
-    far, from its first lookup on, and extends the table when a lookup
-    reaches past them."""
+    far, from its first lookup on.  A lookup that reaches past them extends
+    the table and builds them again, whole, over the longer prefix."""
 
     def __init__(self, budget: LinkBudget, deploy: Deployment, w_s: float,
                  lower_bound: float):
@@ -285,22 +283,23 @@ class ShotNoiseField:
         line-of-sight area w_s int r p_los dr on [r_abs, r_split].
 
         Each member's oscillating band goes to the march as lead edges: the
-        radii where its phase falls to _PHASE_LEVELS below its start, from
-        the one W0 call that gives r_abs and r_split.  A member clamped to
-        the lower bound starts below the budget, so its levels above its
-        start land on the lower bound and lay empty panels, which the march
-        drops, as it drops those of a lossless absorption member, whose
-        rate, hence phase, is zero (c_abs = 0 puts every radius at sqrt(0),
-        with no division by it).  Levels above the highest phase any member
-        has at the lower bound would lay only such panels, so W0 is not
-        asked for them.  The lead edges stop at the first panel wider than
-        the distance from the start plus one, the width of the root panel
-        there: past it root panels are as fine.
+        radii where its phase falls to the levels _PHASE_BUDGET - j pi, down
+        to _LEAD_STOP, below its start, from the W0 call that gives r_abs
+        and r_split.  A member clamped to the lower bound starts below the
+        budget, so its levels above its start land on the lower bound and
+        lay empty panels, which the march drops, as it drops those of a
+        lossless absorption member, whose rate, hence phase, is zero (c_abs
+        = 0 puts every radius at sqrt(0), with no division by it).  Levels
+        above the highest phase any member has at the lower bound would lay
+        only such panels, so W0 is not asked for them.  The lead edges stop
+        at the first panel wider than the distance from the start plus one,
+        the width of the root panel there: past it root panels are as fine.
         """
         lower, n = self.lower, s.size
         # the start level and those below the highest phase at the lower bound
         top = 2.0 * math.pi * s.max() * self.c_int * math.exp(-self.k * lower) / (lower * lower)
-        levels = _PHASE_LEVELS[(_PHASE_LEVELS < top) | (_PHASE_LEVELS == _PHASE_BUDGET)]
+        levels = _PHASE_BUDGET - math.pi * np.arange((_PHASE_BUDGET - _LEAD_STOP) // math.pi + 1)
+        levels = levels[(levels < top) | (levels == _PHASE_BUDGET)]
         # radii (2, n, levels) where each source's phase falls to each level:
         # members 0..n-1 absorb, n..2n-1 interfere, each with its start and
         # lead edges in a row
@@ -356,35 +355,23 @@ class ShotNoiseField:
         """Build the interpolants on the split table, extended first so that
         they hold the grid's piece `piece` exactly; returns the new tables.
 
-        PCHIP slopes are local: on an m-knot prefix of the grid, pieces
-        0..m-3 are the whole grid's, bit for bit, and piece m-2 carries the
-        prefix's own end slope, so it is read only once m is the grid.  An
-        extension keeps the exact pieces and recomputes the rest on the
-        knots from the one before them, whose own piece it drops."""
-        if self._tables is None:
-            table, keep = _split_table(self.budget, self.deploy, self.lower), 0
-        else:
-            table, keep = self._tables[0], self._tables[4].shape[2] - 1
+        Each build covers the whole integrated prefix.  PCHIP slopes are
+        local: on an m-knot prefix of the grid, pieces 0..m-3 are the whole
+        grid's, bit for bit, and piece m-2 carries the prefix's own end
+        slope, so it is read only once m is the grid."""
+        table = self._tables[0] if self._tables else _split_table(
+            self.budget, self.deploy, self.lower)
         split = table.extend(piece + 3)
         m = split.shape[1]
-        lo = max(keep - 1, 0)
-        fr = np.maximum(split[0, lo:] + self.w_s * split[1, lo:], 1e-300)
-        fi = split[2, lo:] + self.w_s * split[3, lo:]
+        fr = np.maximum(split[0] + self.w_s * split[1], 1e-300)
+        fi = split[2] + self.w_s * split[3]
         # (4, 2, pieces): the log f_r and the f_i cubic of each piece
-        new = _pchip_coefficients(table.knots[lo:m],
-                                  np.stack((np.log(fr), fi)))[..., keep - lo:]
-        # the scalar path reads flat copies: 8 coefficients per piece, copied
+        coef = _pchip_coefficients(table.knots[:m], np.stack((np.log(fr), fi)))
+        # the scalar path reads a flat copy: 8 coefficients per piece, copied
         # as bytes; element by element, a copy of 447 pieces took 0.3 ms on a
-        # 2-vCPU Xeon guest (6 us as bytes), most of a rebuild
-        if keep:
-            coef = np.concatenate((self._tables[4][..., :keep], new), axis=2)
-            flat_coef = self._tables[6]
-            del flat_coef[8 * keep:]
-        else:
-            coef, flat_coef = new, array("d")
-        flat_coef.frombytes(new.transpose(2, 1, 0).tobytes())
+        # 2-vCPU Xeon guest (6 us as bytes)
         self._tables = (table, table.s_lo, table.s_hi, table.knots, coef,
-                        table.flat_knots, flat_coef,
+                        table.flat_knots, array("d", coef.transpose(2, 1, 0).tobytes()),
                         m - 2 if m == table.knots.size else m - 3)
         return self._tables
 

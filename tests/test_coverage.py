@@ -366,6 +366,34 @@ class TestTableWork:
         assert rounds and all(rounds)
 
 
+class TestPhaseBudget:
+    """The phase levels are derived from _PHASE_BUDGET where a chunk is
+    integrated, so a patched budget builds: doubled, it keeps the default
+    2 r_b grid and moves no default sweep value by 1e-4."""
+
+    @staticmethod
+    def _default_sweeps():
+        r1s, dbs = COVERAGE_GRID
+        thresholds = [10.0 ** (db / 10.0) for db in dbs]
+        return np.array([row["p_cvp"] for mode in LOWER_BOUND_MODES
+                         for row in coverage_sweep(r1s, thresholds, SCHEMES,
+                                                   BUD, DEP, SYS, mode)])
+
+    def test_doubled_budget(self, monkeypatch):
+        size, s_hi, _ = TestPinnedField.RECORDED[2 * DEP.r_b]
+        clear_field_cache()
+        base = self._default_sweeps()
+        monkeypatch.setattr(coverage, "_PHASE_BUDGET", 120.0)
+        clear_field_cache()
+        try:
+            grid, _ = _whole_table(BUD, DEP, 2 * DEP.r_b)
+            assert grid.size == size
+            assert grid[-1] == pytest.approx(s_hi, rel=1e-13)
+            assert np.abs(self._default_sweeps() - base).max() <= 1e-4
+        finally:
+            clear_field_cache()
+
+
 class TestOnDemandTable:
     """A view over a split table integrated on demand against a view over
     the whole table: every lookup, on either path and in any read order,
@@ -440,9 +468,9 @@ class TestOnDemandTable:
         assert table.split.shape[1] == 2 * chunk
 
     def test_extended_interpolants_equal_one_build(self, whole):
-        # an extension keeps the exact pieces and recomputes only the rest;
-        # after every step the interpolants must be the one-shot build on
-        # the integrated prefix
+        # every extension builds the interpolants again, whole, on the
+        # integrated prefix; after every step they must be the one-shot
+        # build on that prefix, its flat copy included
         lower, w_s, _, _ = whole
         clear_field_cache()
         lazy = ShotNoiseField(BUD, DEP, w_s, lower)

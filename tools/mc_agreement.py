@@ -4,18 +4,16 @@
         [--seeds N]
 
 Each tree's estimators run in interpreters of their own that import
-``isacthz`` from that tree's ``src/`` and nowhere else, one interpreter per
-seed, at seeds seed ... seed + N - 1 (N = 1 by default).  The two trees
-alternate seed by seed (the parent first at even offsets, the change first
-at odd ones), so that a drift in the host's speed lands on both sides
-alike.  Fixed sizes: ``estimate_blockage`` (52 m links),
-``estimate_timeout`` and ``estimate_misalignment`` (jsrs) at 1e6 trials,
-and ``estimate_coverage`` at eight cells, 2e5 trials each: the urban
-point, a derivation-mode cell, the blocker-free open field on a 500 m
-window, narrow beams (n_b = n_m = 8), where many trials are left open,
-three derivation-mode tail cells (jsrs 10 m 10 dB, jsrs 12 m 5 dB, 5g
-10 m 10 dB), where the Monte-Carlo and analytic coverage differ most, and
-a cell where every trial misses (5g 38 m 15 dB, whose noise alone
+``isacthz`` from that tree's ``src/`` and nowhere else, one per seed, at
+seeds seed ... seed + N - 1 (N = 1 by default), the trees alternating
+seed by seed (tools/alternating.py).  Fixed sizes: ``estimate_blockage``
+(52 m links), ``estimate_timeout`` and ``estimate_misalignment`` (jsrs) at
+1e6 trials, and ``estimate_coverage`` at eight cells, 2e5 trials each: the
+urban point, a derivation-mode cell, the blocker-free open field on a
+500 m window, narrow beams (n_b = n_m = 8), where many trials are left
+open, three derivation-mode tail cells (jsrs 10 m 10 dB, jsrs 12 m 5 dB,
+5g 10 m 10 dB), where the Monte-Carlo and analytic coverage differ most,
+and a cell where every trial misses (5g 38 m 15 dB, whose noise alone
 exceeds the threshold).  Every point is an independent estimate on each
 side, so a sampler change that keeps the law should leave them within a
 few combined standard errors.
@@ -35,16 +33,14 @@ interpreters' seconds at the same seed (``wall_ratio``).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import statistics
-import subprocess
-import sys
 import time
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
+
+from alternating import alternate, parse, parser
 
 LINK_TRIALS = 1_000_000
 COVERAGE_TRIALS = 200_000
@@ -71,13 +67,9 @@ def _in_sigmas(diff: float, sigma: float):
     return diff / sigma if sigma > 0.0 else None
 
 
-def _measure(src: Path, seed: int) -> dict:
+def _measure(seed: int) -> dict:
     """Estimates [mean, std_error, trials], analytic values and wall
-    seconds of every point at one seed, on the package in src."""
-    sys.path.insert(0, str(src))
-    import isacthz
-    if Path(isacthz.__file__).resolve().parent.parent != src.resolve():
-        raise SystemExit(f"isacthz imported from {isacthz.__file__}, not {src}")
+    seconds of every point at one seed."""
     from isacthz import mcsim
     from isacthz.channel import LinkBudget
     from isacthz.config import Deployment, SystemParams
@@ -124,14 +116,6 @@ def _measure(src: Path, seed: int) -> dict:
     return {"estimates": estimates, "analytic": analytic, "wall_s": wall_s}
 
 
-def _run(tree: Path, seed: int) -> dict:
-    """_measure on tree's src/ in a fresh interpreter."""
-    out = subprocess.run([sys.executable, __file__, "--measure",
-                          str(tree / "src"), "--seed", str(seed)],
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
 def _pooled(runs: list) -> dict:
     """Per point, [mean, std_error] pooled over one side's runs: the
     trial-weighted mean, its standard error combined in quadrature."""
@@ -145,27 +129,14 @@ def _pooled(runs: list) -> dict:
 
 
 def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("trees", nargs="*", type=Path,
-                    help="the parent's and the change's source trees")
+    ap = parser(__doc__)
     ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--seeds", type=int, default=1,
                     help="seeds pooled per side, from --seed on")
-    ap.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
+    args, trees = parse(ap, argv, lambda args: _measure(args.seed + args.round))
     if args.seeds < 1:
         ap.error("--seeds must be >= 1")
-    if args.measure is not None:
-        print(json.dumps(_measure(args.measure, args.seed)))
-        return
-    if len(args.trees) != 2:
-        ap.error("give the parent's and the change's source trees")
-    runs = {"parent": [], "change": []}
-    for k in range(args.seeds):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            tree = args.trees[0] if side == "parent" else args.trees[1]
-            runs[side].append(_run(tree, args.seed + k))
+    runs = alternate(__file__, trees, args.seeds, ["--seed", str(args.seed)])
     parent, change = _pooled(runs["parent"]), _pooled(runs["change"])
     points = {}
     for name, ref in runs["change"][0]["analytic"].items():
@@ -185,8 +156,7 @@ def main(argv=None) -> None:
     print(json.dumps({"seed": args.seed, "seeds": args.seeds,
                       "link_trials": LINK_TRIALS,
                       "coverage_trials": COVERAGE_TRIALS,
-                      "trees": {"parent": str(args.trees[0]),
-                                "change": str(args.trees[1])},
+                      "trees": {side: str(tree) for side, tree in trees.items()},
                       "points": points, "wall_s": wall_s,
                       "wall_ratio": wall_ratio}, indent=1))
 

@@ -5,14 +5,13 @@ trees.
         [--repeats 3]
 
 Each tree's tables are built in interpreters of their own that import
-``isacthz`` from that tree's ``src/`` and nowhere else, one interpreter per
-round and tree.  The two trees alternate round by round (the parent first
-in even rounds, the change first in odd ones), so that a drift in the
-host's speed lands on both sides alike.  The tables, each integrated over
-its whole grid from a cold cache: the four default ones (lower bound 2 r_b,
-10, 20 and 40 m), the five edge deployments of the tests at 2 r_b (dense
-and sparse nodes, lossless, narrow and wide beams) and the default
-deployment at 0.1 and 3 times the default absorption, at 2 r_b.
+``isacthz`` from that tree's ``src/`` and nowhere else, one per round and
+tree, the trees alternating round by round (tools/alternating.py).  The
+tables, each integrated over its whole grid from a cold cache: the four
+default ones (lower bound 2 r_b, 10, 20 and 40 m), the five edge
+deployments of the tests at 2 r_b (dense and sparse nodes, lossless,
+narrow and wide beams) and the default deployment at 0.1 and 3 times the
+default absorption, at 2 r_b.
 
 Prints one JSON object.  Per table, from the first round's interpreters:
 whether the grid size and s_hi are equal on both sides, the largest
@@ -27,14 +26,12 @@ the rounds of the change/parent ratio of the two interpreters' seconds
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
-import subprocess
-import sys
 import time
 from dataclasses import replace
-from pathlib import Path
+
+from alternating import alternate, parse, parser
 
 
 def _tables():
@@ -60,14 +57,10 @@ def _tables():
     return tables
 
 
-def _measure(src: Path, repeats: int, values: bool) -> dict:
+def _measure(repeats: int, values: bool) -> dict:
     """Per table: build seconds (median of `repeats` cold builds), and with
     `values` the grid, s_hi, entries, panels and Gauss-Kronrod calls of one
-    counted build, on the package in src."""
-    sys.path.insert(0, str(src))
-    import isacthz
-    if Path(isacthz.__file__).resolve().parent.parent != src.resolve():
-        raise SystemExit(f"isacthz imported from {isacthz.__file__}, not {src}")
+    counted build."""
     from isacthz import coverage, specfun
 
     def build(args):
@@ -103,14 +96,6 @@ def _measure(src: Path, repeats: int, values: bool) -> dict:
     return out
 
 
-def _run(tree: Path, repeats: int, values: bool) -> dict:
-    """_measure on tree's src/ in a fresh interpreter."""
-    argv = [sys.executable, __file__, "--measure", str(tree / "src"),
-            "--repeats", str(repeats)] + (["--values"] if values else [])
-    out = subprocess.run(argv, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
 def _agreement(parent: dict, change: dict) -> dict:
     """Equality of the grids and the size of the entries' differences."""
     worst_scale = worst_rel = 0.0
@@ -131,29 +116,16 @@ def _agreement(parent: dict, change: dict) -> dict:
 
 
 def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("trees", nargs="*", type=Path,
-                    help="the parent's and the change's source trees")
+    ap = parser(__doc__)
     ap.add_argument("--rounds", type=int, default=5,
                     help="interpreters per side, alternating")
     ap.add_argument("--repeats", type=int, default=3,
                     help="cold builds per table and interpreter")
-    ap.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
-    ap.add_argument("--values", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
+    # the first round's interpreters also record the values
+    args, trees = parse(ap, argv, lambda args: _measure(args.repeats, args.round == 0))
     if args.rounds < 1 or args.repeats < 1:
         ap.error("--rounds and --repeats must be >= 1")
-    if args.measure is not None:
-        print(json.dumps(_measure(args.measure, args.repeats, args.values)))
-        return
-    if len(args.trees) != 2:
-        ap.error("give the parent's and the change's source trees")
-    runs = {"parent": [], "change": []}
-    for k in range(args.rounds):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            tree = args.trees[0] if side == "parent" else args.trees[1]
-            runs[side].append(_run(tree, args.repeats, values=k == 0))
+    runs = alternate(__file__, trees, args.rounds, ["--repeats", str(args.repeats)])
     tables = {}
     for name in runs["parent"][0]:
         seconds = {side: [run[name]["seconds"] for run in side_runs]
@@ -164,8 +136,7 @@ def main(argv=None) -> None:
             "time_ratio": statistics.median(
                 c / p for p, c in zip(seconds["parent"], seconds["change"]))}
     print(json.dumps({"rounds": args.rounds, "repeats": args.repeats,
-                      "trees": {"parent": str(args.trees[0]),
-                                "change": str(args.trees[1])},
+                      "trees": {side: str(tree) for side, tree in trees.items()},
                       "tables": tables}, indent=1))
 
 
