@@ -19,9 +19,9 @@ difference F(y) - F(0), y = P_c(r1)/T, of two Dirichlet kernels
 
 with f_1(s) = -2 pi lam_b f_i(s) - 2 pi s P_n_eff, and the coverage
 probability is p_cvp = (1 - p_ms) p_cm.  The threshold-free half D(f_1)
-reads only the field and r1: it is integrated once per (budget, deployment,
-sweep weight, lower bound, effective noise) and cached, so a cell whose
-half is cached integrates only its own threshold's kernel.
+reads only the field and r1: the field's view at the cell's sweep weight
+keeps it per effective noise, so a cell whose half is kept integrates only
+its own threshold's kernel.
 
 Numerics: for large s the distance integrands oscillate rapidly near the
 lower bound.  The evaluation splits each bracket by source, absorption
@@ -94,6 +94,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import weakref
 from array import array
 from dataclasses import dataclass
 
@@ -188,35 +189,63 @@ class CoverageResult:
                 raise ValueError(f"{name} out of [0, 1]: {val}")
 
 
-class ShotNoiseField:
-    """Interpolated f_r / f_i pair for one (budget, deployment, sweep weight
-    w_s, lower bound); w_s = sweep_weight(deploy, system, p_ms) is all the
-    field reads of the system and the misalignment probability.
+class _SplitTable:
+    """The weight-free table (F0_r, F1_r, F0_i, F1_i) of one (budget,
+    deployment, lower bound) on its log s-grid, integrated on demand, with
+    the geometry it is integrated from and its one view per sweep weight.
 
-    Both parts are affine in the weight, f = F0 + w_s F1, so the weight-free
-    table (F0_r, F1_r, F0_i, F1_i) is tabulated once per (budget,
-    deployment, lower bound) and shared by every weight (_SplitTable); this
-    view builds its interpolants on the part of that table integrated so
-    far, from its first lookup on.  A lookup that reaches past them extends
-    the table and builds them again, whole, over the longer prefix."""
+    The grid runs from where the interference phase at the lower bound is
+    1e-3 to the first decade where e^{-2 pi lam_b f_r} falls below 1e-12
+    for every sweep weight, i.e. at both ends of the weight range [0,
+    orientation odds].  That decade is searched from 10^6 times the start
+    in rounds of _DECADE_ROUND decades, each round one batch, stopping at
+    the first round that reaches it; the search gives up at
+    10^_DECADE_LIMIT times the start and ends the grid there.  Only the
+    decades that are finite floats are searched: a lower bound so far out
+    that none of them reaches the target raises QuadratureError.  The grid
+    is fixed when the table is made; its values are integrated by
+    extend()."""
 
-    def __init__(self, budget: LinkBudget, deploy: Deployment, w_s: float,
-                 lower_bound: float):
+    def __init__(self, budget: LinkBudget, deploy: Deployment, lower_bound: float):
+        if deploy.lambda_b <= 0.0:
+            raise ValueError("shot-noise field needs lambda_b > 0")
         if lower_bound < 2.0 * deploy.r_b:
             raise ValueError("field lower bound below 2 r_b")
-        self.budget = budget
         self.deploy = deploy
-        self.w_s = w_s
-        self.lower = lower_bound
+        self.lower = lower = lower_bound
         self.k = budget.k_abs
         self.c_abs = reradiation_constant(budget, deploy)
         self.c_int = budget.a + self.c_abs
-        # (split table, s_lo, s_hi, knots, PCHIP coefficients, their flat
-        # copies, last piece held exactly) from the first lookup on
-        self._tables = None
-        # the inversion kernels' envelope and phase at their
-        # cell-independent nodes, kept by integrate_oscillatory
-        self.memo = {}
+        # the views of view(), by sweep weight
+        self.views = {}
+        # the decades past the start that are finite floats, counted in
+        # logs: far enough out in an absorbing medium g(lower) =
+        # e^{-k lower} / lower^2 all but underflows, and s_lo nears the
+        # largest float
+        log_lo = (math.log(1e-3 / (2.0 * math.pi * self.c_int)) + self.k * lower
+                  + 2.0 * math.log(lower))
+        limit = min(_DECADE_LIMIT, math.floor((_LOG_FLOAT_MAX - log_lo) / math.log(10.0) - 1e-9))
+        s_lo = 1e-3 / (2.0 * math.pi * self.c_int * self._g(lower)) if limit > 6 else math.inf
+        f_target = 27.7 / (2.0 * math.pi * deploy.lambda_b)
+        w_max = orientation_odds(deploy)
+        decades = s_lo * 10.0 ** np.arange(6, limit)
+        s_hi = s_lo * 10.0 ** limit if limit == _DECADE_LIMIT else math.inf
+        for i in range(0, decades.size, _DECADE_ROUND):
+            f0, f1 = self._split_chunk(decades[i:i + _DECADE_ROUND])[:2]
+            reached = np.minimum(f0, f0 + w_max * f1) >= f_target
+            if reached.any():
+                s_hi = decades[i + int(np.argmax(reached))]
+                break
+        if s_hi == math.inf:
+            raise QuadratureError(
+                f"shot-noise table: at lower bound {lower:g} m no s-point below the "
+                "largest float reaches the envelope target", 0.0, math.inf)
+        self.grid = np.geomspace(s_lo, s_hi, max(36, int(28 * math.log10(s_hi / s_lo))))
+        self.s_lo, self.s_hi = float(self.grid[0]), float(self.grid[-1])
+        self.knots = np.log(self.grid)
+        self.flat_knots = array("d", self.knots.tobytes())
+        # the integrated prefix of the grid, (4, m)
+        self.split = np.empty((4, 0))
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -349,7 +378,52 @@ class ShotNoiseField:
             out[2] += sin[1]
         return out
 
-    # -- interpolation ------------------------------------------------------
+    def extend(self, knots: int) -> np.ndarray:
+        """The integrated prefix, first extended to at least the first
+        `knots` grid points (all of them, if fewer).  It grows by whole
+        _S_CHUNK chunks of the grid, in grid order, so every s-point is
+        integrated in the batch a whole-grid build puts it in; a chunk
+        whose quadrature raises is not kept, and the next call retries it."""
+        while self.split.shape[1] < min(knots, self.grid.size):
+            start = self.split.shape[1]
+            chunk = self._split_chunk(self.grid[start:start + _S_CHUNK])
+            self.split = np.concatenate((self.split, chunk), axis=1)
+        return self.split
+
+    def view(self, w_s: float) -> ShotNoiseField:
+        """The table's one view at sweep weight w_s.  It reaches the table
+        through a weak proxy, so the two hold no reference cycle and go as
+        soon as the cache drops the table; use it while the table lives."""
+        if w_s not in self.views:
+            self.views[w_s] = ShotNoiseField(weakref.proxy(self), w_s)
+        return self.views[w_s]
+
+
+class ShotNoiseField:
+    """Interpolated f_r / f_i pair at one sweep weight w_s over a split
+    table; w_s = sweep_weight(deploy, system, p_ms) is all the field reads
+    of the system and the misalignment probability.
+
+    Both parts are affine in the weight, f = F0 + w_s F1, so the weight-free
+    table (F0_r, F1_r, F0_i, F1_i) is tabulated once per (budget,
+    deployment, lower bound) and shared by every weight (_SplitTable); this
+    view builds its interpolants on the part of that table integrated so
+    far, from its first lookup on.  A lookup that reaches past them extends
+    the table and builds them again, whole, over the longer prefix.  The
+    view keeps the terms its inversion kernels share (memo) and the
+    threshold-free kernels D(phi1) of its cells, by effective noise (free)."""
+
+    def __init__(self, table: _SplitTable, w_s: float):
+        self.table = table
+        self.w_s = w_s
+        # (PCHIP coefficients, their flat copy, last piece held exactly)
+        # from the first lookup on
+        self._tables = None
+        # the inversion kernels' envelope and phase at their
+        # cell-independent nodes, kept by integrate_oscillatory
+        self.memo = {}
+        # (value, error) of D(phi1) by p_eff; a QuadratureError is not stored
+        self.free = {}
 
     def _interpolate(self, piece: int) -> tuple:
         """Build the interpolants on the split table, extended first so that
@@ -359,8 +433,7 @@ class ShotNoiseField:
         local: on an m-knot prefix of the grid, pieces 0..m-3 are the whole
         grid's, bit for bit, and piece m-2 carries the prefix's own end
         slope, so it is read only once m is the grid."""
-        table = self._tables[0] if self._tables else _split_table(
-            self.budget, self.deploy, self.lower)
+        table = self.table
         split = table.extend(piece + 3)
         m = split.shape[1]
         fr = np.maximum(split[0] + self.w_s * split[1], 1e-300)
@@ -370,8 +443,7 @@ class ShotNoiseField:
         # the scalar path reads a flat copy: 8 coefficients per piece, copied
         # as bytes; element by element, a copy of 447 pieces took 0.3 ms on a
         # 2-vCPU Xeon guest (6 us as bytes)
-        self._tables = (table, table.s_lo, table.s_hi, table.knots, coef,
-                        table.flat_knots, array("d", coef.transpose(2, 1, 0).tobytes()),
+        self._tables = (coef, array("d", coef.transpose(2, 1, 0).tobytes()),
                         m - 2 if m == table.knots.size else m - 3)
         return self._tables
 
@@ -390,27 +462,44 @@ class ShotNoiseField:
         them, first extends the table and the interpolants to it."""
         if self._tables is None:
             self._interpolate(0)
-        _, s_lo, s_hi, knots, coef, flat_knots, flat_coef, last = self._tables
+        coef, flat_coef, last = self._tables
+        table = self.table
+        s_lo, s_hi = table.s_lo, table.s_hi
         # piece i holds knots[i] <= ln s < knots[i + 1], the last one closed:
         # the count of inner knots at or below ln s
         if isinstance(s, float) or np.ndim(s) == 0:
             s = float(s)
+            flat_knots = table.flat_knots
             ratio = min(s / s_lo, 1.0)
             ln = math.log(min(max(s, s_lo), s_hi))
             i = bisect.bisect_right(flat_knots, ln, 1, len(flat_knots) - 1) - 1
             if i > last:
-                flat_coef = self._interpolate(i)[6]
+                flat_coef = self._interpolate(i)[1]
             d = ln - flat_knots[i]
             return (math.exp(_cubic(flat_coef, d, 8 * i)) * (ratio * ratio),
                     _cubic(flat_coef, d, 8 * i + 4) * ratio)
+        knots = table.knots
         s = np.asarray(s, dtype=float)
         ratio = np.minimum(s / s_lo, 1.0)
         ln = np.log(np.minimum(np.maximum(s, s_lo), s_hi))
         i = np.searchsorted(knots[1:-1], ln, side="right")
         if (i > last).any():
-            coef = self._interpolate(int(i.max()))[4]
+            coef = self._interpolate(int(i.max()))[0]
         log_fr, fi = _cubic(coef.take(i, axis=2), ln - knots[i])
         return np.exp(log_fr) * (ratio * ratio), fi * ratio
+
+    def kernel(self, p_eff: float, y: float):
+        """(value, error) of the Dirichlet kernel D(phi1 + 2 pi s y) on this
+        view at effective noise p_eff."""
+        two_pi_lb = 2.0 * math.pi * self.table.deploy.lambda_b
+
+        def terms(s):
+            # envelope and the cell-independent phase -2 pi lam_b f_i from one
+            # field lookup; the cell's 2 pi s (y - p_eff) goes in as rates
+            fr, fi = self.parts(s)
+            return np.exp(-two_pi_lb * fr), -two_pi_lb * fi
+        return integrate_oscillatory(terms, spec=DEFAULT_COVERAGE_QUADRATURE,
+                                     rates=(-p_eff, y), memo=self.memo)
 
 
 def _half_angle_brackets(ph, half, sin):
@@ -469,118 +558,20 @@ def _pchip_end(h0, h1, m0, m1):
     return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(turn, 3.0 * m0, d))
 
 
-class _SplitTable:
-    """The weight-free table (F0_r, F1_r, F0_i, F1_i) of one (budget,
-    deployment, lower bound) on its log s-grid, integrated on demand.
-
-    The grid runs from where the interference phase at the lower bound is
-    1e-3 to the first decade where e^{-2 pi lam_b f_r} falls below 1e-12
-    for every sweep weight, i.e. at both ends of the weight range [0,
-    orientation odds].  That decade is searched from 10^6 times the start
-    in rounds of _DECADE_ROUND decades, each round one batch, stopping at
-    the first round that reaches it; the search gives up at
-    10^_DECADE_LIMIT times the start and ends the grid there.  Only the
-    decades that are finite floats are searched: a lower bound so far out
-    that none of them reaches the target raises QuadratureError.  The grid
-    is fixed when the table is made; its values are integrated by
-    extend()."""
-
-    def __init__(self, budget: LinkBudget, deploy: Deployment, lower_bound: float):
-        if deploy.lambda_b <= 0.0:
-            raise ValueError("shot-noise field needs lambda_b > 0")
-        # a weight-free field: the table reads only the geometry
-        self._field = fld = ShotNoiseField(budget, deploy, 0.0, lower_bound)
-        # the decades past the start that are finite floats, counted in
-        # logs: far enough out in an absorbing medium g(lower) =
-        # e^{-k lower} / lower^2 all but underflows, and s_lo nears the
-        # largest float
-        lower = fld.lower
-        log_lo = (math.log(1e-3 / (2.0 * math.pi * fld.c_int)) + fld.k * lower
-                  + 2.0 * math.log(lower))
-        limit = min(_DECADE_LIMIT, math.floor((_LOG_FLOAT_MAX - log_lo) / math.log(10.0) - 1e-9))
-        s_lo = 1e-3 / (2.0 * math.pi * fld.c_int * fld._g(lower)) if limit > 6 else math.inf
-        f_target = 27.7 / (2.0 * math.pi * deploy.lambda_b)
-        w_max = orientation_odds(deploy)
-        decades = s_lo * 10.0 ** np.arange(6, limit)
-        s_hi = s_lo * 10.0 ** limit if limit == _DECADE_LIMIT else math.inf
-        for i in range(0, decades.size, _DECADE_ROUND):
-            f0, f1 = fld._split_chunk(decades[i:i + _DECADE_ROUND])[:2]
-            reached = np.minimum(f0, f0 + w_max * f1) >= f_target
-            if reached.any():
-                s_hi = decades[i + int(np.argmax(reached))]
-                break
-        if s_hi == math.inf:
-            raise QuadratureError(
-                f"shot-noise table: at lower bound {lower:g} m no s-point below the "
-                "largest float reaches the envelope target", 0.0, math.inf)
-        self.grid = np.geomspace(s_lo, s_hi, max(36, int(28 * math.log10(s_hi / s_lo))))
-        self.s_lo, self.s_hi = float(self.grid[0]), float(self.grid[-1])
-        self.knots = np.log(self.grid)
-        self.flat_knots = array("d", self.knots.tobytes())
-        # the integrated prefix of the grid, (4, m)
-        self.split = np.empty((4, 0))
-
-    def extend(self, knots: int) -> np.ndarray:
-        """The integrated prefix, first extended to at least the first
-        `knots` grid points (all of them, if fewer).  It grows by whole
-        _S_CHUNK chunks of the grid, in grid order, so every s-point is
-        integrated in the batch a whole-grid build puts it in; a chunk
-        whose quadrature raises is not kept, and the next call retries it."""
-        while self.split.shape[1] < min(knots, self.grid.size):
-            start = self.split.shape[1]
-            chunk = self._field._split_chunk(self.grid[start:start + _S_CHUNK])
-            self.split = np.concatenate((self.split, chunk), axis=1)
-        return self.split
-
-
 # A table is a few hundred s-points of four components, shared by every
-# sweep weight; a sweep touches one per lower bound.
+# sweep weight, with its views; a sweep touches one per lower bound.
 @functools.lru_cache(maxsize=16)
 def _split_table(budget: LinkBudget, deploy: Deployment,
                  lower_bound: float) -> _SplitTable:
     return _SplitTable(budget, deploy, lower_bound)
 
 
-# Per-weight views hold only their interpolants; the bound keeps
-# long-lived processes from accumulating them.
-@functools.lru_cache(maxsize=64)
-def _field_for(budget: LinkBudget, deploy: Deployment, w_s: float,
-               lower_bound: float) -> ShotNoiseField:
-    return ShotNoiseField(budget, deploy, w_s, lower_bound)
-
-
-def _kernel(budget: LinkBudget, deploy: Deployment, w_s: float,
-            lower_bound: float, p_eff: float, y: float):
-    """(value, error) of the Dirichlet kernel D(phi1 + 2 pi s y) on the
-    field of (budget, deploy, w_s, lower_bound) at effective noise p_eff."""
-    fld = _field_for(budget, deploy, w_s, lower_bound)
-    two_pi_lb = 2.0 * math.pi * deploy.lambda_b
-
-    def terms(s):
-        # envelope and the cell-independent phase -2 pi lam_b f_i from one
-        # field lookup; the cell's 2 pi s (y - p_eff) goes in as rates
-        fr, fi = fld.parts(s)
-        return np.exp(-two_pi_lb * fr), -two_pi_lb * fi
-    return integrate_oscillatory(terms, spec=DEFAULT_COVERAGE_QUADRATURE,
-                                 rates=(-p_eff, y), memo=fld.memo)
-
-
-# The threshold-free half D(phi1) of every cell: two floats per (scheme,
-# r1, lower bound); a QuadratureError propagates and is not stored.
-@functools.lru_cache(maxsize=1024)
-def _threshold_free_kernel(budget: LinkBudget, deploy: Deployment, w_s: float,
-                           lower_bound: float, p_eff: float):
-    return _kernel(budget, deploy, w_s, lower_bound, p_eff, 0.0)
-
-
 def clear_field_cache():
     """Empty the split tables, each with the part of its grid integrated so
-    far, the per-weight views built from them and the threshold-free
-    kernels integrated on those views; the next lookup starts a table from
-    its end search again."""
+    far and its per-weight views, their interpolants and the threshold-free
+    kernels integrated on them; the next lookup starts a table from its end
+    search again."""
     _split_table.cache_clear()
-    _field_for.cache_clear()
-    _threshold_free_kernel.cache_clear()
 
 
 def coverage_probability(query: CoverageQuery, budget: LinkBudget,
@@ -595,8 +586,8 @@ def coverage_probability(query: CoverageQuery, budget: LinkBudget,
 def _coverage_row(r1: float, thresholds, mode: str, budget: LinkBudget,
                   deploy: Deployment, system: SystemParams, p_ms: float) -> list:
     """A CoverageResult per threshold at one r1 and a given p_ms: the
-    threshold-free kernel D(phi1), the y = 0 one, from its cache, then one
-    kernel per y."""
+    threshold-free kernel D(phi1), the y = 0 one, kept on the field view,
+    then one kernel per y."""
     for thr in thresholds:
         CoverageQuery(r1, thr, mode)  # validates the threshold and the mode
     if r1 < 2.0 * deploy.r_b:
@@ -612,11 +603,13 @@ def _coverage_row(r1: float, thresholds, mode: str, budget: LinkBudget,
         return [CoverageResult(p_cvp=(1.0 - p_ms) * p_cm, p_cm=p_cm, p_ms=p_ms,
                                integral_abs_error=0.0) for p_cm in p_cms]
 
-    key = (budget, deploy, w_s, lower_bound_radius(mode, deploy, r1), p_eff)
-    v1, e1 = _threshold_free_kernel(*key)
+    fld = _split_table(budget, deploy, lower_bound_radius(mode, deploy, r1)).view(w_s)
+    if p_eff not in fld.free:
+        fld.free[p_eff] = fld.kernel(p_eff, 0.0)
+    v1, e1 = fld.free[p_eff]
     row = []
     for y in ys:
-        v2, e2 = _kernel(*key, y)
+        v2, e2 = fld.kernel(p_eff, y)
         p_cm, err = v2 - v1, e1 + e2
         slack = 10.0 * max(10.0 * err, 1e-4)
         if p_cm < -slack or p_cm > 1.0 + slack:

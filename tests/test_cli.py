@@ -173,6 +173,17 @@ class TestCoverage:
         assert "RuntimeWarning" not in run.stderr and "nan" not in run.stderr
         assert run.stdout == ""
 
+    def test_without_nodes(self, tmp_path, capsys):
+        # no node field: every cell is the deterministic effective-noise
+        # test, with no quadrature error; only 40 m at 10 dB fails it
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("lambda_b = 0\n")
+        assert main(["coverage", "--config", str(cfg)]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 36 and all(row["abs_err"] == "0" for row in rows)
+        assert {(row["r1_m"], row["threshold_db"])
+                for row in rows if row["p_cm"] == "0"} == {("40", "10")}
+
     def test_far_theorem_row(self, capsys):
         # theorem mode keeps the field at 2 r_b: p_cm is 0 at 2000 m
         assert main(["coverage", "--r1-grid", "2000", "--schemes", "jsrs"]) == 0
@@ -190,6 +201,19 @@ class TestSimulate:
         body = dict(zip(rows[0], rows[1]))
         assert body["quantity"] == "blockage"
         assert abs(float(body["sigmas_off"])) < 4.0
+
+    def test_misalign_strict(self, tmp_path):
+        out = tmp_path / "m.csv"
+        code = main(["simulate", "--what", "misalign", "--trials", "20000",
+                     "--seed", "1", "--strict", "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["quantity"] for row in rows] == [
+            "misalign_p_err", "misalign_p_to", "misalign_p_ms"]
+        assert all(abs(float(row["sigmas_off"])) <= 4.0 for row in rows)
+        # p_err and p_to are disjoint events of one scene per trial
+        p_err, p_to, p_ms = (float(row["mean"]) for row in rows)
+        assert p_ms == pytest.approx(p_err + p_to, rel=0.0, abs=1e-12)
 
     def test_coverage_every_trial_covered(self, tmp_path):
         # every trial's SINR clears the threshold here, so the estimate is

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from array import array
 from dataclasses import replace
 
@@ -13,14 +15,13 @@ from isacthz import coverage, specfun
 from isacthz.channel import (LinkBudget, effective_noise,
                              interference_probability, lower_bound_radius,
                              received_power, sweep_weight)
-from isacthz.cli import COVERAGE_GRID
+from isacthz.cli import COVERAGE_GRID, main
 from isacthz.config import Deployment, SystemParams
 from isacthz.coverage import (_INNER_QUAD, _PHASE_BUDGET,
                               DEFAULT_COVERAGE_QUADRATURE, LOWER_BOUND_MODES,
                               CoverageQuery, CoverageResult, ShotNoiseField,
-                              _coverage_row, _field_for, _pchip_coefficients,
-                              _split_table, _threshold_free_kernel,
-                              clear_field_cache,
+                              _coverage_row, _pchip_coefficients, _split_table,
+                              _SplitTable, clear_field_cache,
                               coverage_probability, coverage_sweep)
 from isacthz.misalignment import beam_misalignment
 from isacthz.schemes import scheme_ability
@@ -42,8 +43,9 @@ def _abilities(system, deploy):
 
 
 def _field(p_ms=0.1, lower=None, budget=BUD, deploy=DEP, system=SYS):
-    return ShotNoiseField(budget, deploy, sweep_weight(deploy, system, p_ms),
-                          lower if lower is not None else 2 * deploy.r_b)
+    """A new view over the cached split table."""
+    table = _split_table(budget, deploy, lower if lower is not None else 2 * deploy.r_b)
+    return ShotNoiseField(table, sweep_weight(deploy, system, p_ms))
 
 
 def direct_shot_noise(fld, s):
@@ -59,14 +61,15 @@ def direct_shot_noise(fld, s):
     r_split everything is slow and the cosine bracket is evaluated in the
     cancellation-free form (1-p) 2 sin^2(ph_a/2) + p 2 sin^2(ph_i/2).
     """
-    lower, k = fld.lower, fld.k
-    two_rb = 2.0 * fld.deploy.r_b
+    geo = fld.table
+    lower, k = geo.lower, geo.k
+    two_rb = 2.0 * geo.deploy.r_b
 
     def g(r):
         return r ** -2.0 * np.exp(-k * r)
 
     def p_int(r):
-        return fld.w_s * np.exp(-fld.deploy.total_density * (r - two_rb) * two_rb)
+        return fld.w_s * np.exp(-geo.deploy.total_density * (r - two_rb) * two_rb)
 
     def endpoint(c_x, a, b, kind, weight):
         # first-order endpoint value of int_a^b r h(r) trig(phase) dr
@@ -80,42 +83,42 @@ def direct_shot_noise(fld, s):
 
         return term(b) - term(a)
 
-    r_abs = float(fld._phase_radius(s, fld.c_abs, _PHASE_BUDGET))
-    r_split = float(fld._phase_radius(s, fld.c_int, _PHASE_BUDGET))
+    r_abs = float(geo._phase_radius(s, geo.c_abs, _PHASE_BUDGET))
+    r_split = float(geo._phase_radius(s, geo.c_int, _PHASE_BUDGET))
 
     def bracket_r(r):
-        ph_a = 2.0 * math.pi * s * fld.c_abs * g(r)
-        ph_i = 2.0 * math.pi * s * fld.c_int * g(r)
+        ph_a = 2.0 * math.pi * s * geo.c_abs * g(r)
+        ph_i = 2.0 * math.pi * s * geo.c_int * g(r)
         p = p_int(r)
         return r * 2.0 * ((1.0 - p) * np.sin(0.5 * ph_a) ** 2
                           + p * np.sin(0.5 * ph_i) ** 2)
 
     def bracket_i(r):
-        ph_a = 2.0 * math.pi * s * fld.c_abs * g(r)
-        ph_i = 2.0 * math.pi * s * fld.c_int * g(r)
+        ph_a = 2.0 * math.pi * s * geo.c_abs * g(r)
+        ph_i = 2.0 * math.pi * s * geo.c_int * g(r)
         p = p_int(r)
         return r * (np.sin(ph_i) * p + np.sin(ph_a) * (1.0 - p))
 
     f_r = integrate_semi_infinite(bracket_r, r_split, _INNER_QUAD)
     f_i = integrate_semi_infinite(bracket_i, r_split, _INNER_QUAD)
     if r_split > lower:
-        f_r -= endpoint(fld.c_int, lower, r_split, "cos", p_int)
-        f_i += endpoint(fld.c_int, lower, r_split, "sin", p_int)
+        f_r -= endpoint(geo.c_int, lower, r_split, "cos", p_int)
+        f_i += endpoint(geo.c_int, lower, r_split, "sin", p_int)
         # r_abs < r_split because c_abs < c_int
         f_r += 0.5 * (r_abs ** 2 - lower ** 2)
         if r_abs > lower:
             # the absorption endpoint keeps weight 1, as the library does
-            f_r -= endpoint(fld.c_abs, lower, r_abs, "cos", np.ones_like)
-            f_i += endpoint(fld.c_abs, lower, r_abs, "sin", np.ones_like)
+            f_r -= endpoint(geo.c_abs, lower, r_abs, "cos", np.ones_like)
+            f_i += endpoint(geo.c_abs, lower, r_abs, "sin", np.ones_like)
 
         def slow_abs_r(r):
             # r [1 - (1 - p) cos ph_a], free of cancellation
-            ph_a = 2.0 * math.pi * s * fld.c_abs * g(r)
+            ph_a = 2.0 * math.pi * s * geo.c_abs * g(r)
             p = p_int(r)
             return r * ((1.0 - p) * 2.0 * np.sin(0.5 * ph_a) ** 2 + p)
 
         def slow_abs_i(r):
-            ph_a = 2.0 * math.pi * s * fld.c_abs * g(r)
+            ph_a = 2.0 * math.pi * s * geo.c_abs * g(r)
             return r * np.sin(ph_a) * (1.0 - p_int(r))
 
         def segment(f):
@@ -137,7 +140,7 @@ def _whole_table(budget, deploy, lower):
 def _direct(fld, s):
     """The library's (f_r(s), f_i(s)) at the field's weight, evaluated
     directly by the batched split rather than interpolated."""
-    f0_r, f1_r, f0_i, f1_i = fld._split_chunk(np.array([s]))[:, 0]
+    f0_r, f1_r, f0_i, f1_i = fld.table._split_chunk(np.array([s]))[:, 0]
     return f0_r + fld.w_s * f1_r, f0_i + fld.w_s * f1_i
 
 
@@ -163,20 +166,21 @@ class TestShotNoiseParts:
         # the fast/slow split must agree with a plain integral where the
         # oscillation is still resolvable
         fld = _field(p_ms=0.09)
+        geo = fld.table
 
         # s small enough that the plain integrator can still resolve the
         # oscillation near the lower bound (the hybrid handles larger s)
         for s in (1e3, 1e4, 1e5):
             def bracket_r(r, s=s):
-                ph_a = 2 * np.pi * s * fld.c_abs * r ** -2.0 * np.exp(-fld.k * r)
-                ph_i = 2 * np.pi * s * fld.c_int * r ** -2.0 * np.exp(-fld.k * r)
+                ph_a = 2 * np.pi * s * geo.c_abs * r ** -2.0 * np.exp(-geo.k * r)
+                ph_i = 2 * np.pi * s * geo.c_int * r ** -2.0 * np.exp(-geo.k * r)
                 p = interference_probability(DEP, SYS, r, 0.09)
                 return r * 2.0 * ((1 - p) * np.sin(ph_a / 2) ** 2
                                   + p * np.sin(ph_i / 2) ** 2)
 
             def bracket_i(r, s=s):
-                ph_a = 2 * np.pi * s * fld.c_abs * r ** -2.0 * np.exp(-fld.k * r)
-                ph_i = 2 * np.pi * s * fld.c_int * r ** -2.0 * np.exp(-fld.k * r)
+                ph_a = 2 * np.pi * s * geo.c_abs * r ** -2.0 * np.exp(-geo.k * r)
+                ph_i = 2 * np.pi * s * geo.c_int * r ** -2.0 * np.exp(-geo.k * r)
                 p = interference_probability(DEP, SYS, r, 0.09)
                 return r * (np.sin(ph_i) * p + np.sin(ph_a) * (1 - p))
 
@@ -203,7 +207,7 @@ class TestPartsPaths:
     @pytest.fixture(params=[2 * DEP.r_b, 20.0], scope="class")
     def lookups(self, request):
         p_ms = beam_misalignment(DEP, scheme_ability("jsrs", SYS, DEP), SYS.tau).p_ms
-        fld = ShotNoiseField(BUD, DEP, sweep_weight(DEP, SYS, p_ms), request.param)
+        fld = ShotNoiseField(_split_table(BUD, DEP, request.param), sweep_weight(DEP, SYS, p_ms))
         grid = _whole_table(BUD, DEP, request.param)[0]
         # below, across and above the tabulated range
         s = np.geomspace(1e-3 * grid[0], 1e2 * grid[-1], 4001)
@@ -244,7 +248,7 @@ def _oracle_deviation(budget, deploy, weights, lower):
     grid, split = _whole_table(budget, deploy, lower)
     worst = 0.0
     for w in weights:
-        fld = ShotNoiseField(budget, deploy, w, lower)
+        fld = ShotNoiseField(_split_table(budget, deploy, lower), w)
         for j in range(0, grid.size, 5):
             fr, fi = direct_shot_noise(fld, float(grid[j]))
             tab_r = split[0, j] + w * split[1, j]
@@ -406,7 +410,7 @@ class TestOnDemandTable:
         w_s = sweep_weight(DEP, SYS, p_ms)
         clear_field_cache()
         grid = _whole_table(BUD, DEP, lower)[0]
-        view = ShotNoiseField(BUD, DEP, w_s, lower)
+        view = ShotNoiseField(_split_table(BUD, DEP, lower), w_s)
         view.parts(grid[0])  # builds its interpolants on the whole table
         clear_field_cache()
         # below s_lo, at and between the knots, at s_hi and above it
@@ -422,8 +426,8 @@ class TestOnDemandTable:
         s = {"ascending": np.sort(s), "descending": np.sort(s)[::-1],
              "shuffled": np.random.default_rng(7).permutation(s)}[order]
         clear_field_cache()
-        lazy = ShotNoiseField(BUD, DEP, w_s, lower)
         table = _split_table(BUD, DEP, lower)
+        lazy = ShotNoiseField(table, w_s)
         extents = []
         if kind == "array":
             for block in np.array_split(s, 64):
@@ -442,20 +446,20 @@ class TestOnDemandTable:
     def test_failed_chunk_is_not_kept(self, whole, monkeypatch):
         lower, w_s, full, _ = whole
         clear_field_cache()
-        lazy = ShotNoiseField(BUD, DEP, w_s, lower)
         table = _split_table(BUD, DEP, lower)
+        lazy = ShotNoiseField(table, w_s)
         grid, chunk = table.grid, coverage._S_CHUNK
         inside = float(grid[5])
         assert lazy.parts(inside) == full.parts(inside)
         assert table.split.shape[1] == chunk
-        split_chunk = ShotNoiseField._split_chunk
+        split_chunk = _SplitTable._split_chunk
 
-        def fail_second(fld, s):
+        def fail_second(geo, s):
             if s[0] == grid[chunk]:
                 raise QuadratureError("forced", 0.0, 1.0)
-            return split_chunk(fld, s)
+            return split_chunk(geo, s)
 
-        monkeypatch.setattr(ShotNoiseField, "_split_chunk", fail_second)
+        monkeypatch.setattr(_SplitTable, "_split_chunk", fail_second)
         # the piece after knot chunk + 8 needs the second chunk
         past = float(np.sqrt(grid[chunk + 8] * grid[chunk + 9]))
         for lookup in (past, np.array([inside, past])):
@@ -473,12 +477,12 @@ class TestOnDemandTable:
         # build on that prefix, its flat copy included
         lower, w_s, _, _ = whole
         clear_field_cache()
-        lazy = ShotNoiseField(BUD, DEP, w_s, lower)
         table = _split_table(BUD, DEP, lower)
+        lazy = ShotNoiseField(table, w_s)
         prefixes = set()
         for v in np.sqrt(table.grid[:-1] * table.grid[1:]).tolist():
             lazy.parts(v)
-            coef, flat = lazy._tables[4], lazy._tables[6]
+            coef, flat = lazy._tables[:2]
             m = coef.shape[2] + 1
             split = table.split[:, :m]
             fr = np.maximum(split[0] + w_s * split[1], 1e-300)
@@ -544,15 +548,30 @@ class TestFieldCache:
         clear_field_cache()
         coverage_sweep(self.R1, [10.0], SCHEMES, BUD, DEP, SYS, mode)
         assert _split_table.cache_info().misses == tables
-        assert _field_for.cache_info().misses == len(SCHEMES) * tables
+        lowers = {lower_bound_radius(mode, DEP, r1) for r1 in self.R1}
+        assert sum(len(_split_table(BUD, DEP, lower).views)
+                   for lower in lowers) == len(SCHEMES) * tables
 
     def test_clear_empties_both_caches(self):
+        # the tables, and with them their views' interpolants, memos and
+        # threshold-free kernels, freed by reference counts alone: a table
+        # and its views hold no cycle that waits for the collector
+        clear_field_cache()
         q = CoverageQuery(r1=20.0, threshold=10.0)
         coverage_probability(q, BUD, DEP, SYS, perfect_ability())
-        caches = (_split_table, _field_for, _threshold_free_kernel)
-        assert all(c.cache_info().currsize > 0 for c in caches)
-        clear_field_cache()
-        assert all(c.cache_info().currsize == 0 for c in caches)
+        assert _split_table.cache_info().currsize > 0
+        table = _split_table(BUD, DEP, 2 * DEP.r_b)
+        (view,) = table.views.values()
+        assert view.free and view.memo and view._tables is not None
+        gone = weakref.ref(table), weakref.ref(view)
+        del table, view
+        gc.disable()
+        try:
+            clear_field_cache()
+            assert _split_table.cache_info().currsize == 0
+            assert [ref() for ref in gone] == [None, None]
+        finally:
+            gc.enable()
 
     def test_request_order_does_not_matter(self):
         abilities = _abilities(SYS, DEP)
@@ -578,7 +597,7 @@ def oracle_p_cm(query, p_ms, budget=BUD, deploy=DEP, head=specfun._HEAD_LEVELS):
     with the envelope and the two phases as separate field lookups; head = 0
     bisects the first panel instead of laying it out geometrically."""
     lower = 2 * deploy.r_b if query.lower_bound_mode == "theorem" else query.r1
-    fld = _field_for(budget, deploy, sweep_weight(deploy, SYS, p_ms), lower)
+    fld = _split_table(budget, deploy, lower).view(sweep_weight(deploy, SYS, p_ms))
     two_pi_lb = 2.0 * math.pi * deploy.lambda_b
     y = received_power(budget, query.r1) / query.threshold
     p_eff = effective_noise(budget, deploy, SYS, query.r1)
@@ -714,7 +733,44 @@ class TestThresholdFreeCache:
             with pytest.raises(QuadratureError):
                 coverage_probability(q, BUD, DEP, SYS, ABILITIES["jsrs"])
             assert len(calls) == attempt
-        assert _threshold_free_kernel.cache_info().currsize == 0
+        (view,) = _split_table(BUD, DEP, 2 * DEP.r_b).views.values()
+        assert view.free == {}
+
+
+class TestEscapedCoverage:
+    """A kernel difference D(phi2) - D(phi1) outside [0, 1] by more than its
+    slack raises QuadratureError, and the CLI exits 3; one within the slack
+    is clamped to [0, 1]."""
+
+    @pytest.fixture
+    def difference(self, monkeypatch):
+        """Installs kernels D(phi1) = -0.5 and D(phi2) = -0.5 + diff, each
+        with an error of 1e-8, so the slack is 1e-3; the fake threshold-free
+        kernels the views keep are dropped on the way out."""
+        def install(diff):
+            def fake(terms, spec, rates, memo):
+                return (-0.5 if rates[1] == 0.0 else -0.5 + diff), 1e-8
+            monkeypatch.setattr(coverage, "integrate_oscillatory", fake)
+        clear_field_cache()
+        yield install
+        clear_field_cache()
+
+    @pytest.mark.parametrize("diff", [-0.1, 1.1])
+    def test_escape_raises(self, difference, diff, capsys):
+        difference(diff)
+        q = CoverageQuery(r1=20.0, threshold=10.0)
+        with pytest.raises(QuadratureError, match="escaped"):
+            coverage_probability(q, BUD, DEP, SYS, ABILITIES["jsrs"])
+        assert main(["coverage", "--r1-grid", "20", "--threshold-db-grid", "10",
+                     "--schemes", "jsrs"]) == 3
+        assert "escaped [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("diff, p_cm", [(-5e-4, 0.0), (1.0 + 5e-4, 1.0)])
+    def test_within_slack_is_clamped(self, difference, diff, p_cm):
+        difference(diff)
+        q = CoverageQuery(r1=20.0, threshold=10.0)
+        res = coverage_probability(q, BUD, DEP, SYS, ABILITIES["jsrs"])
+        assert res.p_cm == p_cm and res.integral_abs_error == 2e-8
 
 
 class TestPinnedInversion:
@@ -880,8 +936,9 @@ class TestPinnedInversion:
         """(value, error) of the kernels of one RECORDED key, as floats."""
         name, mode, r1 = key
         budget, deploy = cls.DEPLOYMENTS[name]
-        return tuple(tuple(map(float, coverage._kernel(*args, y)))
-                     for args, y in _jsrs_kernel_args(budget, deploy, mode, r1, cls.THRESHOLDS_DB))
+        return tuple(tuple(map(float, table.view(w_s).kernel(p_eff, y)))
+                     for table, w_s, p_eff, y in _jsrs_kernel_args(budget, deploy, mode, r1,
+                                                                   cls.THRESHOLDS_DB))
 
     @pytest.mark.parametrize("key", sorted(RECORDED), ids=lambda key: "-".join(map(str, key)))
     def test_kernels(self, key):
@@ -889,12 +946,12 @@ class TestPinnedInversion:
 
 
 def _jsrs_kernel_args(budget, deploy, mode, r1, thresholds_db):
-    """(field arguments of coverage._kernel, y) of a jsrs cell per
+    """(split table, w_s, p_eff, y) of a jsrs cell's kernels, one per
     threshold in dB; None stands for y = 0, the threshold-free kernel."""
     p_ms = beam_misalignment(deploy, scheme_ability("jsrs", SYS, deploy), SYS.tau).p_ms
-    args = (budget, deploy, sweep_weight(deploy, SYS, p_ms),
-            lower_bound_radius(mode, deploy, r1), effective_noise(budget, deploy, SYS, r1))
-    return [(args, 0.0 if db is None else received_power(budget, r1) / 10.0 ** (db / 10.0))
+    table = _split_table(budget, deploy, lower_bound_radius(mode, deploy, r1))
+    args = (table, sweep_weight(deploy, SYS, p_ms), effective_noise(budget, deploy, SYS, r1))
+    return [(*args, 0.0 if db is None else received_power(budget, r1) / 10.0 ** (db / 10.0))
             for db in thresholds_db]
 
 
@@ -922,17 +979,17 @@ class TestKernelMemo:
         monkeypatch.setattr(ShotNoiseField, "parts", counted)
         grid = self._grid()
         fresh, probed = [], 0
-        for args, y in grid:
+        for table, w_s, p_eff, y in grid:
             # a new view over the cached split table, its memo empty
-            _field_for.cache_clear()
-            fresh.append(coverage._kernel(*args, y))
+            view = ShotNoiseField(table, w_s)
+            fresh.append(view.kernel(p_eff, y))
             # the probe points this kernel read, up to its first |phi| > 1
-            probed += len(_field_for(*args[:4]).memo["probe"])
+            probed += len(view.memo["probe"])
         fresh_nodes = nodes[0]
-        for args, y in grid:
-            coverage._kernel(*args, y)
+        for table, w_s, p_eff, y in grid:
+            table.view(w_s).kernel(p_eff, y)
         nodes[0] = 0
-        warm = [coverage._kernel(*args, y) for args, y in grid]
+        warm = [table.view(w_s).kernel(p_eff, y) for table, w_s, p_eff, y in grid]
         assert warm == fresh
         # every warm kernel found its probe points and head nodes in the
         # memo; a fresh view's probe read 23-32 of the 38 points here
@@ -944,15 +1001,15 @@ class TestKernelMemo:
         first_width = specfun._first_width
         monkeypatch.setattr(specfun, "_first_width",
                             lambda phi: widths.add(first_width(phi)) or first_width(phi))
+        clear_field_cache()
         grid = self._grid()
+        for table, w_s, p_eff, y in grid:
+            table.view(w_s).kernel(p_eff, y)
+        table, w_s = grid[0][:2]
+        assert set(table.view(w_s).memo) == {"probe"} | widths
+        assert len(table.view(w_s).memo) <= len(specfun._PROBE_S)
         clear_field_cache()
-        for args, y in grid:
-            coverage._kernel(*args, y)
-        view = _field_for(*grid[0][0][:4])
-        assert set(view.memo) == {"probe"} | widths
-        assert len(view.memo) <= len(specfun._PROBE_S)
-        clear_field_cache()
-        assert _field_for(*grid[0][0][:4]).memo == {}
+        assert _split_table(BUD, DEP, table.lower).view(w_s).memo == {}
 
     def test_block_of_sixteen_moves_no_pinned_value(self, monkeypatch):
         cells = np.arange(16)
@@ -995,35 +1052,35 @@ class TestCoverageProperties:
 
 class TestPhaseRadius:
     @staticmethod
-    def _phase(fld, s, c_x, r):
-        return 2 * np.pi * s * c_x * r ** -2.0 * np.exp(-fld.k * r)
+    def _phase(geo, s, c_x, r):
+        return 2 * np.pi * s * c_x * r ** -2.0 * np.exp(-geo.k * r)
 
     def test_phase_hits_target(self):
         # on a log-s grid the returned radius puts the phase on the budget
-        fld = _field()
+        geo = _split_table(BUD, DEP, 2 * DEP.r_b)
         hit = 0
         for s in np.geomspace(1e-2, 1e40, 200):
-            for c_x in (fld.c_abs, fld.c_int):
-                r = fld._phase_radius(float(s), c_x, _PHASE_BUDGET)
-                if r > fld.lower:
+            for c_x in (geo.c_abs, geo.c_int):
+                r = geo._phase_radius(float(s), c_x, _PHASE_BUDGET)
+                if r > geo.lower:
                     hit += 1
-                    assert self._phase(fld, s, c_x, r) == pytest.approx(
+                    assert self._phase(geo, s, c_x, r) == pytest.approx(
                         _PHASE_BUDGET, rel=1e-12)
         assert hit > 200
 
     def test_clamps_to_lower_bound(self):
-        fld = _field(lower=30.0)
-        s = 1e-3 / fld.c_int
-        assert self._phase(fld, s, fld.c_int, fld.lower) < _PHASE_BUDGET
-        assert fld._phase_radius(s, fld.c_int, _PHASE_BUDGET) == fld.lower
+        geo = _split_table(BUD, DEP, 30.0)
+        s = 1e-3 / geo.c_int
+        assert self._phase(geo, s, geo.c_int, geo.lower) < _PHASE_BUDGET
+        assert geo._phase_radius(s, geo.c_int, _PHASE_BUDGET) == geo.lower
 
     def test_lossless_branch(self):
         # k = 0: the phase equation r^2 = x has the root sqrt(x)
         lossless = LinkBudget(a=BUD.a, k_abs=0.0)
-        fld = ShotNoiseField(lossless, DEP, 1e-3, 2 * DEP.r_b)
-        s = 1e8 / fld.c_int
-        x = 2 * np.pi * s * fld.c_int / _PHASE_BUDGET
-        assert fld._phase_radius(s, fld.c_int, _PHASE_BUDGET) == math.sqrt(x)
+        geo = _split_table(lossless, DEP, 2 * DEP.r_b)
+        s = 1e8 / geo.c_int
+        x = 2 * np.pi * s * geo.c_int / _PHASE_BUDGET
+        assert geo._phase_radius(s, geo.c_int, _PHASE_BUDGET) == math.sqrt(x)
 
     def test_lower_bound_below_contact_rejected(self):
         with pytest.raises(ValueError):
@@ -1037,18 +1094,17 @@ class TestLineOfSightArea:
         ids=["default", "dense", "blocker-free"])
     def test_closed_form_matches_quadrature(self, deploy):
         # on the table's own [r_abs, r_split] segments
-        fld = _field(deploy=deploy)
         lam = deploy.lambda_b + deploy.lambda_m + deploy.lambda_s
         two_rb = 2 * deploy.r_b
-        grid, _ = _whole_table(BUD, deploy, fld.lower)
+        geo = _split_table(BUD, deploy, two_rb)
         checked = 0
-        for s in grid[::10]:
-            a = float(fld._phase_radius(s, fld.c_abs, _PHASE_BUDGET))
-            b = float(fld._phase_radius(s, fld.c_int, _PHASE_BUDGET))
-            if b > fld.lower:
+        for s in geo.grid[::10]:
+            a = float(geo._phase_radius(s, geo.c_abs, _PHASE_BUDGET))
+            b = float(geo._phase_radius(s, geo.c_int, _PHASE_BUDGET))
+            if b > geo.lower:
                 ref, _ = quad(lambda r: r * math.exp(-lam * (r - two_rb) * two_rb),
                               a, b, epsabs=0.0, epsrel=1e-13, limit=200)
-                assert fld._los_area(a, b) == pytest.approx(ref, rel=1e-12)
+                assert geo._los_area(a, b) == pytest.approx(ref, rel=1e-12)
                 checked += 1
         assert checked > 10
 
@@ -1103,8 +1159,8 @@ class TestCoverageProbability:
         q = CoverageQuery(r1=r1, threshold=thr)
         res = coverage_probability(q, bud, dense, SYS, ability)
 
-        fld = ShotNoiseField(bud, dense, sweep_weight(dense, SYS, p_ms),
-                             2 * dense.r_b)
+        fld = ShotNoiseField(_split_table(bud, dense, 2 * dense.r_b),
+                             sweep_weight(dense, SYS, p_ms))
         y = received_power(bud, r1) / thr
         p_eff = effective_noise(bud, dense, SYS, r1)
         lam = 2 * np.pi * dense.lambda_b
@@ -1119,6 +1175,29 @@ class TestCoverageProbability:
         # f_r even, f_i odd: the negative-s integrand is the conjugate
         two_sided = 2.0 * np.trapezoid(np.real(integ_pos), s)
         assert res.p_cm == pytest.approx(two_sided, abs=1e-4)
+
+    def test_without_nodes(self):
+        # no node field: p_cm is the deterministic test of P_c(r1)/T against
+        # the effective noise, and no table is built
+        empty = replace(DEP, lambda_b=0.0)
+        budget = LinkBudget.from_params(SYS, empty)
+        ability = scheme_ability("jsrs", SYS, empty)
+        clear_field_cache()
+        seen = set()
+        for q in _cells(LOWER_BOUND_MODES, (5.0, 20.0, 40.0), (-5.0, 5.0, 10.0, 15.0)):
+            res = coverage_probability(q, budget, empty, SYS, ability)
+            margin = received_power(budget, q.r1) / q.threshold \
+                - effective_noise(budget, empty, SYS, q.r1)
+            assert res.p_cm == (1.0 if margin > 0.0 else 0.0)
+            assert res.p_cvp == (1.0 - res.p_ms) * res.p_cm
+            assert res.integral_abs_error == 0.0
+            seen.add(res.p_cm)
+        assert seen == {0.0, 1.0}
+        assert _split_table.cache_info().currsize == 0
+        # the cells either side of the test at 40 m
+        for db, p_cm in ((5.0, 1.0), (10.0, 0.0)):
+            q = CoverageQuery(r1=40.0, threshold=10.0 ** (db / 10.0))
+            assert coverage_probability(q, budget, empty, SYS, ability).p_cm == p_cm
 
     def test_interference_limited_density_monotone(self):
         # past the density knee, more nodes mean more re-radiated noise

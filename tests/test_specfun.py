@@ -516,11 +516,11 @@ def _either_side(x):
 def _end_search_z(budget, deploy, lower):
     """W0's largest argument in a shot-noise table: the interference phase
     radius (c_int >= c_abs) at the end search's cap, s_lo times 1e66, as
-    _SplitTable and ShotNoiseField._phase_radius form it."""
-    fld = coverage.ShotNoiseField(budget, deploy, 0.0, lower)
-    s_lo = 1e-3 / (2.0 * math.pi * fld.c_int * fld._g(fld.lower))
-    root = math.sqrt(2.0 * math.pi * s_lo * 1e66 * fld.c_int / coverage._PHASE_BUDGET)
-    return 0.5 * fld.k * root
+    _SplitTable and its _phase_radius form it."""
+    table = coverage._split_table(budget, deploy, lower)
+    s_lo = 1e-3 / (2.0 * math.pi * table.c_int * table._g(table.lower))
+    root = math.sqrt(2.0 * math.pi * s_lo * 1e66 * table.c_int / coverage._PHASE_BUDGET)
+    return 0.5 * table.k * root
 
 
 class TestSpecialFunctions:

@@ -1,12 +1,13 @@
 """Agreement and build cost of the shot-noise tables between two source
 trees.
 
-    python3 tools/table_agreement.py PARENT_TREE CHANGE_TREE [--rounds 5]
+    python3 tools/table_agreement.py PARENT_TREE CHANGE_TREE [--rounds 6]
         [--repeats 3]
 
 Each tree's tables are built in interpreters of their own that import
 ``isacthz`` from that tree's ``src/`` and nowhere else, one per round and
 tree, the trees alternating round by round (tools/alternating.py).  The
+round count is even, so that each tree runs first equally often.  The
 tables, each integrated over its whole grid from a cold cache: the four
 default ones (lower bound 2 r_b, 10, 20 and 40 m), the five edge
 deployments of the tests at 2 r_b (dense and sparse nodes, lossless,
@@ -117,14 +118,16 @@ def _agreement(parent: dict, change: dict) -> dict:
 
 def main(argv=None) -> None:
     ap = parser(__doc__)
-    ap.add_argument("--rounds", type=int, default=5,
-                    help="interpreters per side, alternating")
+    ap.add_argument("--rounds", type=int, default=6,
+                    help="interpreters per side, alternating; even")
     ap.add_argument("--repeats", type=int, default=3,
                     help="cold builds per table and interpreter")
     # the first round's interpreters also record the values
     args, trees = parse(ap, argv, lambda args: _measure(args.repeats, args.round == 0))
     if args.rounds < 1 or args.repeats < 1:
         ap.error("--rounds and --repeats must be >= 1")
+    if args.rounds % 2:
+        ap.error("--rounds must be even, so that each tree runs first equally often")
     runs = alternate(__file__, trees, args.rounds, ["--repeats", str(args.repeats)])
     tables = {}
     for name in runs["parent"][0]:
