@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import C_LIGHT, Deployment, SystemParams
-from .specfun import exp1
+from .specfun import exp1, lambert_w0
 
 __all__ = [
     "LOWER_BOUND_MODES",
@@ -25,6 +25,7 @@ __all__ = [
     "sweep_weight",
     "log_void_probability",
     "lower_bound_radius",
+    "weight_radius",
     "interference_probability",
     "expected_interference",
     "expected_noise",
@@ -120,6 +121,16 @@ def lower_bound_radius(mode: str, deploy: Deployment, r1: float) -> float:
     if mode not in LOWER_BOUND_MODES:
         raise ValueError(f"lower_bound_mode must be one of {LOWER_BOUND_MODES}")
     return 2.0 * deploy.r_b if mode == "theorem" else r1
+
+
+def weight_radius(k: float, x):
+    """Radius r >= 0 where r^2 e^(k r) = x >= 0, i.e. where the path weight
+    e^(-k r) / r^2 falls to 1 / x: (2/k) W0(k sqrt(x) / 2), or sqrt(x) at
+    k = 0.  Accepts a scalar or an array x."""
+    root = np.sqrt(x)
+    if k == 0.0:
+        return root
+    return 2.0 / k * lambert_w0(0.5 * k * root)
 
 
 def interference_probability(deploy: Deployment, system: SystemParams, r, p_ms: float):

@@ -26,13 +26,12 @@ its own threshold's kernel.
 Numerics: for large s the distance integrands oscillate rapidly near the
 lower bound.  The evaluation splits each bracket by source, absorption
 and interference, and each source at the radius where its phase drops
-below a fixed budget (a Lambert-W closed form, with the in-house W0 of
-specfun.lambert_w0).  Beyond that radius the source is integrated with
-adaptive panels, both sources of every s-point as members of one batch of
-semi-infinite tails.  Nearer in, the trig terms are replaced by their
-first integration-by-parts endpoint corrections and the unit terms by
-closed-form areas, among them the line-of-sight area between the two
-radii.  Both parts are affine in the
+below a fixed budget (a Lambert-W closed form, channel.weight_radius).
+Beyond that radius the source is integrated with adaptive panels, both
+sources of every s-point as members of one batch of semi-infinite tails.
+Nearer in, the trig terms are replaced by their first integration-by-parts
+endpoint corrections and the unit terms by closed-form areas, among them
+the line-of-sight area between the two radii.  Both parts are affine in the
 sweep weight w_s of the interferer probability, f = F0 + w_s F1, so the
 four weight-free components (F0_r, F1_r, F0_i, F1_i) are tabulated once
 per (budget, deployment, lower bound) on a log s-grid, in lockstep batches
@@ -103,14 +102,13 @@ import numpy as np
 from .channel import (LOWER_BOUND_MODES, LinkBudget, effective_noise,
                       log_void_probability, lower_bound_radius,
                       orientation_odds, received_power, reradiation_constant,
-                      sweep_weight)
+                      sweep_weight, weight_radius)
 from .config import Deployment, SystemParams
 from .misalignment import beam_misalignment
 from .schemes import scheme_ability
 from .sensing import SensingAbility
 from .specfun import (QuadratureError, QuadratureSpec, gammainc2,
-                      integrate_oscillatory, integrate_semi_infinite_batch,
-                      lambert_w0)
+                      integrate_oscillatory, integrate_semi_infinite_batch)
 
 __all__ = [
     "CoverageQuery",
@@ -261,13 +259,11 @@ class _SplitTable:
 
     def _phase_radius(self, s, c_x, target: float):
         """Radius where the phase 2 pi s c_x r^-2 e^{-k r} falls to `target`,
-        clamped to the lower bound: with x = 2 pi s c_x / target the phase
-        equation r^2 e^{k r} = x gives r = (2/k) W0(k sqrt(x) / 2).  A
-        column c_x of shape (m, 1) gives m rows of radii from one W0 call."""
-        root = np.sqrt(2.0 * math.pi * np.asarray(s, dtype=float) * c_x / target)
-        if self.k == 0.0:
-            return np.maximum(self.lower, root)
-        return np.maximum(self.lower, 2.0 / self.k * lambert_w0(0.5 * self.k * root))
+        clamped to the lower bound: the weight radius of x = 2 pi s c_x /
+        target.  A column c_x of shape (m, 1) gives m rows of radii from one
+        W0 call."""
+        x = 2.0 * math.pi * np.asarray(s, dtype=float) * c_x / target
+        return np.maximum(self.lower, weight_radius(self.k, x))
 
     # -- split evaluation ---------------------------------------------------
 

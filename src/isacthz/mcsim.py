@@ -55,11 +55,13 @@ obstacles do: a point's owning trial and its radius come from one
 uniform, a trial's count or weight sum is one (weighted) bincount over
 the owners, and only the trials left open gather the radii they own (a
 stable sort by owner).  The unmarked nodes past R_in fall into two
-rings, mid (R_in, R) and far (R, window edge): R is the radius where the
-far ring's absorption bound, its expected count at the weight of R,
-falls to `_SPLIT_SLACK` of the margin, and R_in the one inside it where
-the mid ring's bound falls to `_MID_SLACK` of it (`_split_radius`; both
-the lower-bound radius when the margin is not positive or without
+rings, mid (R_in, R) and far (R, window edge).  A ring's absorption
+bound, its expected count at the weight of its inner radius, lies below
+that of the whole disc out to its outer radius; R is the radius where
+the far ring's disc bound meets `_SPLIT_SLACK` of the margin, and R_in
+the one inside it where the mid ring's meets `_MID_SLACK` of it, each a
+Lambert-W closed form clamped to its ring (`_split_radius`; both the
+lower-bound radius when the margin is not positive or without
 absorption).  As the weight e^(-k r) / r^2 does not rise with r, a
 trial's interference lies between lo, the absorption noise of the nodes
 drawn with radii, and hi, which adds every marked node unblocked and
@@ -94,7 +96,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (LinkBudget, effective_noise, lower_bound_radius,
-                      received_power, reradiation_constant, sweep_weight)
+                      received_power, reradiation_constant, sweep_weight,
+                      weight_radius)
 from .config import Deployment, SystemParams
 from .misalignment import (beam_misalignment, beam_switch_density,
                            crossing_miss_window)
@@ -124,6 +127,8 @@ _SPLIT_SLACK = 1e-3
 # bounds holding the mid counts left about 199 of 1e5 trials open (45 at
 # 0.01, 893 at 0.2), measured before the capped first bounds came in
 _MID_SLACK = 0.05
+# ln 2^64: a ring count exceeds its `_far_cap` with probability below e^-this
+_TAIL_LOG = 64.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -155,13 +160,13 @@ class McEstimate:
 
 
 def _batches(trials: int, seed: int, size: int = _BATCH):
-    """Yield (rng, size) per fixed-size batch, each on its own substream."""
+    """Yield (rng, size) per fixed-size batch, each on its own substream:
+    batch k's is child k of SeedSequence(seed).spawn, made as it starts."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n_batches = (trials + size - 1) // size
-    seqs = np.random.SeedSequence(seed).spawn(n_batches)
-    for k, seq in enumerate(seqs):
-        yield np.random.default_rng(seq), min(size, trials - k * size)
+    for k, start in enumerate(range(0, trials, size)):
+        seq = np.random.SeedSequence(seed, spawn_key=(k,))
+        yield np.random.default_rng(seq), min(size, trials - start)
 
 
 def _ppp_disc(rng, density: float, radius: float) -> np.ndarray:
@@ -328,54 +333,33 @@ def default_window_radius(system: SystemParams, deploy: Deployment,
 def _split_radius(c_abs: float, lambda_b: float, k_abs: float, r_lo: float,
                   r_out: float, margin: float,
                   share: float = _SPLIT_SLACK) -> float:
-    """Smallest r in [r_lo, r_out] at which the absorption bound of the ring
+    """A radius r in [r_lo, r_out] at which the absorption bound of the ring
     (r, r_out), c_abs lambda_b pi (r_out^2 - r^2) e^(-k r) / r^2, its
-    expected node count at the weight of r, is at most share * margin.
+    expected node count at the weight of r, is at most share * margin: the
+    weight radius where the wider bound c_abs lambda_b pi r_out^2
+    e^(-k r) / r^2 meets share * margin, clamped to [r_lo, r_out].
 
-    r_lo when that bound already holds there (c_abs = 0 included) or when
-    margin <= 0, where every trial misses.  The bound falls with r and is 0
-    at r_out, so bisection finds the radius to a relative 1e-10.
+    Both bounds fall with r, so the ring's holds at r_lo when the clamp
+    raises r to it; at r_out the ring is empty.  r_lo at c_abs = 0 and when
+    margin <= 0, where every trial misses.
     """
-    cap = share * margin
-
-    def fails(r):
-        return c_abs * lambda_b * math.pi * (r_out ** 2 - r ** 2) \
-            * math.exp(-k_abs * r) / r ** 2 > cap
-
-    if not margin > 0.0 or not fails(r_lo):
+    if not margin > 0.0:
         return r_lo
-    lo, hi = r_lo, r_out
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if fails(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    x = c_abs * lambda_b * math.pi * r_out ** 2 / share / margin
+    return max(r_lo, min(r_out, weight_radius(k_abs, x)))
 
 
 def _far_cap(mean: float) -> int:
-    """Smallest count F whose Poisson(mean) upper tail P(N > F) the Chernoff
-    bound P(N >= n) <= e^(n - mean) (mean / n)^n, n > mean, puts below
-    2^-64.  The bound falls with n past the mean, so F is found by doubling
-    and bisection."""
+    """A count F whose Poisson(mean) upper tail P(N > F) is below 2^-64:
+    the ceiling of mean + sqrt(2 L mean) + L / 3, L = `_TAIL_LOG`, the
+    sub-gamma (Bernstein) tail point.  The Poisson log-MGF
+    mean (e^t - 1 - t) is at most mean t^2 / (2 (1 - t / 3)), as
+    k! >= 2 3^(k - 2), so P(N >= mean + sqrt(2 L mean) + L / 3) <= e^-L.
+    0 when no node is expected."""
     if not mean > 0.0:
         return 0
-    target = -64.0 * math.log(2.0)
-
-    def holds(n):
-        return n > mean and n - mean + n * math.log(mean / n) < target
-
-    lo, hi = 0, 1
-    while not holds(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi - 1
+    return math.ceil(mean + math.sqrt(2.0 * _TAIL_LOG * mean)
+                     + _TAIL_LOG / 3.0)
 
 
 def _annulus_radii(rng, n: int, r_in: float, r_out: float) -> np.ndarray:

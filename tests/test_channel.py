@@ -7,7 +7,7 @@ import pytest
 from isacthz.channel import (LinkBudget, antenna_gain, effective_noise,
                              expected_interference, expected_noise,
                              interference_probability, received_power,
-                             sweep_weight)
+                             sweep_weight, weight_radius)
 from isacthz.config import Deployment, SystemParams
 from isacthz.specfun import QuadratureSpec, integrate_semi_infinite
 
@@ -176,3 +176,23 @@ class TestEffectiveNoise:
     def test_reference_value(self):
         assert effective_noise(BUD, DEP, SYS, 20.0) == \
             pytest.approx(6.093566566165472e-12, rel=1e-12)
+
+
+class TestWeightRadius:
+    @pytest.mark.parametrize("k", [0.0, 0.35, 3.0])
+    def test_solves_the_weight_equation(self, k):
+        # r^2 e^(k r) = x over eleven decades of x, one call for the array
+        x = np.logspace(-4.0, 7.0, 23)
+        r = weight_radius(k, x)
+        assert np.allclose(r ** 2 * np.exp(k * r), x, rtol=1e-13, atol=0.0)
+        assert weight_radius(k, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: expected_interference(BUD, DEP, SYS, 0.5, 0.0), "r1 >= 2 r_b"),
+    (lambda: expected_noise(BUD, DEP, SYS, 0.0), "r1 > 0"),
+    (lambda: effective_noise(BUD, DEP, SYS, -1.0), "r1 > 0"),
+], ids=["interference", "noise", "effective_noise"])
+def test_rejections(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()

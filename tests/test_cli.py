@@ -306,12 +306,14 @@ class TestArguments:
         ["coverage", "--r1-grid", "inf"],
         ["coverage", "--threshold-db-grid", "inf"],
         ["coverage", "--r1-grid", "20", "nan"],
+        ["coverage", "--r1-grid", "abc"],
         ["simulate", "--what", "blockage", "--r-m", "nan"],
         ["simulate", "--what", "coverage", "--r1-m", "inf"],
         ["simulate", "--what", "coverage", "--threshold-db=-inf"],
         ["simulate", "--what", "coverage", "--window-m", "inf"],
     ], ids=["d_max_req", "v_max_req", "r1_grid", "threshold_db_grid",
-            "r1_grid_second", "r_m", "r1_m", "threshold_db", "window_m"])
+            "r1_grid_second", "r1_grid_text", "r_m", "r1_m", "threshold_db",
+            "window_m"])
     def test_non_finite_float_exit_code(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

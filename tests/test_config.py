@@ -17,6 +17,8 @@ MALFORMED_TABLES = {
     "short_row": ("frequency_hz,k_per_m\n1e11,0.04\n2e11\n1e12,2.0\n", 3),
     "nan_frequency": ("frequency_hz,k_per_m\n1e11,0.04\n1e12,2.0\nnan,2.0\n", 4),
     "inf_k": ("frequency_hz,k_per_m\n1e11,0.04\n1e12,inf\n", 3),
+    "text_k": ("frequency_hz,k_per_m\n1e11,0.04\n1e12,high\n", 3),
+    "negative_k": ("frequency_hz,k_per_m\n1e11,0.04\n1e12,-2.0\n", 3),
 }
 
 
@@ -102,6 +104,10 @@ class TestValidation:
             SystemParams(t_ssb=1.0)  # exceeds tau
         with pytest.raises(ConfigError):
             SystemParams(n_rs=0)
+        with pytest.raises(ConfigError, match="f_c must be > 0"):
+            SystemParams(f_c=0.0)
+        with pytest.raises(ConfigError, match="r_b must be > 0"):
+            Deployment(r_b=0.0)
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -123,8 +129,11 @@ class TestValidation:
         "p_t = 0.2\np_t_dbm = 23\n",       # two keys, one field
         "v_kmh = 70\nv = 20\n",
         "k_abs = 0.2\nabsorption_table = missing.csv\n",
+        "f_c = abc\n",                    # not a number
+        "n_b = 64.5\n",                   # an integer field
+        "f_c =\n",                        # no value
     ], ids=["inf_n_b", "nan_lambda_b", "huge_p_t_dbm", "n_b_twice", "p_t_twice",
-            "v_twice", "k_abs_twice"])
+            "v_twice", "k_abs_twice", "text_f_c", "fractional_n_b", "empty_f_c"])
     def test_non_finite_or_repeated_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -178,10 +187,15 @@ class TestAbsorptionTable:
     def test_exact_row(self, tmp_path):
         table = "frequency_hz,k_per_m\n1e11,0.01\n2e11,0.02\n3e11,0.05\n"
         assert _k_at(tmp_path, 2e11, table) == pytest.approx(0.02)
+        # a one-row table holds its own frequency only
+        assert _k_at(tmp_path, 3e11, "frequency_hz,k_per_m\n3e11,0.05\n") == 0.05
 
     def test_midpoint_linearity(self, tmp_path):
         table = "frequency_hz,k_per_m\n1e11,0.002\n2e11,0.004\n"
         assert _k_at(tmp_path, 1.5e11, table) == pytest.approx(0.003)
+        # a blank line between rows loads as if it were absent
+        spaced = table.replace("0.002\n", "0.002\n\n")
+        assert _k_at(tmp_path, 1.5e11, spaced) == _k_at(tmp_path, 1.5e11, table)
 
     def test_out_of_range(self, tmp_path):
         table = "frequency_hz,k_per_m\n1e11,0.002\n2e11,0.004\n"
@@ -204,6 +218,8 @@ class TestAbsorptionTable:
     def test_bad_header(self, tmp_path):
         with pytest.raises(ConfigError, match="expected CSV header"):
             _k_at(tmp_path, 1e11, "freq,k\n1e11,0.01\n")
+        with pytest.raises(ConfigError, match="has no rows"):
+            _k_at(tmp_path, 1e11, "frequency_hz,k_per_m\n")
 
     def test_unsorted_rejected(self, tmp_path):
         table = "frequency_hz,k_per_m\n2e11,0.01\n1e11,0.02\n"

@@ -6,8 +6,9 @@ import pytest
 
 from isacthz.channel import log_void_probability
 from isacthz.config import Deployment, SystemParams
-from isacthz.misalignment import (beam_misalignment, beam_switch_density,
-                                  blockage_probability,
+from isacthz.misalignment import (MisalignmentBreakdown, beam_misalignment,
+                                  beam_switch_density, blockage_probability,
+                                  crossing_miss_window,
                                   expected_closest_blockage,
                                   speed_underestimate_probability,
                                   timeout_probability)
@@ -239,3 +240,16 @@ class TestBeamMisalignment:
         dense = replace(DEP, lambda_s=2.0)
         m = beam_misalignment(dense, baseline_5g_ability(), SYS.tau)
         assert 0.0 <= m.p_ms <= 1.0
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: MisalignmentBreakdown(p_err=0.1, p_to=-0.1, p_ms=0.0),
+     "p_to must be a probability"),
+    (lambda: MisalignmentBreakdown(p_err=0.1, p_to=0.1, p_ms=math.nan),
+     "p_ms must be a probability"),
+    (lambda: crossing_miss_window(DEP, perfect_ability(), 0.0),
+     "tau must be > 0"),
+], ids=["negative", "nan", "tau"])
+def test_rejections(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()

@@ -162,3 +162,15 @@ class TestBruteForce:
             alpha_bounds(sys1)
         with pytest.raises(ValueError, match="n_rs must be >= 2"):
             optimal_alpha(1, 1, sys1, THETA)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: PatternRequirement(0.0, 19.44), "d_max_req must be > 0"),
+    (lambda: PatternRequirement(78.1, math.nan), "v_max_req must be > 0"),
+    # 11 symbols and 52 subcarriers cannot hold 5000 pilots
+    (lambda: alpha_bounds(replace(SYS, t_tot=5e-5, b_tot=1e8, b_ssb=1e8)),
+     "no alpha satisfies"),
+], ids=["d_max_req", "v_max_req", "no_feasible_alpha"])
+def test_rejections(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()

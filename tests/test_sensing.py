@@ -137,3 +137,29 @@ class TestPatternMaterialisation:
         with pytest.raises(ValueError):
             SensingAbility(delta_r=10.0, delta_db=1.0, delta_v=1.0,
                            d_max=5.0, v_max=10.0)
+
+
+# valid SensingPattern and SensingAbility fields, for one field to spoil
+PATTERN = dict(alpha=0.5, u=1, v=1, n_s=71, n_f=70, b_s=1.344e8, t_s=3.2e-4)
+ABILITY = dict(delta_r=1.0, delta_db=0.1, delta_v=1.0, d_max=50.0, v_max=30.0)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: SensingPattern(**{**PATTERN, "alpha": 1.0}), "alpha must lie"),
+    (lambda: SensingPattern(**{**PATTERN, "u": 0}), "spacings U, V"),
+    (lambda: SensingPattern(**{**PATTERN, "n_f": 0}), "pilot counts"),
+    (lambda: SensingPattern(**{**PATTERN, "t_s": 0.0}), "spans must be positive"),
+    # 5000^0.999 = 4958 symbols against a cap of 4484
+    (lambda: SensingPattern.materialize(0.999, 1, 1, SYS), "duration exceeds"),
+    # one symbol, clamped up from 5000^-0.5, times 5000^1.5 subcarriers
+    (lambda: SensingPattern.materialize(-0.5, 1, 1, replace(SYS, b_tot=1e12)),
+     "drifted beyond rounding slack"),
+    (lambda: SensingAbility(**{**ABILITY, "delta_v": -1.0}), "resolutions"),
+    (lambda: SensingAbility(**{**ABILITY, "v_max": 0.0}), "unambiguous limits"),
+    (lambda: ability_from_spans(1, 0, 1e8, 1e-4, SYS, DEP.theta_b),
+     "spans and spacings"),
+], ids=["alpha", "spacing", "count", "span", "over_duration", "drift",
+        "resolution", "limit", "spans"])
+def test_rejections(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()

@@ -8,10 +8,11 @@ Each tree's estimators run in interpreters of their own that import
 seeds seed ... seed + N - 1 (N = 1 by default), the trees alternating
 seed by seed (tools/alternating.py).  Fixed sizes: ``estimate_blockage``
 (52 m links), ``estimate_timeout`` and ``estimate_misalignment`` (jsrs) at
-1e6 trials, and ``estimate_coverage`` at eight cells, 2e5 trials each: the
+1e6 trials, and ``estimate_coverage`` at nine cells, 2e5 trials each: the
 urban point, a derivation-mode cell, the blocker-free open field on a
 500 m window, narrow beams (n_b = n_m = 8), where many trials are left
-open, three derivation-mode tail cells (jsrs 10 m 10 dB, jsrs 12 m 5 dB,
+open, a far serving node (jsrs 40 m 0 dB), whose inner ring holds the
+most nodes, three derivation-mode tail cells (jsrs 10 m 10 dB, jsrs 12 m 5 dB,
 5g 10 m 10 dB), where the Monte-Carlo and analytic coverage differ most,
 and a cell where every trial misses (5g 38 m 15 dB, whose noise alone
 exceeds the threshold).  Every point is an independent estimate on each
@@ -54,6 +55,7 @@ COVERAGE_CELLS = {
                       {"lambda_m": 0.0, "lambda_s": 0.0}, 500.0),
     "coverage_narrow": ("jsrs", 20.0, -10.0, "theorem",
                         {"n_b": 8, "n_m": 8}, None),
+    "coverage_far_40m_0db": ("jsrs", 40.0, 0.0, "theorem", {}, None),
     "coverage_tail_jsrs_10m_10db": ("jsrs", 10.0, 10.0, "derivation", {},
                                     None),
     "coverage_tail_jsrs_12m_5db": ("jsrs", 12.0, 5.0, "derivation", {}, None),
