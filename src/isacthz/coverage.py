@@ -68,10 +68,9 @@ writes the four components at the 15 Gauss-Kronrod nodes of every pending
 panel into one array.  Its two trig brackets, 2 sin^2(ph/2) and sin ph,
 both come from one tan(ph/4) (_half_angle_brackets): on a 2-vCPU Xeon
 guest with numpy 2.4.6, float64 np.sin at phases of 0-60 rad costs 17-25
-ns an element and np.tan 2-3 ns, and the node weight r^-2 e^{-k r}
-divides by r * r, 1.1-1.6 ns an element against 3.3-4.5 ns for r ** -2.0.
-The end of the grid is searched a few decades at a time, so few s-points
-past it are integrated only to be discarded.
+ns an element and np.tan 2-3 ns.  The end of the grid is searched a few
+decades at a time, so few s-points past it are integrated only to be
+discarded.
 
 The grid runs on to where the envelope is 1e-12, but the kernels stop
 well short of that: the default `coverage` sweeps read no further than
@@ -100,8 +99,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (LOWER_BOUND_MODES, LinkBudget, effective_noise,
-                      log_void_probability, lower_bound_radius,
-                      orientation_odds, received_power, reradiation_constant,
+                      los_probability, lower_bound_radius, orientation_odds,
+                      path_weight, received_power, reradiation_constant,
                       sweep_weight, weight_radius)
 from .config import Deployment, SystemParams
 from .misalignment import beam_misalignment
@@ -217,13 +216,14 @@ class _SplitTable:
         # the views of view(), by sweep weight
         self.views = {}
         # the decades past the start that are finite floats, counted in
-        # logs: far enough out in an absorbing medium g(lower) =
-        # e^{-k lower} / lower^2 all but underflows, and s_lo nears the
-        # largest float
+        # logs, not with path_weight: far enough out in an absorbing medium
+        # the weight e^{-k lower} / lower^2 all but underflows, and s_lo
+        # nears the largest float
         log_lo = (math.log(1e-3 / (2.0 * math.pi * self.c_int)) + self.k * lower
                   + 2.0 * math.log(lower))
         limit = min(_DECADE_LIMIT, math.floor((_LOG_FLOAT_MAX - log_lo) / math.log(10.0) - 1e-9))
-        s_lo = 1e-3 / (2.0 * math.pi * self.c_int * self._g(lower)) if limit > 6 else math.inf
+        s_lo = (1e-3 / (2.0 * math.pi * self.c_int * path_weight(self.k, lower))
+                if limit > 6 else math.inf)
         f_target = 27.7 / (2.0 * math.pi * deploy.lambda_b)
         w_max = orientation_odds(deploy)
         decades = s_lo * 10.0 ** np.arange(6, limit)
@@ -247,16 +247,6 @@ class _SplitTable:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _g(self, r):
-        g = np.exp(-self.k * r)
-        g /= r * r
-        return g
-
-    def _p_los(self, r):
-        """Line-of-sight odds of a node at r; p_I(r) = w_s times this."""
-        return np.exp(log_void_probability(self.deploy.total_density,
-                                           self.deploy.r_b, r))
-
     def _phase_radius(self, s, c_x, target: float):
         """Radius where the phase 2 pi s c_x r^-2 e^{-k r} falls to `target`,
         clamped to the lower bound: the weight radius of x = 2 pi s c_x /
@@ -276,9 +266,9 @@ class _SplitTable:
         bound share one evaluation."""
         rows = len(ends)
         r = np.concatenate((ends, np.full_like(ends, self.lower)))
-        phase = 2.0 * math.pi * s * np.concatenate((c_x, c_x)) * self._g(r)
+        phase = 2.0 * math.pi * s * np.concatenate((c_x, c_x)) * path_weight(self.k, r)
         scale = r / (-phase * (2.0 / r + self.k))
-        scale[::rows] *= self._p_los(r[::rows])
+        scale[::rows] *= los_probability(self.deploy, r[::rows])
         cos, sin = scale * np.sin(phase), -scale * np.cos(phase)
         return cos[:rows] - cos[rows:], sin[:rows] - sin[rows:]
 
@@ -289,7 +279,7 @@ class _SplitTable:
         incomplete gamma) keep every term positive, free of cancellation."""
         c = 2.0 * self.deploy.r_b * self.deploy.total_density
         x = c * (b - a)
-        return self._p_los(a) * (-a * np.expm1(-x) / c + gammainc2(x) / c ** 2)
+        return los_probability(self.deploy, a) * (-a * np.expm1(-x) / c + gammainc2(x) / c ** 2)
 
     def _split_chunk(self, s: np.ndarray) -> np.ndarray:
         """(F0_r, F1_r, F0_i, F1_i) at the s-points s > 0, shape (4, len(s)).
@@ -322,7 +312,7 @@ class _SplitTable:
         """
         lower, n = self.lower, s.size
         # the start level and those below the highest phase at the lower bound
-        top = 2.0 * math.pi * s.max() * self.c_int * math.exp(-self.k * lower) / (lower * lower)
+        top = 2.0 * math.pi * s.max() * self.c_int * path_weight(self.k, lower)
         levels = _PHASE_BUDGET - math.pi * np.arange((_PHASE_BUDGET - _LEAD_STOP) // math.pi + 1)
         levels = levels[(levels < top) | (levels == _PHASE_BUDGET)]
         # radii (2, n, levels) where each source's phase falls to each level:
@@ -342,10 +332,10 @@ class _SplitTable:
         def source(r, owner):
             out = np.empty((4, *r.shape))
             half, sin = out[0], out[2]
-            _half_angle_brackets(rate[owner][:, None] * self._g(r), half, sin)
+            _half_angle_brackets(rate[owner][:, None] * path_weight(self.k, r), half, sin)
             half *= r
             sin *= r
-            p = weight[owner][:, None] * self._p_los(r)
+            p = weight[owner][:, None] * los_probability(self.deploy, r)
             np.multiply(p, half, out=out[1])
             np.multiply(p, sin, out=out[3])
             # F0 holds the absorption members only

@@ -81,11 +81,12 @@ estimate is exact in law but for them, and R_in and R set only how many
 stay open.
 
 The model's inputs come from the modules that define them: the densities
-from `config`, the sweep weight (q_mark), re-radiation constant and
-lower-bound radius from `channel`, the beam-crossing miss window from
-`misalignment`.  Every blockage, timeout and interference event is drawn
-from corridor geometry.  No alignment is drawn: `estimate_coverage`
-scales its SINR frequency by the analytic 1 - p_ms instead.
+from `config`, the sweep weight (q_mark), re-radiation constant, path
+weight and lower-bound radius from `channel`, the beam-crossing miss
+window from `misalignment`.  Every blockage, timeout and interference
+event is drawn from corridor geometry.  No alignment is drawn:
+`estimate_coverage` scales its SINR frequency by the analytic 1 - p_ms
+instead.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (LinkBudget, effective_noise, lower_bound_radius,
-                      received_power, reradiation_constant, sweep_weight,
-                      weight_radius)
+                      path_weight, received_power, reradiation_constant,
+                      sweep_weight, weight_radius)
 from .config import Deployment, SystemParams
 from .misalignment import (beam_misalignment, beam_switch_density,
                            crossing_miss_window)
@@ -375,15 +376,6 @@ def _annulus_map(u: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
     return np.sqrt(u, out=u)
 
 
-def _weights(rad: np.ndarray, k_abs: float) -> np.ndarray:
-    """Path weights e^(-k r) / r^2, non-increasing in r."""
-    g = np.multiply(rad, -k_abs)
-    np.exp(g, out=g)
-    g /= rad
-    g /= rad
-    return g
-
-
 def _grouped_sums(values: np.ndarray, owner: np.ndarray,
                   size: int) -> np.ndarray:
     """Sum of the values each of `size` slots owns, always float64 (bincount
@@ -465,7 +457,7 @@ def _resolve(rng, deploy: Deployment, budget: LinkBudget, r1: float, lo,
         blocked = _blocked_bulk(np.tile(obs_x, c), np.tile(obs_y, c),
                                 np.full(c, obs_x.size), x[:c], y[:c],
                                 deploy.r_b)
-        i_eff[t] += budget.a * _weights(r_m[~blocked], budget.k_abs).sum()
+        i_eff[t] += budget.a * path_weight(budget.k_abs, r_m[~blocked]).sum()
     return i_eff
 
 
@@ -527,7 +519,7 @@ def _cm_hits(deploy: Deployment, budget: LinkBudget, system: SystemParams,
     inner_mean = unmarked * (r_in ** 2 - r_lo ** 2)
     mark_mean = q_mark * area * (r_win ** 2 - r_lo ** 2)
     rings = [(r_a, r_b, unmarked * (r_b ** 2 - r_a ** 2),
-              c_abs * (math.exp(-budget.k_abs * r_a) / r_a ** 2))
+              c_abs * path_weight(budget.k_abs, r_a))
              for r_a, r_b in ((r_in, r_near), (r_near, r_win))]
     caps = [w * _far_cap(mean) for _, _, mean, w in rings]
     size = max(1, int(_NODE_BUDGET // (inner_mean + mark_mean + _TRIAL_NODES)))
@@ -535,13 +527,14 @@ def _cm_hits(deploy: Deployment, budget: LinkBudget, system: SystemParams,
     for rng, b in _batches(trials, seed, size):
         rad, owner = _scattered_field(rng, inner_mean, b, r_lo, r_in)
         r_m, m_owner = _scattered_field(rng, mark_mean, b, r_lo, r_win)
-        g_m = _grouped_sums(_weights(r_m, budget.k_abs), m_owner, b)
+        g_m = _grouped_sums(path_weight(budget.k_abs, r_m), m_owner, b)
         # absorption noise of every node drawn with its radius
-        lo = _grouped_sums(_weights(rad, budget.k_abs), owner, b)
+        lo = _grouped_sums(path_weight(budget.k_abs, rad), owner, b)
         lo += g_m
         lo *= c_abs
         g_m *= budget.a  # every marked node unblocked
-        counted, drawn = 0.0, []
+        # unmarked radii and trials, inner then by ring: _per_trial keeps that order
+        counted, drawn = 0.0, [(rad, owner)]
         for s in range(len(rings) + 1):
             # ring s - 1 counted, and the rings past it at their _far_cap
             hi = g_m + lo
@@ -555,7 +548,7 @@ def _cm_hits(deploy: Deployment, budget: LinkBudget, system: SystemParams,
                 r_a, r_b, _, _ = rings[s - 1]
                 at = np.repeat(np.arange(keep.size), count[keep])
                 r = _annulus_radii(rng, at.size, r_a, r_b)
-                lo += c_abs * _grouped_sums(_weights(r, budget.k_abs), at,
+                lo += c_abs * _grouped_sums(path_weight(budget.k_abs, r), at,
                                             keep.size)
                 drawn.append((r, idx[at]))
             if s < len(rings):  # and ring s's counts
@@ -563,10 +556,9 @@ def _cm_hits(deploy: Deployment, budget: LinkBudget, system: SystemParams,
                 counted = count * rings[s][3]
         left = np.zeros(b, dtype=bool)
         left[idx] = True
-        unmarked_t = [np.concatenate(radii) for radii in zip(
-            *(_per_trial(r, at, left) for r, at in [(rad, owner)] + drawn))]
+        unmarked_t = _per_trial(*map(np.concatenate, zip(*drawn)), left)
         i_eff = _resolve(rng, deploy, budget, r1, lo, unmarked_t,
                          _per_trial(r_m, m_owner, left))
         hits += int((i_eff < margin).sum())
-        del rad, owner  # else they live on while the next batch draws its own
+        del rad, owner, drawn  # else they live on while the next batch draws its own
     return hits, p_ms

@@ -301,8 +301,8 @@ def integrate_semi_infinite_batch(f: Callable, lower,
     the lead estimate being the sum of its lead panels' estimates.  That
     estimate opens the running total the first root panel is referenced
     to; the refined lead sum replaces it before the stop rule, which reads
-    root panels only, takes the block.  A call without lead is the march
-    without them, bit for bit.
+    root panels only, takes the block.  A call without lead is the call
+    with an empty one, (M, 0).
 
     Returns the (C, M) integrals.  Raises ValueError for an empty batch and
     QuadratureError for the first member of a round that has spent its
@@ -319,13 +319,11 @@ def integrate_semi_infinite_batch(f: Callable, lower,
     budget = np.full(members, spec.max_subdivisions)
     last_small = np.zeros(members, dtype=bool)
     live = np.arange(members)
+    lead_a, lead_b, lead_owner, a = _lead_panels(
+        a, np.empty((members, 0)) if lead is None else lead)
+    lead_n = lead_a.size
     # the blocks that open with their member's very first panel
-    lead_n, fresh = 0, slice(None)
-    if lead is not None:
-        lead_a, lead_b, lead_owner, a = _lead_panels(a, lead)
-        lead_n = lead_a.size
-        if lead_n:
-            fresh = np.bincount(lead_owner, minlength=members) == 0
+    fresh = np.bincount(lead_owner, minlength=members) == 0
     total = total_err = None
     while True:
         # blocks of width first, 2 first, 4 first, ... from a, after the
@@ -708,9 +706,10 @@ def lambert_w0(z):
     fourth-order iteration (Commun. ACM 16, 1973): the first leaves a
     relative error below 3e-9, the second only rounding.  The whole array
     steps in lockstep, with no per-element loop; W0(0) = 0 is set apart,
-    as the steps divide by w."""
+    as the steps divide by w, and W0(inf) = inf, as the start is inf / inf
+    there."""
     z = np.asarray(z, dtype=float)
-    pos = z > 0.0
+    pos = (z > 0.0) & (z < np.inf)
     zp = np.where(pos, z, 1.0)
     w = np.log1p(zp)
     w = w * (1.0 - np.log1p(w) / (2.0 + w))
@@ -719,7 +718,7 @@ def lambert_w0(z):
         wp1 = 1.0 + w
         q = 2.0 * wp1 * (wp1 + (2.0 / 3.0) * zn)
         w = w * (1.0 + zn / wp1 * (q - zn) / (q - 2.0 * zn))
-    return np.where(pos, w, 0.0)[()]
+    return np.where(pos, w, np.fmax(z, 0.0))[()]
 
 
 def gammainc2(x):

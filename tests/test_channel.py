@@ -6,8 +6,9 @@ import pytest
 
 from isacthz.channel import (LinkBudget, antenna_gain, effective_noise,
                              expected_interference, expected_noise,
-                             interference_probability, received_power,
-                             sweep_weight, weight_radius)
+                             interference_probability, los_probability,
+                             path_weight, received_power, sweep_weight,
+                             weight_radius)
 from isacthz.config import Deployment, SystemParams
 from isacthz.specfun import QuadratureSpec, integrate_semi_infinite
 
@@ -89,11 +90,15 @@ class TestInterferenceProbability:
         val = interference_probability(DEP, sys_nosweep, 2 * DEP.r_b, 1.0)
         assert val == pytest.approx(DEP.theta_b * DEP.theta_m / (4 * math.pi ** 2),
                                     rel=1e-9)
+        assert los_probability(DEP, 2 * DEP.r_b) == 1.0
 
     def test_reference_value(self):
         # frozen scalar evaluation at the reference parameter set
         assert interference_probability(DEP, SYS, 10.0, 0.025) == \
             pytest.approx(6.82581365792933e-06, rel=1e-12)
+        lam = DEP.lambda_b + DEP.lambda_m + DEP.lambda_s
+        assert los_probability(DEP, 10.0) == pytest.approx(
+            math.exp(-lam * 2 * DEP.r_b * (10.0 - 2 * DEP.r_b)), rel=1e-14)
 
     def test_probability_range_and_monotone(self):
         rs = np.linspace(1.0, 300.0, 300)
@@ -185,7 +190,9 @@ class TestWeightRadius:
         x = np.logspace(-4.0, 7.0, 23)
         r = weight_radius(k, x)
         assert np.allclose(r ** 2 * np.exp(k * r), x, rtol=1e-13, atol=0.0)
+        assert x * path_weight(k, r) == pytest.approx(np.ones_like(x), rel=1e-13)
         assert weight_radius(k, 0.0) == 0.0
+        assert weight_radius(k, math.inf) == math.inf
 
 
 @pytest.mark.parametrize("make, match", [

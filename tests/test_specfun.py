@@ -6,7 +6,7 @@ import scipy.special as sp
 from scipy.interpolate import PchipInterpolator
 
 from isacthz import coverage, specfun
-from isacthz.channel import LinkBudget
+from isacthz.channel import LinkBudget, path_weight
 from isacthz.config import Deployment, SystemParams
 from isacthz.specfun import (QuadratureError, QuadratureSpec, erfcx, exp1,
                              gammainc2, integrate_oscillatory,
@@ -518,7 +518,7 @@ def _end_search_z(budget, deploy, lower):
     radius (c_int >= c_abs) at the end search's cap, s_lo times 1e66, as
     _SplitTable and its _phase_radius form it."""
     table = coverage._split_table(budget, deploy, lower)
-    s_lo = 1e-3 / (2.0 * math.pi * table.c_int * table._g(table.lower))
+    s_lo = 1e-3 / (2.0 * math.pi * table.c_int * path_weight(table.k, table.lower))
     root = math.sqrt(2.0 * math.pi * s_lo * 1e66 * table.c_int / coverage._PHASE_BUDGET)
     return 0.5 * table.k * root
 
@@ -569,7 +569,7 @@ class TestSpecialFunctions:
                             _either_side(1.0), np.linspace(0.9, 1.1, 21), [z_max]))
         self._matches(lambert_w0, lambda z: sp.lambertw(z).real, z)
         assert lambert_w0(0.0) == 0.0
-        assert np.array_equal(lambert_w0(np.array([0.0, 1e-300])), [0.0, 1e-300])
+        assert np.array_equal(lambert_w0(np.array([0.0, 1e-300, np.inf])), [0.0, 1e-300, np.inf])
 
     def test_gammainc2(self):
         # _los_area reaches about 3e-4 to 0.65
